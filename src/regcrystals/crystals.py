@@ -5,9 +5,11 @@ A_{t+u} - A_t - A_u in {0, 1} determines a finite crystal: vertices are
 the A-regular partitions of size at most n*e (no hook of length e*t with
 arm exactly A_t), and the operators remove the good i-node / add the
 cogood i-node read off from the reduced i-signature in the A-dependent
-node order.  Crystals for any two prefixes are isomorphic via a chain of
-ladder regularisations obtained by repeatedly splitting off the largest
-slope max(A_t / t).
+node order.  A-regularity reads the hooks of length divisible by e off the
+bead set; build_graph searches from the empty partition through f_op, and
+`verify crystal` checks it against the enumerate-and-filter route.  Crystals
+for any two prefixes are isomorphic via a chain of ladder regularisations
+obtained by repeatedly splitting off the largest slope max(A_t / t).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .ladders import LadderParams, _hook_lengths_arms, regularise, restrictise
-from .partitions import Node, Partition, enumerate_partitions, format_partition, residue
+from .ladders import LadderParams, hooks_divisible_by, regularise, restrictise
+from .partitions import Node, Partition, format_partition, residue
 
 
 def arm_plus(y, t: int) -> int:
@@ -39,7 +41,8 @@ def arm_minus(y, t: int) -> int:
 class ArmPrefix:
     """The first n values of an arm sequence for modulus e."""
 
-    __slots__ = ("e", "values")
+    # _checked: the partition e_op/f_op last verified A-regular (both types are immutable)
+    __slots__ = ("e", "values", "_checked")
 
     e: int
     values: tuple[int, ...]
@@ -64,6 +67,7 @@ class ArmPrefix:
                     )
         self.e = e
         self.values = vals
+        self._checked = None
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
@@ -160,16 +164,22 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     """True if la has no hook of length e*t with arm length exactly A_t."""
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
-    e = prefix.e
-    for length, arm in _hook_lengths_arms(la):
-        if length % e == 0 and arm == prefix.arm(length // e):
+    arms = prefix.values
+    return all(arm != arms[t - 1] for t, arm in hooks_divisible_by(la, prefix.e))
+
+
+def _checked_regular(la: Partition, prefix: ArmPrefix) -> bool:
+    """is_A_regular(la, prefix), skipped when la is the partition last verified."""
+    if la is not prefix._checked:
+        if not is_A_regular(la, prefix):
             return False
+        prefix._checked = la
     return True
 
 
 def e_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     """Remove the good i-node (the last '-' of the reduced signature), or None."""
-    if not is_A_regular(la, prefix):
+    if not _checked_regular(la, prefix):
         raise ValueError(f"{la.parts} is not regular for {prefix!r}")
     pairs = _signed_i_nodes(la, prefix, i)
     surviving = _surviving_indices([sign for _, sign in pairs])
@@ -183,7 +193,7 @@ def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     """Add the cogood i-node (the first '+' of the reduced signature), or None."""
     if la.size + 1 > prefix.bound:
         raise ValueError(f"|la| + 1 = {la.size + 1} exceeds the crystal bound {prefix.bound}")
-    if not is_A_regular(la, prefix):
+    if not _checked_regular(la, prefix):
         raise ValueError(f"{la.parts} is not regular for {prefix!r}")
     pairs = _signed_i_nodes(la, prefix, i)
     surviving = _surviving_indices([sign for _, sign in pairs])
@@ -205,26 +215,26 @@ class CrystalGraph:
 
 
 def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
-    """All A-regular partitions of size <= max_size with their f-operator edges."""
+    """All A-regular partitions of size <= max_size with their f-operator edges,
+    found breadth-first from the empty partition; each vertex is tested once."""
     bound = prefix.bound if max_size is None else max_size
     if bound > prefix.bound:
         raise ValueError(f"max_size {bound} exceeds the prefix bound {prefix.bound}")
-    vertices = [
-        la
-        for s in range(bound + 1)
-        for la in enumerate_partitions(s)
-        if is_A_regular(la, prefix)
-    ]
-    vertex_set = set(vertices)
+    vertices = [Partition()]
+    reached_by = {vertices[0]: None}
     edges = []
     for la in vertices:
+        if not _checked_regular(la, prefix):
+            src, i = reached_by[la]
+            raise RuntimeError(f"operator left the A-regular set: {src} -{i}-> {la}")
         if la.size == bound:
             continue
         for i in range(prefix.e):
             mu = f_op(la, prefix, i)
             if mu is not None:
-                if mu not in vertex_set:
-                    raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
+                if mu not in reached_by:
+                    reached_by[mu] = (la, i)
+                    vertices.append(mu)
                 edges.append((la, i, mu))
     vertices.sort(key=lambda p: (p.size, p.parts))
     edges.sort(key=lambda t: (t[0].size, t[0].parts, t[1]))

@@ -9,6 +9,9 @@ class holds a unique (E, Y)-regular partition (its dominance maximum, the
 regularisation) and a unique (E, Y)-restricted one (the minimum, the
 restrictisation).
 
+Every hook predicate (here, is_A_regular and the Mullineux slopes) reads the
+bead set through hooks_divisible_by, one runner of the E- or e-abacus at a time.
+
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator
 
 from .partitions import Node, Partition, enumerate_partitions, from_beta_numbers
 
@@ -88,60 +90,54 @@ def fingerprint(la: Partition, params: LadderParams) -> Counter:
     return cnt
 
 
-def _hook_lengths_arms(la: Partition) -> Iterator[tuple[int, int]]:
-    """Yield (length, arm) for every hook of la."""
-    conj = la.conjugate().parts
-    for r, row_len in enumerate(la.parts, start=1):
-        for c in range(1, row_len + 1):
-            arm = row_len - c
-            yield arm + conj[c - 1] - r + 1, arm
+def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int]]:
+    """(t, arm) for every hook of la of length m*t.
+
+    On the bead set {la_r + n - r}, a hook is a bead over a gap below it:
+    its length is their distance and its arm the number of gaps strictly
+    between.  A hook of length m*t pairs a bead with a gap on the same
+    runner of the m-runner abacus, so the walk up the positions keeps the
+    gaps seen so far by runner, visits at most |la|/m hooks and never
+    builds the conjugate.
+    """
+    runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    out = []
+    pos = gaps = 0
+    for part in reversed(la.parts):  # beads from the bottom; each has `part` gaps below
+        while gaps < part:
+            runners[pos % m].append((pos, gaps))
+            pos += 1
+            gaps += 1
+        for gap, below in runners[pos % m]:
+            out.append(((pos - gap) // m, part - 1 - below))
+        pos += 1
+    return out
 
 
 def is_regular(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t - 1."""
-    em, ym = params.E, params.Y
-    for length, arm in _hook_lengths_arms(la):
-        if length % em == 0 and arm == ym * (length // em) - 1:
-            return False
-    return True
+    ym = params.Y
+    return all(arm != ym * t - 1 for t, arm in hooks_divisible_by(la, params.E))
 
 
 def is_restricted(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t."""
-    em, ym = params.E, params.Y
-    for length, arm in _hook_lengths_arms(la):
-        if length % em == 0 and arm == ym * (length // em):
-            return False
-    return True
+    ym = params.Y
+    return all(arm != ym * t for t, arm in hooks_divisible_by(la, params.E))
 
 
 def bad_count(la: Partition, params: LadderParams) -> int:
     """Number of hooks of length t*e with arm floor(y*t), t not divisible by
     the slope denominator.  Defined only for non-integer slopes."""
-    z = params.y.denominator
+    z, num = params.y.denominator, params.y.numerator
     if z == 1:
         raise ValueError("bad hooks are defined only for slopes with denominator > 1")
-    e = params.e
-    num = params.y.numerator
-    count = 0
-    for length, arm in _hook_lengths_arms(la):
-        if length % e:
-            continue
-        t = length // e
-        if t % z and arm == (num * t) // z:
-            count += 1
-    return count
+    return sum(1 for t, arm in hooks_divisible_by(la, params.e) if t % z and arm == num * t // z)
 
 
 def _largest_singular_t(la: Partition, em: int, ym: int) -> int | None:
     """Largest t such that la has a hook of length em*t with arm ym*t - 1."""
-    best = None
-    for length, arm in _hook_lengths_arms(la):
-        if length % em == 0:
-            t = length // em
-            if arm == ym * t - 1 and (best is None or t > best):
-                best = t
-    return best
+    return max((t for t, arm in hooks_divisible_by(la, em) if arm == ym * t - 1), default=None)
 
 
 def _abacus_step(la: Partition, em: int, ym: int) -> Partition:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .crystals import ArmPrefix, e_op, f_op
-from .ladders import LadderParams, _hook_lengths_arms, regularise
+from .ladders import LadderParams, hooks_divisible_by, regularise
 from .partitions import Hook, Partition
 
 
@@ -23,11 +23,7 @@ def slopes(mu: Partition, e: int) -> set[Fraction]:
     """Slopes (arm + 1) / r over the hooks of mu of length r*e."""
     if e < 2:
         raise ValueError("e must be at least 2")
-    return {
-        Fraction(arm + 1, length // e)
-        for length, arm in _hook_lengths_arms(mu)
-        if length % e == 0
-    }
+    return {Fraction(arm + 1, t) for t, arm in hooks_divisible_by(mu, e)}
 
 
 def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
@@ -82,23 +78,31 @@ def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Part
     n = max(1, -(-la.size // e))
     prefix = ArmPrefix.from_slope(e, 1, n, "-")
     order = range(e) if residue_choice == "min" else range(e - 1, -1, -1)
+    return peel_and_rebuild(la, prefix, prefix, order, -1)
+
+
+def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign: int) -> Partition:
+    """Walk la to the empty partition in the src crystal and back up in dst.
+
+    Each peel removes the good node of the first residue i in ``order`` that
+    has one; the rebuild adds cogood nodes in dst at the residues sign*i mod
+    e, last peeled first.
+    """
     peeled = []
     cur = la
     while cur:
         for i in order:
-            nxt = e_op(cur, prefix, i)
+            nxt = e_op(cur, src, i)
             if nxt is not None:
-                peeled.append(i)
+                peeled.append(sign * i % src.e)
                 cur = nxt
                 break
         else:
             raise AssertionError(f"no good node on {cur.parts}")
-    out = Partition()
     for i in reversed(peeled):
-        res = f_op(out, prefix, (-i) % e)
-        assert res is not None
-        out = res
-    return out
+        cur = f_op(cur, dst, i)
+        assert cur is not None
+    return cur
 
 
 def james_regularise(la: Partition, e: int) -> Partition:

@@ -17,6 +17,8 @@ Node = tuple[int, int]
 
 _PART_TOKEN = re.compile(r"(\d+)(?:\^(\d+))?")
 
+MAX_PARSE_SIZE = 100_000  # largest size parse_partition accepts, checked before expanding ^
+
 
 class PartitionParseError(ValueError):
     """Raised for malformed partition strings."""
@@ -251,15 +253,17 @@ def parse_partition(text: str) -> Partition:
     s = text.strip()
     if s in ("", "-"):
         return Partition()
-    parts: list[int] = []
+    runs = []
     for tok in s.split(","):
         tok = tok.strip()
         m = _PART_TOKEN.fullmatch(tok)
         if not m:
             raise PartitionParseError(f"bad partition component {tok!r} in {text!r}")
-        val = int(m.group(1))
-        mult = int(m.group(2) or 1)
-        parts.extend([val] * mult)
+        runs.append((int(m.group(1)), int(m.group(2) or 1)))
+    size = sum(val * mult for val, mult in runs)
+    if size > MAX_PARSE_SIZE:
+        raise PartitionParseError(f"partition of size {size} exceeds the limit {MAX_PARSE_SIZE}")
+    parts = [val for val, mult in runs for _ in range(mult)]
     try:
         return Partition(parts)
     except ValueError as exc:

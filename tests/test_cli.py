@@ -3,6 +3,7 @@ import json
 import pytest
 
 from regcrystals.cli import main
+from regcrystals.partitions import MAX_PARSE_SIZE
 
 
 def run(capsys, *argv):
@@ -130,6 +131,12 @@ class TestMull:
         with pytest.raises(SystemExit) as info:
             main(["mull", "--e", "3", "2,xyz"])
         assert info.value.code == 2
+
+    def test_oversized_partition_exits_2_with_message(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mull", "--e", "3", f"1^{MAX_PARSE_SIZE + 1}"])
+        assert info.value.code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

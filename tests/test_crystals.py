@@ -4,6 +4,7 @@ import pytest
 
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
+from regcrystals import verify
 from regcrystals.crystals import ArmPrefix
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
 
@@ -128,6 +129,22 @@ class TestOperators:
         with pytest.raises(ValueError):
             cr.e_op(P("2,2,2"), prefix, 0)
 
+    def test_checked_partition_admits_no_other(self):
+        # e_op/f_op remember the last partition they verified; any other
+        # partition of the prefix is still tested
+        prefix = ArmPrefix.from_slope(3, 1, 3, "-")
+        regular = P("3,1")
+        for la in all_up_to(prefix.bound - 1):
+            if cr.is_A_regular(la, prefix):
+                continue
+            for op in (cr.e_op, cr.f_op):
+                cr.e_op(regular, prefix, 0)
+                assert prefix._checked is regular
+                with pytest.raises(ValueError):
+                    op(la, prefix, 0)
+                with pytest.raises(ValueError):
+                    op(Partition(la.parts), prefix, 1)
+
     def test_adjointness(self):
         for prefix in (ArmPrefix(3, (0, 1, 2)), ArmPrefix(3, (2, 4, 6)), ArmPrefix(4, (2, 5, 7))):
             bound = prefix.bound
@@ -197,6 +214,32 @@ class TestGraphs:
         assert dot == cr.to_dot(graph)
         assert dot.startswith("digraph crystal {")
         assert '"-" -> "1" [label="0"];' in dot
+
+
+def filter_route_graph(prefix, bound):
+    """Vertices and f-edges found by enumerating every partition up to bound."""
+    vertices = [la for la in all_up_to(bound) if cr.is_A_regular(la, prefix)]
+    edges = [
+        (la, i, cr.f_op(la, prefix, i))
+        for la in vertices
+        if la.size < bound
+        for i in range(prefix.e)
+    ]
+    return set(vertices), {edge for edge in edges if edge[2] is not None}
+
+
+@pytest.mark.parametrize(
+    "prefix, max_size",
+    [(p, None) for p in verify._CRYSTAL_PREFIXES] + [(verify._CRYSTAL_PREFIXES[4], 8)],
+)
+def test_search_graph_equals_filter_route(prefix, max_size):
+    graph = cr.build_graph(prefix, max_size)
+    bound = prefix.bound if max_size is None else max_size
+    vertices, edges = filter_route_graph(prefix, bound)
+    assert graph.bound == bound
+    assert set(graph.vertices) == vertices and len(graph.vertices) == len(vertices)
+    assert set(graph.edges) == edges and len(graph.edges) == len(edges)
+    assert list(graph.vertices) == sorted(vertices, key=lambda p: (p.size, p.parts))
 
 
 class TestChains:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcrystals import ladders as ld
 from regcrystals.ladders import LadderParams
@@ -68,6 +70,37 @@ class TestLadderGeometry:
                         and (a[1] - a[0]) % params.e == (b[1] - b[0]) % params.e
                     )
                     assert same == expected
+
+
+def node_route_hooks(la, m):
+    """(t, arm) of the hooks of length m*t, read off the node-by-node hook list."""
+    return sorted((h.length // m, h.arm) for h in la.hooks() if h.length % m == 0)
+
+
+def largest_parts_within(xs, cap):
+    """The partition of the largest values of xs whose running sum stays <= cap."""
+    parts, total = [], 0
+    for x in sorted(xs, reverse=True):
+        total += x
+        if total > cap:
+            break
+        parts.append(x)
+    return Partition(parts)
+
+
+class TestHooksDivisibleBy:
+    def test_matches_node_route_up_to_14(self):
+        for la in all_up_to(14):
+            for m in range(1, 9):
+                assert sorted(ld.hooks_divisible_by(la, m)) == node_route_hooks(la, m), (la, m)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.integers(1, 90), max_size=60).map(lambda xs: largest_parts_within(xs, 400)),
+        st.integers(1, 12),
+    )
+    def test_matches_node_route_up_to_400(self, la, m):
+        assert sorted(ld.hooks_divisible_by(la, m)) == node_route_hooks(la, m)
 
 
 class TestFingerprint:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import dominates_by_prefix_sums, hook_data_by_beads, partition_count
 from regcrystals.partitions import (
+    MAX_PARSE_SIZE,
     Partition,
     PartitionParseError,
     enumerate_partitions,
@@ -53,6 +54,12 @@ class TestParseFormat:
     def test_bad_tokens(self):
         for text in ("3,a", "3,-1", "1,2", "3^"):
             with pytest.raises(PartitionParseError):
+                parse_partition(text)
+
+    def test_size_capped_before_expansion(self):
+        assert parse_partition(f"{MAX_PARSE_SIZE}").size == MAX_PARSE_SIZE
+        for text in (f"1^{MAX_PARSE_SIZE + 1}", f"{MAX_PARSE_SIZE},1", f"3,2^{MAX_PARSE_SIZE // 2}"):
+            with pytest.raises(PartitionParseError, match="exceeds the limit"):
                 parse_partition(text)
 
     @settings(max_examples=200, derandomize=True)
