@@ -2,16 +2,22 @@
 
 Positions 0, 1, 2, ... run left to right along successive rows of an
 e-runner abacus, so position p sits on runner p mod e.  The n-bead display
-of a partition puts beads at the beta-numbers lambda_r + n - r for
-r = 1..n; conjugation truncates at a multiple m of e and places beads at
-m - 1 - t for every empty position t < m.
+of a partition puts beads at its n beta-numbers; conjugation truncates at a
+multiple m of e and places beads at m - 1 - t for every empty position t < m.
+
+The bead set has one codec: partitions.beta_numbers encodes and
+partitions.from_beta_numbers decodes.  The positions on a union of runners
+are renumbered by one pair, to_local and to_global, and from_runners is the
+one assembly of a display from per-runner bead counts and quotient
+components.  These work on plain position sets; only encode,
+conjugate_display and restrict_to_classes build an Abacus.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from .partitions import Partition, from_beta_numbers
+from .partitions import Partition, beta_numbers, from_beta_numbers
 
 
 class Abacus:
@@ -58,10 +64,8 @@ def default_beads(la: Partition, e: int) -> int:
 
 
 def encode(la: Partition, n: int, e: int) -> Abacus:
-    """The n-bead display for la: beads at lambda_r + n - r."""
-    if n < len(la.parts):
-        raise ValueError(f"need at least {len(la.parts)} beads, got {n}")
-    return Abacus(e, {la.part(r) + n - r for r in range(1, n + 1)})
+    """The n-bead display for la: beads at its n beta-numbers."""
+    return Abacus(e, beta_numbers(la, n))
 
 
 def decode(ab: Abacus) -> Partition:
@@ -82,21 +86,37 @@ def conjugate_display(ab: Abacus, m: int) -> Abacus:
     return Abacus(ab.e, {m - 1 - t for t in range(m) if t not in ab.occupied})
 
 
+def runner_counts(positions: Iterable[int], e: int) -> list[int]:
+    """Bead count on each runner 0..e-1 of a position set."""
+    counts = [0] * e
+    for p in positions:
+        counts[p % e] += 1
+    return counts
+
+
 def runner_profile(ab: Abacus) -> dict[int, int]:
     """Bead count on each runner, keyed by runner label 0..e-1."""
-    counts = {i: 0 for i in range(ab.e)}
-    for p in ab.occupied:
-        counts[p % ab.e] += 1
-    return counts
+    return dict(enumerate(runner_counts(ab.occupied, ab.e)))
+
+
+def from_runners(quotient: Sequence[Partition], counts: Sequence[int]) -> Partition:
+    """The partition whose display has counts[i] beads on runner i, read as quotient[i].
+
+    Runner i of the e = len(quotient) runners holds i + e*k for each
+    beta-number k of quotient[i] on counts[i] beads; empty components give
+    the core.  Raises ValueError when some counts[i] < len(quotient[i]).
+    """
+    e = len(quotient)
+    return from_beta_numbers(
+        i + e * k for i, (q, u) in enumerate(zip(quotient, counts)) for k in beta_numbers(q, u)
+    )
 
 
 def e_core(la: Partition, e: int, n: int | None = None) -> Partition:
     """The partition left after sliding every bead fully up its runner."""
     if n is None:
         n = default_beads(la, e)
-    counts = runner_profile(encode(la, n, e))
-    occ = {i + e * k for i, u in counts.items() for k in range(u)}
-    return decode(Abacus(e, occ))
+    return from_runners([Partition()] * e, runner_counts(beta_numbers(la, n), e))
 
 
 def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:
@@ -109,12 +129,8 @@ def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:
         n = default_beads(la, e)
     if n % e:
         raise ValueError(f"bead count {n} must be a multiple of e = {e}")
-    ab = encode(la, n, e)
-    out = []
-    for i in range(e):
-        local = {(p - i) // e for p in ab.occupied if p % e == i}
-        out.append(decode(Abacus(1, local)))
-    return out
+    occ = beta_numbers(la, n)
+    return [from_beta_numbers(to_local(occ, e, (i,))) for i in range(e)]
 
 
 def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -> Partition:
@@ -123,17 +139,10 @@ def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -
         raise ValueError(f"need {e} quotient components, got {len(quotient)}")
     if e_core(core, e) != core:
         raise ValueError(f"{core.parts} is not an {e}-core")
-    n = default_beads(core, e)
-    while True:
-        counts = runner_profile(encode(core, n, e))
-        if all(counts[i] >= len(quotient[i].parts) for i in range(e)):
-            break
-        n += e
-    occ = set()
-    for i in range(e):
-        u = counts[i]
-        occ.update(i + e * (quotient[i].part(r) + u - r) for r in range(1, u + 1))
-    return decode(Abacus(e, occ))
+    counts = runner_counts(beta_numbers(core, default_beads(core, e)), e)
+    # e more beads put one more on every runner; add rows until each component fits
+    extra = max(0, max(len(q) - u for q, u in zip(quotient, counts)))
+    return from_runners(quotient, [u + extra for u in counts])
 
 
 def grow_first_columns(la: Partition, m: int, e: int) -> Partition:
@@ -147,8 +156,7 @@ def grow_first_columns(la: Partition, m: int, e: int) -> Partition:
         raise ValueError("m must be non-negative")
     if m == 0:
         return la
-    n = len(la.parts) + m * e
-    occ = set(encode(la, n, e).occupied)
+    occ = beta_numbers(la, len(la.parts) + m * e)
     targets = []
     p = 0
     while len(targets) < m:
@@ -159,7 +167,36 @@ def grow_first_columns(la: Partition, m: int, e: int) -> Partition:
         assert t - e in occ and t not in occ
         occ.remove(t - e)
         occ.add(t)
-    return decode(Abacus(e, occ))
+    return from_beta_numbers(occ)
+
+
+def _classes(e: int, residues: Iterable[int]) -> list[int]:
+    res = sorted(set(map(int, residues)))
+    if not res:
+        raise ValueError("need at least one residue class")
+    if any(i < 0 or i >= e for i in res):
+        raise ValueError(f"residues must lie in [0, {e})")
+    return res
+
+
+def to_local(positions: Iterable[int], e: int, residues: Iterable[int]) -> set[int]:
+    """The positions on the given runners, renumbered 0, 1, 2, ... in order.
+
+    Position k of the result is the k-th position of the e-runner abacus
+    whose residue is in the set, so the result is a display with one runner
+    per kept residue class.
+    """
+    res = _classes(e, residues)
+    rank = {r: k for k, r in enumerate(res)}
+    c = len(res)
+    return {(p // e) * c + rank[p % e] for p in positions if p % e in rank}
+
+
+def to_global(local: Iterable[int], e: int, residues: Iterable[int]) -> set[int]:
+    """Inverse of to_local: the k-th position whose residue is in the set, for each k."""
+    res = _classes(e, residues)
+    c = len(res)
+    return {(k // c) * e + res[k % c] for k in local}
 
 
 def restrict_to_classes(ab: Abacus, residues: Iterable[int]) -> Abacus:
@@ -167,17 +204,8 @@ def restrict_to_classes(ab: Abacus, residues: Iterable[int]) -> Abacus:
 
     The result is a display with one runner per kept residue class.
     """
-    res = sorted(set(int(i) for i in residues))
-    if not res:
-        raise ValueError("need at least one residue class")
-    if any(i < 0 or i >= ab.e for i in res):
-        raise ValueError(f"residues must lie in [0, {ab.e})")
-    rank = {r: k for k, r in enumerate(res)}
-    c = len(res)
-    occ = {
-        (p // ab.e) * c + rank[p % ab.e] for p in ab.occupied if p % ab.e in rank
-    }
-    return Abacus(c, occ)
+    res = _classes(ab.e, residues)
+    return Abacus(len(res), to_local(ab.occupied, ab.e, res))
 
 
 def render(ab: Abacus) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .partitions import Node, Partition, enumerate_partitions, from_beta_numbers
+from .partitions import Node, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
 
 
 class LadderParams:
@@ -93,7 +93,7 @@ def fingerprint(la: Partition, params: LadderParams) -> Counter:
 def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int]]:
     """(t, arm) for every hook of la of length m*t.
 
-    On the bead set {la_r + n - r}, a hook is a bead over a gap below it:
+    On the bead set of la, a hook is a bead over a gap below it:
     its length is their distance and its arm the number of gaps strictly
     between.  A hook of length m*t pairs a bead with a gap on the same
     runner of the m-runner abacus, so the walk up the positions keeps the
@@ -152,9 +152,7 @@ def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
     t_d < b_{d+1} or d = m, move each bead b_i down to b_i - em and each
     bead t_i - em up to t_i, for i = 1..d in turn.
     """
-    parts = la.parts
-    n = len(parts)
-    occ = {parts[i] + n - 1 - i for i in range(n)}
+    occ = beta_numbers(la, len(la.parts))
 
     def empties_in(lo: int, hi: int) -> int:
         return sum(1 for p in range(lo, hi + 1) if p not in occ)
@@ -208,8 +206,8 @@ def regularise_step(la: Partition, params: LadderParams) -> Partition:
 
 def regularise(la: Partition, params: LadderParams) -> Partition:
     """The unique (E, Y)-regular partition in the ladder class of la."""
-    while _largest_singular_t(la, params.E, params.Y) is not None:
-        la = regularise_step(la, params)
+    while (t := _largest_singular_t(la, params.E, params.Y)) is not None:
+        la = _abacus_step(la, params.E * t, params.Y * t)
     return la
 
 

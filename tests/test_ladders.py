@@ -168,6 +168,18 @@ class TestRegularisationStep:
         with pytest.raises(ValueError):
             ld.regularise_step(P("5,1"), LadderParams(3, 2))
 
+    def test_regularise_walks_the_hooks_once_per_step(self, monkeypatch):
+        params = LadderParams(3, 2)
+        la = P("4,3,2,1")
+        steps = 0
+        while not ld.is_regular(la, params):
+            la, steps = ld.regularise_step(la, params), steps + 1
+        walks = []
+        walk = ld._largest_singular_t
+        monkeypatch.setattr(ld, "_largest_singular_t", lambda *a: walks.append(a) or walk(*a))
+        assert ld.regularise(P("4,3,2,1"), params) == la
+        assert steps > 1 and len(walks) == steps + 1
+
     def test_ascends_and_preserves_fingerprint(self):
         for params in (LadderParams(3, 2), LadderParams(4, 3), LadderParams(3, Fraction(4, 3))):
             for la in all_up_to(12):

@@ -9,6 +9,7 @@ from regcrystals.partitions import (
     MAX_PARSE_SIZE,
     Partition,
     PartitionParseError,
+    beta_numbers,
     enumerate_partitions,
     format_partition,
     from_beta_numbers,
@@ -216,6 +217,21 @@ class TestBetaNumbers:
 
     def test_pushes_trailing_zeros(self):
         assert from_beta_numbers(set(range(7))) == Partition()
+
+    def test_encoder_paper_display(self):
+        assert beta_numbers(P("6,4,2,1,1"), 7) == {0, 1, 3, 4, 6, 9, 12}
+        assert beta_numbers(Partition(), 3) == {0, 1, 2}
+        assert beta_numbers(P("3,1"), 2) == {4, 1}
+
+    def test_encoder_needs_a_bead_per_row(self):
+        with pytest.raises(ValueError, match="need at least 3 beads, got 2"):
+            beta_numbers(P("2,1,1"), 2)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(partitions, st.integers(0, 4))
+    def test_encoder_matches_definition(self, la, pad):
+        n = len(la.parts) + pad
+        assert beta_numbers(la, n) == {la.part(r) + n - r for r in range(1, n + 1)}
 
     @settings(max_examples=200, derandomize=True)
     @given(partitions, st.integers(0, 4))

@@ -58,6 +58,21 @@ class TestSeparated:
             assert sp.is_separated(la, ctx12) == sp.is_separated(la, ctx18)
 
 
+class TestNoDisplayObjects:
+    def test_separation_builds_no_abacus(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("separation built an Abacus")
+
+        monkeypatch.setattr(ab.Abacus, "__init__", refuse)
+        ctx = SplitContext(5, frozenset({1, 4}), 15)
+        la = P("15,11,9,7^3,6,4^3,2,1")
+        halves = sp.split(la, ctx)
+        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx.with_u(halves.u)) == la
+        assert sp.is_separated(la, ctx)
+        assert sp.verify_split(P("1"), Partition(), Partition(), ctx.with_u(6)).verdict != "falsified"
+        assert sp.paget_mu(P("11,10,9,8,7,5^2,4,3,2,1^5"), 4) == P("19,10,9,8,7,4,3,3,3,2,1")
+
+
 class TestSplitCombine:
     def test_paper_split(self):
         res = sp.split(P("5,3^2,2,1"), SplitContext(5, frozenset({0, 2}), 10))

@@ -3,9 +3,22 @@ import pytest
 from regcrystals.verify import run_suites
 
 
-@pytest.mark.parametrize("suite, max_size", [("ladder", 7), ("crystal", 10), ("mullineux", 9)])
-def test_suite_passes_at_a_small_bound(suite, max_size):
-    results = run_suites([suite], max_size=max_size)
+CASES = [
+    ("ladder", 7, None),
+    ("crystal", 10, None),
+    ("mullineux", 9, None),
+    ("core", 6, None),
+    ("lyle", 6, None),
+    ("paget", 4, None),
+    ("split", 5, (4,)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, max_size, e_values", CASES, ids=[f"{suite}-{size}" for suite, size, _ in CASES]
+)
+def test_suite_passes_at_a_small_bound(suite, max_size, e_values):
+    results = run_suites([suite], max_size=max_size, e_values=e_values)
     assert results
     for result in results:
         assert result.ok and result.checked > 0, result.line()
