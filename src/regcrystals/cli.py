@@ -19,7 +19,7 @@ from . import ladders as ld
 from . import separation as sp
 from . import verify as vf
 from .mullineux import mullineux, mullineux_steps
-from .partitions import Partition, PartitionParseError, format_partition, parse_partition
+from .partitions import Partition, PartitionParseError, parse_partition
 
 
 def _partition_arg(text: str) -> Partition:
@@ -74,8 +74,6 @@ def _cmd_conj(args) -> int:
 
 
 def _cmd_abacus(args) -> int:
-    if args.action != "show":
-        raise ValueError(f"unknown abacus action {args.action!r}")
     n = args.beads if args.beads is not None else ab.default_beads(args.partition, args.e)
     display = ab.encode(args.partition, n, args.e)
     _emit(
@@ -86,21 +84,13 @@ def _cmd_abacus(args) -> int:
     return 0
 
 
-def _reg_or_restrict(args, op) -> int:
+def _reg_or_restrict(args) -> int:
     params = ld.LadderParams(args.e, args.y)
-    steps = []
-    if args.trace and op is ld.regularise:
-        la = args.partition
-        while not ld.is_regular(la, params):
-            la = ld.regularise_step(la, params)
-            steps.append(la)
-        res = la
-    else:
-        res = op(args.partition, params)
-    lines = [f"mu = {args.partition}"] if args.trace else []
-    if args.trace:
-        lines += [f"step {k}: {mu}" for k, mu in enumerate(steps, start=1)]
-    lines.append(str(res))
+    res = args.partition
+    lines = [f"mu = {res}"]
+    for k, res in enumerate(args.steps(res, params), start=1):
+        lines.append(f"step {k}: {res}")
+    lines = (lines if args.trace else []) + [str(res)]
     _emit(
         args,
         {
@@ -114,14 +104,6 @@ def _reg_or_restrict(args, op) -> int:
         lines,
     )
     return 0
-
-
-def _cmd_reg(args) -> int:
-    return _reg_or_restrict(args, ld.regularise)
-
-
-def _cmd_restrict(args) -> int:
-    return _reg_or_restrict(args, ld.restrictise)
 
 
 def _cmd_ladder_class(args) -> int:
@@ -165,19 +147,10 @@ def _cmd_chain(args) -> int:
         lines.append("applied as restrictisations in reverse order")
     images = []
     if args.partition is not None:
-        la = args.partition
-        lines.append(f"start: {la}")
-        if chain.inverse:
-            la = cr.apply_chain(la, chain)
+        lines.append(f"start: {args.partition}")
+        for params, la in cr.chain_steps(args.partition, chain):
             images.append(str(la))
-            lines.append(f"image: {la}")
-        else:
-            for params, target in zip(chain.steps, chain.prefixes[1:]):
-                la = ld.regularise(la, params)
-                if not cr.is_A_regular(la, target):
-                    raise ValueError(f"chain left the regular set at ({params.E},{params.Y})")
-                images.append(str(la))
-                lines.append(f"({params.E},{params.Y}) -> {la}")
+            lines.append(f"({params.E},{params.Y}) -> {la}")
     _emit(
         args,
         {
@@ -192,16 +165,11 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_mull(args) -> int:
-    lines = []
-    if args.trace:
-        lines.append(f"mu = {args.partition.conjugate()}")
-        res = args.partition.conjugate()
-        for y, mu in mullineux_steps(args.partition, args.e):
-            lines.append(f"y = {y} -> {mu}")
-            res = mu
-    else:
-        res = mullineux(args.partition, args.e)
-    lines.append(str(res))
+    res = args.partition.conjugate()
+    lines = [f"mu = {res}"]
+    for y, res in mullineux_steps(args.partition, args.e):
+        lines.append(f"y = {y} -> {res}")
+    lines = (lines if args.trace else []) + [str(res)]
     _emit(
         args,
         {"input": str(args.partition), "e": args.e, "result": str(res)},
@@ -298,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_abacus)
 
-    for name, helptext, fn in (
-        ("reg", "ladder regularisation", _cmd_reg),
-        ("restrict", "ladder restrictisation", _cmd_restrict),
+    for name, helptext, steps in (
+        ("reg", "ladder regularisation", ld.regularise_steps),
+        ("restrict", "ladder restrictisation", ld.restrictise_steps),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--e", type=int, required=True)
@@ -308,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", action="store_true", help="print each step")
         p.add_argument("partition", type=_partition_arg)
         add_json(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_reg_or_restrict, steps=steps)
 
     p = sub.add_parser("ladder-class", help="brute-force ladder class")
     p.add_argument("--e", type=int, required=True)

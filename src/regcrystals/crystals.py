@@ -9,7 +9,8 @@ node order.  A-regularity reads the hooks of length divisible by e off the
 bead set; build_graph searches from the empty partition through f_op, and
 `verify crystal` checks it against the enumerate-and-filter route.  Crystals
 for any two prefixes are isomorphic via a chain of ladder regularisations
-obtained by repeatedly splitting off the largest slope max(A_t / t).
+obtained by repeatedly splitting off the largest slope max(A_t / t);
+apply_chain is the last image of chain_steps, which yields each step.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Iterator
 
 from .ladders import LadderParams, hooks_divisible_by, regularise, restrictise
 from .partitions import Node, Partition, format_partition, residue
@@ -312,27 +314,28 @@ def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
     raise ValueError("arm prefixes are not comparable")
 
 
-def apply_chain(la: Partition, chain) -> Partition:
-    """Image of la under a Chain (or a plain iterable of LadderParams).
+def chain_steps(la: Partition, chain: Chain) -> Iterator[tuple[LadderParams, Partition]]:
+    """Yield (params, image) for each step of the chain applied to la.
 
-    Regularity against each intermediate prefix is checked at every stage.
+    A forward chain regularises at its steps in order; an inverse chain
+    restrictises at them in reverse.  la is checked regular for the chain
+    source, and each image for the prefix its step reaches.
     """
-    if not isinstance(chain, Chain):
-        for params in chain:
-            la = regularise(la, params)
-        return la
-    if chain.inverse:
-        if not is_A_regular(la, chain.prefixes[-1]):
-            raise ValueError(f"{la.parts} is not regular for the chain source")
-        for params, target in zip(reversed(chain.steps), reversed(chain.prefixes[:-1])):
-            la = restrictise(la, params)
-            if not is_A_regular(la, target):
-                raise ValueError(f"chain left the regular set at {params!r}")
-        return la
-    if not is_A_regular(la, chain.prefixes[0]):
+    if not is_A_regular(la, chain.source):
         raise ValueError(f"{la.parts} is not regular for the chain source")
-    for params, target in zip(chain.steps, chain.prefixes[1:]):
-        la = regularise(la, params)
+    op, pairs = regularise, zip(chain.steps, chain.prefixes[1:])
+    if chain.inverse:
+        op, pairs = restrictise, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
+    for params, target in pairs:
+        la = op(la, params)
         if not is_A_regular(la, target):
             raise ValueError(f"chain left the regular set at {params!r}")
+        yield params, la
+
+
+def apply_chain(la: Partition, chain: Chain) -> Partition:
+    """Image of la under the chain: the last image of chain_steps, or la
+    itself for a chain of no steps."""
+    for _, la in chain_steps(la, chain):
+        pass
     return la

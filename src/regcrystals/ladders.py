@@ -9,6 +9,10 @@ class holds a unique (E, Y)-regular partition (its dominance maximum, the
 regularisation) and a unique (E, Y)-restricted one (the minimum, the
 restrictisation).
 
+Each map is the last item of its step generator: regularise of
+regularise_steps (one partition per abacus move), restrictise of
+restrictise_steps (the conjugated steps at the conjugate slope e - y).
+
 Every hook predicate (here, is_A_regular and the Mullineux slopes) reads the
 bead set through hooks_divisible_by, one runner of the E- or e-abacus at a time.
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import Iterator
 
 from .partitions import Node, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
 
@@ -27,10 +32,12 @@ from .partitions import Node, Partition, beta_numbers, enumerate_partitions, fro
 class LadderParams:
     """Ladder parameters for modulus e and exact rational slope y."""
 
-    __slots__ = ("e", "y")
+    __slots__ = ("e", "y", "E", "Y")
 
     e: int
     y: Fraction
+    E: int
+    Y: int
 
     def __init__(self, e: int, y):
         e = int(e)
@@ -41,14 +48,8 @@ class LadderParams:
             raise ValueError(f"slope {y} outside [1, {e - 1}]")
         self.e = e
         self.y = y
-
-    @property
-    def E(self) -> int:
-        return self.e * self.y.denominator
-
-    @property
-    def Y(self) -> int:
-        return self.y.numerator
+        self.E = e * y.denominator
+        self.Y = y.numerator
 
     def pair(self) -> tuple[int, int]:
         return (self.E, self.Y)
@@ -188,34 +189,53 @@ def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
     return from_beta_numbers(occ)
 
 
-def regularise_step(la: Partition, params: LadderParams) -> Partition:
-    """One step of the abacus regularisation: a strictly more dominant
-    partition in the same ladder class.
+def regularise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
+    """Yield the partition after each move of the abacus regularisation of la.
 
-    The step scales (E, Y) by the largest t for which a singular hook
-    occurs, then performs the single move at the scaled parameters.
+    Each step scales (E, Y) by the largest t for which a singular hook
+    occurs, then performs the single move at the scaled parameters; it gives
+    a strictly more dominant partition in the same ladder class.  Nothing is
+    yielded when la is already (E, Y)-regular.
+    """
+    while (t := _largest_singular_t(la, params.E, params.Y)) is not None:
+        kappa = _abacus_step(la, params.E * t, params.Y * t)
+        assert kappa != la
+        la = kappa
+        yield la
+
+
+def regularise_step(la: Partition, params: LadderParams) -> Partition:
+    """The first step of regularise_steps.
+
     Raises ValueError if la is already (E, Y)-regular.
     """
-    t = _largest_singular_t(la, params.E, params.Y)
-    if t is None:
+    kappa = next(regularise_steps(la, params), None)
+    if kappa is None:
         raise ValueError(f"{la.parts} is already ({params.E},{params.Y})-regular")
-    kappa = _abacus_step(la, params.E * t, params.Y * t)
-    assert kappa != la
     return kappa
 
 
 def regularise(la: Partition, params: LadderParams) -> Partition:
-    """The unique (E, Y)-regular partition in the ladder class of la."""
-    while (t := _largest_singular_t(la, params.E, params.Y)) is not None:
-        la = _abacus_step(la, params.E * t, params.Y * t)
+    """The unique (E, Y)-regular partition in the ladder class of la: the
+    last step of regularise_steps, or la itself when there is none."""
+    for la in regularise_steps(la, params):
+        pass
     return la
+
+
+def restrictise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
+    """Yield each step of the restrictisation of la: the conjugates of the
+    steps of regularise_steps(la', params.conjugate_params())."""
+    for kappa in regularise_steps(la.conjugate(), params.conjugate_params()):
+        yield kappa.conjugate()
 
 
 def restrictise(la: Partition, params: LadderParams) -> Partition:
     """The unique (E, Y)-restricted partition in the ladder class of la.
 
     Computed by conjugating, regularising at the conjugate slope e - y and
-    conjugating back.
+    conjugating back; equal to the last step of restrictise_steps, which
+    conjugates every step on the way.
     """
     return regularise(la.conjugate(), params.conjugate_params()).conjugate()
 

@@ -417,16 +417,17 @@ def suite_crystal(max_size: int = 12) -> list[CheckResult]:
         b = cr.ArmPrefix(e, bottom)
         direct = cr.iso_chain(a, b)
         mid = direct.prefixes[len(direct.prefixes) // 2]
-        composed = list(cr.iso_chain(a, mid).steps) + list(cr.iso_chain(mid, b).steps)
+        to_mid, from_mid = cr.iso_chain(a, mid), cr.iso_chain(mid, b)
         # slopes with denominator > bound/e have no singular partitions within
         # the truncation, so padding with one gives a distinct equivalent chain
-        padded = list(direct.steps) + [ld.LadderParams(e, 1 + Fraction(1, a.bound + 1))]
+        pad = ld.LadderParams(e, 1 + Fraction(1, a.bound + 1))
+        padded = cr.Chain(direct.prefixes + direct.prefixes[-1:], direct.steps + (pad,))
         for la in _all_partitions(min(a.bound, max_size)):
             if not cr.is_A_regular(la, a):
                 continue
             image = cr.apply_chain(la, direct)
             chk.tick(
-                cr.apply_chain(la, composed) == image
+                cr.apply_chain(cr.apply_chain(la, to_mid), from_mid) == image
                 and cr.apply_chain(la, padded) == image
                 and peel_and_rebuild(la, a, b, range(e), 1) == image,
                 lambda: f"{la} chain {top}->{bottom} e={e}",

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from regcrystals import crystals as cr
 from regcrystals.cli import main
-from regcrystals.partitions import MAX_PARSE_SIZE
+from regcrystals.partitions import MAX_PARSE_SIZE, parse_partition
 
 
 def run(capsys, *argv):
@@ -57,6 +58,11 @@ class TestRegRestrict:
         code, out, _ = run(capsys, "restrict", "--e", "3", "--y", "2", "5,1")
         assert code == 0 and out == "3,2,1\n"
 
+    def test_restrict_trace_prints_each_step(self, capsys):
+        code, out, _ = run(capsys, "restrict", "--e", "3", "--y", "2", "--trace", "5,1")
+        assert code == 0
+        assert out.splitlines() == ["mu = 5,1", "step 1: 4,1,1", "step 2: 3,2,1", "3,2,1"]
+
     def test_fractional_slope(self, capsys):
         code, out, _ = run(capsys, "reg", "--e", "3", "--y", "4/3", "--json", "4,1,1,1,1,1")
         payload = json.loads(out)
@@ -105,6 +111,72 @@ class TestChain:
         assert lines[1] == "start: 4,3,3,2,1,1,1,1"
         assert lines[2] == "(4,2) -> 5,4,2,1,1,1,1,1"
         assert lines[-1] == "(8,3) -> 6,4,2,1,1,1,1"
+
+
+    def test_inverse_chain_prints_each_restrictisation(self, capsys):
+        argv = ("chain", "--e", "4", "--from", "1,2,4,5", "--to", "2,4,6,8")
+        code, out, _ = run(capsys, *argv, "6,4,2,1^4")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "applied as restrictisations in reverse order",
+            "start: 6,4,2,1,1,1,1",
+            "(8,3) -> 6,4,2,1,1,1,1",
+            "(12,5) -> 5,4,2,1,1,1,1,1",
+            "(16,7) -> 5,4,2,1,1,1,1,1",
+            "(4,2) -> 4,3,3,2,1,1,1,1",
+        ]
+        _, out, _ = run(capsys, *argv, "--json", "6,4,2,1^4")
+        assert json.loads(out)["images"][-1] == "4,3,3,2,1,1,1,1"
+
+    @pytest.mark.parametrize(
+        "e, dst, la",
+        [("3", "0,1,2", "3"), ("3", "2,4,6", "3"), ("4", "1,2,4", "4,3")],
+        ids=["forward", "identity", "figure-prefixes"],
+    )
+    def test_partition_outside_the_source_crystal_fails(self, capsys, e, dst, la):
+        code, out, err = run(capsys, "chain", "--e", e, "--from", "2,4,6", "--to", dst, la)
+        assert (code, out) == (1, "")
+        assert err == f"error: {parse_partition(la).parts} is not regular for the chain source\n"
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reg", "--e", "4", "--y", "2", "3,3,3,3,1"),
+            ("reg", "--e", "3", "--y", "3/2", "2,2,2,1,1,1"),
+            ("restrict", "--e", "5", "--y", "3", "12,3"),
+            ("restrict", "--e", "3", "--y", "4/3", "9,1"),
+            ("mull", "--e", "5", "9,7,4,3,1"),
+            ("mull", "--e", "3", "-"),
+        ],
+    )
+    def test_trace_ends_with_the_plain_output(self, capsys, argv):
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        _, traced, _ = run(capsys, *argv, "--trace")
+        assert traced.splitlines()[-1] + "\n" == plain
+        _, payload, _ = run(capsys, *argv, "--json")
+        _, traced_payload, _ = run(capsys, *argv, "--json", "--trace")
+        assert json.loads(payload) == json.loads(traced_payload)
+
+    @pytest.mark.parametrize(
+        "src, dst, la",
+        [("2,4,6,8", "1,2,4,5", "4,3^2,2,1^4"), ("1,2,4,5", "2,4,6,8", "6,4,2,1^4")],
+        ids=["forward", "inverse"],
+    )
+    def test_chain_ends_at_apply_chain(self, capsys, src, dst, la):
+        def prefix(text):
+            return cr.ArmPrefix(4, map(int, text.split(",")))
+
+        chain = cr.iso_chain(prefix(src), prefix(dst))
+        image = str(cr.apply_chain(parse_partition(la), chain))
+        argv = ("chain", "--e", "4", "--from", src, "--to", dst, la)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1].endswith(f" -> {image}")
+        _, out, _ = run(capsys, *argv, "--json")
+        images = json.loads(out)["images"]
+        assert len(images) == len(chain.steps) and images[-1] == image
 
 
 class TestMull:
@@ -193,8 +265,6 @@ class TestDeterminism:
         assert first == second
 
     def test_json_round_trips_partition_format(self, capsys):
-        from regcrystals.partitions import parse_partition
-
         _, out, _ = run(capsys, "mull", "--e", "3", "--json", "6,2,1")
         payload = json.loads(out)
         assert parse_partition(payload["result"]).parts == (5, 2, 2)

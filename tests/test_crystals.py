@@ -277,6 +277,26 @@ class TestChains:
             image = cr.apply_chain(la, forward)
             assert cr.apply_chain(image, backward) == la
 
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_chain_steps_end_at_apply_chain(self, inverse):
+        a, b = ArmPrefix(4, (2, 4, 6, 8)), ArmPrefix(4, (1, 2, 4, 5))
+        chain = cr.iso_chain(b, a) if inverse else cr.iso_chain(a, b)
+        op, order = (ld.restrictise, chain.steps[::-1]) if inverse else (ld.regularise, chain.steps)
+        checked = 0
+        for la in all_up_to(10):
+            if not cr.is_A_regular(la, chain.source):
+                continue
+            steps = list(cr.chain_steps(la, chain))
+            assert len(steps) == len(chain.steps)
+            assert tuple(params for params, _ in steps) == order
+            image = la
+            for params, mu in steps:
+                image = op(image, params)
+                assert mu == image
+            assert steps[-1][1] == cr.apply_chain(la, chain)
+            checked += 1
+        assert checked > 0
+
     def test_incompatible_prefixes(self):
         with pytest.raises(ValueError):
             cr.iso_chain(ArmPrefix(3, (1, 2)), ArmPrefix(4, (1, 2)))
@@ -285,3 +305,5 @@ class TestChains:
         chain = cr.iso_chain(ArmPrefix(3, (2, 4, 6)), ArmPrefix(3, (0, 1, 2)))
         with pytest.raises(ValueError):
             cr.apply_chain(P("3"), chain)  # has a 3-hook with arm 2
+        with pytest.raises(ValueError, match="not regular for the chain source"):
+            cr.apply_chain(P("3"), cr.iso_chain(chain.source, chain.source))

@@ -190,6 +190,29 @@ class TestRegularisationStep:
                 assert ld.fingerprint(kappa, params) == ld.fingerprint(la, params)
 
 
+class TestStepGenerators:
+    PARAMS = (LadderParams(3, 2), LadderParams(4, 3), LadderParams(3, Fraction(4, 3)))
+
+    def test_regularise_is_the_last_of_strictly_ascending_steps(self):
+        for params in self.PARAMS:
+            for la in all_up_to(10):
+                walk = [la, *ld.regularise_steps(la, params)]
+                assert walk[-1] == ld.regularise(la, params)
+                assert ld.is_regular(walk[-1], params)
+                for prev, nxt in zip(walk, walk[1:]):
+                    assert nxt != prev and nxt.dominates(prev)
+
+    def test_restrictise_is_the_last_of_strictly_descending_steps(self):
+        for params in self.PARAMS:
+            for la in all_up_to(10):
+                walk = [la, *ld.restrictise_steps(la, params)]
+                assert walk[-1] == ld.restrictise(la, params)
+                assert ld.is_restricted(walk[-1], params)
+                for prev, nxt in zip(walk, walk[1:]):
+                    assert nxt != prev and prev.dominates(nxt)
+                    assert ld.fingerprint(nxt, params) == ld.fingerprint(prev, params)
+
+
 class TestRegularise:
     def test_class_examples(self):
         params = LadderParams(3, 2)
