@@ -30,8 +30,7 @@ class Abacus:
 
     def __init__(self, e: int, occupied: Iterable[int]):
         e = int(e)
-        if e < 1:
-            raise ValueError("an abacus needs at least one runner")
+        check_runners(e)
         occ = frozenset(int(p) for p in occupied)
         if any(p < 0 for p in occ):
             raise ValueError("positions must be non-negative")
@@ -57,8 +56,15 @@ class Abacus:
         return f"Abacus(e={self.e}, occupied={sorted(self.occupied)})"
 
 
+def check_runners(e: int) -> None:
+    """Raise ValueError unless an e-runner abacus has at least one runner."""
+    if e < 1:
+        raise ValueError("an abacus needs at least one runner")
+
+
 def default_beads(la: Partition, e: int) -> int:
     """Smallest multiple of e that is >= len(la) + e."""
+    check_runners(e)
     rows = len(la.parts)
     return -(-(rows + e) // e) * e
 

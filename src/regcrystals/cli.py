@@ -29,6 +29,16 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _size_arg(text: str) -> int:
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad size {text!r}: not an integer") from None
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"size {size} is negative")
+    return size
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--arm", type=_arm_arg, default=None, help="arm prefix a1,a2,...")
     p.add_argument("--slope", type=_slope_arg, default=None, help="slope P/Q with optional +/-")
-    p.add_argument("--max-size", type=int, default=None, help="largest partition size")
+    p.add_argument("--max-size", type=_size_arg, default=None, help="largest partition size")
     p.add_argument("--dot", default=None, metavar="FILE", help="write DOT here ('-' = stdout)")
     p.set_defaults(func=_cmd_crystal)
 
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(vf.SUITES) + ["all"])
     p.add_argument("--e", type=int, default=None, help="restrict to one modulus")
-    p.add_argument("--max", type=int, default=None, help="size bound for the enumerations")
+    p.add_argument("--max", type=_size_arg, default=None, help="size bound for the enumerations")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -220,6 +220,8 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     """All A-regular partitions of size <= max_size with their f-operator edges,
     found breadth-first from the empty partition; each vertex is tested once."""
     bound = prefix.bound if max_size is None else max_size
+    if bound < 0:
+        raise ValueError(f"max_size {bound} is negative")
     if bound > prefix.bound:
         raise ValueError(f"max_size {bound} exceeds the prefix bound {prefix.bound}")
     vertices = [Partition()]

@@ -17,6 +17,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .abacus import (
+    check_runners,
     default_beads,
     e_core,
     e_quotient,
@@ -192,6 +193,7 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
 
 def quotient_sigma(la: Partition, e: int, n: int | None = None) -> tuple[int, ...]:
     """Runners ordered by (bead count, left-to-right position)."""
+    check_runners(e)
     if n is None:
         n = default_beads(la, e)
     if n % e or n < len(la.parts):

@@ -41,6 +41,24 @@ class TestAbacus:
         assert json.loads(out) == {"e": 5, "n": 7, "occupied": [0, 1, 3, 4, 6, 9, 12]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abacus", "show", "--e", "0", "2,1"],
+        ["abacus", "show", "--e", "-2", "2,1"],
+        ["split", "--e", "0", "--I", "0", "2,1"],
+        ["paget", "--e", "0", "2,1"],
+        ["paget", "--e", "0", "--beads", "4", "2,1"],
+        ["paget", "--e", "-3", "--beads", "3", "2,1"],
+    ],
+    ids=" ".join,
+)
+def test_runner_count_below_one_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: an abacus needs at least one runner\n"
+
+
 class TestRegRestrict:
     def test_reg_first_step(self, capsys):
         code, out, _ = run(capsys, "reg", "--e", "5", "--y", "3", "--trace", "9,3^3,2")
@@ -98,6 +116,13 @@ class TestCrystal:
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "crystal", "--e", "3")
         assert code == 1 and "exactly one" in err
+
+    @pytest.mark.parametrize("source", [["--arm", "0,1"], ["--slope", "2"]], ids=["arm", "slope"])
+    def test_negative_max_size_exits_2(self, capsys, source):
+        with pytest.raises(SystemExit) as info:
+            main(["crystal", "--e", "3", *source, "--max-size", "-1"])
+        assert info.value.code == 2
+        assert "--max-size: size -1 is negative" in capsys.readouterr().err
 
 
 class TestChain:
@@ -256,6 +281,19 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "bogus"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("suite, bound", [("paget", "-4"), ("split", "-3")])
+    def test_negative_max_exits_2(self, capsys, suite, bound):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", suite, "--max", bound])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--max: size {bound} is negative" in captured.err
+
+    def test_failing_property_exits_1(self, capsys, lyle_fails_at_2_1):
+        code, out, _ = run(capsys, "verify", "lyle", "--e", "3", "--max", "4")
+        assert code == 1
+        assert "FAIL lyle.dominance_always_holds checked=6 counterexample: 2,1 e=3" in out
 
 
 class TestDeterminism:

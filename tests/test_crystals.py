@@ -208,6 +208,10 @@ class TestGraphs:
                     base = layers
                 assert layers == base
 
+    def test_negative_size_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            cr.build_graph(ArmPrefix(3, (0, 1)), -1)
+
     def test_dot_output_stable(self):
         graph = cr.build_graph(ArmPrefix(2, (1, 2)))
         dot = cr.to_dot(graph)
