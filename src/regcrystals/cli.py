@@ -2,8 +2,10 @@
 
 Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
-error text to stderr.  Exit codes: 0 success, 1 domain error, 2 bad flags
-or unparseable input.
+error text to stderr.  Exit codes: 0 success, 1 domain error or a failed
+internal check, 2 bad flags (a verify --e below a suite's least modulus
+among them) or unparseable input.  verify prints each suite's lines as
+that suite finishes.
 """
 
 from __future__ import annotations
@@ -244,11 +246,17 @@ def _cmd_paget(args) -> int:
 
 def _cmd_verify(args) -> int:
     e_values = (args.e,) if args.e is not None else None
-    results = vf.run_suites([args.suite], max_size=args.max, e_values=e_values)
+    try:
+        per_suite = vf.iter_suites([args.suite], max_size=args.max, e_values=e_values)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = False
-    for res in results:
-        print(res.line())
-        failed = failed or not res.ok
+    for results in per_suite:
+        for res in results:
+            print(res.line())
+            failed = failed or not res.ok
+        sys.stdout.flush()
     return 1 if failed else 0
 
 
@@ -347,7 +355,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, AssertionError, RuntimeError) as exc:
+        # AssertionError: the crystal peel found no good node (peel_and_rebuild);
+        # RuntimeError: an operator left the A-regular set (build_graph)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

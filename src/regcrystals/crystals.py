@@ -5,23 +5,28 @@ A_{t+u} - A_t - A_u in {0, 1} determines a finite crystal: vertices are
 the A-regular partitions of size at most n*e (no hook of length e*t with
 arm exactly A_t), and the operators remove the good i-node / add the
 cogood i-node read off from the reduced i-signature in the A-dependent
-node order.  A-regularity reads the hooks of length divisible by e off the
-bead set; build_graph searches from the empty partition through f_op, and
-`verify crystal` checks it against the enumerate-and-filter route.  Crystals
-for any two prefixes are isomorphic via a chain of ladder regularisations
-obtained by repeatedly splitting off the largest slope max(A_t / t);
-apply_chain is the last image of chain_steps, which yields each step.
+node order.  Every prefix is the start of the arm sequence floor(y*t) ('+')
+or ceil(y*t - 1) ('-') of a slope y = Y / (E/e), and two i-nodes compare as
+their keys (Y*r + (E - Y)*c, -content) for '+' or (Y*r + (E - Y)*c, content)
+for '-': the ladder depth first.  A-regularity reads the hooks of length
+divisible by e off the bead set.  Each operator checks its input once, and
+the crystal walk of mullineux.peel_and_rebuild re-checks a one-node move
+only at the hooks of the moved row and column.  build_graph searches from
+the empty partition through f_op, and `verify crystal` checks it against
+the enumerate-and-filter route.  Crystals for any two prefixes are
+isomorphic via a chain of ladder regularisations obtained by repeatedly
+splitting off the largest slope max(A_t / t); apply_chain is the last image
+of chain_steps, which yields each step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterator
 
 from .ladders import LadderParams, hooks_divisible_by, regularise, restrictise
-from .partitions import Node, Partition, format_partition, residue
+from .partitions import Node, Partition, format_partition
 
 
 def arm_plus(y, t: int) -> int:
@@ -44,7 +49,8 @@ class ArmPrefix:
     """The first n values of an arm sequence for modulus e."""
 
     # _checked: the partition e_op/f_op last verified A-regular (both types are immutable)
-    __slots__ = ("e", "values", "_checked")
+    # _slope: (E, Y, variant) of a slope whose arm sequence starts with values; see _ladder
+    __slots__ = ("e", "values", "_checked", "_slope")
 
     e: int
     values: tuple[int, ...]
@@ -70,6 +76,7 @@ class ArmPrefix:
         self.e = e
         self.values = vals
         self._checked = None
+        self._slope = None
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
@@ -80,7 +87,9 @@ class ArmPrefix:
         if variant not in ("+", "-"):
             raise ValueError("variant must be '+' or '-'")
         fn = arm_plus if variant == "+" else arm_minus
-        return cls(e, tuple(fn(y, t) for t in range(1, n + 1)))
+        prefix = cls(e, tuple(fn(y, t) for t in range(1, n + 1)))
+        prefix._slope = (e * y.denominator, y.numerator, variant)
+        return prefix
 
     @property
     def n(self) -> int:
@@ -98,6 +107,21 @@ class ArmPrefix:
             raise ValueError(f"A_{t} lies beyond the stored prefix of length {self.n}")
         return self.values[t - 1]
 
+    def _ladder(self) -> tuple[int, int, str]:
+        """(E, Y, variant) for a slope y = Y / (E/e) whose '+' (floor(y*t)) or
+        '-' (ceil(y*t - 1)) arm sequence starts with the stored values.
+
+        from_slope and the chain builder set it; for plain values it is
+        y = max A_t / t with '+'.  That y is a floor slope of every valid
+        prefix: s*A_t < t*(A_s + 1) for all s, t <= n follows from the two
+        axioms by induction on s + t, as in Euclid's algorithm, so
+        A_t <= y*t < A_t + 1 for every t.
+        """
+        if self._slope is None:
+            y = max(Fraction(v, t) for t, v in enumerate(self.values, start=1))
+            self._slope = (self.e * y.denominator, y.numerator, "+")
+        return self._slope
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ArmPrefix) and (self.e, self.values) == (
             other.e,
@@ -111,30 +135,33 @@ class ArmPrefix:
         return f"ArmPrefix(e={self.e}, values={self.values})"
 
 
-def node_compare(prefix: ArmPrefix, a: Node, b: Node) -> int:
-    """-1, 0 or 1: the total order on nodes of equal residue.
-
-    With (s - r) + (c - d) = e*t oriented so t >= 0, the node (r, c)
-    precedes (s, d) exactly when c - d <= A_t (A_0 read as 0).
-    """
-    if a == b:
-        return 0
-    (r, c), (s, d) = a, b
-    diff = (s - r) + (c - d)
-    if diff % prefix.e:
-        raise ValueError(f"nodes {a} and {b} differ in residue mod {prefix.e}")
-    if diff < 0:
-        return -node_compare(prefix, b, a)
-    return -1 if c - d <= prefix.arm(diff // prefix.e) else 1
-
-
 def _signed_i_nodes(la: Partition, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
-    """Addable (+) and removable (-) i-nodes sorted descending in the node order."""
+    """Addable (+) and removable (-) i-nodes sorted descending in the node order.
+
+    One walk down the rows finds them: row r ends in a removable node when
+    the row below is shorter, and has an addable node after its end when the
+    row above is longer.  A node (r, c) sorts by its ladder depth
+    Y*r + (E - Y)*c, then by -content ('+') or content ('-'); see _ladder.
+    """
     e = prefix.e
-    pairs = [(nd, "+") for nd in la.addable_nodes() if residue(nd, e) == i]
-    pairs += [(nd, "-") for nd in la.removable_nodes() if residue(nd, e) == i]
-    pairs.sort(key=cmp_to_key(lambda x, y: node_compare(prefix, x[0], y[0])), reverse=True)
-    return pairs
+    big_e, ym, variant = prefix._ladder()
+    wr, wc, tie = ym, big_e - ym, 1 if variant == "+" else -1
+    before = (i - 1) % e  # (c - r) mod e of the last node of a row with an addable i-node
+    parts = la.parts
+    keyed = []
+    above = None
+    for r, (p, below) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
+        res = (p - r) % e
+        if res == i and below < p:
+            keyed.append((wr * r + wc * p, tie * (r - p), (r, p), "-"))
+        elif res == before and above != p:
+            keyed.append((wr * r + wc * (p + 1), tie * (r - p - 1), (r, p + 1), "+"))
+        above = p
+    r = len(parts) + 1
+    if (1 - r) % e == i:
+        keyed.append((wr * r + wc, tie * (r - 1), (r, 1), "+"))
+    keyed.sort(reverse=True)
+    return [(node, sign) for _, _, node, sign in keyed]
 
 
 def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
@@ -144,22 +171,26 @@ def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
     return "".join(sign for _, sign in _signed_i_nodes(la, prefix, i))
 
 
-def _surviving_indices(signs: list[str]) -> list[int]:
-    stack: list[int] = []
-    for idx, s in enumerate(signs):
-        if s == "-" and stack and signs[stack[-1]] == "+":
-            stack.pop()
+def _reduce(signed) -> tuple[list, list]:
+    """The items of the '-' and of the '+' signs, in order, that survive
+    deleting adjacent '+-' pairs to a fixpoint from the (item, sign) pairs."""
+    minus, plus = [], []
+    for item, sign in signed:
+        if sign == "+":
+            plus.append(item)
+        elif plus:
+            plus.pop()
         else:
-            stack.append(idx)
-    return stack
+            minus.append(item)
+    return minus, plus
 
 
 def reduce_signature(s: str) -> str:
     """Delete adjacent '+-' pairs to a fixpoint; the result is -...-+...+."""
-    signs = list(s)
-    if any(ch not in "+-" for ch in signs):
+    if any(ch not in "+-" for ch in s):
         raise ValueError(f"signature must be over '+'/'-': {s!r}")
-    return "".join(signs[k] for k in _surviving_indices(signs))
+    minus, plus = _reduce(enumerate(s))
+    return "-" * len(minus) + "+" * len(plus)
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
@@ -179,16 +210,66 @@ def _checked_regular(la: Partition, prefix: ArmPrefix) -> bool:
     return True
 
 
+def _recheck_after_move(before: Partition, after: Partition, prefix: ArmPrefix) -> None:
+    """Record after, an e_op/f_op image of before, as A-regular when before is
+    the partition prefix holds as verified and no hook the move changed has
+    length e*t and arm A_t; otherwise leave after to the full check of the
+    next e_op/f_op, which raises if it fails.
+
+    Adding or removing the node (r, c) moves one bead of the bead set, and
+    the only hooks it changes are those of the moved bead (the hooks of row
+    r) and of the gap it leaves (the hooks of column c above row r).
+    """
+    old, parts = before.parts, after.parts
+    if prefix._checked is not before or abs(after.size - before.size) != 1:
+        return
+    k = next((n for n, (p, q) in enumerate(zip(old, parts)) if p != q), min(len(old), len(parts)))
+    if old[k + 1 :] != parts[k + 1 :]:
+        return
+    e, arms, rows = prefix.e, prefix.values, len(parts)
+    r, c = k + 1, max(old[k : k + 1] + parts[k : k + 1])
+    pr = parts[k] if k < rows else 0
+    # row r: the columns in (parts[j], parts[j-1]] have leg j - r (j >= r, 0-based)
+    upper = pr
+    for j in range(r, rows + 1):
+        lower = parts[j] if j < rows else 0
+        if lower == upper:
+            continue
+        leg = j - r
+        arm = pr - upper
+        arm += -(arm + leg + 1) % e
+        while arm < pr - lower:
+            if arms[(arm + leg + 1) // e - 1] == arm:
+                return
+            arm += e
+        upper = lower
+    # column c above row r, which ends at row r when (r, c) is a node of after
+    foot = r if pr >= c else r - 1
+    for row in range(1, r):
+        arm = parts[row - 1] - c
+        length = arm + foot - row + 1
+        if length % e == 0 and arms[length // e - 1] == arm:
+            return
+    prefix._checked = after
+
+
+def _moved(la: Partition, node: Node, step: int) -> Partition:
+    """la with the row of node one longer (step 1) or shorter (step -1);
+    node is known to be addable or removable."""
+    r = node[0]
+    parts = la.parts
+    if r > len(parts):
+        return Partition(parts + (1,))
+    p = parts[r - 1] + step
+    return Partition(parts[: r - 1] + ((p,) if p else ()) + parts[r:])
+
+
 def e_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     """Remove the good i-node (the last '-' of the reduced signature), or None."""
     if not _checked_regular(la, prefix):
         raise ValueError(f"{la.parts} is not regular for {prefix!r}")
-    pairs = _signed_i_nodes(la, prefix, i)
-    surviving = _surviving_indices([sign for _, sign in pairs])
-    minus = [k for k in surviving if pairs[k][1] == "-"]
-    if not minus:
-        return None
-    return la.remove_node(pairs[minus[-1]][0])
+    minus, _ = _reduce(_signed_i_nodes(la, prefix, i))
+    return _moved(la, minus[-1], -1) if minus else None
 
 
 def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
@@ -197,12 +278,8 @@ def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
         raise ValueError(f"|la| + 1 = {la.size + 1} exceeds the crystal bound {prefix.bound}")
     if not _checked_regular(la, prefix):
         raise ValueError(f"{la.parts} is not regular for {prefix!r}")
-    pairs = _signed_i_nodes(la, prefix, i)
-    surviving = _surviving_indices([sign for _, sign in pairs])
-    plus = [k for k in surviving if pairs[k][1] == "+"]
-    if not plus:
-        return None
-    return la.add_node(pairs[plus[0]][0])
+    _, plus = _reduce(_signed_i_nodes(la, prefix, i))
+    return _moved(la, plus[0], 1) if plus else None
 
 
 @dataclass(frozen=True)
@@ -291,8 +368,10 @@ def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...]
         nxt_vals = tuple(arm_minus(y, t) for t in range(1, n + 1))
         if any(nv < bv for nv, bv in zip(nxt_vals, b.values)):
             raise AssertionError("chain step descended past the target prefix")
-        steps.append(LadderParams(e, y))
+        params = LadderParams(e, y)
+        steps.append(params)
         cur = ArmPrefix(e, nxt_vals)
+        cur._slope = (params.E, params.Y, "-")
         prefixes.append(cur)
     return tuple(prefixes), tuple(steps)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .crystals import ArmPrefix, e_op, f_op
+from .crystals import ArmPrefix, _recheck_after_move, e_op, f_op
 from .ladders import LadderParams, hooks_divisible_by, regularise
 from .partitions import Hook, Partition
 
@@ -86,7 +86,9 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
 
     Each peel removes the good node of the first residue i in ``order`` that
     has one; the rebuild adds cogood nodes in dst at the residues sign*i mod
-    e, last peeled first.
+    e, last peeled first.  Each intermediate is checked regular through the
+    hooks its one-node move changed, and left to the full check of the next
+    operator if that fails.
     """
     peeled = []
     cur = la
@@ -94,14 +96,18 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
         for i in order:
             nxt = e_op(cur, src, i)
             if nxt is not None:
+                _recheck_after_move(cur, nxt, src)
                 peeled.append(sign * i % src.e)
                 cur = nxt
                 break
         else:
             raise AssertionError(f"no good node on {cur.parts}")
     for i in reversed(peeled):
-        cur = f_op(cur, dst, i)
-        assert cur is not None
+        nxt = f_op(cur, dst, i)
+        if nxt is None:
+            raise AssertionError(f"no cogood {i}-node on {cur.parts}")
+        _recheck_after_move(cur, nxt, dst)
+        cur = nxt
     return cur
 
 

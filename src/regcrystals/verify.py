@@ -5,10 +5,12 @@ over bounded enumerations and yields one ``(property, ok, describe)``
 triple per instance, where ``describe`` is called only for a property's
 first failure.  The ``_SUITES`` table gives each suite its default size
 bound, its default moduli and its properties in report order, and
-``run_suites`` drives every suite through that table.  It reports one
-result per property: the number of instances checked and the first
-counterexample found, if any.  A property that checked nothing is
-reported as VACUOUS and counts as a failure.  Partitions are enumerated in
+``iter_suites`` drives every suite through that table, yielding each
+suite's results as it finishes.  A suite with default moduli takes any
+e >= 2, checked before any suite runs; the others run fixed moduli and
+ignore e.  It reports one result per property: the number of instances
+checked and the first counterexample found, if any.  A property that
+checked nothing is reported as VACUOUS and counts as a failure.  Partitions are enumerated in
 increasing size, but most properties loop over e or the ladder
 parameters outside size, so a reported counterexample is minimal only
 within the first e or parameter set that fails.
@@ -419,7 +421,8 @@ def _split_contexts(e: int, piece_bound: int):
 def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """The first three properties run e = 4 and 5 whatever e_values holds;
     the splitting theorem and the box step run each e >= 3 of e_values on
-    pieces of size at most max(1, max_size // 4)."""
+    pieces of size at most max(1, max_size // 4), so e = 2 leaves them
+    VACUOUS."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)
@@ -490,13 +493,13 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
 
 def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
-    """Runs each e >= 2 of e_values on quotients whose components have size
-    at most max(1, min(2, max_size // 4))."""
+    """Runs each e of e_values on quotients whose components have size at
+    most max(1, min(2, max_size // 4))."""
     quotient_bound = max(1, min(2, max_size // 4))
     offset = 2
     small = [list(enumerate_partitions(s)) for s in range(quotient_bound + 1)]
     components = [p for group in small for p in group]
-    for e in (e for e in e_values if e >= 2):
+    for e in e_values:
         m = offset + quotient_bound + 1
         n = e * m
         offsets = range(-offset, offset + 1)
@@ -584,26 +587,43 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def run_suites(
+def iter_suites(
     names, max_size: int | None = None, e_values=None
-) -> list[CheckResult]:
-    """Run the named suites (or all of them) and return one result per
-    property; a property counts its instances up to its first failure."""
+) -> Iterator[list[CheckResult]]:
+    """Check the names and moduli, then return an iterator that runs the named
+    suites (or all of them) in table order and yields each suite's results,
+    one per property, as that suite finishes.  A property counts its
+    instances up to its first failure.
+
+    Raises ValueError at once for an unknown name, or for e < 2 when a
+    chosen suite takes e.
+    """
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suite(s): {sorted(unknown)}")
-    results: list[CheckResult] = []
-    for name in SUITES:
-        if name not in names and "all" not in names:
-            continue
-        suite, default_size, default_e, properties = _SUITES[name]
-        by_name = {prop: CheckResult(name, prop) for prop in properties}
-        size = default_size if max_size is None else max_size
-        for prop, ok, describe in suite(size, e_values or default_e):
-            res = by_name[prop]
-            if res.failure is None:
-                res.checked += 1
-                if not ok:
-                    res.failure = describe()
-        results += by_name.values()
-    return results
+    chosen = [name for name in SUITES if name in names or "all" in names]
+    low = [e for e in e_values or () if e < 2]
+    for name in chosen:
+        if low and _SUITES[name][2]:
+            raise ValueError(f"suite {name} runs e >= 2, got e = {low[0]}")
+    return (_run_suite(name, max_size, e_values) for name in chosen)
+
+
+def _run_suite(name: str, max_size: int | None, e_values) -> list[CheckResult]:
+    suite, default_size, default_e, properties = _SUITES[name]
+    by_name = {prop: CheckResult(name, prop) for prop in properties}
+    size = default_size if max_size is None else max_size
+    for prop, ok, describe in suite(size, e_values or default_e):
+        res = by_name[prop]
+        if res.failure is None:
+            res.checked += 1
+            if not ok:
+                res.failure = describe()
+    return list(by_name.values())
+
+
+def run_suites(
+    names, max_size: int | None = None, e_values=None
+) -> list[CheckResult]:
+    """The results of iter_suites, all suites together."""
+    return [res for results in iter_suites(names, max_size, e_values) for res in results]

@@ -3,7 +3,8 @@
 Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display, column growth works through
-the conjugate, and dominance is the raw prefix-sum comparison.
+the conjugate, dominance is the raw prefix-sum comparison, and the crystal
+node order compares two nodes through the arm value A_t itself.
 """
 
 from functools import lru_cache
@@ -69,3 +70,20 @@ def grow_columns_by_conjugate(la: Partition, m: int, e: int) -> Partition:
     conj = la.conjugate()
     taller = [conj.part(r) + e for r in range(1, m + 1)] + list(conj.parts[m:])
     return Partition(taller).conjugate()
+
+
+def node_compare(prefix, a, b) -> int:
+    """-1, 0 or 1: the total order on nodes of equal residue.
+
+    With (s - r) + (c - d) = e*t oriented so t >= 0, the node (r, c)
+    precedes (s, d) exactly when c - d <= A_t (A_0 read as 0).
+    """
+    if a == b:
+        return 0
+    (r, c), (s, d) = a, b
+    diff = (s - r) + (c - d)
+    if diff % prefix.e:
+        raise ValueError(f"nodes {a} and {b} differ in residue mod {prefix.e}")
+    if diff < 0:
+        return -node_compare(prefix, b, a)
+    return -1 if c - d <= prefix.arm(diff // prefix.e) else 1

@@ -1,8 +1,10 @@
+import importlib
 import json
 
 import pytest
 
 from regcrystals import crystals as cr
+from regcrystals import verify as vf
 from regcrystals.cli import main
 from regcrystals.partitions import MAX_PARSE_SIZE, parse_partition
 
@@ -123,6 +125,15 @@ class TestCrystal:
             main(["crystal", "--e", "3", *source, "--max-size", "-1"])
         assert info.value.code == 2
         assert "--max-size: size -1 is negative" in capsys.readouterr().err
+
+
+    def test_operator_leaving_the_regular_set_exits_1(self, capsys, monkeypatch):
+        # every f_op image is 1,1,1, which has a 3-hook of arm A_1 = 0
+        leave = parse_partition("1,1,1")
+        monkeypatch.setattr(cr, "f_op", lambda la, prefix, i: None if la else leave)
+        code, out, err = run(capsys, "crystal", "--e", "3", "--arm", "0,1")
+        assert code == 1 and out == ""
+        assert err == "error: operator left the A-regular set: - -0-> 1,1,1\n"
 
 
 class TestChain:
@@ -289,6 +300,38 @@ class TestVerify:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"--max: size {bound} is negative" in captured.err
+
+    @pytest.mark.parametrize(
+        "suite, e",
+        [("core", "-1"), ("mullineux", "0"), ("lyle", "0"),
+         ("paget", "1"), ("split", "1"), ("all", "1")],
+    )
+    def test_modulus_below_the_suite_range_exits_2(self, capsys, suite, e):
+        code, out, err = run(capsys, "verify", suite, "--e", e, "--max", "3")
+        named = "core" if suite == "all" else suite
+        assert code == 2 and out == ""
+        assert err == f"error: suite {named} runs e >= 2, got e = {e}\n"
+
+    def test_suite_lines_print_as_each_suite_ends(self, capsys, monkeypatch):
+        # the ladder suite fails outright, after the core suite has finished
+        def broken(max_size, e_values):
+            raise RuntimeError("ladder suite broke")
+            yield
+
+        monkeypatch.setitem(vf._SUITES, "ladder", (broken,) + vf._SUITES["ladder"][1:])
+        code, out, err = run(capsys, "verify", "all", "--max", "2")
+        assert code == 1 and err == "error: ladder suite broke\n"
+        assert [line.split()[1] for line in out.splitlines()] == [
+            f"core.{name}" for name in vf._SUITES["core"][3]
+        ]
+
+    def test_peel_without_a_good_node_exits_1(self, capsys, monkeypatch):
+        # the package exports the function mullineux under the module's name
+        module = importlib.import_module("regcrystals.mullineux")
+        monkeypatch.setattr(module, "e_op", lambda *args: None)
+        code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
+        assert code == 1 and out == ""
+        assert err == "error: no good node on (1,)\n"
 
     def test_failing_property_exits_1(self, capsys, lyle_fails_at_2_1):
         code, out, _ = run(capsys, "verify", "lyle", "--e", "3", "--max", "4")

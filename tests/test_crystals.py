@@ -1,11 +1,15 @@
+import importlib
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from oracles import node_compare
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import verify
 from regcrystals.crystals import ArmPrefix
+from regcrystals.mullineux import peel_and_rebuild
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
 
 P = parse_partition
@@ -74,17 +78,112 @@ class TestNodeOrder:
 
     def test_equal_nodes(self):
         prefix = ArmPrefix(4, (2,))
-        assert cr.node_compare(prefix, (2, 2), (2, 2)) == 0
+        assert node_compare(prefix, (2, 2), (2, 2)) == 0
 
     def test_antisymmetry(self):
         prefix = ArmPrefix(4, (2, 5))
         for a in ((1, 5), (2, 2), (5, 1), (3, 3)):
             for b in ((1, 5), (2, 2), (5, 1), (3, 3)):
-                assert cr.node_compare(prefix, a, b) == -cr.node_compare(prefix, b, a)
+                assert node_compare(prefix, a, b) == -node_compare(prefix, b, a)
 
     def test_residue_mismatch(self):
         with pytest.raises(ValueError):
-            cr.node_compare(ArmPrefix(4, (2,)), (1, 1), (1, 2))
+            node_compare(ArmPrefix(4, (2,)), (1, 1), (1, 2))
+
+
+def valid_prefixes(e, n):
+    """Every value tuple of length n that satisfies the arm-sequence axioms,
+    built value by value from the axioms alone."""
+    found = [()]
+    for t in range(1, n + 1):
+        found = [
+            vals + (v,)
+            for vals in found
+            for v in range(t - 1, (e - 1) * t + 1)
+            if all(v - vals[u - 1] - vals[t - u - 1] in (0, 1) for u in range(1, t))
+        ]
+    return found
+
+
+def ladder_values(prefix):
+    """The arm sequence of the slope and variant the prefix sorts its nodes by."""
+    big_e, ym, variant = prefix._ladder()
+    y = Fraction(prefix.e * ym, big_e)
+    fn = cr.arm_plus if variant == "+" else cr.arm_minus
+    return tuple(fn(y, t) for t in range(1, prefix.n + 1))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_every_valid_prefix_has_a_slope(e):
+    for n in range(1, 9):
+        prefixes = valid_prefixes(e, n)
+        assert prefixes
+        for vals in prefixes:
+            assert ladder_values(ArmPrefix(e, vals)) == vals
+
+
+def test_chain_and_slope_prefixes_carry_their_slope():
+    for e in (3, 4, 5):
+        for y in (1, Fraction(3, 2), Fraction(5, 3), e - 1):
+            for variant in "+-":
+                prefix = ArmPrefix.from_slope(e, y, 5, variant)
+                params = ld.LadderParams(e, y)
+                assert prefix._ladder() == (params.E, params.Y, variant)
+                assert ladder_values(prefix) == prefix.values
+        top, bottom = ArmPrefix.from_slope(e, e - 1, 6, "+"), ArmPrefix.from_slope(e, 1, 6, "-")
+        chain = cr.iso_chain(top, bottom)
+        for prefix, params in zip(chain.prefixes[1:], chain.steps):
+            assert prefix._ladder() == (params.E, params.Y, "-")
+            assert ladder_values(prefix) == prefix.values
+
+
+def rim_pairs(e, bound):
+    """Each same-residue pair of addable or removable nodes of a partition of
+    size <= bound, with the smallest such partition and the residue."""
+    pairs = {}
+    for size in range(bound + 1):
+        for la in enumerate_partitions(size):
+            nodes = la.addable_nodes() + la.removable_nodes()
+            for a in nodes:
+                for b in nodes:
+                    if a < b and (a[1] - a[0] - b[1] + b[0]) % e == 0:
+                        pairs.setdefault((a, b), (la, (a[1] - a[0]) % e))
+    return pairs
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_key_order_equals_node_compare(e):
+    # both orders are functions of the two nodes, so every pair is checked
+    # once, in the smallest partition that has it, and for every prefix whose
+    # bound reaches that partition
+    pairs = rim_pairs(e, 6 * e)
+    checked = 0
+    for n in range(1, 7):
+        for vals in valid_prefixes(e, n):
+            prefix = ArmPrefix(e, vals)
+            for (a, b), (la, i) in pairs.items():
+                if la.size > prefix.bound:
+                    continue
+                order = [nd for nd, _ in cr._signed_i_nodes(la, prefix, i)]
+                assert (order.index(a) < order.index(b)) == (node_compare(prefix, a, b) > 0)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("variant", "+-")
+def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
+    for e in (2, 3, 4):
+        for y in {Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)}:
+            prefix = ArmPrefix.from_slope(e, y, 3, variant)
+            for la in all_up_to(prefix.bound):
+                for i in range(e):
+                    pairs = cr._signed_i_nodes(la, prefix, i)
+                    by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
+                    assert pairs == sorted(pairs, key=by_compare, reverse=True)
+                    assert sorted(nd for nd, _ in pairs) == sorted(
+                        nd for nd in la.addable_nodes() + la.removable_nodes()
+                        if (nd[1] - nd[0]) % e == i
+                    )
 
 
 class TestSignatures:
@@ -159,6 +258,54 @@ class TestOperators:
                         up = cr.f_op(la, prefix, i)
                         if up is not None:
                             assert cr.e_op(up, prefix, i) == la
+
+
+RECHECK_PREFIXES = verify._CRYSTAL_PREFIXES + (ArmPrefix(3, (1, 3, 5)), ArmPrefix(4, (2, 5, 7)))
+
+
+@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
+def test_one_move_recheck_equals_full_check(prefix):
+    # from every A-regular partition, every one-node move is judged as the
+    # full check judges it
+    moves = 0
+    for la in all_up_to(prefix.bound):
+        if not cr.is_A_regular(la, prefix):
+            continue
+        moved = [la.remove_node(nd) for nd in la.removable_nodes()]
+        if la.size < prefix.bound:
+            moved += [la.add_node(nd) for nd in la.addable_nodes()]
+        for mu in moved:
+            prefix._checked = la
+            cr._recheck_after_move(la, mu, prefix)
+            assert prefix._checked is (mu if cr.is_A_regular(mu, prefix) else la), (la, mu)
+            moves += 1
+    assert moves > 0
+
+
+def test_recheck_needs_the_verified_partition_one_node_away():
+    prefix = ArmPrefix.from_slope(3, 1, 3, "-")
+    la, mu = P("3,1"), P("3,1,1")
+    prefix._checked = None
+    cr._recheck_after_move(la, mu, prefix)
+    assert prefix._checked is None
+    for other in (P("3,2,1"), P("4,1,1"), P("2,2")):
+        prefix._checked = la
+        cr._recheck_after_move(la, other, prefix)
+        assert prefix._checked is la
+
+
+def test_peel_leaves_a_failed_recheck_to_the_full_check(monkeypatch):
+    # an e_op that drops the wrong node leaves 2,2,2, which is not 3-regular
+    real = cr.e_op
+
+    def faulty(la, prefix, i):
+        return P("2,2,2") if la == P("3,2,2") else real(la, prefix, i)
+
+    # the package exports the function mullineux under the module's name
+    monkeypatch.setattr(importlib.import_module("regcrystals.mullineux"), "e_op", faulty)
+    prefix = ArmPrefix.from_slope(3, 1, 3, "-")
+    with pytest.raises(ValueError, match="not regular"):
+        peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
 
 
 class TestARegular:

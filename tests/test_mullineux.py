@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,26 @@ class TestMullineux:
                     image = mullineux(la.conjugate(), e)
                     assert image.e_content(e) == la.e_content(e)
                     assert ab.e_core(image, e) == ab.e_core(la, e)
+
+
+def random_regular_partition(rng, n, e):
+    """A seeded e-regular partition of n: random row lengths, then e-regularised."""
+    rows = rng.randint(1, 2 * int(n ** 0.5))
+    cuts = sorted(rng.sample(range(1, n), rows - 1))
+    parts = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
+    return james_regularise(Partition(parts), e)
+
+
+def test_two_routes_agree_at_large_n():
+    # 20 inputs with n = 50..200 and e = 3..6; exhaustive checks stop near n = 16
+    rng = random.Random(20210513)
+    for k in range(20):
+        e, n = 3 + k % 4, 50 + 150 * k // 19
+        la = random_regular_partition(rng, n, e)
+        assert la.size == n and la.is_e_regular(e)
+        image = mullineux(la, e)
+        assert image == mullineux_oracle(la, e, "min") == mullineux_oracle(la, e, "max"), la
+        assert mullineux(image, e) == la
 
 
 class TestOracle:

@@ -1,6 +1,7 @@
 import pytest
 
-from regcrystals.verify import run_suites
+from regcrystals import verify
+from regcrystals.verify import iter_suites, run_suites
 
 
 CASES = [
@@ -31,3 +32,34 @@ def test_first_failure_is_reported_and_counted(lyle_fails_at_2_1):
         "FAIL lyle.dominance_always_holds checked=6 counterexample: 2,1 e=3"
     )
     assert equality.line() == "PASS lyle.equality_iff_all_hooks_steep_or_shallow checked=12"
+
+
+def test_each_suite_is_yielded_before_the_next_one_runs(monkeypatch):
+    started = []
+    for name in ("core", "ladder"):
+        suite, *rest = verify._SUITES[name]
+
+        def recording(max_size, e_values, name=name, suite=suite):
+            started.append(name)
+            yield from suite(max_size, e_values)
+
+        monkeypatch.setitem(verify._SUITES, name, (recording, *rest))
+    per_suite = iter_suites(["core", "ladder"], max_size=3)
+    assert started == []
+    core = next(per_suite)
+    assert started == ["core"] and {r.suite for r in core} == {"core"}
+    assert {r.suite for r in next(per_suite)} == {"ladder"} and started == ["core", "ladder"]
+
+
+@pytest.mark.parametrize("names, e", [(["split"], 1), (["all"], 0), (["paget", "core"], -2)])
+def test_moduli_are_checked_before_any_suite_runs(monkeypatch, names, e):
+    started = []
+    for name, (suite, *rest) in list(verify._SUITES.items()):
+        monkeypatch.setitem(verify._SUITES, name, (lambda *args: started.append(1), *rest))
+    with pytest.raises(ValueError, match=r"suite \w+ runs e >= 2, got e = "):
+        iter_suites(names, max_size=3, e_values=(e,))
+    assert started == []
+
+
+def test_suites_with_fixed_moduli_take_any_e():
+    assert run_suites(["ladder"], max_size=2, e_values=(-1,)) == run_suites(["ladder"], max_size=2)
