@@ -2,10 +2,12 @@
 
 Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
-error text to stderr.  Exit codes: 0 success, 1 domain error or a failed
-internal check, 2 bad flags (a verify --e below a suite's least modulus
-among them) or unparseable input.  verify prints each suite's lines as
-that suite finishes.
+error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
+internal check or a --dot file that cannot be written, 2 bad flags (a
+verify --e below a suite's least modulus among them) or unparseable input.
+abacus show and split take a --beads count because their output depends on
+it; paget does not, as its results are the same for every bead count.
+verify prints each suite's lines as that suite finishes.
 """
 
 from __future__ import annotations
@@ -215,11 +217,10 @@ def _cmd_split(args) -> int:
 
 def _cmd_paget(args) -> int:
     la = args.partition
-    n = args.beads if args.beads is not None else ab.default_beads(la, args.e)
-    sigma = sp.quotient_sigma(la, args.e, n)
-    quot = ab.e_quotient(la, args.e, n)
-    mu = sp.paget_mu(la, args.e, n)
-    mu_sep = sp.is_quotient_separated(mu, args.e, n)
+    sigma = sp.quotient_sigma(la, args.e)
+    quot = ab.e_quotient(la, args.e)
+    mu = sp.paget_mu(la, args.e)
+    mu_sep = sp.is_quotient_separated(mu, args.e)
     image = mullineux(la.conjugate(), args.e)
     lines = [
         "sigma = " + ",".join(str(i) for i in sigma),
@@ -337,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paget", help="quotient-shifted Mullineux partner")
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--beads", type=int, default=None)
     p.add_argument("partition", type=_partition_arg)
     add_json(p)
     p.set_defaults(func=_cmd_paget)
@@ -355,9 +355,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except (ValueError, AssertionError, RuntimeError, OSError) as exc:
         # AssertionError: the crystal peel found no good node (peel_and_rebuild);
-        # RuntimeError: an operator left the A-regular set (build_graph)
+        # RuntimeError: an operator left the A-regular set (build_graph);
+        # OSError: the crystal --dot file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,18 +5,18 @@ A_{t+u} - A_t - A_u in {0, 1} determines a finite crystal: vertices are
 the A-regular partitions of size at most n*e (no hook of length e*t with
 arm exactly A_t), and the operators remove the good i-node / add the
 cogood i-node read off from the reduced i-signature in the A-dependent
-node order.  Every prefix is the start of the arm sequence floor(y*t) ('+')
-or ceil(y*t - 1) ('-') of a slope y = Y / (E/e), and two i-nodes compare as
-their keys (Y*r + (E - Y)*c, -content) for '+' or (Y*r + (E - Y)*c, content)
-for '-': the ladder depth first.  A-regularity reads the hooks of length
+node order.  That order comes from the values alone: every prefix is the
+start of the arm sequence floor(y*t) of its slope y = max A_t / t =
+Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
+the ladder depth first.  A-regularity reads the hooks of length
 divisible by e off the bead set.  Each operator checks its input once, and
 the crystal walk of mullineux.peel_and_rebuild re-checks a one-node move
 only at the hooks of the moved row and column.  build_graph searches from
 the empty partition through f_op, and `verify crystal` checks it against
 the enumerate-and-filter route.  Crystals for any two prefixes are
-isomorphic via a chain of ladder regularisations obtained by repeatedly
-splitting off the largest slope max(A_t / t); apply_chain is the last image
-of chain_steps, which yields each step.
+isomorphic via a chain of ladder regularisations at the slope of each
+prefix in turn; apply_chain is the last image of chain_steps, which yields
+each step.
 """
 
 from __future__ import annotations
@@ -46,14 +46,26 @@ def arm_minus(y, t: int) -> int:
 
 
 class ArmPrefix:
-    """The first n values of an arm sequence for modulus e."""
+    """The first n values of an arm sequence for modulus e.
 
-    # _checked: the partition e_op/f_op last verified A-regular (both types are immutable)
-    # _slope: (E, Y, variant) of a slope whose arm sequence starts with values; see _ladder
-    __slots__ = ("e", "values", "_checked", "_slope")
+    The values alone fix the crystal: the operators read their node order
+    off the slope, which __init__ derives from the values.
+    """
+
+    __slots__ = {
+        "e": "The modulus.",
+        "values": "(A_1, ..., A_n).",
+        "slope": """y = max A_t / t, set once from the values; A_t = floor(y*t) for every t.
+
+        s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
+        induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
+        """,
+        "_checked": "The partition e_op/f_op last verified A-regular (both types are immutable).",
+    }
 
     e: int
     values: tuple[int, ...]
+    slope: Fraction
 
     def __init__(self, e: int, values):
         e = int(e)
@@ -62,9 +74,12 @@ class ArmPrefix:
             raise ValueError("e must be at least 2")
         if not vals:
             raise ValueError("need at least one value")
+        num, den = 0, 1
         for t, v in enumerate(vals, start=1):
             if not t - 1 <= v <= (e - 1) * t:
                 raise ValueError(f"A_{t} = {v} outside [{t - 1}, {(e - 1) * t}]")
+            if v * den > num * t:
+                num, den = v, t
         n = len(vals)
         for t in range(1, n):
             for u in range(1, n - t + 1):
@@ -75,8 +90,8 @@ class ArmPrefix:
                     )
         self.e = e
         self.values = vals
+        self.slope = Fraction(num, den)
         self._checked = None
-        self._slope = None
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
@@ -87,9 +102,7 @@ class ArmPrefix:
         if variant not in ("+", "-"):
             raise ValueError("variant must be '+' or '-'")
         fn = arm_plus if variant == "+" else arm_minus
-        prefix = cls(e, tuple(fn(y, t) for t in range(1, n + 1)))
-        prefix._slope = (e * y.denominator, y.numerator, variant)
-        return prefix
+        return cls(e, tuple(fn(y, t) for t in range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -106,21 +119,6 @@ class ArmPrefix:
         if not 1 <= t <= self.n:
             raise ValueError(f"A_{t} lies beyond the stored prefix of length {self.n}")
         return self.values[t - 1]
-
-    def _ladder(self) -> tuple[int, int, str]:
-        """(E, Y, variant) for a slope y = Y / (E/e) whose '+' (floor(y*t)) or
-        '-' (ceil(y*t - 1)) arm sequence starts with the stored values.
-
-        from_slope and the chain builder set it; for plain values it is
-        y = max A_t / t with '+'.  That y is a floor slope of every valid
-        prefix: s*A_t < t*(A_s + 1) for all s, t <= n follows from the two
-        axioms by induction on s + t, as in Euclid's algorithm, so
-        A_t <= y*t < A_t + 1 for every t.
-        """
-        if self._slope is None:
-            y = max(Fraction(v, t) for t, v in enumerate(self.values, start=1))
-            self._slope = (self.e * y.denominator, y.numerator, "+")
-        return self._slope
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ArmPrefix) and (self.e, self.values) == (
@@ -140,12 +138,12 @@ def _signed_i_nodes(la: Partition, prefix: ArmPrefix, i: int) -> list[tuple[Node
 
     One walk down the rows finds them: row r ends in a removable node when
     the row below is shorter, and has an addable node after its end when the
-    row above is longer.  A node (r, c) sorts by its ladder depth
-    Y*r + (E - Y)*c, then by -content ('+') or content ('-'); see _ladder.
+    row above is longer.  A node (r, c) sorts by its key
+    (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e).
     """
-    e = prefix.e
-    big_e, ym, variant = prefix._ladder()
-    wr, wc, tie = ym, big_e - ym, 1 if variant == "+" else -1
+    e, y = prefix.e, prefix.slope
+    wr = y.numerator
+    wc = e * y.denominator - wr
     before = (i - 1) % e  # (c - r) mod e of the last node of a row with an addable i-node
     parts = la.parts
     keyed = []
@@ -153,13 +151,13 @@ def _signed_i_nodes(la: Partition, prefix: ArmPrefix, i: int) -> list[tuple[Node
     for r, (p, below) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
         res = (p - r) % e
         if res == i and below < p:
-            keyed.append((wr * r + wc * p, tie * (r - p), (r, p), "-"))
+            keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
         elif res == before and above != p:
-            keyed.append((wr * r + wc * (p + 1), tie * (r - p - 1), (r, p + 1), "+"))
+            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), "+"))
         above = p
     r = len(parts) + 1
     if (1 - r) % e == i:
-        keyed.append((wr * r + wc, tie * (r - 1), (r, 1), "+"))
+        keyed.append((wr * r + wc, r - 1, (r, 1), "+"))
     keyed.sort(reverse=True)
     return [(node, sign) for _, _, node, sign in keyed]
 
@@ -286,7 +284,6 @@ def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
 class CrystalGraph:
     """The finite crystal on A-regular partitions of size at most the bound."""
 
-    e: int
     arm: ArmPrefix
     bound: int
     vertices: tuple[Partition, ...]
@@ -319,7 +316,7 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
                 edges.append((la, i, mu))
     vertices.sort(key=lambda p: (p.size, p.parts))
     edges.sort(key=lambda t: (t[0].size, t[0].parts, t[1]))
-    return CrystalGraph(prefix.e, prefix, bound, tuple(vertices), tuple(edges))
+    return CrystalGraph(prefix, bound, tuple(vertices), tuple(edges))
 
 
 def to_dot(graph: CrystalGraph) -> str:
@@ -362,7 +359,7 @@ def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...]
     steps = []
     cur = a
     while cur.values != b.values:
-        y = max(Fraction(cur.values[t - 1], t) for t in range(1, n + 1))
+        y = cur.slope
         if cur.values != tuple(arm_plus(y, t) for t in range(1, n + 1)):
             raise AssertionError("prefix does not match its extremal slope")
         nxt_vals = tuple(arm_minus(y, t) for t in range(1, n + 1))
@@ -371,7 +368,6 @@ def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...]
         params = LadderParams(e, y)
         steps.append(params)
         cur = ArmPrefix(e, nxt_vals)
-        cur._slope = (params.E, params.Y, "-")
         prefixes.append(cur)
     return tuple(prefixes), tuple(steps)
 
@@ -379,8 +375,8 @@ def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...]
 def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
     """The regularisation chain realising the crystal isomorphism a -> b.
 
-    Each step regularises at the largest slope max(A_t / t) of the current
-    prefix, replacing it by the matching lower arm prefix, until b is
+    Each step regularises at the slope max(A_t / t) of the current prefix,
+    replacing it by the matching lower arm prefix, until b is
     reached.  For a < b the chain is built from b down to a and marked
     inverse (applied as restrictisations in reverse order).
     """

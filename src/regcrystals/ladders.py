@@ -99,12 +99,16 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int]]:
     between.  A hook of length m*t pairs a bead with a gap on the same
     runner of the m-runner abacus, so the walk up the positions keeps the
     gaps seen so far by runner, visits at most |la|/m hooks and never
-    builds the conjugate.
+    builds the conjugate.  No runner list is allocated when m exceeds the
+    largest hook length la_1 + len(la) - 1 (the empty partition has no hooks).
     """
+    parts = la.parts
+    if not parts or m > parts[0] + len(parts) - 1:
+        return []
     runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     out = []
     pos = gaps = 0
-    for part in reversed(la.parts):  # beads from the bottom; each has `part` gaps below
+    for part in reversed(parts):  # beads from the bottom; each has `part` gaps below
         while gaps < part:
             runners[pos % m].append((pos, gaps))
             pos += 1

@@ -17,7 +17,6 @@ from itertools import count
 from typing import NamedTuple
 
 from .abacus import (
-    check_runners,
     default_beads,
     e_core,
     e_quotient,
@@ -191,24 +190,20 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
     return combine(xi_i, tau, ctx.with_u(u))
 
 
-def quotient_sigma(la: Partition, e: int, n: int | None = None) -> tuple[int, ...]:
-    """Runners ordered by (bead count, left-to-right position)."""
-    check_runners(e)
-    if n is None:
-        n = default_beads(la, e)
-    if n % e or n < len(la.parts):
-        raise ValueError(f"bead count {n} must be a multiple of {e} covering the parts")
-    counts = runner_counts(beta_numbers(la, n), e)
+def quotient_sigma(la: Partition, e: int) -> tuple[int, ...]:
+    """Runners ordered by (bead count, left-to-right position).  e more beads
+    put one more on every runner, so the order does not depend on the bead
+    count."""
+    counts = runner_counts(beta_numbers(la, default_beads(la, e)), e)
     return tuple(sorted(range(e), key=lambda i: (counts[i], i)))
 
 
-def is_quotient_separated(la: Partition, e: int, n: int | None = None) -> bool:
+def is_quotient_separated(la: Partition, e: int) -> bool:
     """True if, for every pair of runners in sigma order, the last bead of
-    the earlier runner precedes the first gap of the later one."""
-    if n is None:
-        n = default_beads(la, e)
-    sigma = quotient_sigma(la, e, n)
-    occ = beta_numbers(la, n)
+    the earlier runner precedes the first gap of the later one.  e more
+    beads shift every runner alike, so the bead count does not matter."""
+    sigma = quotient_sigma(la, e)
+    occ = beta_numbers(la, default_beads(la, e))
     last_bead = [max((p for p in occ if p % e == i), default=-1) for i in range(e)]
     first_gap = [next(p for p in count(i, e) if p not in occ) for i in range(e)]
     return all(
@@ -216,19 +211,18 @@ def is_quotient_separated(la: Partition, e: int, n: int | None = None) -> bool:
     )
 
 
-def paget_mu(la: Partition, e: int, n: int | None = None) -> Partition:
+def paget_mu(la: Partition, e: int) -> Partition:
     """The quotient-shifted partner of an e-restricted, e-quotient-separated
     partition: same e-core, empty first quotient component in sigma order,
-    and each later component the conjugate of its predecessor in la."""
-    if n is None:
-        n = default_beads(la, e)
+    and each later component the conjugate of its predecessor in la.  The
+    result is the same for every bead count, so none is taken."""
     if not la.is_e_restricted(e):
         raise ValueError(f"{la.parts} is not {e}-restricted")
-    if not is_quotient_separated(la, e, n):
+    if not is_quotient_separated(la, e):
         raise ValueError(f"{la.parts} is not {e}-quotient separated")
-    sigma = quotient_sigma(la, e, n)
-    quot = e_quotient(la, e, n)
+    sigma = quotient_sigma(la, e)
+    quot = e_quotient(la, e)
     new_quot: list[Partition] = [Partition()] * e
     for k in range(2, e + 1):
         new_quot[sigma[k - 1]] = quot[sigma[k - 2]].conjugate()
-    return from_core_and_quotient(e_core(la, e, n), new_quot, e)
+    return from_core_and_quotient(e_core(la, e), new_quot, e)

@@ -501,7 +501,6 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
     components = [p for group in small for p in group]
     for e in e_values:
         m = offset + quotient_bound + 1
-        n = e * m
         offsets = range(-offset, offset + 1)
         for deltas in product(offsets, repeat=e):
             if sum(deltas):
@@ -511,13 +510,13 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
             core = ab.from_runners([Partition()] * e, counts)
             for quot in product(components, repeat=e):
                 la = ab.from_runners(quot, counts)
-                if not la.is_e_restricted(e) or not sp.is_quotient_separated(la, e, n):
+                if not la.is_e_restricted(e) or not sp.is_quotient_separated(la, e):
                     continue
-                mu = sp.paget_mu(la, e, n)
-                yield "partner_shares_core", ab.e_core(mu, e) == core, lambda: f"{la} e={e}"
-                if sp.is_quotient_separated(mu, e, n):
+                mu = sp.paget_mu(la, e)
+                where = lambda: f"{la} e={e}"
+                yield "partner_shares_core", ab.e_core(mu, e) == core, where
+                if sp.is_quotient_separated(mu, e):
                     ok = _mullineux(la.conjugate(), e) == mu
-                    where = lambda: f"{la} e={e} n={n}"
                     yield "theorem_on_quotient_separated_partitions", ok, where
 
 

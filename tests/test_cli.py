@@ -50,8 +50,7 @@ class TestAbacus:
         ["abacus", "show", "--e", "-2", "2,1"],
         ["split", "--e", "0", "--I", "0", "2,1"],
         ["paget", "--e", "0", "2,1"],
-        ["paget", "--e", "0", "--beads", "4", "2,1"],
-        ["paget", "--e", "-3", "--beads", "3", "2,1"],
+        ["paget", "--e", "-3", "2,1"],
     ],
     ids=" ".join,
 )
@@ -114,6 +113,12 @@ class TestCrystal:
         assert code == 0
         assert target.read_text().startswith("digraph crystal {")
         assert "wrote" in out
+
+    def test_unwritable_dot_file_is_a_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "graph.dot"
+        code, out, err = run(capsys, "crystal", "--e", "3", "--slope", "1-", "--max-size", "3", "--dot", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "crystal", "--e", "3")
@@ -272,6 +277,13 @@ class TestPaget:
         assert lines[0] == "sigma = 1,3,0,2"
         assert "mu = 19,10,9,8,7,4,3,3,3,2,1" in lines
         assert "match = yes" in lines
+
+    def test_takes_no_bead_count(self, capsys):
+        # every result of paget is the same for any bead count
+        with pytest.raises(SystemExit) as info:
+            main(["paget", "--e", "4", "--beads", "20", "2,1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --beads" in capsys.readouterr().err
 
 
 class TestVerify:

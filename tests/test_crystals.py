@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -105,36 +106,15 @@ def valid_prefixes(e, n):
     return found
 
 
-def ladder_values(prefix):
-    """The arm sequence of the slope and variant the prefix sorts its nodes by."""
-    big_e, ym, variant = prefix._ladder()
-    y = Fraction(prefix.e * ym, big_e)
-    fn = cr.arm_plus if variant == "+" else cr.arm_minus
-    return tuple(fn(y, t) for t in range(1, prefix.n + 1))
-
-
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
 def test_every_valid_prefix_has_a_slope(e):
     for n in range(1, 9):
         prefixes = valid_prefixes(e, n)
         assert prefixes
         for vals in prefixes:
-            assert ladder_values(ArmPrefix(e, vals)) == vals
-
-
-def test_chain_and_slope_prefixes_carry_their_slope():
-    for e in (3, 4, 5):
-        for y in (1, Fraction(3, 2), Fraction(5, 3), e - 1):
-            for variant in "+-":
-                prefix = ArmPrefix.from_slope(e, y, 5, variant)
-                params = ld.LadderParams(e, y)
-                assert prefix._ladder() == (params.E, params.Y, variant)
-                assert ladder_values(prefix) == prefix.values
-        top, bottom = ArmPrefix.from_slope(e, e - 1, 6, "+"), ArmPrefix.from_slope(e, 1, 6, "-")
-        chain = cr.iso_chain(top, bottom)
-        for prefix, params in zip(chain.prefixes[1:], chain.steps):
-            assert prefix._ladder() == (params.E, params.Y, "-")
-            assert ladder_values(prefix) == prefix.values
+            prefix = ArmPrefix(e, vals)
+            assert prefix.slope == max(Fraction(v, t) for t, v in enumerate(vals, start=1))
+            assert tuple(cr.arm_plus(prefix.slope, t) for t in range(1, n + 1)) == vals
 
 
 def rim_pairs(e, bound):
@@ -184,6 +164,30 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
                         nd for nd in la.addable_nodes() + la.removable_nodes()
                         if (nd[1] - nd[0]) % e == i
                     )
+
+
+def random_partition(rng, n):
+    """A seeded partition of n: random cuts of n into between 1 and 2*sqrt(n) rows."""
+    rows = rng.randint(1, 2 * int(n ** 0.5))
+    cuts = sorted(rng.sample(range(1, n), rows - 1))
+    return Partition(sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True))
+
+
+def test_derived_order_matches_comparator_sort_at_large_n():
+    # the exhaustive order checks stop at size 6e; these prefixes reach length 67
+    rng = random.Random(20210514)
+    for e in (3, 4, 5, 6):
+        for y in sorted({Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(e - 1)}):
+            for variant in "+-":
+                for n in range(50, 201, 30):
+                    prefix = ArmPrefix.from_slope(e, y, -(-n // e), variant)
+                    floors = tuple(cr.arm_plus(prefix.slope, t) for t in range(1, prefix.n + 1))
+                    assert prefix.values == floors
+                    la = random_partition(rng, rng.randint(n, prefix.bound))
+                    by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
+                    for i in range(e):
+                        pairs = cr._signed_i_nodes(la, prefix, i)
+                        assert pairs == sorted(pairs, key=by_compare, reverse=True), (la, i)
 
 
 class TestSignatures:

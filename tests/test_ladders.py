@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,17 @@ class TestHooksDivisibleBy:
     )
     def test_matches_node_route_up_to_400(self, la, m):
         assert sorted(ld.hooks_divisible_by(la, m)) == node_route_hooks(la, m)
+
+    def test_modulus_above_every_hook_allocates_no_runners(self):
+        # the largest hook of 3,2,1 has length 5; m runner lists would take megabytes
+        tracemalloc.start()
+        try:
+            assert ld.hooks_divisible_by(P("3,2,1"), 10**5) == []
+            assert ld.hooks_divisible_by(Partition(), 10**5) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestFingerprint:

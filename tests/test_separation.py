@@ -203,7 +203,6 @@ class TestQuotientSeparation:
     PAGET_MU = P("19,10,9,8,7,4,3^3,2,1")
 
     def test_sigma(self):
-        assert sp.quotient_sigma(self.PAGET_LA, 4, 20) == (1, 3, 0, 2)
         assert sp.quotient_sigma(self.PAGET_LA, 4) == (1, 3, 0, 2)
 
     def test_sigma_of_empty(self):
@@ -213,12 +212,6 @@ class TestQuotientSeparation:
     def test_separated_examples(self):
         assert sp.is_quotient_separated(self.PAGET_LA, 4)
         assert sp.is_quotient_separated(self.PAGET_MU, 4)
-
-    def test_bead_invariance(self):
-        for la in all_up_to(10):
-            for e in (2, 3, 4):
-                n0 = ab.default_beads(la, e)
-                assert sp.is_quotient_separated(la, e, n0) == sp.is_quotient_separated(la, e, n0 + e)
 
 
 class TestPaget:
