@@ -9,11 +9,11 @@ node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
 the ladder depth first.  A-regularity reads the hooks of length
-divisible by e off the bead set.  Each operator checks its input once, and
-the crystal walk of mullineux.peel_and_rebuild re-checks a one-node move
-only at the hooks of the moved row and column.  build_graph searches from
-the empty partition through f_op, and `verify crystal` checks it against
-the enumerate-and-filter route.  Crystals for any two prefixes are
+divisible by e off the bead set.  One step moves a good or cogood node of
+a row list in place and checks only the hooks of the moved row and column.
+e_op/f_op check their input in full and take one step; the walk of
+mullineux.peel_and_rebuild and the breadth-first build_graph take all of
+theirs on row lists.  Crystals for any two prefixes are
 isomorphic via a chain of ladder regularisations at the slope of each
 prefix in turn; apply_chain is the last image of chain_steps, which yields
 each step.
@@ -133,8 +133,8 @@ class ArmPrefix:
         return f"ArmPrefix(e={self.e}, values={self.values})"
 
 
-def _signed_i_nodes(la: Partition, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
-    """Addable (+) and removable (-) i-nodes sorted descending in the node order.
+def _signed_i_nodes(parts, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
+    """Addable (+) and removable (-) i-nodes of parts, sorted descending in the node order.
 
     One walk down the rows finds them: row r ends in a removable node when
     the row below is shorter, and has an addable node after its end when the
@@ -145,10 +145,9 @@ def _signed_i_nodes(la: Partition, prefix: ArmPrefix, i: int) -> list[tuple[Node
     wr = y.numerator
     wc = e * y.denominator - wr
     before = (i - 1) % e  # (c - r) mod e of the last node of a row with an addable i-node
-    parts = la.parts
     keyed = []
     above = None
-    for r, (p, below) in enumerate(zip(parts, parts[1:] + (0,)), start=1):
+    for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
         res = (p - r) % e
         if res == i and below < p:
             keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
@@ -166,7 +165,7 @@ def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
     """Signs of the addable/removable i-nodes, greatest node first."""
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
-    return "".join(sign for _, sign in _signed_i_nodes(la, prefix, i))
+    return "".join(sign for _, sign in _signed_i_nodes(la.parts, prefix, i))
 
 
 def _reduce(signed) -> tuple[list, list]:
@@ -199,34 +198,32 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     return all(arm != arms[t - 1] for t, arm in hooks_divisible_by(la, prefix.e))
 
 
-def _checked_regular(la: Partition, prefix: ArmPrefix) -> bool:
-    """is_A_regular(la, prefix), skipped when la is the partition last verified."""
-    if la is not prefix._checked:
-        if not is_A_regular(la, prefix):
-            return False
-        prefix._checked = la
-    return True
+def _move(parts: list[int], prefix: ArmPrefix, i: int, grow: bool) -> Node | None:
+    """Add the cogood (grow) or remove the good i-node of the partition with
+    these parts, in place, and return it; None if there is none."""
+    minus, plus = _reduce(_signed_i_nodes(parts, prefix, i))
+    if not (plus if grow else minus):
+        return None
+    r, _ = node = plus[0] if grow else minus[-1]
+    if r > len(parts):
+        parts.append(1)
+    else:
+        parts[r - 1] += 1 if grow else -1
+        if not parts[-1]:  # a removable node in column 1 ends the last row
+            parts.pop()
+    return node
 
 
-def _recheck_after_move(before: Partition, after: Partition, prefix: ArmPrefix) -> None:
-    """Record after, an e_op/f_op image of before, as A-regular when before is
-    the partition prefix holds as verified and no hook the move changed has
-    length e*t and arm A_t; otherwise leave after to the full check of the
-    next e_op/f_op, which raises if it fails.
+def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
+    """True if no hook that moving node changed has length e*t and arm A_t,
+    for parts just moved by _move from an A-regular partition.
 
     Adding or removing the node (r, c) moves one bead of the bead set, and
     the only hooks it changes are those of the moved bead (the hooks of row
     r) and of the gap it leaves (the hooks of column c above row r).
     """
-    old, parts = before.parts, after.parts
-    if prefix._checked is not before or abs(after.size - before.size) != 1:
-        return
-    k = next((n for n, (p, q) in enumerate(zip(old, parts)) if p != q), min(len(old), len(parts)))
-    if old[k + 1 :] != parts[k + 1 :]:
-        return
-    e, arms, rows = prefix.e, prefix.values, len(parts)
-    r, c = k + 1, max(old[k : k + 1] + parts[k : k + 1])
-    pr = parts[k] if k < rows else 0
+    (r, c), e, arms, rows = node, prefix.e, prefix.values, len(parts)
+    pr = parts[r - 1] if r <= rows else 0
     # row r: the columns in (parts[j], parts[j-1]] have leg j - r (j >= r, 0-based)
     upper = pr
     for j in range(r, rows + 1):
@@ -238,46 +235,47 @@ def _recheck_after_move(before: Partition, after: Partition, prefix: ArmPrefix) 
         arm += -(arm + leg + 1) % e
         while arm < pr - lower:
             if arms[(arm + leg + 1) // e - 1] == arm:
-                return
+                return False
             arm += e
         upper = lower
-    # column c above row r, which ends at row r when (r, c) is a node of after
+    # column c above row r, which ends at row r when (r, c) is a node of parts
     foot = r if pr >= c else r - 1
     for row in range(1, r):
         arm = parts[row - 1] - c
         length = arm + foot - row + 1
         if length % e == 0 and arms[length // e - 1] == arm:
-            return
-    prefix._checked = after
+            return False
+    return True
 
 
-def _moved(la: Partition, node: Node, step: int) -> Partition:
-    """la with the row of node one longer (step 1) or shorter (step -1);
-    node is known to be addable or removable."""
-    r = node[0]
-    parts = la.parts
-    if r > len(parts):
-        return Partition(parts + (1,))
-    p = parts[r - 1] + step
-    return Partition(parts[: r - 1] + ((p,) if p else ()) + parts[r:])
+def _step(parts: list[int], prefix: ArmPrefix, i: int, grow: bool) -> bool:
+    """_move, then _move_ok: False if no node moved, ValueError if the move fails."""
+    node = _move(parts, prefix, i, grow)
+    if node is not None and not _move_ok(parts, node, prefix):
+        raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
+    return node is not None
+
+
+def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | None:
+    """f_op (grow) or e_op past the bound check: la checked in full unless memoised."""
+    if la is not prefix._checked:
+        if not is_A_regular(la, prefix):
+            raise ValueError(f"{la.parts} is not regular for {prefix!r}")
+        prefix._checked = la
+    parts = list(la.parts)
+    return Partition(parts) if _step(parts, prefix, i, grow) else None
 
 
 def e_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     """Remove the good i-node (the last '-' of the reduced signature), or None."""
-    if not _checked_regular(la, prefix):
-        raise ValueError(f"{la.parts} is not regular for {prefix!r}")
-    minus, _ = _reduce(_signed_i_nodes(la, prefix, i))
-    return _moved(la, minus[-1], -1) if minus else None
+    return _image(la, prefix, i, False)
 
 
 def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     """Add the cogood i-node (the first '+' of the reduced signature), or None."""
     if la.size + 1 > prefix.bound:
         raise ValueError(f"|la| + 1 = {la.size + 1} exceeds the crystal bound {prefix.bound}")
-    if not _checked_regular(la, prefix):
-        raise ValueError(f"{la.parts} is not regular for {prefix!r}")
-    _, plus = _reduce(_signed_i_nodes(la, prefix, i))
-    return _moved(la, plus[0], 1) if plus else None
+    return _image(la, prefix, i, True)
 
 
 @dataclass(frozen=True)
@@ -292,28 +290,31 @@ class CrystalGraph:
 
 def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     """All A-regular partitions of size <= max_size with their f-operator edges,
-    found breadth-first from the empty partition; each vertex is tested once."""
+    found breadth-first from the empty partition.  Each vertex is checked
+    once, by the move check from the vertex that first reached it."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
     if bound > prefix.bound:
         raise ValueError(f"max_size {bound} exceeds the prefix bound {prefix.bound}")
     vertices = [Partition()]
-    reached_by = {vertices[0]: None}
+    reached = {vertices[0]}
     edges = []
     for la in vertices:
-        if not _checked_regular(la, prefix):
-            src, i = reached_by[la]
-            raise RuntimeError(f"operator left the A-regular set: {src} -{i}-> {la}")
         if la.size == bound:
             continue
         for i in range(prefix.e):
-            mu = f_op(la, prefix, i)
-            if mu is not None:
-                if mu not in reached_by:
-                    reached_by[mu] = (la, i)
-                    vertices.append(mu)
-                edges.append((la, i, mu))
+            parts = list(la.parts)
+            node = _move(parts, prefix, i, True)
+            if node is None:
+                continue
+            mu = Partition(parts)
+            if mu not in reached:
+                if not _move_ok(parts, node, prefix):
+                    raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
+                reached.add(mu)
+                vertices.append(mu)
+            edges.append((la, i, mu))
     vertices.sort(key=lambda p: (p.size, p.parts))
     edges.sort(key=lambda t: (t[0].size, t[0].parts, t[1]))
     return CrystalGraph(prefix, bound, tuple(vertices), tuple(edges))
@@ -359,14 +360,13 @@ def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...]
     steps = []
     cur = a
     while cur.values != b.values:
-        y = cur.slope
-        if cur.values != tuple(arm_plus(y, t) for t in range(1, n + 1)):
+        p, q = cur.slope.numerator, cur.slope.denominator  # arm_plus, arm_minus inline
+        if cur.values != tuple(p * t // q for t in range(1, n + 1)):
             raise AssertionError("prefix does not match its extremal slope")
-        nxt_vals = tuple(arm_minus(y, t) for t in range(1, n + 1))
+        nxt_vals = tuple((p * t - 1) // q for t in range(1, n + 1))
         if any(nv < bv for nv, bv in zip(nxt_vals, b.values)):
             raise AssertionError("chain step descended past the target prefix")
-        params = LadderParams(e, y)
-        steps.append(params)
+        steps.append(LadderParams(e, cur.slope))
         cur = ArmPrefix(e, nxt_vals)
         prefixes.append(cur)
     return tuple(prefixes), tuple(steps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .crystals import ArmPrefix, _recheck_after_move, e_op, f_op
+from .crystals import ArmPrefix, _step, e_op
 from .ladders import LadderParams, hooks_divisible_by, regularise
 from .partitions import Hook, Partition
 
@@ -86,29 +86,29 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
 
     Each peel removes the good node of the first residue i in ``order`` that
     has one; the rebuild adds cogood nodes in dst at the residues sign*i mod
-    e, last peeled first.  Each intermediate is checked regular through the
-    hooks its one-node move changed, and left to the full check of the next
-    operator if that fails.
+    e, last peeled first.  The first removal is e_op's, which checks la in
+    full; after it, each step moves one node of a row list in place and
+    checks that move, raising ValueError if it fails.
     """
-    peeled = []
-    cur = la
-    while cur:
+    if not la:
+        return la
+    if la.size > dst.bound:
+        raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
+    first = next(((i, mu) for i in order if (mu := e_op(la, src, i)) is not None), None)
+    if first is None:
+        raise AssertionError(f"no good node on {la.parts}")
+    peeled, parts = [sign * first[0] % src.e], list(first[1].parts)
+    while parts:
         for i in order:
-            nxt = e_op(cur, src, i)
-            if nxt is not None:
-                _recheck_after_move(cur, nxt, src)
+            if _step(parts, src, i, False):
                 peeled.append(sign * i % src.e)
-                cur = nxt
                 break
         else:
-            raise AssertionError(f"no good node on {cur.parts}")
+            raise AssertionError(f"no good node on {tuple(parts)}")
     for i in reversed(peeled):
-        nxt = f_op(cur, dst, i)
-        if nxt is None:
-            raise AssertionError(f"no cogood {i}-node on {cur.parts}")
-        _recheck_after_move(cur, nxt, dst)
-        cur = nxt
-    return cur
+        if not _step(parts, dst, i, True):
+            raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
+    return Partition(parts)
 
 
 def james_regularise(la: Partition, e: int) -> Partition:

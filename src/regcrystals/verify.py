@@ -594,7 +594,8 @@ def iter_suites(
     one per property, as that suite finishes.  A property counts its
     instances up to its first failure.
 
-    Raises ValueError at once for an unknown name, or for e < 2 when a
+    Raises ValueError at once for an unknown name, for e values given to a
+    suite named explicitly that runs fixed moduli, or for e < 2 when a
     chosen suite takes e.
     """
     unknown = set(names) - set(SUITES) - {"all"}
@@ -603,6 +604,8 @@ def iter_suites(
     chosen = [name for name in SUITES if name in names or "all" in names]
     low = [e for e in e_values or () if e < 2]
     for name in chosen:
+        if e_values and name in names and not _SUITES[name][2]:
+            raise ValueError(f"suite {name} runs fixed moduli and takes no e values")
         if low and _SUITES[name][2]:
             raise ValueError(f"suite {name} runs e >= 2, got e = {low[0]}")
     return (_run_suite(name, max_size, e_values) for name in chosen)

@@ -3,12 +3,15 @@
 Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display, column growth works through
-the conjugate, dominance is the raw prefix-sum comparison, and the crystal
-node order compares two nodes through the arm value A_t itself.
+the conjugate, dominance is the raw prefix-sum comparison, the crystal
+node order compares two nodes through the arm value A_t itself, and the
+crystal walk takes one public operator per step, each of which checks the
+partition it is given in full.
 """
 
 from functools import lru_cache
 
+from regcrystals.crystals import e_op, f_op
 from regcrystals.partitions import Partition
 
 
@@ -87,3 +90,17 @@ def node_compare(prefix, a, b) -> int:
     if diff < 0:
         return -node_compare(prefix, b, a)
     return -1 if c - d <= prefix.arm(diff // prefix.e) else 1
+
+
+def peel_and_rebuild_by_operators(la, src, dst, order, sign):
+    """The walk of mullineux.peel_and_rebuild, one e_op/f_op call and one
+    Partition per step: peel at the first residue in order with a good node,
+    then rebuild in dst at the residues sign*i mod e, last peeled first."""
+    peeled = []
+    while la:
+        i, la = next((i, mu) for i in order if (mu := e_op(la, src, i)) is not None)
+        peeled.append(sign * i % src.e)
+    for i in reversed(peeled):
+        la = f_op(la, dst, i)
+        assert la is not None, f"no cogood {i}-node"
+    return la

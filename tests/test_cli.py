@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import pytest
@@ -133,9 +132,15 @@ class TestCrystal:
 
 
     def test_operator_leaving_the_regular_set_exits_1(self, capsys, monkeypatch):
-        # every f_op image is 1,1,1, which has a 3-hook of arm A_1 = 0
-        leave = parse_partition("1,1,1")
-        monkeypatch.setattr(cr, "f_op", lambda la, prefix, i: None if la else leave)
+        # every addition to the empty partition gives 1,1,1, which has a
+        # 3-hook of arm A_1 = 0; no other partition has an addable node
+        def faulty(parts, prefix, i, grow):
+            if parts:
+                return None
+            parts[:] = [1, 1, 1]
+            return (3, 1)
+
+        monkeypatch.setattr(cr, "_move", faulty)
         code, out, err = run(capsys, "crystal", "--e", "3", "--arm", "0,1")
         assert code == 1 and out == ""
         assert err == "error: operator left the A-regular set: - -0-> 1,1,1\n"
@@ -324,6 +329,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: suite {named} runs e >= 2, got e = {e}\n"
 
+    @pytest.mark.parametrize("suite, e", [("ladder", "-1"), ("crystal", "3")])
+    def test_e_for_a_fixed_moduli_suite_exits_2(self, capsys, suite, e):
+        code, out, err = run(capsys, "verify", suite, "--e", e, "--max", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: suite {suite} runs fixed moduli and takes no e values\n"
+
     def test_suite_lines_print_as_each_suite_ends(self, capsys, monkeypatch):
         # the ladder suite fails outright, after the core suite has finished
         def broken(max_size, e_values):
@@ -338,9 +349,7 @@ class TestVerify:
         ]
 
     def test_peel_without_a_good_node_exits_1(self, capsys, monkeypatch):
-        # the package exports the function mullineux under the module's name
-        module = importlib.import_module("regcrystals.mullineux")
-        monkeypatch.setattr(module, "e_op", lambda *args: None)
+        monkeypatch.setattr(cr, "_move", lambda *args: None)
         code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
         assert code == 1 and out == ""
         assert err == "error: no good node on (1,)\n"

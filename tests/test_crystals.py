@@ -1,4 +1,3 @@
-import importlib
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -73,7 +72,7 @@ class TestNodeOrder:
             3: [(5, 1), (2, 2), (1, 5)],
         }
         for a1, prefix in TABLE_PREFIXES.items():
-            pairs = cr._signed_i_nodes(P("5,2,1,1"), prefix, 0)
+            pairs = cr._signed_i_nodes(P("5,2,1,1").parts, prefix, 0)
             assert [nd for nd, _ in pairs] == expected[a1]
             assert set(nd for nd, _ in pairs) == set(la_nodes)
 
@@ -144,7 +143,7 @@ def test_key_order_equals_node_compare(e):
             for (a, b), (la, i) in pairs.items():
                 if la.size > prefix.bound:
                     continue
-                order = [nd for nd, _ in cr._signed_i_nodes(la, prefix, i)]
+                order = [nd for nd, _ in cr._signed_i_nodes(la.parts, prefix, i)]
                 assert (order.index(a) < order.index(b)) == (node_compare(prefix, a, b) > 0)
                 checked += 1
     assert checked > 0
@@ -157,7 +156,7 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
             prefix = ArmPrefix.from_slope(e, y, 3, variant)
             for la in all_up_to(prefix.bound):
                 for i in range(e):
-                    pairs = cr._signed_i_nodes(la, prefix, i)
+                    pairs = cr._signed_i_nodes(la.parts, prefix, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
                     assert sorted(nd for nd, _ in pairs) == sorted(
@@ -186,7 +185,7 @@ def test_derived_order_matches_comparator_sort_at_large_n():
                     la = random_partition(rng, rng.randint(n, prefix.bound))
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     for i in range(e):
-                        pairs = cr._signed_i_nodes(la, prefix, i)
+                        pairs = cr._signed_i_nodes(la.parts, prefix, i)
                         assert pairs == sorted(pairs, key=by_compare, reverse=True), (la, i)
 
 
@@ -269,47 +268,68 @@ RECHECK_PREFIXES = verify._CRYSTAL_PREFIXES + (ArmPrefix(3, (1, 3, 5)), ArmPrefi
 
 @pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
 def test_one_move_recheck_equals_full_check(prefix):
-    # from every A-regular partition, every one-node move is judged as the
-    # full check judges it
+    # from every A-regular partition, every one-node move is judged by
+    # _move_ok as the full check judges it
     moves = 0
     for la in all_up_to(prefix.bound):
         if not cr.is_A_regular(la, prefix):
             continue
-        moved = [la.remove_node(nd) for nd in la.removable_nodes()]
+        moved = [(la.remove_node(nd), nd) for nd in la.removable_nodes()]
         if la.size < prefix.bound:
-            moved += [la.add_node(nd) for nd in la.addable_nodes()]
-        for mu in moved:
-            prefix._checked = la
-            cr._recheck_after_move(la, mu, prefix)
-            assert prefix._checked is (mu if cr.is_A_regular(mu, prefix) else la), (la, mu)
+            moved += [(la.add_node(nd), nd) for nd in la.addable_nodes()]
+        for mu, nd in moved:
+            assert cr._move_ok(list(mu.parts), nd, prefix) == cr.is_A_regular(mu, prefix), (la, mu)
             moves += 1
     assert moves > 0
 
 
-def test_recheck_needs_the_verified_partition_one_node_away():
+def test_peel_raises_when_a_move_fails_its_check(monkeypatch):
+    # a kernel that drops the wrong node of 3,2,2 leaves 2,2,2, which is not 3-regular
+    real = cr._move
+
+    def faulty(parts, prefix, i, grow):
+        if parts == [3, 2, 2] and not grow:
+            parts[0] -= 1
+            return (1, 3)
+        return real(parts, prefix, i, grow)
+
+    monkeypatch.setattr(cr, "_move", faulty)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
-    la, mu = P("3,1"), P("3,1,1")
-    prefix._checked = None
-    cr._recheck_after_move(la, mu, prefix)
-    assert prefix._checked is None
-    for other in (P("3,2,1"), P("4,1,1"), P("2,2")):
-        prefix._checked = la
-        cr._recheck_after_move(la, other, prefix)
-        assert prefix._checked is la
-
-
-def test_peel_leaves_a_failed_recheck_to_the_full_check(monkeypatch):
-    # an e_op that drops the wrong node leaves 2,2,2, which is not 3-regular
-    real = cr.e_op
-
-    def faulty(la, prefix, i):
-        return P("2,2,2") if la == P("3,2,2") else real(la, prefix, i)
-
-    # the package exports the function mullineux under the module's name
-    monkeypatch.setattr(importlib.import_module("regcrystals.mullineux"), "e_op", faulty)
-    prefix = ArmPrefix.from_slope(3, 1, 3, "-")
-    with pytest.raises(ValueError, match="not regular"):
+    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
+
+
+def test_rebuild_checks_its_last_image(monkeypatch):
+    # a kernel whose last addition leaves 2,2,2: no operator follows it, so
+    # only the check of that move itself can catch it
+    real = cr._move
+
+    def faulty(parts, prefix, i, grow):
+        node = real(parts, prefix, i, grow)
+        if grow and sum(parts) == 6:
+            parts[:] = [2, 2, 2]
+            return (3, 2)
+        return node
+
+    monkeypatch.setattr(cr, "_move", faulty)
+    prefix = ArmPrefix.from_slope(3, 1, 2, "-")
+    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
+        peel_and_rebuild(P("3,2,1"), prefix, prefix, range(3), -1)
+
+
+def test_walk_rejects_a_partition_beyond_the_target_bound():
+    src, dst = ArmPrefix.from_slope(3, 1, 3, "-"), ArmPrefix.from_slope(3, 1, 2, "-")
+    with pytest.raises(ValueError, match=r"^\|la\| = 7 exceeds the crystal bound 6$"):
+        peel_and_rebuild(P("4,3"), src, dst, range(3), -1)
+
+
+def test_operator_images_pass_the_move_check(monkeypatch):
+    # e_op and f_op raise rather than return an image outside the crystal
+    monkeypatch.setattr(cr, "_move_ok", lambda parts, node, prefix: False)
+    prefix = ArmPrefix.from_slope(3, 1, 3, "-")
+    for op, i in ((cr.e_op, 2), (cr.f_op, 0)):
+        with pytest.raises(ValueError, match="not regular for"):
+            op(P("3,1"), prefix, i)
 
 
 class TestARegular:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import peel_and_rebuild_by_operators
 from regcrystals import abacus as ab
+from regcrystals.crystals import ArmPrefix
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import (
     classify_hooks,
@@ -13,6 +15,7 @@ from regcrystals.mullineux import (
     mullineux,
     mullineux_oracle,
     mullineux_steps,
+    peel_and_rebuild,
     slopes,
 )
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
@@ -110,6 +113,25 @@ def test_two_routes_agree_at_large_n():
         image = mullineux(la, e)
         assert image == mullineux_oracle(la, e, "min") == mullineux_oracle(la, e, "max"), la
         assert mullineux(image, e) == la
+
+
+def test_walk_equals_the_operator_walk_at_large_n():
+    # seeded inputs with n = 50..200 and e = 3..6, on the e-regular crystal
+    # (the oracle's walk) and from the slope-(e-1) "+" crystal to it (a chain
+    # pair, as in verify's chain_factorisations_induce_same_map)
+    rng = random.Random(20210518)
+    for k in range(12):
+        e, n = 3 + k % 4, 50 + 150 * k // 11
+        la = random_regular_partition(rng, n, e)
+        top = ArmPrefix.from_slope(e, e - 1, -(-n // e), "+")
+        bottom = ArmPrefix.from_slope(e, 1, -(-n // e), "-")
+        for mu, src, dst, order, sign in (
+            (la, bottom, bottom, range(e), -1),
+            (la, bottom, bottom, range(e - 1, -1, -1), -1),
+            (la.conjugate(), top, bottom, range(e), 1),
+        ):
+            expected = peel_and_rebuild_by_operators(mu, src, dst, order, sign)
+            assert peel_and_rebuild(mu, src, dst, order, sign) == expected, (mu, e)
 
 
 class TestOracle:

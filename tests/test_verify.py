@@ -61,5 +61,11 @@ def test_moduli_are_checked_before_any_suite_runs(monkeypatch, names, e):
     assert started == []
 
 
-def test_suites_with_fixed_moduli_take_any_e():
-    assert run_suites(["ladder"], max_size=2, e_values=(-1,)) == run_suites(["ladder"], max_size=2)
+@pytest.mark.parametrize("name", ["ladder", "crystal"])
+def test_suites_with_fixed_moduli_reject_e_values_when_named(name):
+    for e in (3, -1):
+        with pytest.raises(ValueError, match=f"^suite {name} runs fixed moduli and takes no e values$"):
+            iter_suites([name], max_size=2, e_values=(e,))
+    # under "all" the suite still runs, at its own moduli
+    named = [r for r in run_suites(["all"], max_size=2, e_values=(3,)) if r.suite == name]
+    assert named == run_suites([name], max_size=2)
