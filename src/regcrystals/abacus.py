@@ -135,7 +135,11 @@ def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:
         n = default_beads(la, e)
     if n % e:
         raise ValueError(f"bead count {n} must be a multiple of e = {e}")
-    occ = beta_numbers(la, n)
+    return _quotient(beta_numbers(la, n), e)
+
+
+def _quotient(occ: set[int], e: int) -> list[Partition]:
+    """e_quotient on a bead set whose size is a multiple of e."""
     return [from_beta_numbers(to_local(occ, e, (i,))) for i in range(e)]
 
 
@@ -145,8 +149,14 @@ def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -
         raise ValueError(f"need {e} quotient components, got {len(quotient)}")
     if e_core(core, e) != core:
         raise ValueError(f"{core.parts} is not an {e}-core")
-    counts = runner_counts(beta_numbers(core, default_beads(core, e)), e)
-    # e more beads put one more on every runner; add rows until each component fits
+    return _fit_runners(quotient, runner_counts(beta_numbers(core, default_beads(core, e)), e))
+
+
+def _fit_runners(quotient: Sequence[Partition], counts: Sequence[int]) -> Partition:
+    """from_runners after giving every runner the fewest extra beads that let
+    each component fit.  e more beads put one more on every runner and
+    leave the partition unchanged, so counts may come from any display of
+    the core whose bead count is a multiple of e."""
     extra = max(0, max(len(q) - u for q, u in zip(quotient, counts)))
     return from_runners(quotient, [u + extra for u in counts])
 

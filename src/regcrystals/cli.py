@@ -6,7 +6,10 @@ error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
 internal check or a --dot file that cannot be written, 2 bad flags (a
 verify --e below a suite's least modulus among them) or unparseable input.
 abacus show and split take a --beads count because their output depends on
-it; paget does not, as its results are the same for every bead count.
+it; paget does not, as its results are the same for every bead count.  The
+bead count, given or derived from --e (paget's too), and the runner count of
+abacus show may not exceed MAX_BEADS: a larger one exits 1 before any bead
+is placed.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -23,7 +26,11 @@ from . import ladders as ld
 from . import separation as sp
 from . import verify as vf
 from .mullineux import mullineux, mullineux_steps
-from .partitions import Partition, PartitionParseError, parse_partition
+from .partitions import MAX_PARSE_SIZE, Partition, PartitionParseError, parse_partition
+
+# Largest bead count (and abacus show runner count) accepted: a display
+# allocates one position per bead, so the count is checked before encoding.
+MAX_BEADS = MAX_PARSE_SIZE
 
 
 def _partition_arg(text: str) -> Partition:
@@ -87,8 +94,18 @@ def _cmd_conj(args) -> int:
     return 0
 
 
+def _bead_count(la: Partition, e: int, beads: int | None = None) -> int:
+    """beads, or the default count for la at e, within MAX_BEADS."""
+    n = beads if beads is not None else ab.default_beads(la, e)
+    if n > MAX_BEADS:
+        raise ValueError(f"bead count {n} exceeds the limit {MAX_BEADS}")
+    return n
+
+
 def _cmd_abacus(args) -> int:
-    n = args.beads if args.beads is not None else ab.default_beads(args.partition, args.e)
+    n = _bead_count(args.partition, args.e, args.beads)
+    if args.e > MAX_BEADS:  # render writes one column per runner
+        raise ValueError(f"runner count {args.e} exceeds the limit {MAX_BEADS}")
     display = ab.encode(args.partition, n, args.e)
     _emit(
         args,
@@ -193,7 +210,7 @@ def _cmd_mull(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    n = args.beads if args.beads is not None else ab.default_beads(args.partition, args.e)
+    n = _bead_count(args.partition, args.e, args.beads)
     ctx = sp.SplitContext(args.e, args.residues, n)
     res = sp.split(args.partition, ctx)
     separated = sp.is_separated(args.partition, ctx)
@@ -217,6 +234,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_paget(args) -> int:
     la = args.partition
+    _bead_count(la, args.e)  # the display paget reads has the default count
     sigma = sp.quotient_sigma(la, args.e)
     quot = ab.e_quotient(la, args.e)
     mu = sp.paget_mu(la, args.e)

@@ -83,12 +83,18 @@ def depth(node: Node, params: LadderParams) -> int:
 
 
 def fingerprint(la: Partition, params: LadderParams) -> Counter:
-    """Node count of la in each ladder, keyed by canonical representative."""
-    cnt: Counter = Counter()
-    for r, row_len in enumerate(la.parts, start=1):
-        for c in range(1, row_len + 1):
-            cnt[ladder_id((r, c), params)] += 1
-    return cnt
+    """Node count of la in each ladder, keyed by canonical representative.
+
+    The key of node (r, c) is ladder_id((r, c), params), computed inline:
+    k = (c - 1) // Y ladder steps back lead to (r + k*(E - Y), c - k*Y),
+    written below with j = c - 1.
+    """
+    ym, drop = params.Y, params.E - params.Y
+    return Counter(
+        (r + j // ym * drop, j % ym + 1)
+        for r, row_len in enumerate(la.parts, start=1)
+        for j in range(row_len)
+    )
 
 
 def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int]]:

@@ -12,16 +12,16 @@ runners gives the quotient-separated description of the Mullineux map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
 from .abacus import (
+    _fit_runners,
+    _quotient,
     default_beads,
-    e_core,
-    e_quotient,
     encode,  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
-    from_core_and_quotient,
     runner_counts,
     to_global,
     to_local,
@@ -66,7 +66,13 @@ class SplitContext:
         return frozenset(range(self.e)) - self.residues
 
     def with_u(self, u: int) -> "SplitContext":
-        return replace(self, u=u)
+        """This context with u pinned.  Only u is checked: the other fields
+        were checked when this context was made."""
+        if not 0 <= u <= self.n:
+            raise ValueError(f"u = {u} outside [0, {self.n}]")
+        ctx = object.__new__(type(self))
+        ctx.__dict__.update(self.__dict__, u=u)
+        return ctx
 
 
 class SplitResult(NamedTuple):
@@ -78,8 +84,12 @@ class SplitResult(NamedTuple):
 def is_separated(la: Partition, ctx: SplitContext) -> bool:
     """True if the first empty I-position comes after the last occupied
     complement position (read as -1 when no complement position is occupied)."""
+    return _separated(beta_numbers(la, ctx.n), ctx)
+
+
+def _separated(occ: set[int], ctx: SplitContext) -> bool:
+    """is_separated on the n-bead set of the partition."""
     e, res = ctx.e, ctx.residues
-    occ = beta_numbers(la, ctx.n)
     last_bar = max((p for p in occ if p % e not in res), default=-1)
     return all(p in occ for p in range(last_bar) if p % e in res)
 
@@ -95,11 +105,16 @@ def split(la: Partition, ctx: SplitContext) -> SplitResult:
 def combine(beta: Partition, gamma: Partition, ctx: SplitContext) -> Partition:
     """The unique partition with exactly u beads on I-positions whose halves
     are beta (on I) and gamma (on the complement)."""
+    return from_beta_numbers(_combined_beads(beta, gamma, ctx))
+
+
+def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext) -> set[int]:
+    """The n-bead set that combine decodes."""
     if ctx.u is None:
         raise ValueError("the context must fix u to combine")
     occ = to_global(beta_numbers(beta, ctx.u), ctx.e, ctx.residues)
     occ |= to_global(beta_numbers(gamma, ctx.n - ctx.u), ctx.e, ctx.complement)
-    return from_beta_numbers(occ)
+    return occ
 
 
 def box_row(alpha: Partition, beta: Partition, c_bar: int) -> Partition:
@@ -119,6 +134,42 @@ def box_col(alpha: Partition, beta: Partition, c: int) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
+class _Halves(NamedTuple):
+    lambda_I: Partition
+    lambda_Ibar: Partition
+    mu_I: Partition
+    mu_Ibar: Partition
+
+
+@lru_cache(maxsize=1024)
+def _split_halves(
+    alpha: Partition, beta: Partition, gamma: Partition, c: int, c_bar: int
+) -> _Halves:
+    """The four halves of the splitting pair, which do not depend on u, the
+    residues or the bead count: each is computed once for every u."""
+    if not beta.is_e_restricted(c):
+        raise ValueError(f"beta = {beta.parts} is not {c}-restricted")
+    if not gamma.is_e_restricted(c_bar):
+        raise ValueError(f"gamma = {gamma.parts} is not {c_bar}-restricted")
+    return _Halves(
+        beta,
+        box_row(alpha, gamma, c_bar),
+        box_col(alpha.conjugate(), mullineux(beta.conjugate(), c), c),
+        mullineux(gamma.conjugate(), c_bar),
+    )
+
+
+def _split_pair_beads(
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+) -> tuple[set[int], set[int]]:
+    """The n-bead sets of the pair (la, mu) of build_split_pair."""
+    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
+    return (
+        _combined_beads(h.lambda_I, h.lambda_Ibar, ctx),
+        _combined_beads(h.mu_I, h.mu_Ibar, ctx),
+    )
+
+
 def build_split_pair(
     alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
 ) -> tuple[Partition, Partition]:
@@ -129,18 +180,19 @@ def build_split_pair(
     and mu_Ibar = m_cbar(gamma').  beta must be c-restricted and gamma
     cbar-restricted (forced empty when c or cbar is 1).
     """
-    c, cb = ctx.c, ctx.c_bar
-    if not beta.is_e_restricted(c):
-        raise ValueError(f"beta = {beta.parts} is not {c}-restricted")
-    if not gamma.is_e_restricted(cb):
-        raise ValueError(f"gamma = {gamma.parts} is not {cb}-restricted")
-    la = combine(beta, box_row(alpha, gamma, cb), ctx)
-    mu = combine(
-        box_col(alpha.conjugate(), mullineux(beta.conjugate(), c), c),
-        mullineux(gamma.conjugate(), cb),
-        ctx,
-    )
-    return la, mu
+    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx)
+    return from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
+
+
+def split_u_range(
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+) -> range:
+    """The u for which build_split_pair can place both pairs of halves on
+    ctx.n beads: from max(len(la_I), len(mu_I)) to
+    n - max(len(la_Ibar), len(mu_Ibar)).  ctx.u is ignored."""
+    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
+    low = max(len(h.lambda_I), len(h.mu_I))
+    return range(low, ctx.n - max(len(h.lambda_Ibar), len(h.mu_Ibar)) + 1)
 
 
 @dataclass(frozen=True)
@@ -159,10 +211,17 @@ def verify_split(
     alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
 ) -> SplitReport:
     """Check one instance: when both la and mu are I-separated, assert that
-    m_e(la') = mu; otherwise report that the hypothesis is not met."""
-    la, mu = build_split_pair(alpha, beta, gamma, ctx)
-    la_sep = is_separated(la, ctx)
-    mu_sep = is_separated(mu, ctx)
+    m_e(la') = mu; otherwise report that the hypothesis is not met.
+
+    la and mu are those of build_split_pair.  Their four halves do not
+    depend on u, so they are computed once per (alpha, beta, gamma, c) and
+    kept in a bounded memo; each u then only places them on the n beads,
+    and separation is read off those bead sets before they are decoded.
+    """
+    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx)
+    la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
+    la_sep = _separated(la_occ, ctx)
+    mu_sep = _separated(mu_occ, ctx)
     if not (la_sep and mu_sep):
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
     image = mullineux(la.conjugate(), ctx.e)
@@ -194,16 +253,24 @@ def quotient_sigma(la: Partition, e: int) -> tuple[int, ...]:
     """Runners ordered by (bead count, left-to-right position).  e more beads
     put one more on every runner, so the order does not depend on the bead
     count."""
-    counts = runner_counts(beta_numbers(la, default_beads(la, e)), e)
-    return tuple(sorted(range(e), key=lambda i: (counts[i], i)))
+    return _sigma(runner_counts(beta_numbers(la, default_beads(la, e)), e))
+
+
+def _sigma(counts: list[int]) -> tuple[int, ...]:
+    """quotient_sigma from the runner counts of a display."""
+    return tuple(sorted(range(len(counts)), key=lambda i: (counts[i], i)))
 
 
 def is_quotient_separated(la: Partition, e: int) -> bool:
     """True if, for every pair of runners in sigma order, the last bead of
     the earlier runner precedes the first gap of the later one.  e more
     beads shift every runner alike, so the bead count does not matter."""
-    sigma = quotient_sigma(la, e)
     occ = beta_numbers(la, default_beads(la, e))
+    return _quotient_separated(occ, e, _sigma(runner_counts(occ, e)))
+
+
+def _quotient_separated(occ: set[int], e: int, sigma: tuple[int, ...]) -> bool:
+    """is_quotient_separated on a bead set whose size is a multiple of e."""
     last_bead = [max((p for p in occ if p % e == i), default=-1) for i in range(e)]
     first_gap = [next(p for p in count(i, e) if p not in occ) for i in range(e)]
     return all(
@@ -215,14 +282,17 @@ def paget_mu(la: Partition, e: int) -> Partition:
     """The quotient-shifted partner of an e-restricted, e-quotient-separated
     partition: same e-core, empty first quotient component in sigma order,
     and each later component the conjugate of its predecessor in la.  The
-    result is the same for every bead count, so none is taken."""
+    result is the same for every bead count, so none is taken; the bead
+    set of la is encoded once and every step reads it."""
     if not la.is_e_restricted(e):
         raise ValueError(f"{la.parts} is not {e}-restricted")
-    if not is_quotient_separated(la, e):
+    occ = beta_numbers(la, default_beads(la, e))
+    counts = runner_counts(occ, e)
+    sigma = _sigma(counts)
+    if not _quotient_separated(occ, e, sigma):
         raise ValueError(f"{la.parts} is not {e}-quotient separated")
-    sigma = quotient_sigma(la, e)
-    quot = e_quotient(la, e)
+    quot = _quotient(occ, e)
     new_quot: list[Partition] = [Partition()] * e
     for k in range(2, e + 1):
         new_quot[sigma[k - 1]] = quot[sigma[k - 2]].conjugate()
-    return from_core_and_quotient(e_core(la, e), new_quot, e)
+    return _fit_runners(new_quot, counts)

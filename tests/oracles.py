@@ -4,15 +4,20 @@ Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display, column growth works through
 the conjugate, dominance is the raw prefix-sum comparison, the crystal
-node order compares two nodes through the arm value A_t itself, and the
+node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per step, each of which checks the
-partition it is given in full.
+partition it is given in full, the ladder fingerprint keys each node by its
+own ladder_id call, and the splitting report rebuilds every half for each u.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from regcrystals.crystals import e_op, f_op
+from regcrystals.ladders import ladder_id
+from regcrystals.mullineux import mullineux
 from regcrystals.partitions import Partition
+from regcrystals.separation import SplitReport, combine, is_separated
 
 
 @lru_cache(maxsize=None)
@@ -104,3 +109,32 @@ def peel_and_rebuild_by_operators(la, src, dst, order, sign):
         la = f_op(la, dst, i)
         assert la is not None, f"no cogood {i}-node"
     return la
+
+
+def fingerprint_by_ladder_id(la, params) -> Counter:
+    """Node count of la per ladder, each node keyed by one ladder_id call."""
+    return Counter(
+        ladder_id((r, c), params)
+        for r, row_len in enumerate(la.parts, start=1)
+        for c in range(1, row_len + 1)
+    )
+
+
+def split_report_oracle(alpha, beta, gamma, ctx) -> SplitReport:
+    """The splitting-theorem report built from scratch for ctx.u: both
+    partitions by combine from halves made here, separation by the public
+    is_separated on the decoded partitions, and m_e(la') when both are
+    separated."""
+    c, cb = ctx.c, ctx.c_bar
+    rows = range(max(len(alpha), len(gamma)))
+    la_ibar = Partition(cb * alpha.part(r + 1) + gamma.part(r + 1) for r in rows)
+    mu_i = list(mullineux(beta.conjugate(), c).parts)
+    for p in alpha.conjugate().parts:
+        mu_i += [p] * c
+    la = combine(beta, la_ibar, ctx)
+    mu = combine(Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx)
+    la_sep, mu_sep = is_separated(la, ctx), is_separated(mu, ctx)
+    if not (la_sep and mu_sep):
+        return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
+    image = mullineux(la.conjugate(), ctx.e)
+    return SplitReport("holds" if image == mu else "falsified", la, mu, la_sep, mu_sep, image)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from regcrystals import crystals as cr
 from regcrystals import verify as vf
-from regcrystals.cli import main
+from regcrystals.cli import MAX_BEADS, build_parser, main
 from regcrystals.partitions import MAX_PARSE_SIZE, parse_partition
 
 
@@ -272,6 +273,47 @@ class TestSplit:
             "u = 3",
             "separated = no",
         ]
+
+
+class TestBeadLimit:
+    # --e 4 with one bead per row over the limit, rounded up to a multiple of 4;
+    # --e MAX_BEADS + 1 gives a nonempty partition twice that many beads
+    OVER = MAX_BEADS + 4 - MAX_BEADS % 4
+    CASES = [
+        (["split", "--e", "4", "--I", "0", "--beads", str(OVER), "3,2"], OVER),
+        (["split", "--e", str(MAX_BEADS + 1), "--I", "0", "3,2"], 2 * MAX_BEADS + 2),
+        (["abacus", "show", "--e", "4", "--beads", str(OVER), "3,2"], OVER),
+        (["abacus", "show", "--e", str(MAX_BEADS + 1), "3,2"], 2 * MAX_BEADS + 2),
+        (["paget", "--e", str(MAX_BEADS + 1), "3,2"], 2 * MAX_BEADS + 2),
+    ]
+
+    @pytest.mark.parametrize("argv, beads", CASES, ids=[" ".join(a[:2]) + f" {b}" for a, b in CASES])
+    def test_count_over_the_limit_exits_1(self, capsys, argv, beads):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: bead count {beads} exceeds the limit {MAX_BEADS}\n"
+
+    def test_runner_count_over_the_limit_exits_1(self, capsys):
+        code, out, err = run(capsys, "abacus", "show", "--e", str(MAX_BEADS + 1), "--beads", "5", "3,2")
+        assert code == 1 and out == ""
+        assert err == f"error: runner count {MAX_BEADS + 1} exceeds the limit {MAX_BEADS}\n"
+
+    def test_count_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "split", "--e", "4", "--I", "0", "--beads", str(MAX_BEADS), "3,2")
+        assert code == 0 and out.splitlines()[-1] == "separated = yes"
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CASES], ids=[str(b) for _, b in CASES])
+    def test_nothing_is_allocated_before_the_check(self, argv):
+        # the beads past the limit would take megabytes as a set of positions
+        args = build_parser().parse_args(argv)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                args.func(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestPaget:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fingerprint_by_ladder_id
 from regcrystals import ladders as ld
 from regcrystals.ladders import LadderParams
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
@@ -130,6 +131,15 @@ class TestFingerprint:
     def test_total_count(self):
         for la in all_up_to(10):
             assert sum(ld.fingerprint(la, LadderParams(4, 3)).values()) == la.size
+
+    @pytest.mark.parametrize("e", [3, 4, 5])
+    def test_keys_are_ladder_ids(self, e):
+        slopes = [Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)]
+        assert any(y.denominator > 1 for y in slopes)
+        for y in sorted(set(slopes)):
+            params = LadderParams(e, y)
+            for la in all_up_to(12):
+                assert ld.fingerprint(la, params) == fingerprint_by_ladder_id(la, params), (la, y)
 
 
 class TestRegularityPredicates:

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from oracles import split_report_oracle
 from regcrystals import abacus as ab
 from regcrystals import separation as sp
+from regcrystals import verify
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import mullineux
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
@@ -30,6 +34,14 @@ class TestContext:
         ctx = SplitContext(5, frozenset({0, 2}), 10)
         assert ctx.c == 2 and ctx.c_bar == 3
         assert ctx.complement == frozenset({1, 3, 4})
+
+    def test_with_u_checks_only_u(self):
+        ctx = SplitContext(5, frozenset({0, 2}), 10)
+        for u in range(11):
+            assert ctx.with_u(u) == replace(ctx, u=u) and ctx.u is None
+        for u in (-1, 11):
+            with pytest.raises(ValueError, match=f"u = {u} outside"):
+                ctx.with_u(u)
 
 
 class TestSeparated:
@@ -175,6 +187,55 @@ class TestVerifySplit:
         return SplitContext(5, frozenset({1, 4}), 15, 10)
 
 
+class TestHalvesOncePerTriple:
+    """verify_split reads the u-invariant halves from a memo and tests
+    separation on bead sets; the oracle rebuilds everything for each u."""
+
+    @pytest.mark.parametrize("e", [3, 4])
+    def test_reports_equal_the_oracle_for_every_u(self, e):
+        pieces = list(all_up_to(2))
+        checked = met = 0
+        for ctx0 in verify._split_contexts(e, 2):
+            c, cb = ctx0.c, ctx0.c_bar
+            for alpha in pieces:
+                for beta in (p for p in pieces if p.is_e_restricted(c)):
+                    for gamma in (p for p in pieces if p.is_e_restricted(cb)):
+                        low = max(
+                            len(beta),
+                            len(mullineux(beta.conjugate(), c)) + c * len(alpha.conjugate()),
+                        )
+                        high = ctx0.n - max(
+                            len(alpha), len(gamma), len(mullineux(gamma.conjugate(), cb))
+                        )
+                        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+                        assert u_range == range(low, high + 1)
+                        for u in u_range:
+                            ctx = ctx0.with_u(u)
+                            report = sp.verify_split(alpha, beta, gamma, ctx)
+                            assert report == split_report_oracle(alpha, beta, gamma, ctx), (
+                                alpha, beta, gamma, ctx)
+                            assert (report.la, report.mu) == sp.build_split_pair(
+                                alpha, beta, gamma, ctx)
+                            checked += 1
+                            met += report.verdict != "hypothesis-not-met"
+        assert checked > met > 0
+
+    def test_u_range_ends_where_combine_fails(self):
+        ctx0 = SplitContext(5, frozenset({1, 4}), 15)
+        alpha, beta, gamma = P("2^2,1"), P("2,1^2"), P("1^3")
+        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+        assert 10 in u_range
+        for u in (u_range.start - 1, u_range.stop):
+            with pytest.raises(ValueError, match="need at least"):
+                sp.build_split_pair(alpha, beta, gamma, ctx0.with_u(u))
+
+    def test_unrestricted_pieces_are_rejected_every_time(self):
+        ctx = SplitContext(5, frozenset({1, 4}), 15, 10)
+        for _ in range(2):  # a raise leaves nothing in the memo
+            with pytest.raises(ValueError, match="is not 2-restricted"):
+                sp.verify_split(P("1"), P("3"), P("1"), ctx)
+
+
 class TestBoxStep:
     def test_preserves_cbar_fingerprint(self):
         checked = 0
@@ -225,6 +286,20 @@ class TestPaget:
         core = P("2,1")  # a 4-core
         assert ab.e_core(core, 4) == core
         assert sp.paget_mu(core, 4) == core
+
+    def test_bead_set_is_encoded_once(self, monkeypatch):
+        la = TestQuotientSeparation.PAGET_LA
+        encoded = []
+        for module in (sp, ab):
+            real = module.beta_numbers
+
+            def counting(mu, n, real=real):
+                encoded.append(mu)
+                return real(mu, n)
+
+            monkeypatch.setattr(module, "beta_numbers", counting)
+        assert sp.paget_mu(la, 4) == TestQuotientSeparation.PAGET_MU
+        assert encoded.count(la) == 1
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,34 @@ def test_suite_passes_at_a_small_bound(suite, max_size, e_values):
         assert result.ok and result.checked > 0, result.line()
 
 
+# Instance counts of the split suite at --max 5: a change in what the suite
+# checks moves them.  The first three properties run e = 4 and 5 whatever
+# the e values are.
+SPLIT_COUNTS = {
+    (4,): {
+        "split_combine_round_trip": 114,
+        "separated_regular_iff_half_restricted": 401,
+        "separated_restricted_iff_half_restricted": 401,
+        "splitting_theorem": 552,
+        "box_step_preserves_cbar_fingerprint": 110,
+    },
+    (3, 5): {
+        "split_combine_round_trip": 114,
+        "separated_regular_iff_half_restricted": 401,
+        "separated_restricted_iff_half_restricted": 401,
+        "splitting_theorem": 1844,
+        "box_step_preserves_cbar_fingerprint": 372,
+    },
+}
+
+
+@pytest.mark.parametrize("e_values", list(SPLIT_COUNTS), ids=str)
+def test_split_counts_at_max_5(e_values):
+    results = run_suites(["split"], max_size=5, e_values=e_values)
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert {r.name: r.checked for r in results} == SPLIT_COUNTS[e_values]
+
+
 def test_first_failure_is_reported_and_counted(lyle_fails_at_2_1):
     dominance, equality = run_suites(["lyle"], max_size=4, e_values=(3,))
     # 2,1 is the sixth partition of size <= 4 in enumeration order
