@@ -9,14 +9,17 @@ node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
 the ladder depth first.  A-regularity reads the hooks of length
-divisible by e off the bead set.  One step moves a good or cogood node of
-a row list in place and checks only the hooks of the moved row and column.
-e_op/f_op check their input in full and take one step; the walk of
-mullineux.peel_and_rebuild and the breadth-first build_graph take all of
-theirs on row lists.  Crystals for any two prefixes are
-isomorphic via a chain of ladder regularisations at the slope of each
-prefix in turn; apply_chain is the last image of chain_steps, which yields
-each step.
+divisible by e off the bead set.  The i-string kernel walks the rows once
+for residue i, then moves good i-nodes (last first) or cogood ones (first
+first) of a row list in place, checking only the hooks of each moved row
+and column as it moves; moving an i-node changes no other i-node's sign,
+so one walk serves the whole string.  e_op/f_op check their input in full
+and move one node; mullineux.peel_and_rebuild moves whole strings, one walk
+each.  The breadth-first build_graph walks each vertex once for every
+residue at once and adds each residue's cogood node.  Crystals for any two
+prefixes are isomorphic via a chain of ladder regularisations at the slope
+of each prefix in turn; apply_chain is the last image of chain_steps,
+which yields each step.
 """
 
 from __future__ import annotations
@@ -161,6 +164,30 @@ def _signed_i_nodes(parts, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
     return [(node, sign) for _, _, node, sign in keyed]
 
 
+def _signed_nodes(parts, prefix: ArmPrefix) -> dict[int, list[tuple[Node, str]]]:
+    """_signed_i_nodes of every residue that has an addable or removable
+    node, from one walk down the rows and one sort; the residue of a node is
+    -(r - c) mod e, read off the second part of its key."""
+    e, y = prefix.e, prefix.slope
+    wr = y.numerator
+    wc = e * y.denominator - wr
+    keyed = []
+    above = None
+    for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
+        if below < p:
+            keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
+        if above != p:
+            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), "+"))
+        above = p
+    r = len(parts) + 1
+    keyed.append((wr * r + wc, r - 1, (r, 1), "+"))
+    keyed.sort(reverse=True)
+    signed = {}
+    for _, d, node, sign in keyed:
+        signed.setdefault(-d % e, []).append((node, sign))
+    return signed
+
+
 def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
     """Signs of the addable/removable i-nodes, greatest node first."""
     if la.size > prefix.bound:
@@ -198,25 +225,20 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     return all(arm != arms[t - 1] for t, arm in hooks_divisible_by(la, prefix.e))
 
 
-def _move(parts: list[int], prefix: ArmPrefix, i: int, grow: bool) -> Node | None:
-    """Add the cogood (grow) or remove the good i-node of the partition with
-    these parts, in place, and return it; None if there is none."""
-    minus, plus = _reduce(_signed_i_nodes(parts, prefix, i))
-    if not (plus if grow else minus):
-        return None
-    r, _ = node = plus[0] if grow else minus[-1]
+def _place(parts: list[int], node: Node, grow: bool) -> None:
+    """Add (grow) or remove the addable or removable node of parts, in place."""
+    r = node[0]
     if r > len(parts):
         parts.append(1)
     else:
         parts[r - 1] += 1 if grow else -1
         if not parts[-1]:  # a removable node in column 1 ends the last row
             parts.pop()
-    return node
 
 
 def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
     """True if no hook that moving node changed has length e*t and arm A_t,
-    for parts just moved by _move from an A-regular partition.
+    for parts just moved by _place from an A-regular partition.
 
     Adding or removing the node (r, c) moves one bead of the bead set, and
     the only hooks it changes are those of the moved bead (the hooks of row
@@ -248,12 +270,23 @@ def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
     return True
 
 
-def _step(parts: list[int], prefix: ArmPrefix, i: int, grow: bool) -> bool:
-    """_move, then _move_ok: False if no node moved, ValueError if the move fails."""
-    node = _move(parts, prefix, i, grow)
-    if node is not None and not _move_ok(parts, node, prefix):
-        raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
-    return node is not None
+def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int | None = None) -> int:
+    """Move up to k i-nodes of parts in place after one walk, and return how
+    many moved: the cogood nodes in turn (f_i applied k times) if grow, else
+    the good ones, last first (e_i applied k times); k None moves them all.
+
+    Moving an i-node changes no other i-node's sign, so the reduced
+    signature -^a +^b just loses its last '-' to its '+'s (or its first '+'
+    to its '-'s), and the next node to move is the next one it kept.  Each
+    move is checked as it is made; ValueError if one fails.
+    """
+    minus, plus = _reduce(_signed_i_nodes(parts, prefix, i))
+    nodes = plus[:k] if grow else minus[::-1][:k]
+    for node in nodes:
+        _place(parts, node, grow)
+        if not _move_ok(parts, node, prefix):
+            raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
+    return len(nodes)
 
 
 def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | None:
@@ -263,7 +296,7 @@ def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | 
             raise ValueError(f"{la.parts} is not regular for {prefix!r}")
         prefix._checked = la
     parts = list(la.parts)
-    return Partition(parts) if _step(parts, prefix, i, grow) else None
+    return Partition(parts) if _move_string(parts, prefix, i, grow, 1) else None
 
 
 def e_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
@@ -290,8 +323,11 @@ class CrystalGraph:
 
 def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     """All A-regular partitions of size <= max_size with their f-operator edges,
-    found breadth-first from the empty partition.  Each vertex is checked
-    once, by the move check from the vertex that first reached it."""
+    found breadth-first from the empty partition.  One walk per vertex below
+    the bound gives the signed nodes of every residue that has one, and each
+    residue with a '+' gives an edge to the vertex with its cogood node added.
+    Each vertex is checked once, by the move check from the vertex that
+    first reached it."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
@@ -303,11 +339,12 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     for la in vertices:
         if la.size == bound:
             continue
-        for i in range(prefix.e):
-            parts = list(la.parts)
-            node = _move(parts, prefix, i, True)
-            if node is None:
+        for i, signed in sorted(_signed_nodes(la.parts, prefix).items()):
+            plus = _reduce(signed)[1]
+            if not plus:
                 continue
+            parts, node = list(la.parts), plus[0]
+            _place(parts, node, True)
             mu = Partition(parts)
             if mu not in reached:
                 if not _move_ok(parts, node, prefix):

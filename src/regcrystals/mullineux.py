@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .crystals import ArmPrefix, _step, e_op
+from .crystals import ArmPrefix, _move_string, e_op
 from .ladders import LadderParams, hooks_divisible_by, regularise
 from .partitions import Hook, Partition
 
@@ -84,29 +84,46 @@ def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Part
 def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign: int) -> Partition:
     """Walk la to the empty partition in the src crystal and back up in dst.
 
-    Each peel removes the good node of the first residue i in ``order`` that
-    has one; the rebuild adds cogood nodes in dst at the residues sign*i mod
-    e, last peeled first.  The first removal is e_op's, which checks la in
-    full; after it, each step moves one node of a row list in place and
-    checks that move, raising ValueError if it fails.
+    The peel removes whole good strings: the first residue i in ``order``
+    with a good node loses all of them (e_i applied epsilon_i times), and
+    the run (i, count) is recorded.  The rebuild adds, last run first, count
+    cogood nodes in dst at the residue sign*i mod e (f applied count times).
+    Removing i-nodes changes only the i-1, i and i+1 signatures, so a
+    residue found without a good node is skipped until a string of a
+    neighbouring residue is removed.  The crystal is connected from the
+    empty partition, so every path to it gives the same image.  The first
+    removal is e_op's, which checks la in full; after it, each string moves
+    on one row list in place, one walk per run, and each node is checked as
+    it moves, raising ValueError if it fails.
     """
     if not la:
         return la
     if la.size > dst.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
-    first = next(((i, mu) for i in order if (mu := e_op(la, src, i)) is not None), None)
-    if first is None:
+    e, bare = src.e, set()  # bare: residues with no good node on parts
+    for i in order:
+        mu = e_op(la, src, i)
+        if mu is not None:
+            break
+        bare.add(i)
+    else:
         raise AssertionError(f"no good node on {la.parts}")
-    peeled, parts = [sign * first[0] % src.e], list(first[1].parts)
+    parts = list(mu.parts)
+    runs = [(i, 1 + _move_string(parts, src, i, False))]
     while parts:
+        bare = bare - {(i - 1) % e, (i + 1) % e} | {i}
         for i in order:
-            if _step(parts, src, i, False):
-                peeled.append(sign * i % src.e)
-                break
+            if i not in bare:
+                count = _move_string(parts, src, i, False)
+                if count:
+                    break
+                bare.add(i)
         else:
             raise AssertionError(f"no good node on {tuple(parts)}")
-    for i in reversed(peeled):
-        if not _step(parts, dst, i, True):
+        runs.append((i, count))
+    for i, count in reversed(runs):
+        i = sign * i % e
+        if _move_string(parts, dst, i, True, count) < count:
             raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
     return Partition(parts)
 

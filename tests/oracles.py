@@ -5,9 +5,10 @@ checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display, column growth works through
 the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
-crystal walk takes one public operator per step, each of which checks the
-partition it is given in full, the ladder fingerprint keys each node by its
-own ladder_id call, and the splitting report rebuilds every half for each u.
+crystal walk takes one public operator per node where the library moves
+whole strings, each operator checking the partition it is given in full,
+the ladder fingerprint keys each node by its own ladder_id call, and the
+splitting report rebuilds every half for each u.
 """
 
 from collections import Counter
@@ -98,9 +99,12 @@ def node_compare(prefix, a, b) -> int:
 
 
 def peel_and_rebuild_by_operators(la, src, dst, order, sign):
-    """The walk of mullineux.peel_and_rebuild, one e_op/f_op call and one
-    Partition per step: peel at the first residue in order with a good node,
-    then rebuild in dst at the residues sign*i mod e, last peeled first."""
+    """The map of mullineux.peel_and_rebuild by another path, one e_op/f_op
+    call and one Partition per node: peel one node at the first residue in
+    order with a good node, then rebuild in dst at the residues sign*i mod e,
+    last peeled first.  peel_and_rebuild removes whole strings, so its path
+    to the empty partition differs; the crystal is connected from there, so
+    both paths have the same image."""
     peeled = []
     while la:
         i, la = next((i, mu) for i in order if (mu := e_op(la, src, i)) is not None)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -25,6 +28,19 @@ class TestConj:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"input": "6,4,2,1,1", "conjugate": "5,3,2,2,1,1"}
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # python -m regcrystals, run from any directory with the package on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cr.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "regcrystals", "conj", "3,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "conj", "3,1")
+    assert done.returncode == 0 and done.stdout == "2,1,1\n"
 
 
 class TestAbacus:
@@ -134,14 +150,15 @@ class TestCrystal:
 
     def test_operator_leaving_the_regular_set_exits_1(self, capsys, monkeypatch):
         # every addition to the empty partition gives 1,1,1, which has a
-        # 3-hook of arm A_1 = 0; no other partition has an addable node
-        def faulty(parts, prefix, i, grow):
-            if parts:
-                return None
-            parts[:] = [1, 1, 1]
-            return (3, 1)
+        # 3-hook of arm A_1 = 0; the first edge the search takes is from it
+        real = cr._place
 
-        monkeypatch.setattr(cr, "_move", faulty)
+        def faulty(parts, node, grow):
+            if parts:
+                return real(parts, node, grow)
+            parts[:] = [1, 1, 1]
+
+        monkeypatch.setattr(cr, "_place", faulty)
         code, out, err = run(capsys, "crystal", "--e", "3", "--arm", "0,1")
         assert code == 1 and out == ""
         assert err == "error: operator left the A-regular set: - -0-> 1,1,1\n"
@@ -391,7 +408,7 @@ class TestVerify:
         ]
 
     def test_peel_without_a_good_node_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cr, "_move", lambda *args: None)
+        monkeypatch.setattr(cr, "_signed_i_nodes", lambda *args: [])
         code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
         assert code == 1 and out == ""
         assert err == "error: no good node on (1,)\n"

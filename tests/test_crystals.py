@@ -159,6 +159,7 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
                     pairs = cr._signed_i_nodes(la.parts, prefix, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
+                    assert cr._signed_nodes(la.parts, prefix).get(i, []) == pairs
                     assert sorted(nd for nd, _ in pairs) == sorted(
                         nd for nd in la.addable_nodes() + la.removable_nodes()
                         if (nd[1] - nd[0]) % e == i
@@ -283,38 +284,69 @@ def test_one_move_recheck_equals_full_check(prefix):
     assert moves > 0
 
 
+@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
+def test_string_kernel_equals_the_operators(prefix):
+    # from every A-regular partition and at every residue, removing the good
+    # string is e_op to exhaustion, and adding k cogood nodes is f_op applied
+    # k times; asked for more, the kernel adds the cogood nodes there are
+    strings = 0
+    for la in all_up_to(prefix.bound):
+        if not cr.is_A_regular(la, prefix):
+            continue
+        for i in range(prefix.e):
+            reduced = cr.reduce_signature(cr.i_signature(la, prefix, i))
+            parts, mu = list(la.parts), la
+            assert cr._move_string(parts, prefix, i, False) == reduced.count("-")
+            while (nu := cr.e_op(mu, prefix, i)) is not None:
+                mu = nu
+            assert tuple(parts) == mu.parts, (la, i)
+            phi, mu = reduced.count("+"), la
+            for k in range(1, min(phi, prefix.bound - la.size) + 1):
+                mu, parts = cr.f_op(mu, prefix, i), list(la.parts)
+                assert cr._move_string(parts, prefix, i, True, k) == k
+                assert tuple(parts) == mu.parts, (la, i, k)
+            if la.size + phi <= prefix.bound:
+                assert cr._move_string(list(la.parts), prefix, i, True, phi + 1) == phi
+            strings += 1
+    assert strings > 0
+
+
 def test_peel_raises_when_a_move_fails_its_check(monkeypatch):
-    # a kernel that drops the wrong node of 3,2,2 leaves 2,2,2, which is not 3-regular
-    real = cr._move
+    # a walk that reports the wrong node of 3,2,2 drops it and leaves 2,2,2,
+    # which is not 3-regular
+    real = cr._signed_i_nodes
 
-    def faulty(parts, prefix, i, grow):
-        if parts == [3, 2, 2] and not grow:
-            parts[0] -= 1
-            return (1, 3)
-        return real(parts, prefix, i, grow)
+    def faulty(parts, prefix, i):
+        return [((1, 3), "-")] if list(parts) == [3, 2, 2] else real(parts, prefix, i)
 
-    monkeypatch.setattr(cr, "_move", faulty)
+    monkeypatch.setattr(cr, "_signed_i_nodes", faulty)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
 
 
 def test_rebuild_checks_its_last_image(monkeypatch):
-    # a kernel whose last addition leaves 2,2,2: no operator follows it, so
-    # only the check of that move itself can catch it
-    real = cr._move
+    # a placement whose last addition leaves 2,2,2 (the rebuild of 3,2,1
+    # ends with a string of one node): no operator follows it, so only the
+    # check of that move itself can catch it
+    real = cr._place
 
-    def faulty(parts, prefix, i, grow):
-        node = real(parts, prefix, i, grow)
+    def faulty(parts, node, grow):
+        real(parts, node, grow)
         if grow and sum(parts) == 6:
             parts[:] = [2, 2, 2]
-            return (3, 2)
-        return node
 
-    monkeypatch.setattr(cr, "_move", faulty)
+    monkeypatch.setattr(cr, "_place", faulty)
     prefix = ArmPrefix.from_slope(3, 1, 2, "-")
     with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,1"), prefix, prefix, range(3), -1)
+
+
+def test_rebuild_without_enough_cogood_nodes_raises():
+    # sign 0 sends both runs of 1,1 to residue 0, and 1 has no addable 0-node
+    prefix = ArmPrefix.from_slope(3, 1, 2, "-")
+    with pytest.raises(AssertionError, match=r"^no cogood 0-node on \(1,\)$"):
+        peel_and_rebuild(P("1,1"), prefix, prefix, range(3), 0)
 
 
 def test_walk_rejects_a_partition_beyond_the_target_bound():
@@ -391,6 +423,16 @@ class TestGraphs:
         assert '"-" -> "1" [label="0"];' in dot
 
 
+def test_graph_of_a_huge_modulus_walks_once_per_vertex(count_walks):
+    # no loop or allocation of size e: one walk for the empty partition, and
+    # none for the vertex at the bound
+    walks = count_walks("_signed_nodes")
+    graph = cr.build_graph(ArmPrefix(10**8, (0,)), 1)
+    assert graph.vertices == (Partition(), P("1"))
+    assert graph.edges == ((Partition(), 0, P("1")),)
+    assert walks == [((), graph.arm)]
+
+
 def filter_route_graph(prefix, bound):
     """Vertices and f-edges found by enumerating every partition up to bound."""
     vertices = [la for la in all_up_to(bound) if cr.is_A_regular(la, prefix)]
@@ -407,9 +449,11 @@ def filter_route_graph(prefix, bound):
     "prefix, max_size",
     [(p, None) for p in verify._CRYSTAL_PREFIXES] + [(verify._CRYSTAL_PREFIXES[4], 8)],
 )
-def test_search_graph_equals_filter_route(prefix, max_size):
+def test_search_graph_equals_filter_route(prefix, max_size, count_walks):
+    walks = count_walks("_signed_nodes")
     graph = cr.build_graph(prefix, max_size)
     bound = prefix.bound if max_size is None else max_size
+    assert len(walks) == sum(v.size < bound for v in graph.vertices)
     vertices, edges = filter_route_graph(prefix, bound)
     assert graph.bound == bound
     assert set(graph.vertices) == vertices and len(graph.vertices) == len(vertices)

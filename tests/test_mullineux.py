@@ -115,11 +115,15 @@ def test_two_routes_agree_at_large_n():
         assert mullineux(image, e) == la
 
 
-def test_walk_equals_the_operator_walk_at_large_n():
+def test_walk_equals_the_operator_walk_at_large_n(count_walks):
     # seeded inputs with n = 50..200 and e = 3..6, on the e-regular crystal
     # (the oracle's walk) and from the slope-(e-1) "+" crystal to it (a chain
-    # pair, as in verify's chain_factorisations_induce_same_map)
+    # pair, as in verify's chain_factorisations_induce_same_map); the string
+    # walks take fewer row walks in all than the nodes they move, though not
+    # each one: every string of a one-row partition has one node
+    walks = count_walks("_signed_i_nodes")
     rng = random.Random(20210518)
+    walked = moved = 0
     for k in range(12):
         e, n = 3 + k % 4, 50 + 150 * k // 11
         la = random_regular_partition(rng, n, e)
@@ -131,7 +135,10 @@ def test_walk_equals_the_operator_walk_at_large_n():
             (la.conjugate(), top, bottom, range(e), 1),
         ):
             expected = peel_and_rebuild_by_operators(mu, src, dst, order, sign)
+            walks.clear()
             assert peel_and_rebuild(mu, src, dst, order, sign) == expected, (mu, e)
+            walked, moved = walked + len(walks), moved + 2 * mu.size
+    assert walked < moved
 
 
 class TestOracle:
