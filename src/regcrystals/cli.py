@@ -155,6 +155,8 @@ def _cmd_crystal(args) -> int:
         prefix = cr.ArmPrefix(args.e, args.arm)
     else:
         y, variant = args.slope
+        if args.e < 2:  # checked before the prefix length divides by e
+            raise ValueError("e must be at least 2")
         size = args.max_size if args.max_size is not None else 3 * args.e
         prefix = cr.ArmPrefix.from_slope(args.e, y, -(-size // args.e), variant)
     graph = cr.build_graph(prefix, args.max_size)

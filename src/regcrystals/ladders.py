@@ -13,8 +13,9 @@ Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
 restrictise_steps (the conjugated steps at the conjugate slope e - y).
 
-Every hook predicate (here, is_A_regular and the Mullineux slopes) reads the
-bead set through hooks_divisible_by, one runner of the E- or e-abacus at a time.
+regularise_steps and the Mullineux loop share one step loop, _steps, with
+one e-walk per move (_top_hook).  Every hook predicate (here, is_A_regular
+and _top_hook) reads the bead set through hooks_divisible_by.
 
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
@@ -146,9 +147,17 @@ def bad_count(la: Partition, params: LadderParams) -> int:
     return sum(1 for t, arm in hooks_divisible_by(la, params.e) if t % z and arm == num * t // z)
 
 
-def _largest_singular_t(la: Partition, em: int, ym: int) -> int | None:
-    """Largest t such that la has a hook of length em*t with arm ym*t - 1."""
-    return max((t for t, arm in hooks_divisible_by(la, em) if arm == ym * t - 1), default=None)
+def _top_hook(la: Partition, e: int, p: int, q: int) -> tuple[int, int] | None:
+    """(arm + 1, t) of the longest hook of length e*t whose slope (arm + 1)/t
+    is the largest in [1, p/q], or None.  With a = arm + 1, a/t = Y/q' in
+    lowest terms exactly when the hook is singular at (E, Y) = (e*q', Y)
+    scaled by a/Y, so the move it calls for is at (e*t, a)."""
+    best_a, best_t = 0, 1
+    for t, arm in hooks_divisible_by(la, e):
+        a = arm + 1  # (a * best_t, t) orders by slope, then by length
+        if t <= a and a * q <= p * t and (a * best_t, t) > (best_a * t, best_t):
+            best_a, best_t = a, t
+    return (best_a, best_t) if best_a else None
 
 
 def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
@@ -168,14 +177,8 @@ def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
     def empties_in(lo: int, hi: int) -> int:
         return sum(1 for p in range(lo, hi + 1) if p not in occ)
 
-    b = max(
-        (
-            p
-            for p in occ
-            if p >= em and p - em not in occ and empties_in(p - em, p) == ym
-        ),
-        default=None,
-    )
+    singular = (p for p in occ if p >= em and p - em not in occ and empties_in(p - em, p) == ym)
+    b = max(singular, default=None)
     if b is None:
         raise ValueError("no singular position on the abacus")
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
@@ -199,18 +202,30 @@ def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
     return from_beta_numbers(occ)
 
 
-def regularise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
-    """Yield the partition after each move of the abacus regularisation of la.
+def _steps(la: Partition, e: int, p: int, q: int, descend: bool) -> Iterator[tuple[int, int, Partition]]:
+    """Regularise la at slope p/q, yielding (p, q, kappa) after each move.
 
     Each step scales (E, Y) by the largest t for which a singular hook
     occurs, then performs the single move at the scaled parameters; it gives
-    a strictly more dominant partition in the same ladder class.  Nothing is
-    yielded when la is already (E, Y)-regular.
-    """
-    while (t := _largest_singular_t(la, params.E, params.Y)) is not None:
-        kappa = _abacus_step(la, params.E * t, params.Y * t)
+    a strictly more dominant partition in the same ladder class.  Once la is
+    p/q-regular the loop ends, or with descend set goes on at the top slope
+    a/t of _top_hook, which p/q then holds unreduced."""
+    while (top := _top_hook(la, e, p, q)) is not None:
+        a, t = top
+        if a * q < p * t:
+            if not descend:
+                return
+            p, q = a, t
+        kappa = _abacus_step(la, e * t, a)
         assert kappa != la
         la = kappa
+        yield p, q, la
+
+
+def regularise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
+    """Yield the partition after each move of the abacus regularisation of la
+    (see _steps); nothing is yielded when la is already (E, Y)-regular."""
+    for _, _, la in _steps(la, params.e, params.Y, params.y.denominator, False):
         yield la
 
 
@@ -241,12 +256,8 @@ def restrictise_steps(la: Partition, params: LadderParams) -> Iterator[Partition
 
 
 def restrictise(la: Partition, params: LadderParams) -> Partition:
-    """The unique (E, Y)-restricted partition in the ladder class of la.
-
-    Computed by conjugating, regularising at the conjugate slope e - y and
-    conjugating back; equal to the last step of restrictise_steps, which
-    conjugates every step on the way.
-    """
+    """The unique (E, Y)-restricted partition in the ladder class of la: the
+    last step of restrictise_steps, conjugating only la and the result."""
     return regularise(la.conjugate(), params.conjugate_params()).conjugate()
 
 

@@ -3,27 +3,49 @@
 Starting from the conjugate of an e-regular partition, repeatedly
 regularise at the largest hook slope (arm + 1) / r not exceeding the last
 slope used, where the hook has length r*e.  The loop ends when no slope in
-[1, x] remains; the result is the Mullineux image.  An independent check
-walks the e-regular crystal: peel to the empty partition by good-node
-removals and rebuild with negated residues.
+[1, x] remains; the result is the Mullineux image.  The loop is
+ladders._steps, whose one hook walk per move also finds the next slope.
+An independent check walks the e-regular crystal: peel to the empty
+partition by good-node removals and rebuild with negated residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator
 
 from .crystals import ArmPrefix, _move_string, e_op
-from .ladders import LadderParams, hooks_divisible_by, regularise
+from .ladders import LadderParams, _steps, hooks_divisible_by, regularise
 from .partitions import Hook, Partition
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
-    """Slopes (arm + 1) / r over the hooks of mu of length r*e."""
+    """Slopes (arm + 1) / r over the hooks of mu of length r*e (not used by mullineux)."""
     if e < 2:
         raise ValueError("e must be at least 2")
     return {Fraction(arm + 1, t) for t, arm in hooks_divisible_by(mu, e)}
+
+
+def _rounds(mu: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
+    """Each round's slope and last partition of the loop from mu = la';
+    ValueError unless mu is e-restricted, that is, la is e-regular."""
+    if e == 1 and mu:
+        raise ValueError("only the empty partition is 1-regular")
+    if not mu.is_e_restricted(e):
+        raise ValueError(f"{mu.conjugate().parts} is not {e}-regular")
+    for (p, q), steps in groupby(_steps(mu, e, e - 1, 1, True), key=lambda step: step[:2]):
+        for _, _, mu in steps:
+            pass
+        yield Fraction(p, q), mu
+
+
+def _conjugate_image(mu: Partition, e: int) -> Partition:
+    """mullineux(mu', e), run from mu without building mu'."""
+    for _, mu in _rounds(mu, e):
+        pass
+    return mu
 
 
 def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
@@ -32,30 +54,12 @@ def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition
     The loop starts from la' with ceiling x = e - 1; each round takes the
     largest hook slope y in [1, x], regularises at y, and lowers x to y.
     """
-    if e == 1:
-        if la:
-            raise ValueError("only the empty partition is 1-regular")
-        return
-    if not la.is_e_regular(e):
-        raise ValueError(f"{la.parts} is not {e}-regular")
-    mu = la.conjugate()
-    x = Fraction(e - 1)
-    while True:
-        active = [s for s in slopes(mu, e) if 1 <= s <= x]
-        if not active:
-            return
-        y = max(active)
-        mu = regularise(mu, LadderParams(e, y))
-        x = y
-        yield y, mu
+    yield from _rounds(la.conjugate(), e)
 
 
 def mullineux(la: Partition, e: int) -> Partition:
     """The Mullineux image of an e-regular partition."""
-    mu = la.conjugate()
-    for _, mu in mullineux_steps(la, e):
-        pass
-    return mu
+    return _conjugate_image(la.conjugate(), e)
 
 
 def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Partition:

@@ -26,7 +26,7 @@ from .abacus import (
     to_global,
     to_local,
 )
-from .mullineux import mullineux
+from .mullineux import _conjugate_image
 from .partitions import Partition, beta_numbers, from_beta_numbers
 
 
@@ -154,8 +154,8 @@ def _split_halves(
     return _Halves(
         beta,
         box_row(alpha, gamma, c_bar),
-        box_col(alpha.conjugate(), mullineux(beta.conjugate(), c), c),
-        mullineux(gamma.conjugate(), c_bar),
+        box_col(alpha.conjugate(), _conjugate_image(beta, c), c),
+        _conjugate_image(gamma, c_bar),
     )
 
 
@@ -224,7 +224,7 @@ def verify_split(
     mu_sep = _separated(mu_occ, ctx)
     if not (la_sep and mu_sep):
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
-    image = mullineux(la.conjugate(), ctx.e)
+    image = _conjugate_image(la, ctx.e)
     verdict = "holds" if image == mu else "falsified"
     return SplitReport(verdict, la, mu, la_sep, mu_sep, image)
 

@@ -7,16 +7,19 @@ the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
-the ladder fingerprint keys each node by its own ladder_id call, and the
-splitting report rebuilds every half for each u.
+the ladder fingerprint keys each node by its own ladder_id call, the
+splitting report rebuilds every half for each u, and the regularisation
+and Mullineux loops find each step's scale by a walk of the E-abacus and
+each round's slope from the set of all slopes.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 from regcrystals.crystals import e_op, f_op
-from regcrystals.ladders import ladder_id
-from regcrystals.mullineux import mullineux
+from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id
+from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Partition
 from regcrystals.separation import SplitReport, combine, is_separated
 
@@ -142,3 +145,34 @@ def split_report_oracle(alpha, beta, gamma, ctx) -> SplitReport:
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
     image = mullineux(la.conjugate(), ctx.e)
     return SplitReport("holds" if image == mu else "falsified", la, mu, la_sep, mu_sep, image)
+
+
+def largest_singular_t(la, em: int, ym: int) -> int | None:
+    """Largest t such that la has a hook of length em*t with arm ym*t - 1."""
+    return max((t for t, arm in hooks_divisible_by(la, em) if arm == ym * t - 1), default=None)
+
+
+def regularise_steps_by_scale(la, params):
+    """ladders.regularise_steps with each step's scale t found by a walk of
+    the E-abacus for the singular hooks, the move taken at (E*t, Y*t)."""
+    while (t := largest_singular_t(la, params.E, params.Y)) is not None:
+        la = _abacus_step(la, params.E * t, params.Y * t)
+        yield la
+
+
+def restrictise_steps_by_scale(la, params):
+    """ladders.restrictise_steps through regularise_steps_by_scale."""
+    for kappa in regularise_steps_by_scale(la.conjugate(), params.conjugate_params()):
+        yield kappa.conjugate()
+
+
+def mullineux_steps_by_rounds(la, e):
+    """mullineux.mullineux_steps for an e-regular la, e >= 2, round by round:
+    each round's slope is the largest of slopes(mu, e) in [1, x], and the
+    round regularises at it by regularise_steps_by_scale."""
+    mu, x = la.conjugate(), Fraction(e - 1)
+    while active := [s for s in slopes(mu, e) if 1 <= s <= x]:
+        x = max(active)
+        for mu in regularise_steps_by_scale(mu, LadderParams(e, x)):
+            pass
+        yield x, mu

@@ -140,6 +140,12 @@ class TestCrystal:
         code, _, err = run(capsys, "crystal", "--e", "3")
         assert code == 1 and "exactly one" in err
 
+    @pytest.mark.parametrize("e", ["0", "1", "-3"])
+    @pytest.mark.parametrize("source", [["--arm", "0"], ["--slope", "1-"]], ids=["arm", "slope"])
+    def test_modulus_below_2_is_a_domain_error(self, capsys, e, source):
+        code, out, err = run(capsys, "crystal", "--e", e, *source)
+        assert (code, out, err) == (1, "", "error: e must be at least 2\n")
+
     @pytest.mark.parametrize("source", [["--arm", "0,1"], ["--slope", "2"]], ids=["arm", "slope"])
     def test_negative_max_size_exits_2(self, capsys, source):
         with pytest.raises(SystemExit) as info:
@@ -241,6 +247,108 @@ class TestSinglePath:
         _, out, _ = run(capsys, *argv, "--json")
         images = json.loads(out)["images"]
         assert len(images) == len(chain.steps) and images[-1] == image
+
+
+# stdout of each command, pinned when the Mullineux loop and regularise
+# moved onto one shared step loop; the loop must not change a step
+GOLDEN = {
+    "mull --e 3 --trace 6,2,1": """\
+mu = 3,2,1,1,1,1
+y = 2 -> 4,1,1,1,1,1
+y = 4/3 -> 5,1,1,1,1
+y = 1 -> 5,2,2
+5,2,2
+""",
+    "mull --e 4 --trace 12,9,9,5,3,3,1": """\
+mu = 7,6,6,4,4,3,3,3,3,1,1,1
+y = 2 -> 11,9,6,4,4,2,1,1,1,1,1,1
+y = 4/3 -> 11,9,6,5,4,2,1,1,1,1,1
+y = 1 -> 11,9,6,5,4,2,2,2,1
+11,9,6,5,4,2,2,2,1
+""",
+    "mull --e 5 --trace 20,15,11,11,7,3,2,1,1": """\
+mu = 9,7,6,5,5,5,5,4,4,4,4,2,2,2,2,1,1,1,1,1
+y = 2 -> 10,10,8,7,5,4,3,3,3,3,2,2,2,2,2,1,1,1,1,1
+y = 8/5 -> 10,10,9,7,5,4,3,3,3,3,2,2,2,2,2,1,1,1,1
+y = 1 -> 10,10,9,7,5,4,4,3,3,3,3,2,2,2,1,1,1,1
+10,10,9,7,5,4,4,3,3,3,3,2,2,2,1,1,1,1
+""",
+    "mull --e 3 --json 6,2,1": '{"e": 3, "input": "6,2,1", "result": "5,2,2"}\n',
+    "mull --e 4 --trace --json 12,9,9,5,3,3,1":
+        '{"e": 4, "input": "12,9,9,5,3,3,1", "result": "11,9,6,5,4,2,2,2,1"}\n',
+    "reg --e 3 --y 2 --trace 4,3,2,1": """\
+mu = 4,3,2,1
+step 1: 5,2,2,1
+step 2: 6,2,1,1
+step 3: 7,2,1
+step 4: 7,3
+7,3
+""",
+    "reg --e 3 --y 3/2 --trace 9,8,5,5,4,3,2,2,1,1": """\
+mu = 9,8,5,5,4,3,2,2,1,1
+step 1: 10,8,5,5,4,3,2,2,1
+step 2: 10,8,6,5,4,2,2,2,1
+step 3: 10,8,7,5,4,2,2,2
+step 4: 10,8,7,5,5,2,2,1
+10,8,7,5,5,2,2,1
+""",
+    "reg --e 4 --y 7/3 --trace 11,8,6,5,4,2,2,1,1": """\
+mu = 11,8,6,5,4,2,2,1,1
+step 1: 11,9,6,5,4,2,1,1,1
+11,9,6,5,4,2,1,1,1
+""",
+    "reg --e 3 --y 3/2 --json 9,8,5,5,4,3,2,2,1,1":
+        '{"E": 6, "Y": 3, "e": 3, "input": "9,8,5,5,4,3,2,2,1,1", '
+        '"result": "10,8,7,5,5,2,2,1", "y": "3/2"}\n',
+    "restrict --e 3 --y 2 --trace 9,3^3,2": """\
+mu = 9,3,3,3,2
+step 1: 5,5,5,3,2
+5,5,5,3,2
+""",
+    "restrict --e 3 --y 3/2 --trace 9,8,5,5,4,3,2,2,1,1": """\
+mu = 9,8,5,5,4,3,2,2,1,1
+step 1: 8,8,5,5,4,3,3,2,1,1
+step 2: 8,7,5,5,5,3,3,2,1,1
+8,7,5,5,5,3,3,2,1,1
+""",
+    "restrict --e 4 --y 5/2 --trace 12,9,9,5,3,3,1": """\
+mu = 12,9,9,5,3,3,1
+step 1: 11,9,9,5,3,3,2
+step 2: 11,8,8,5,4,4,2
+step 3: 10,8,8,6,4,4,2
+10,8,8,6,4,4,2
+""",
+    "restrict --e 4 --y 7/3 --trace 11,8,6,5,4,2,2,1,1": """\
+mu = 11,8,6,5,4,2,2,1,1
+step 1: 9,8,6,5,4,4,2,1,1
+9,8,6,5,4,4,2,1,1
+""",
+    "chain --e 4 --from 2,4,6,8 --to 1,2,4,5 4,3^2,2,1^4": """\
+chain: (4,2) (16,7) (12,5) (8,3)
+start: 4,3,3,2,1,1,1,1
+(4,2) -> 5,4,2,1,1,1,1,1
+(16,7) -> 5,4,2,1,1,1,1,1
+(12,5) -> 6,4,2,1,1,1,1
+(8,3) -> 6,4,2,1,1,1,1
+""",
+    "chain --e 4 --from 1,2,4,5 --to 2,4,6,8 6,4,2,1^4": """\
+chain: (4,2) (16,7) (12,5) (8,3)
+applied as restrictisations in reverse order
+start: 6,4,2,1,1,1,1
+(8,3) -> 6,4,2,1,1,1,1
+(12,5) -> 5,4,2,1,1,1,1,1
+(16,7) -> 5,4,2,1,1,1,1,1
+(4,2) -> 4,3,3,2,1,1,1,1
+""",
+    "chain --e 4 --json --from 2,4,6,8 --to 1,2,4,5 4,3^2,2,1^4":
+        '{"e": 4, "images": ["5,4,2,1,1,1,1,1", "5,4,2,1,1,1,1,1", "6,4,2,1,1,1,1", '
+        '"6,4,2,1,1,1,1"], "inverse": false, "steps": [[4, 2], [16, 7], [12, 5], [8, 3]]}\n',
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(capsys, command):
+    assert run(capsys, *command.split()) == (0, GOLDEN[command], "")
 
 
 class TestMull:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fingerprint_by_ladder_id
+from oracles import fingerprint_by_ladder_id, regularise_steps_by_scale, restrictise_steps_by_scale
 from regcrystals import ladders as ld
 from regcrystals.ladders import LadderParams
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
@@ -197,8 +197,8 @@ class TestRegularisationStep:
         while not ld.is_regular(la, params):
             la, steps = ld.regularise_step(la, params), steps + 1
         walks = []
-        walk = ld._largest_singular_t
-        monkeypatch.setattr(ld, "_largest_singular_t", lambda *a: walks.append(a) or walk(*a))
+        walk = ld._top_hook
+        monkeypatch.setattr(ld, "_top_hook", lambda *a: walks.append(a) or walk(*a))
         assert ld.regularise(P("4,3,2,1"), params) == la
         assert steps > 1 and len(walks) == steps + 1
 
@@ -233,6 +233,12 @@ class TestStepGenerators:
                 for prev, nxt in zip(walk, walk[1:]):
                     assert nxt != prev and prev.dominates(nxt)
                     assert ld.fingerprint(nxt, params) == ld.fingerprint(prev, params)
+
+    def test_steps_equal_the_scaled_walk_route(self):
+        for params in self.PARAMS:
+            for la in all_up_to(10):
+                assert list(ld.regularise_steps(la, params)) == list(regularise_steps_by_scale(la, params))
+                assert list(ld.restrictise_steps(la, params)) == list(restrictise_steps_by_scale(la, params))
 
 
 class TestRegularise:

@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import peel_and_rebuild_by_operators
+from oracles import (
+    mullineux_steps_by_rounds,
+    peel_and_rebuild_by_operators,
+    regularise_steps_by_scale,
+    restrictise_steps_by_scale,
+)
 from regcrystals import abacus as ab
+from regcrystals import ladders as ld
 from regcrystals.crystals import ArmPrefix
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import (
+    _conjugate_image,
     classify_hooks,
     hook_class,
     james_regularise,
@@ -103,13 +110,18 @@ def random_regular_partition(rng, n, e):
     return james_regularise(Partition(parts), e)
 
 
-def test_two_routes_agree_at_large_n():
-    # 20 inputs with n = 50..200 and e = 3..6; exhaustive checks stop near n = 16
+def large_inputs():
+    """20 seeded (e, la) with n = 50..200 and e = 3..6; exhaustive checks stop near n = 16."""
     rng = random.Random(20210513)
     for k in range(20):
         e, n = 3 + k % 4, 50 + 150 * k // 19
         la = random_regular_partition(rng, n, e)
         assert la.size == n and la.is_e_regular(e)
+        yield e, la
+
+
+def test_two_routes_agree_at_large_n():
+    for e, la in large_inputs():
         image = mullineux(la, e)
         assert image == mullineux_oracle(la, e, "min") == mullineux_oracle(la, e, "max"), la
         assert mullineux(image, e) == la
@@ -217,3 +229,56 @@ class TestLyle:
                 report = lyle_check(la, e)
                 assert report.dominates
                 assert report.criterion_matches
+
+
+class TestSharedLoop:
+    """mullineux_steps runs the regularisation loop of ladders, one hook walk
+    per abacus move plus one that finds nothing, where the round-by-round
+    route walks once more per step and once per round for its slopes."""
+
+    def test_steps_equal_the_round_by_round_route(self):
+        for e in range(2, 7):
+            for la in all_up_to(12):
+                if la.is_e_regular(e):
+                    assert list(mullineux_steps(la, e)) == list(mullineux_steps_by_rounds(la, e)), (la, e)
+
+    def test_steps_equal_the_round_by_round_route_at_large_n(self):
+        moved = 0
+        for e, la in large_inputs():
+            assert list(mullineux_steps(la, e)) == list(mullineux_steps_by_rounds(la, e)), (la, e)
+            for y in {Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)}:
+                params = LadderParams(e, y)
+                for mu in (la, la.conjugate()):
+                    steps = list(ld.regularise_steps(mu, params))
+                    assert steps == list(regularise_steps_by_scale(mu, params)), (mu, params)
+                    assert list(ld.restrictise_steps(mu, params)) == list(restrictise_steps_by_scale(mu, params))
+                    moved += len(steps)
+        assert moved > 100
+
+    def test_image_of_a_conjugate_runs_from_the_restricted_partition(self):
+        for e in (2, 3, 4):
+            for la in all_up_to(9):
+                if la.is_e_restricted(e):
+                    assert _conjugate_image(la, e) == mullineux(la.conjugate(), e)
+        for e, la in ((3, P("3")), (2, P("4,1")), (1, P("1"))):
+            with pytest.raises(ValueError) as expected:
+                mullineux(la.conjugate(), e)
+            with pytest.raises(ValueError) as got:
+                _conjugate_image(la, e)
+            assert str(got.value) == str(expected.value)
+
+    def test_one_walk_per_step_plus_one(self, monkeypatch):
+        walks, moves = [], []
+        walk, move = ld._top_hook, ld._abacus_step
+        monkeypatch.setattr(ld, "_top_hook", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(ld, "_abacus_step", lambda *a: moves.append(a) or move(*a))
+        assert mullineux(P("6,2,1"), 3) == P("5,2,2")
+        assert (len(walks), len(moves)) == (4, 3)
+        rounds = steps = 0
+        for e, la in large_inputs():
+            walks.clear()
+            moves.clear()
+            rounds += len(list(mullineux_steps(la, e)))
+            steps += len(moves)
+            assert len(walks) == 1 + len(moves), (la, e)
+        assert steps > rounds > 20

@@ -182,6 +182,16 @@ class TestVerifySplit:
         rep = sp.verify_split(Partition(), Partition(), Partition(), ctx)
         assert rep.verdict == "holds"
 
+    def test_image_is_taken_without_conjugating(self, monkeypatch):
+        # m_e(la') runs from la itself; the halves are memoised by the first call
+        args = (P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5())
+        assert sp.verify_split(*args).verdict == "holds"
+        calls, real = [], Partition.conjugate
+        monkeypatch.setattr(Partition, "conjugate", lambda la: calls.append(la) or real(la))
+        rep = sp.verify_split(*args)
+        assert rep.verdict == "holds" and calls == []
+        assert rep.mullineux_image == mullineux(rep.la.conjugate(), 5)
+
     @staticmethod
     def ctx5():
         return SplitContext(5, frozenset({1, 4}), 15, 10)
