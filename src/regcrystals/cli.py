@@ -25,7 +25,7 @@ from . import crystals as cr
 from . import ladders as ld
 from . import separation as sp
 from . import verify as vf
-from .mullineux import mullineux, mullineux_steps
+from .mullineux import _conjugate_image, mullineux_steps
 from .partitions import MAX_PARSE_SIZE, Partition, PartitionParseError, parse_partition
 
 # Largest bead count (and abacus show runner count) accepted: a display
@@ -241,7 +241,7 @@ def _cmd_paget(args) -> int:
     quot = ab.e_quotient(la, args.e)
     mu = sp.paget_mu(la, args.e)
     mu_sep = sp.is_quotient_separated(mu, args.e)
-    image = mullineux(la.conjugate(), args.e)
+    image = _conjugate_image(la, args.e)
     lines = [
         "sigma = " + ",".join(str(i) for i in sigma),
         "quotient = " + " ".join(f"[{i}] {quot[i]}" for i in range(args.e)),

@@ -15,11 +15,12 @@ first) of a row list in place, checking only the hooks of each moved row
 and column as it moves; moving an i-node changes no other i-node's sign,
 so one walk serves the whole string.  e_op/f_op check their input in full
 and move one node; mullineux.peel_and_rebuild moves whole strings, one walk
-each.  The breadth-first build_graph walks each vertex once for every
-residue at once and adds each residue's cogood node.  Crystals for any two
-prefixes are isomorphic via a chain of ladder regularisations at the slope
-of each prefix in turn; apply_chain is the last image of chain_steps,
-which yields each step.
+each.  build_graph grows the crystal one size layer at a time, keyed by
+part tuples in sorted order; _cogood_nodes walks each vertex once and
+reduces every residue's signature in one pass, and each residue's cogood
+node gives an edge.  Crystals for any two prefixes are isomorphic via a
+chain of ladder regularisations at the slope of each prefix in turn;
+apply_chain is the last image of chain_steps, which yields each step.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class ArmPrefix:
 
         s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
         induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
+        Conversely, if A_t = floor(y*t) for every t, then A_{t+u} - A_t - A_u
+        = floor(y*t + y*u) - floor(y*t) - floor(y*u) lies in {0, 1}, as
+        floor(a + b) - floor(a) - floor(b) does for any reals a, b.  So values
+        within their bounds satisfy the axiom exactly when they equal
+        floor(y*t) for this y, and __init__ tests that in O(n); the O(n^2)
+        pair loop runs only on rejected values, to name the first failing pair.
         """,
         "_checked": "The partition e_op/f_op last verified A-regular (both types are immutable).",
     }
@@ -84,13 +91,15 @@ class ArmPrefix:
             if v * den > num * t:
                 num, den = v, t
         n = len(vals)
-        for t in range(1, n):
-            for u in range(1, n - t + 1):
-                gap = vals[t + u - 1] - vals[t - 1] - vals[u - 1]
-                if gap not in (0, 1):
-                    raise ValueError(
-                        f"A_{t + u} - A_{t} - A_{u} = {gap} violates the arm-sequence axiom"
-                    )
+        if vals != tuple(num * t // den for t in range(1, n + 1)):
+            # the values are not floor(slope*t), so some pair fails: name the first
+            for t in range(1, n):
+                for u in range(1, n - t + 1):
+                    gap = vals[t + u - 1] - vals[t - 1] - vals[u - 1]
+                    if gap not in (0, 1):
+                        raise ValueError(
+                            f"A_{t + u} - A_{t} - A_{u} = {gap} violates the arm-sequence axiom"
+                        )
         self.e = e
         self.values = vals
         self.slope = Fraction(num, den)
@@ -164,10 +173,13 @@ def _signed_i_nodes(parts, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
     return [(node, sign) for _, _, node, sign in keyed]
 
 
-def _signed_nodes(parts, prefix: ArmPrefix) -> dict[int, list[tuple[Node, str]]]:
-    """_signed_i_nodes of every residue that has an addable or removable
-    node, from one walk down the rows and one sort; the residue of a node is
-    -(r - c) mod e, read off the second part of its key."""
+def _cogood_nodes(parts, prefix: ArmPrefix) -> dict[int, Node]:
+    """The cogood i-node of parts for every residue i that has one, from one
+    walk down the rows and one sort of every addable and removable node
+    (the residue of a node is -(r - c) mod e, read off its key), then one
+    pass in descending order that keeps a stack of the unmatched '+' nodes
+    of each residue: a '-' pops its residue's last '+', and the bottom of
+    each stack is the first '+' of its reduced signature."""
     e, y = prefix.e, prefix.slope
     wr = y.numerator
     wc = e * y.denominator - wr
@@ -175,17 +187,20 @@ def _signed_nodes(parts, prefix: ArmPrefix) -> dict[int, list[tuple[Node, str]]]
     above = None
     for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
         if below < p:
-            keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
+            keyed.append((wr * r + wc * p, r - p, None))
         if above != p:
-            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), "+"))
+            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1)))
         above = p
     r = len(parts) + 1
-    keyed.append((wr * r + wc, r - 1, (r, 1), "+"))
+    keyed.append((wr * r + wc, r - 1, (r, 1)))
     keyed.sort(reverse=True)
-    signed = {}
-    for _, d, node, sign in keyed:
-        signed.setdefault(-d % e, []).append((node, sign))
-    return signed
+    plus = {}
+    for _, d, node in keyed:
+        if node:
+            plus.setdefault(-d % e, []).append(node)
+        elif stack := plus.get(-d % e):
+            stack.pop()
+    return {i: stack[0] for i, stack in plus.items() if stack}
 
 
 def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
@@ -323,37 +338,38 @@ class CrystalGraph:
 
 def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     """All A-regular partitions of size <= max_size with their f-operator edges,
-    found breadth-first from the empty partition.  One walk per vertex below
-    the bound gives the signed nodes of every residue that has one, and each
-    residue with a '+' gives an edge to the vertex with its cogood node added.
-    Each vertex is checked once, by the move check from the vertex that
-    first reached it."""
+    built one size layer at a time from the empty partition.  The vertices of
+    a layer are keyed by their part tuples and walked in sorted order, so the
+    vertices and the edges (by source, then residue) come out sorted.  One
+    _cogood_nodes pass per vertex below the bound gives each residue's
+    cogood node, and each one gives an edge to the vertex with it added.
+    Each vertex is built and checked once, by the move check from the first
+    vertex that reaches it."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
     if bound > prefix.bound:
         raise ValueError(f"max_size {bound} exceeds the prefix bound {prefix.bound}")
-    vertices = [Partition()]
-    reached = {vertices[0]}
-    edges = []
-    for la in vertices:
-        if la.size == bound:
-            continue
-        for i, signed in sorted(_signed_nodes(la.parts, prefix).items()):
-            plus = _reduce(signed)[1]
-            if not plus:
-                continue
-            parts, node = list(la.parts), plus[0]
-            _place(parts, node, True)
-            mu = Partition(parts)
-            if mu not in reached:
-                if not _move_ok(parts, node, prefix):
-                    raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
-                reached.add(mu)
-                vertices.append(mu)
-            edges.append((la, i, mu))
-    vertices.sort(key=lambda p: (p.size, p.parts))
-    edges.sort(key=lambda t: (t[0].size, t[0].parts, t[1]))
+    vertices, edges = [], []
+    layer = {(): Partition()}
+    for size in range(bound + 1):
+        keys = sorted(layer)
+        vertices += (layer[key] for key in keys)
+        if size == bound:
+            break
+        above, layer = layer, {}
+        for key in keys:
+            la = above[key]
+            for i, node in sorted(_cogood_nodes(key, prefix).items()):
+                parts = list(key)
+                _place(parts, node, True)
+                mu = layer.get(tuple(parts))
+                if mu is None:
+                    mu = Partition(parts)
+                    if not _move_ok(parts, node, prefix):
+                        raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
+                    layer[mu.parts] = mu
+                edges.append((la, i, mu))
     return CrystalGraph(prefix, bound, tuple(vertices), tuple(edges))
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 from . import abacus as ab
 from . import crystals as cr
 from . import ladders as ld
-from .mullineux import lyle_check, mullineux as _mullineux, mullineux_oracle, peel_and_rebuild
+from .mullineux import _conjugate_image, lyle_check, mullineux as _mullineux, mullineux_oracle, peel_and_rebuild
 from . import separation as sp
 from .partitions import Partition, enumerate_partitions
 
@@ -513,7 +513,7 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 where = lambda: f"{la} e={e}"
                 yield "partner_shares_core", ab.e_core(mu, e) == core, where
                 if sp.is_quotient_separated(mu, e):
-                    ok = _mullineux(la.conjugate(), e) == mu
+                    ok = _conjugate_image(la, e) == mu
                     yield "theorem_on_quotient_separated_partitions", ok, where
 
 

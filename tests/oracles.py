@@ -8,16 +8,18 @@ node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
 the ladder fingerprint keys each node by its own ladder_id call, the
-splitting report rebuilds every half for each u, and the regularisation
+splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
-each round's slope from the set of all slopes.
+each round's slope from the set of all slopes, the arm-sequence axiom is
+tested pair by pair, and the crystal graph is searched breadth-first with
+one row walk per vertex and residue.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from regcrystals.crystals import e_op, f_op
+from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_i_nodes, e_op, f_op
 from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Partition
@@ -99,6 +101,53 @@ def node_compare(prefix, a, b) -> int:
     if diff < 0:
         return -node_compare(prefix, b, a)
     return -1 if c - d <= prefix.arm(diff // prefix.e) else 1
+
+
+def arm_axioms_hold(e: int, values) -> bool:
+    """True if every value lies in [t - 1, (e - 1)t] and every pair has
+    A_{t+u} - A_t - A_u in {0, 1}; otherwise ValueError naming the first
+    value out of bounds, or else the first failing pair (t, u) with t
+    outermost, in the words ArmPrefix uses."""
+    vals = tuple(values)
+    for t, v in enumerate(vals, start=1):
+        if not t - 1 <= v <= (e - 1) * t:
+            raise ValueError(f"A_{t} = {v} outside [{t - 1}, {(e - 1) * t}]")
+    n = len(vals)
+    for t in range(1, n):
+        for u in range(1, n - t + 1):
+            gap = vals[t + u - 1] - vals[t - 1] - vals[u - 1]
+            if gap not in (0, 1):
+                raise ValueError(f"A_{t + u} - A_{t} - A_{u} = {gap} violates the arm-sequence axiom")
+    return True
+
+
+def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
+    """crystals.build_graph breadth-first from the empty partition: one
+    signed-node walk and reduction per vertex and residue, one Partition per
+    edge target, and each new vertex checked by the move that first reached
+    it; vertices and edges are sorted at the end."""
+    bound = prefix.bound if max_size is None else max_size
+    vertices = [Partition()]
+    reached = {vertices[0]}
+    edges = []
+    for la in vertices:
+        if la.size == bound:
+            continue
+        for i in range(prefix.e):
+            plus = _reduce(_signed_i_nodes(la.parts, prefix, i))[1]
+            if not plus:
+                continue
+            parts, node = list(la.parts), plus[0]
+            _place(parts, node, True)
+            mu = Partition(parts)
+            if mu not in reached:
+                assert _move_ok(parts, node, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"
+                reached.add(mu)
+                vertices.append(mu)
+            edges.append((la, i, mu))
+    vertices.sort(key=lambda p: (p.size, p.parts))
+    edges.sort(key=lambda t: (t[0].size, t[0].parts, t[1]))
+    return CrystalGraph(prefix, bound, tuple(vertices), tuple(edges))
 
 
 def peel_and_rebuild_by_operators(la, src, dst, order, sign):

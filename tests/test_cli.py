@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,9 @@ import pytest
 from regcrystals import crystals as cr
 from regcrystals import verify as vf
 from regcrystals.cli import MAX_BEADS, build_parser, main
-from regcrystals.partitions import MAX_PARSE_SIZE, parse_partition
+from regcrystals.partitions import MAX_PARSE_SIZE, Partition, parse_partition
+
+GOLDEN_DOT = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -135,6 +138,18 @@ class TestCrystal:
         code, out, err = run(capsys, "crystal", "--e", "3", "--slope", "1-", "--max-size", "3", "--dot", str(target))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, golden", [
+        ("--e 3 --slope 3/2+ --max-size 9", "crystal_e3_slope3_2plus_max9.dot"),
+        ("--e 4 --arm 2,5,7", "crystal_e4_arm2_5_7.dot"),
+        ("--e 2 --arm 1,2", "crystal_e2_arm1_2.dot"),
+        ("--e 5 --slope 2- --max-size 7", "crystal_e5_slope2minus_max7.dot"),
+    ])
+    def test_dot_output_is_pinned(self, capsys, argv, golden):
+        # the DOT text the breadth-first search with final sorts printed
+        code, out, err = run(capsys, "crystal", *argv.split())
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_DOT / golden).read_text()
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "crystal", "--e", "3")
@@ -449,6 +464,14 @@ class TestPaget:
         assert lines[0] == "sigma = 1,3,0,2"
         assert "mu = 19,10,9,8,7,4,3,3,3,2,1" in lines
         assert "match = yes" in lines
+
+    def test_image_is_taken_without_conjugating(self, capsys, monkeypatch):
+        # m_e(la') runs from la itself; paget_mu conjugates only quotient components
+        calls, real = [], Partition.conjugate
+        monkeypatch.setattr(Partition, "conjugate", lambda la: calls.append(la) or real(la))
+        code, out, _ = run(capsys, "paget", "--e", "4", "11,10,9,8,7,5^2,4,3,2,1^5")
+        assert code == 0 and calls == [Partition([1]), Partition([2]), Partition([1, 1])]
+        assert "mullineux(conjugate) = 19,10,9,8,7,4,3,3,3,2,1" in out.splitlines()
 
     def test_takes_no_bead_count(self, capsys):
         # every result of paget is the same for any bead count

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 
 import pytest
 
-from oracles import node_compare
+from oracles import arm_axioms_hold, build_graph_by_search, node_compare
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import verify
@@ -116,6 +117,27 @@ def test_every_valid_prefix_has_a_slope(e):
             assert tuple(cr.arm_plus(prefix.slope, t) for t in range(1, n + 1)) == vals
 
 
+def valueerror_text(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("e, n", [(2, 6), (3, 6), (4, 5), (5, 5)])
+def test_linear_prefix_check_equals_the_pair_loop(e, n):
+    # every value tuple up to length n with A_t in [t - 2, (e - 1)t + 1], one
+    # past each bound: accepted by both or rejected with the same message
+    accepted = 0
+    for length in range(1, n + 1):
+        for vals in product(*(range(t - 2, (e - 1) * t + 2) for t in range(1, length + 1))):
+            text = valueerror_text(ArmPrefix, e, vals)
+            assert text == valueerror_text(arm_axioms_hold, e, vals), vals
+            accepted += text is None
+    assert accepted == sum(len(valid_prefixes(e, length)) for length in range(1, n + 1))
+
+
 def rim_pairs(e, bound):
     """Each same-residue pair of addable or removable nodes of a partition of
     size <= bound, with the smallest such partition and the residue."""
@@ -155,11 +177,13 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
         for y in {Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)}:
             prefix = ArmPrefix.from_slope(e, y, 3, variant)
             for la in all_up_to(prefix.bound):
+                cogood = cr._cogood_nodes(la.parts, prefix)
                 for i in range(e):
                     pairs = cr._signed_i_nodes(la.parts, prefix, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
-                    assert cr._signed_nodes(la.parts, prefix).get(i, []) == pairs
+                    plus = cr._reduce(pairs)[1]
+                    assert cogood.get(i) == (plus[0] if plus else None), (la, i)
                     assert sorted(nd for nd, _ in pairs) == sorted(
                         nd for nd in la.addable_nodes() + la.removable_nodes()
                         if (nd[1] - nd[0]) % e == i
@@ -426,7 +450,7 @@ class TestGraphs:
 def test_graph_of_a_huge_modulus_walks_once_per_vertex(count_walks):
     # no loop or allocation of size e: one walk for the empty partition, and
     # none for the vertex at the bound
-    walks = count_walks("_signed_nodes")
+    walks = count_walks("_cogood_nodes")
     graph = cr.build_graph(ArmPrefix(10**8, (0,)), 1)
     assert graph.vertices == (Partition(), P("1"))
     assert graph.edges == ((Partition(), 0, P("1")),)
@@ -450,7 +474,7 @@ def filter_route_graph(prefix, bound):
     [(p, None) for p in verify._CRYSTAL_PREFIXES] + [(verify._CRYSTAL_PREFIXES[4], 8)],
 )
 def test_search_graph_equals_filter_route(prefix, max_size, count_walks):
-    walks = count_walks("_signed_nodes")
+    walks = count_walks("_cogood_nodes")
     graph = cr.build_graph(prefix, max_size)
     bound = prefix.bound if max_size is None else max_size
     assert len(walks) == sum(v.size < bound for v in graph.vertices)
@@ -459,6 +483,35 @@ def test_search_graph_equals_filter_route(prefix, max_size, count_walks):
     assert set(graph.vertices) == vertices and len(graph.vertices) == len(vertices)
     assert set(graph.edges) == edges and len(graph.edges) == len(edges)
     assert list(graph.vertices) == sorted(vertices, key=lambda p: (p.size, p.parts))
+
+
+def slope_prefixes(e, n):
+    """Every distinct from_slope prefix of length n: each valid prefix is the
+    '+' prefix of its slope, whose denominator is at most n."""
+    return sorted(
+        {ArmPrefix.from_slope(e, Fraction(p, q), n, v)
+         for q in range(1, n + 1) for p in range(q, (e - 1) * q + 1) for v in "+-"},
+        key=lambda prefix: prefix.values,
+    )
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_layered_graph_equals_the_search(e):
+    # the same vertex and edge tuples in the same order: at every size bound
+    # up to length 3, and at the full bound for length 4
+    for n in range(1, 5):
+        for prefix in slope_prefixes(e, n):
+            for max_size in range(prefix.bound + 1) if n < 4 else (None,):
+                assert cr.build_graph(prefix, max_size) == build_graph_by_search(prefix, max_size)
+
+
+@pytest.mark.parametrize(
+    "prefix, max_size",
+    [(p, None) for p in verify._CRYSTAL_PREFIXES]
+    + [(ArmPrefix.from_slope(3, 2, 7, "+"), 20), (ArmPrefix.from_slope(4, Fraction(5, 2), 5, "+"), 18)],
+)
+def test_layered_graph_equals_the_search_on_larger_graphs(prefix, max_size):
+    assert cr.build_graph(prefix, max_size) == build_graph_by_search(prefix, max_size)
 
 
 class TestChains:
