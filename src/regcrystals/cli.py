@@ -9,7 +9,9 @@ abacus show and split take a --beads count because their output depends on
 it; paget does not, as its results are the same for every bead count.  The
 bead count, given or derived from --e (paget's too), and the runner count of
 abacus show may not exceed MAX_BEADS: a larger one exits 1 before any bead
-is placed.
+is placed.  crystal's size bound, given as --max-size or defaulted (3e for
+--slope, the prefix bound for --arm), may not exceed MAX_GRAPH_SIZE: a
+larger one exits 1 before any slope prefix or graph is built.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -31,6 +33,11 @@ from .partitions import MAX_PARSE_SIZE, Partition, PartitionParseError, parse_pa
 # Largest bead count (and abacus show runner count) accepted: a display
 # allocates one position per bead, so the count is checked before encoding.
 MAX_BEADS = MAX_PARSE_SIZE
+
+# Largest crystal size bound accepted: the graph has one vertex per
+# A-regular partition of size up to the bound, at most 28,629 at 30 for any e,
+# which covers the default bound 3e for every e <= 10.
+MAX_GRAPH_SIZE = 30
 
 
 def _partition_arg(text: str) -> Partition:
@@ -148,17 +155,25 @@ def _cmd_ladder_class(args) -> int:
     return 0
 
 
+def _graph_size(size: int) -> int:
+    """size, within MAX_GRAPH_SIZE."""
+    if size > MAX_GRAPH_SIZE:
+        raise ValueError(f"size bound {size} exceeds the limit {MAX_GRAPH_SIZE}")
+    return size
+
+
 def _cmd_crystal(args) -> int:
     if (args.arm is None) == (args.slope is None):
         raise ValueError("give exactly one of --arm and --slope")
     if args.arm is not None:
         prefix = cr.ArmPrefix(args.e, args.arm)
+        _graph_size(args.max_size if args.max_size is not None else prefix.bound)
     else:
         y, variant = args.slope
         if args.e < 2:  # checked before the prefix length divides by e
             raise ValueError("e must be at least 2")
-        size = args.max_size if args.max_size is not None else 3 * args.e
-        prefix = cr.ArmPrefix.from_slope(args.e, y, -(-size // args.e), variant)
+        size = _graph_size(args.max_size if args.max_size is not None else 3 * args.e)
+        prefix = cr.ArmPrefix.from_slope(args.e, y, max(1, -(-size // args.e)), variant)
     graph = cr.build_graph(prefix, args.max_size)
     dot = cr.to_dot(graph)
     if args.dot and args.dot != "-":

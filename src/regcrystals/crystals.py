@@ -14,13 +14,14 @@ for residue i, then moves good i-nodes (last first) or cogood ones (first
 first) of a row list in place, checking only the hooks of each moved row
 and column as it moves; moving an i-node changes no other i-node's sign,
 so one walk serves the whole string.  e_op/f_op check their input in full
-and move one node; mullineux.peel_and_rebuild moves whole strings, one walk
-each.  build_graph grows the crystal one size layer at a time, keyed by
-part tuples in sorted order; _cogood_nodes walks each vertex once and
-reduces every residue's signature in one pass, and each residue's cogood
-node gives an edge.  Crystals for any two prefixes are isomorphic via a
-chain of ladder regularisations at the slope of each prefix in turn;
-apply_chain is the last image of chain_steps, which yields each step.
+on every call, with no memo, and move one node; mullineux.peel_and_rebuild
+moves whole strings, one walk each.  build_graph grows the crystal one size
+layer at a time, keyed by part tuples in sorted order; _cogood_nodes walks
+each vertex once and reduces every residue's signature in one pass, and
+each residue's cogood node gives an edge.  Crystals for any two prefixes
+are isomorphic via a chain of ladder regularisations at the slope of each
+prefix in turn; apply_chain is the last image of chain_steps, which yields
+each step.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class ArmPrefix:
     """The first n values of an arm sequence for modulus e.
 
     The values alone fix the crystal: the operators read their node order
-    off the slope, which __init__ derives from the values.
+    off the slope, which __init__ derives from the values.  A prefix holds
+    nothing else; e_op/f_op keep no memo on it.
     """
 
     __slots__ = {
@@ -70,7 +72,6 @@ class ArmPrefix:
         floor(y*t) for this y, and __init__ tests that in O(n); the O(n^2)
         pair loop runs only on rejected values, to name the first failing pair.
         """,
-        "_checked": "The partition e_op/f_op last verified A-regular (both types are immutable).",
     }
 
     e: int
@@ -103,7 +104,6 @@ class ArmPrefix:
         self.e = e
         self.values = vals
         self.slope = Fraction(num, den)
-        self._checked = None
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
@@ -305,11 +305,9 @@ def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int
 
 
 def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | None:
-    """f_op (grow) or e_op past the bound check: la checked in full unless memoised."""
-    if la is not prefix._checked:
-        if not is_A_regular(la, prefix):
-            raise ValueError(f"{la.parts} is not regular for {prefix!r}")
-        prefix._checked = la
+    """f_op (grow) or e_op past the bound check: la checked in full."""
+    if not is_A_regular(la, prefix):
+        raise ValueError(f"{la.parts} is not regular for {prefix!r}")
     parts = list(la.parts)
     return Partition(parts) if _move_string(parts, prefix, i, grow, 1) else None
 
@@ -389,14 +387,19 @@ class Chain:
     """A regularisation chain between two arm prefixes.
 
     ``prefixes`` descend from the larger prefix to the smaller; step k is
-    the ladder regularisation carrying prefixes[k] to prefixes[k + 1].
-    With ``inverse`` set, the chain represents the map from prefixes[-1]
-    up to prefixes[0], applied as restrictisations in reverse order.
+    the ladder regularisation at the slope of prefixes[k], which carries it
+    to prefixes[k + 1].  With ``inverse`` set, the chain represents the map
+    from prefixes[-1] up to prefixes[0], applied as restrictisations in
+    reverse order.
     """
 
     prefixes: tuple[ArmPrefix, ...]
-    steps: tuple[LadderParams, ...]
     inverse: bool = False
+
+    @property
+    def steps(self) -> tuple[LadderParams, ...]:
+        """The ladder parameters of each step: the slope of every prefix but the last."""
+        return tuple(LadderParams(p.e, p.slope) for p in self.prefixes[:-1])
 
     @property
     def source(self) -> ArmPrefix:
@@ -407,22 +410,18 @@ class Chain:
         return self.prefixes[0] if self.inverse else self.prefixes[-1]
 
 
-def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[tuple[ArmPrefix, ...], tuple[LadderParams, ...]]:
-    e, n = a.e, a.n
+def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[ArmPrefix, ...]:
+    """The prefixes from a down to b, each the arm_minus prefix of the last one's slope."""
     prefixes = [a]
-    steps = []
     cur = a
     while cur.values != b.values:
-        p, q = cur.slope.numerator, cur.slope.denominator  # arm_plus, arm_minus inline
-        if cur.values != tuple(p * t // q for t in range(1, n + 1)):
-            raise AssertionError("prefix does not match its extremal slope")
-        nxt_vals = tuple((p * t - 1) // q for t in range(1, n + 1))
+        p, q = cur.slope.numerator, cur.slope.denominator
+        nxt_vals = tuple((p * t - 1) // q for t in range(1, a.n + 1))  # arm_minus inline
         if any(nv < bv for nv, bv in zip(nxt_vals, b.values)):
             raise AssertionError("chain step descended past the target prefix")
-        steps.append(LadderParams(e, cur.slope))
-        cur = ArmPrefix(e, nxt_vals)
+        cur = ArmPrefix(a.e, nxt_vals)
         prefixes.append(cur)
-    return tuple(prefixes), tuple(steps)
+    return tuple(prefixes)
 
 
 def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
@@ -436,11 +435,9 @@ def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
     if a.e != b.e or a.n != b.n:
         raise ValueError("arm prefixes must share e and length")
     if all(x >= y for x, y in zip(a.values, b.values)):
-        prefixes, steps = _descending_chain(a, b)
-        return Chain(prefixes, steps, inverse=False)
+        return Chain(_descending_chain(a, b), inverse=False)
     if all(x <= y for x, y in zip(a.values, b.values)):
-        prefixes, steps = _descending_chain(b, a)
-        return Chain(prefixes, steps, inverse=True)
+        return Chain(_descending_chain(b, a), inverse=True)
     raise ValueError("arm prefixes are not comparable")
 
 

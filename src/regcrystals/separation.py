@@ -5,9 +5,11 @@ cbar = e - c, and an n-bead display (e | n).  Reading only the I-positions
 (in order, renumbered from 0) gives a c-runner display for a partition
 la_I, and likewise la_Ibar on the complement.  A partition is I-separated
 when its first empty I-position comes after its last occupied
-Ibar-position.  The splitting theorem computes m_e(la') for separated
-partitions from m_c and m_cbar on the two halves; iterating it over
-runners gives the quotient-separated description of the Mullineux map.
+Ibar-position.  A SplitContext holds (e, I, n); combine, build_split_pair
+and verify_split take the number u of beads on I-positions as an argument.
+The splitting theorem computes m_e(la') for separated partitions from m_c
+and m_cbar on the two halves; iterating it over runners gives the
+quotient-separated description of the Mullineux map.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .partitions import Partition, beta_numbers, from_beta_numbers
 
 @dataclass(frozen=True)
 class SplitContext:
-    """Runner split data: modulus e, residue set I, bead count n and the
-    number u of beads on I-positions (None when not yet pinned)."""
+    """Runner split data: modulus e, residue set I and bead count n.  The
+    number u of beads on I-positions is an argument of each function that
+    places two halves on the n beads."""
 
     e: int
     residues: frozenset[int]
     n: int
-    u: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(int(i) for i in self.residues))
@@ -50,8 +52,6 @@ class SplitContext:
             raise ValueError("I must be a proper subset of the residue classes")
         if self.n <= 0 or self.n % self.e:
             raise ValueError(f"bead count {self.n} must be a positive multiple of {self.e}")
-        if self.u is not None and not 0 <= self.u <= self.n:
-            raise ValueError(f"u = {self.u} outside [0, {self.n}]")
 
     @property
     def c(self) -> int:
@@ -64,15 +64,6 @@ class SplitContext:
     @property
     def complement(self) -> frozenset[int]:
         return frozenset(range(self.e)) - self.residues
-
-    def with_u(self, u: int) -> "SplitContext":
-        """This context with u pinned.  Only u is checked: the other fields
-        were checked when this context was made."""
-        if not 0 <= u <= self.n:
-            raise ValueError(f"u = {u} outside [0, {self.n}]")
-        ctx = object.__new__(type(self))
-        ctx.__dict__.update(self.__dict__, u=u)
-        return ctx
 
 
 class SplitResult(NamedTuple):
@@ -102,18 +93,18 @@ def split(la: Partition, ctx: SplitContext) -> SplitResult:
     return SplitResult(from_beta_numbers(local_i), from_beta_numbers(local_ibar), len(local_i))
 
 
-def combine(beta: Partition, gamma: Partition, ctx: SplitContext) -> Partition:
+def combine(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> Partition:
     """The unique partition with exactly u beads on I-positions whose halves
     are beta (on I) and gamma (on the complement)."""
-    return from_beta_numbers(_combined_beads(beta, gamma, ctx))
+    return from_beta_numbers(_combined_beads(beta, gamma, ctx, u))
 
 
-def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext) -> set[int]:
+def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> set[int]:
     """The n-bead set that combine decodes."""
-    if ctx.u is None:
-        raise ValueError("the context must fix u to combine")
-    occ = to_global(beta_numbers(beta, ctx.u), ctx.e, ctx.residues)
-    occ |= to_global(beta_numbers(gamma, ctx.n - ctx.u), ctx.e, ctx.complement)
+    if not 0 <= u <= ctx.n:
+        raise ValueError(f"u = {u} outside [0, {ctx.n}]")
+    occ = to_global(beta_numbers(beta, u), ctx.e, ctx.residues)
+    occ |= to_global(beta_numbers(gamma, ctx.n - u), ctx.e, ctx.complement)
     return occ
 
 
@@ -160,18 +151,18 @@ def _split_halves(
 
 
 def _split_pair_beads(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
 ) -> tuple[set[int], set[int]]:
     """The n-bead sets of the pair (la, mu) of build_split_pair."""
     h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
     return (
-        _combined_beads(h.lambda_I, h.lambda_Ibar, ctx),
-        _combined_beads(h.mu_I, h.mu_Ibar, ctx),
+        _combined_beads(h.lambda_I, h.lambda_Ibar, ctx, u),
+        _combined_beads(h.mu_I, h.mu_Ibar, ctx, u),
     )
 
 
 def build_split_pair(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
 ) -> tuple[Partition, Partition]:
     """The pair (la, mu) of the splitting theorem.
 
@@ -180,7 +171,7 @@ def build_split_pair(
     and mu_Ibar = m_cbar(gamma').  beta must be c-restricted and gamma
     cbar-restricted (forced empty when c or cbar is 1).
     """
-    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx)
+    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx, u)
     return from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
 
 
@@ -189,7 +180,7 @@ def split_u_range(
 ) -> range:
     """The u for which build_split_pair can place both pairs of halves on
     ctx.n beads: from max(len(la_I), len(mu_I)) to
-    n - max(len(la_Ibar), len(mu_Ibar)).  ctx.u is ignored."""
+    n - max(len(la_Ibar), len(mu_Ibar))."""
     h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
     low = max(len(h.lambda_I), len(h.mu_I))
     return range(low, ctx.n - max(len(h.lambda_Ibar), len(h.mu_Ibar)) + 1)
@@ -208,7 +199,7 @@ class SplitReport:
 
 
 def verify_split(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
 ) -> SplitReport:
     """Check one instance: when both la and mu are I-separated, assert that
     m_e(la') = mu; otherwise report that the hypothesis is not met.
@@ -218,7 +209,7 @@ def verify_split(
     kept in a bounded memo; each u then only places them on the n beads,
     and separation is read off those bead sets before they are decoded.
     """
-    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx)
+    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx, u)
     la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
     la_sep = _separated(la_occ, ctx)
     mu_sep = _separated(mu_occ, ctx)
@@ -246,7 +237,7 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
     reduced = [p - cb if r < s else p for r, p in enumerate(nu_ibar.parts)]
     tau = Partition(p for p in reduced if p > 0)
     xi_i = box_col(Partition([s]), nu_i, ctx.c)
-    return combine(xi_i, tau, ctx.with_u(u))
+    return combine(xi_i, tau, ctx, u)
 
 
 def quotient_sigma(la: Partition, e: int) -> tuple[int, ...]:

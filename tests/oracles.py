@@ -176,8 +176,8 @@ def fingerprint_by_ladder_id(la, params) -> Counter:
     )
 
 
-def split_report_oracle(alpha, beta, gamma, ctx) -> SplitReport:
-    """The splitting-theorem report built from scratch for ctx.u: both
+def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:
+    """The splitting-theorem report built from scratch for u: both
     partitions by combine from halves made here, separation by the public
     is_separated on the decoded partitions, and m_e(la') when both are
     separated."""
@@ -187,8 +187,8 @@ def split_report_oracle(alpha, beta, gamma, ctx) -> SplitReport:
     mu_i = list(mullineux(beta.conjugate(), c).parts)
     for p in alpha.conjugate().parts:
         mu_i += [p] * c
-    la = combine(beta, la_ibar, ctx)
-    mu = combine(Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx)
+    la = combine(beta, la_ibar, ctx, u)
+    mu = combine(Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx, u)
     la_sep, mu_sep = is_separated(la, ctx), is_separated(mu, ctx)
     if not (la_sep and mu_sep):
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)

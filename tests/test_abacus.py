@@ -230,7 +230,7 @@ class TestRoundTripsUpTo400:
     def test_split_combine(self, la):
         ctx = sp.SplitContext(5, frozenset({1, 4}), 5 * (len(la) // 5 + 1))
         halves = sp.split(la, ctx)
-        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx.with_u(halves.u)) == la
+        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx, halves.u) == la
 
 
 class TestRender:

@@ -9,7 +9,7 @@ import pytest
 
 from regcrystals import crystals as cr
 from regcrystals import verify as vf
-from regcrystals.cli import MAX_BEADS, build_parser, main
+from regcrystals.cli import MAX_BEADS, MAX_GRAPH_SIZE, build_parser, main
 from regcrystals.partitions import MAX_PARSE_SIZE, Partition, parse_partition
 
 GOLDEN_DOT = pathlib.Path(__file__).parent / "golden"
@@ -150,6 +150,30 @@ class TestCrystal:
         code, out, err = run(capsys, "crystal", *argv.split())
         assert (code, err) == (0, "")
         assert out == (GOLDEN_DOT / golden).read_text()
+
+    @pytest.mark.parametrize("source", [["--arm", "2"], ["--slope", "2"]], ids=["arm", "slope"])
+    def test_size_bound_0_prints_the_empty_partition(self, capsys, source):
+        code, out, err = run(capsys, "crystal", "--e", "3", *source, "--max-size", "0")
+        assert (code, out, err) == (0, 'digraph crystal {\n  "-";\n}\n', "")
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--e", "20", "--slope", "1"], 60),
+        (["--e", "100000000", "--arm", "0"], 10**8),
+        (["--e", "3", "--slope", "1", "--max-size", "1000000000"], 10**9),
+    ], ids=["default-3e", "default-prefix-bound", "max-size"])
+    def test_size_bound_over_the_limit_exits_1(self, capsys, monkeypatch, argv, size):
+        def refuse(*args, **kwargs):
+            pytest.fail("a prefix or graph was built past the size limit")
+
+        monkeypatch.setattr(cr.ArmPrefix, "from_slope", refuse)
+        monkeypatch.setattr(cr, "build_graph", refuse)
+        code, out, err = run(capsys, "crystal", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: size bound {size} exceeds the limit {MAX_GRAPH_SIZE}\n"
+
+    def test_size_bound_at_the_limit_is_accepted(self, capsys):
+        code, out, err = run(capsys, "crystal", "--e", "2", "--slope", "1", "--max-size", str(MAX_GRAPH_SIZE))
+        assert (code, err) == (0, "") and out.startswith("digraph crystal {")
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "crystal", "--e", "3")
@@ -358,6 +382,26 @@ start: 6,4,2,1,1,1,1
     "chain --e 4 --json --from 2,4,6,8 --to 1,2,4,5 4,3^2,2,1^4":
         '{"e": 4, "images": ["5,4,2,1,1,1,1,1", "5,4,2,1,1,1,1,1", "6,4,2,1,1,1,1", '
         '"6,4,2,1,1,1,1"], "inverse": false, "steps": [[4, 2], [16, 7], [12, 5], [8, 3]]}\n',
+    # split and paget read their runners through SplitContext and the bead sets
+    "split --e 5 --I 1,4 --beads 15 9,7,3,3,2,1": """\
+lambda_I = 2
+lambda_Ibar = 4,3,1
+u = 4
+separated = no
+""",
+    "split --e 5 --I 1,4 --beads 15 --json 9,7,3,3,2,1":
+        '{"lambda_I": "2", "lambda_Ibar": "4,3,1", "separated": false, "u": 4}\n',
+    "paget --e 3 6,4,2,1,1": """\
+sigma = 1,0,2
+quotient = [0] - [1] - [2] -
+mu = 6,4,2,1,1
+mu quotient separated = yes
+mullineux(conjugate) = 6,4,2,1,1
+match = yes
+""",
+    "paget --e 3 --json 6,4,2,1,1":
+        '{"match": true, "mu": "6,4,2,1,1", "mu_separated": true, "mullineux": "6,4,2,1,1", '
+        '"quotient": ["-", "-", "-"], "sigma": [1, 0, 2]}\n',
 }
 
 

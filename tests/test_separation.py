@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from oracles import split_report_oracle
@@ -35,13 +33,16 @@ class TestContext:
         assert ctx.c == 2 and ctx.c_bar == 3
         assert ctx.complement == frozenset({1, 3, 4})
 
-    def test_with_u_checks_only_u(self):
-        ctx = SplitContext(5, frozenset({0, 2}), 10)
-        for u in range(11):
-            assert ctx.with_u(u) == replace(ctx, u=u) and ctx.u is None
-        for u in (-1, 11):
-            with pytest.raises(ValueError, match=f"u = {u} outside"):
-                ctx.with_u(u)
+    def test_u_outside_the_bead_count_is_rejected(self):
+        ctx = SplitContext(5, frozenset({1, 4}), 15)
+        pieces = (P("2^2,1"), P("2,1^2"), P("1^3"))
+        for u in (-1, 16):
+            message = rf"^u = {u} outside \[0, 15\]$"
+            with pytest.raises(ValueError, match=message):
+                sp.combine(Partition(), Partition(), ctx, u)
+            for build in (sp.build_split_pair, sp.verify_split):
+                with pytest.raises(ValueError, match=message):
+                    build(*pieces, ctx, u)
 
 
 class TestSeparated:
@@ -79,9 +80,9 @@ class TestNoDisplayObjects:
         ctx = SplitContext(5, frozenset({1, 4}), 15)
         la = P("15,11,9,7^3,6,4^3,2,1")
         halves = sp.split(la, ctx)
-        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx.with_u(halves.u)) == la
+        assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx, halves.u) == la
         assert sp.is_separated(la, ctx)
-        assert sp.verify_split(P("1"), Partition(), Partition(), ctx.with_u(6)).verdict != "falsified"
+        assert sp.verify_split(P("1"), Partition(), Partition(), ctx, 6).verdict != "falsified"
         assert sp.paget_mu(P("11,10,9,8,7,5^2,4,3,2,1^5"), 4) == P("19,10,9,8,7,4,3,3,3,2,1")
 
 
@@ -91,28 +92,23 @@ class TestSplitCombine:
         assert res == sp.SplitResult(P("2"), P("2,1"), 3)
 
     def test_combine_empty(self):
-        ctx = SplitContext(5, frozenset({0, 2}), 10, u=4)
-        assert sp.combine(Partition(), Partition(), ctx) == Partition()
+        ctx = SplitContext(5, frozenset({0, 2}), 10)
+        assert sp.combine(Partition(), Partition(), ctx, 4) == Partition()
 
     def test_round_trip(self):
         for e, residues in ((4, {0, 2}), (5, {1, 4}), (5, {0}), (4, {1, 2, 3})):
             ctx = SplitContext(e, frozenset(residues), 4 * e)
             for la in all_up_to(14):
                 got = sp.split(la, ctx)
-                back = sp.combine(got.lambda_I, got.lambda_Ibar, ctx.with_u(got.u))
+                back = sp.combine(got.lambda_I, got.lambda_Ibar, ctx, got.u)
                 assert back == la
 
     def test_capacity_errors(self):
-        ctx = SplitContext(4, frozenset({0}), 8, u=1)
-        with pytest.raises(ValueError):
-            sp.combine(P("1,1"), Partition(), ctx)
-        with pytest.raises(ValueError):
-            sp.combine(Partition(), P("1^8"), ctx)
-
-    def test_combine_requires_u(self):
         ctx = SplitContext(4, frozenset({0}), 8)
         with pytest.raises(ValueError):
-            sp.combine(P("1"), P("1"), ctx)
+            sp.combine(P("1,1"), Partition(), ctx, 1)
+        with pytest.raises(ValueError):
+            sp.combine(Partition(), P("1^8"), ctx, 1)
 
 
 class TestBoxOperations:
@@ -133,15 +129,15 @@ class TestBoxOperations:
 
 
 class TestSplitPair:
-    CTX5 = SplitContext(5, frozenset({1, 4}), 15, 10)
+    CTX5 = SplitContext(5, frozenset({1, 4}), 15)
 
     def test_first_example(self):
-        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5)
+        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5, 10)
         assert la == P("15,11,9,7^3,6,4^3,2,1")
         assert mu == P("17,16,14,10,9,5,2^2,1^2")
 
     def test_first_example_halves(self):
-        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5)
+        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5, 10)
         halves_la = sp.split(la, self.CTX5)
         halves_mu = sp.split(mu, self.CTX5)
         assert halves_la.lambda_I == P("2,1^2") and halves_la.lambda_Ibar == P("7^2,4")
@@ -149,42 +145,42 @@ class TestSplitPair:
         assert halves_la.u == halves_mu.u == 10
 
     def test_counterexample_pair(self):
-        ctx = SplitContext(6, frozenset({0, 3, 5}), 12, 7)
-        la, mu = sp.build_split_pair(Partition(), Partition(), P("2,2"), ctx)
+        ctx = SplitContext(6, frozenset({0, 3, 5}), 12)
+        la, mu = sp.build_split_pair(Partition(), Partition(), P("2,2"), ctx, 7)
         assert la == P("2^5") and mu == P("5,2^2,1")
 
     def test_restriction_preconditions(self):
-        ctx = SplitContext(5, frozenset({1, 4}), 15, 10)
+        ctx = SplitContext(5, frozenset({1, 4}), 15)
         with pytest.raises(ValueError):
-            sp.build_split_pair(P("1"), P("3"), P("1"), ctx)  # beta not 2-restricted
-        ctx1 = SplitContext(5, frozenset({1}), 15, 5)
+            sp.build_split_pair(P("1"), P("3"), P("1"), ctx, 10)  # beta not 2-restricted
+        ctx1 = SplitContext(5, frozenset({1}), 15)
         with pytest.raises(ValueError):
-            sp.build_split_pair(P("1"), P("1"), P("1"), ctx1)  # c = 1 forces beta empty
+            sp.build_split_pair(P("1"), P("1"), P("1"), ctx1, 5)  # c = 1 forces beta empty
 
 
 class TestVerifySplit:
     def test_holds(self):
-        rep = sp.verify_split(P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5())
+        rep = sp.verify_split(P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5(), 10)
         assert rep.verdict == "holds"
         assert rep.la_separated and rep.mu_separated
         assert rep.mullineux_image == rep.mu
 
     def test_hypothesis_not_met(self):
-        ctx = SplitContext(6, frozenset({0, 3, 5}), 12, 7)
-        rep = sp.verify_split(Partition(), Partition(), P("2,2"), ctx)
+        ctx = SplitContext(6, frozenset({0, 3, 5}), 12)
+        rep = sp.verify_split(Partition(), Partition(), P("2,2"), ctx, 7)
         assert rep.verdict == "hypothesis-not-met"
         assert rep.la_separated and not rep.mu_separated
         assert rep.mullineux_image is None
         assert mullineux(rep.la.conjugate(), 6) != rep.mu
 
     def test_empty_inputs(self):
-        ctx = SplitContext(5, frozenset({1, 4}), 15, 6)
-        rep = sp.verify_split(Partition(), Partition(), Partition(), ctx)
+        ctx = SplitContext(5, frozenset({1, 4}), 15)
+        rep = sp.verify_split(Partition(), Partition(), Partition(), ctx, 6)
         assert rep.verdict == "holds"
 
     def test_image_is_taken_without_conjugating(self, monkeypatch):
         # m_e(la') runs from la itself; the halves are memoised by the first call
-        args = (P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5())
+        args = (P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5(), 10)
         assert sp.verify_split(*args).verdict == "holds"
         calls, real = [], Partition.conjugate
         monkeypatch.setattr(Partition, "conjugate", lambda la: calls.append(la) or real(la))
@@ -194,7 +190,7 @@ class TestVerifySplit:
 
     @staticmethod
     def ctx5():
-        return SplitContext(5, frozenset({1, 4}), 15, 10)
+        return SplitContext(5, frozenset({1, 4}), 15)
 
 
 class TestHalvesOncePerTriple:
@@ -220,12 +216,11 @@ class TestHalvesOncePerTriple:
                         u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
                         assert u_range == range(low, high + 1)
                         for u in u_range:
-                            ctx = ctx0.with_u(u)
-                            report = sp.verify_split(alpha, beta, gamma, ctx)
-                            assert report == split_report_oracle(alpha, beta, gamma, ctx), (
-                                alpha, beta, gamma, ctx)
+                            report = sp.verify_split(alpha, beta, gamma, ctx0, u)
+                            assert report == split_report_oracle(alpha, beta, gamma, ctx0, u), (
+                                alpha, beta, gamma, ctx0, u)
                             assert (report.la, report.mu) == sp.build_split_pair(
-                                alpha, beta, gamma, ctx)
+                                alpha, beta, gamma, ctx0, u)
                             checked += 1
                             met += report.verdict != "hypothesis-not-met"
         assert checked > met > 0
@@ -237,13 +232,13 @@ class TestHalvesOncePerTriple:
         assert 10 in u_range
         for u in (u_range.start - 1, u_range.stop):
             with pytest.raises(ValueError, match="need at least"):
-                sp.build_split_pair(alpha, beta, gamma, ctx0.with_u(u))
+                sp.build_split_pair(alpha, beta, gamma, ctx0, u)
 
     def test_unrestricted_pieces_are_rejected_every_time(self):
-        ctx = SplitContext(5, frozenset({1, 4}), 15, 10)
+        ctx = SplitContext(5, frozenset({1, 4}), 15)
         for _ in range(2):  # a raise leaves nothing in the memo
             with pytest.raises(ValueError, match="is not 2-restricted"):
-                sp.verify_split(P("1"), P("3"), P("1"), ctx)
+                sp.verify_split(P("1"), P("3"), P("1"), ctx, 10)
 
 
 class TestBoxStep:
