@@ -11,7 +11,9 @@ bead count, given or derived from --e (paget's too), and the runner count of
 abacus show may not exceed MAX_BEADS: a larger one exits 1 before any bead
 is placed.  crystal's size bound, given as --max-size or defaulted (3e for
 --slope, the prefix bound for --arm), may not exceed MAX_GRAPH_SIZE: a
-larger one exits 1 before any slope prefix or graph is built.
+larger one exits 1 before any slope prefix or graph is built.  chain's
+prefix bound n*e may not exceed MAX_CHAIN_BOUND: a larger one exits 1
+before the chain is built.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -38,6 +40,10 @@ MAX_BEADS = MAX_PARSE_SIZE
 # A-regular partition of size up to the bound, at most 28,629 at 30 for any e,
 # which covers the default bound 3e for every e <= 10.
 MAX_GRAPH_SIZE = 30
+
+# Largest arm prefix bound n*e accepted by chain: a chain holds about n^2
+# prefixes of n values each; at 120 the slowest, e = 3 with n = 40, has 492.
+MAX_CHAIN_BOUND = 120
 
 
 def _partition_arg(text: str) -> Partition:
@@ -188,6 +194,9 @@ def _cmd_crystal(args) -> int:
 def _cmd_chain(args) -> int:
     src = cr.ArmPrefix(args.e, args.src)
     dst = cr.ArmPrefix(args.e, args.dst)
+    bound = max(src.bound, dst.bound)
+    if bound > MAX_CHAIN_BOUND:
+        raise ValueError(f"prefix bound {bound} exceeds the limit {MAX_CHAIN_BOUND}")
     chain = cr.iso_chain(src, dst)
     pairs = [params.pair() for params in chain.steps]
     lines = ["chain: " + " ".join(f"({E},{Y})" for E, Y in pairs)]
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder-class", help="brute-force ladder class")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--y", type=_fraction_arg, required=True)
-    p.add_argument("--bound", type=int, default=14, help="largest size the oracle accepts")
+    p.add_argument("--bound", type=_size_arg, default=14, help="largest size the oracle accepts")
     p.add_argument("partition", type=_partition_arg)
     add_json(p)
     p.set_defaults(func=_cmd_ladder_class)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .ladders import LadderParams, hooks_divisible_by, regularise, restrictise
-from .partitions import Node, Partition, format_partition
+from .ladders import LadderParams, regularise, restrictise
+from .partitions import Node, Partition, format_partition, hooks_divisible_by
 
 
 def arm_plus(y, t: int) -> int:
@@ -237,7 +237,7 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
     arms = prefix.values
-    return all(arm != arms[t - 1] for t, arm in hooks_divisible_by(la, prefix.e))
+    return all(arm != arms[t - 1] for t, arm, _ in hooks_divisible_by(la, prefix.e))
 
 
 def _place(parts: list[int], node: Node, grow: bool) -> None:

@@ -14,8 +14,8 @@ regularise_steps (one partition per abacus move), restrictise of
 restrictise_steps (the conjugated steps at the conjugate slope e - y).
 
 regularise_steps and the Mullineux loop share one step loop, _steps, with
-one e-walk per move (_top_hook).  Every hook predicate (here, is_A_regular
-and _top_hook) reads the bead set through hooks_divisible_by.
+one e-walk per move (_top_hook), which also gives the row of the moved bead.
+Every hook predicate here reads the bead set through hooks_divisible_by.
 
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
@@ -27,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from .partitions import Node, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
+from .partitions import Node, Partition, beta_numbers, enumerate_partitions, from_beta_numbers, hooks_divisible_by
 
 
 class LadderParams:
@@ -98,44 +98,16 @@ def fingerprint(la: Partition, params: LadderParams) -> Counter:
     )
 
 
-def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int]]:
-    """(t, arm) for every hook of la of length m*t.
-
-    On the bead set of la, a hook is a bead over a gap below it:
-    its length is their distance and its arm the number of gaps strictly
-    between.  A hook of length m*t pairs a bead with a gap on the same
-    runner of the m-runner abacus, so the walk up the positions keeps the
-    gaps seen so far by runner, visits at most |la|/m hooks and never
-    builds the conjugate.  No runner list is allocated when m exceeds the
-    largest hook length la_1 + len(la) - 1 (the empty partition has no hooks).
-    """
-    parts = la.parts
-    if not parts or m > parts[0] + len(parts) - 1:
-        return []
-    runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    out = []
-    pos = gaps = 0
-    for part in reversed(parts):  # beads from the bottom; each has `part` gaps below
-        while gaps < part:
-            runners[pos % m].append((pos, gaps))
-            pos += 1
-            gaps += 1
-        for gap, below in runners[pos % m]:
-            out.append(((pos - gap) // m, part - 1 - below))
-        pos += 1
-    return out
-
-
 def is_regular(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t - 1."""
     ym = params.Y
-    return all(arm != ym * t - 1 for t, arm in hooks_divisible_by(la, params.E))
+    return all(arm != ym * t - 1 for t, arm, _ in hooks_divisible_by(la, params.E))
 
 
 def is_restricted(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t."""
     ym = params.Y
-    return all(arm != ym * t for t, arm in hooks_divisible_by(la, params.E))
+    return all(arm != ym * t for t, arm, _ in hooks_divisible_by(la, params.E))
 
 
 def bad_count(la: Partition, params: LadderParams) -> int:
@@ -144,43 +116,36 @@ def bad_count(la: Partition, params: LadderParams) -> int:
     z, num = params.y.denominator, params.y.numerator
     if z == 1:
         raise ValueError("bad hooks are defined only for slopes with denominator > 1")
-    return sum(1 for t, arm in hooks_divisible_by(la, params.e) if t % z and arm == num * t // z)
+    return sum(1 for t, arm, _ in hooks_divisible_by(la, params.e) if t % z and arm == num * t // z)
 
 
-def _top_hook(la: Partition, e: int, p: int, q: int) -> tuple[int, int] | None:
-    """(arm + 1, t) of the longest hook of length e*t whose slope (arm + 1)/t
-    is the largest in [1, p/q], or None.  With a = arm + 1, a/t = Y/q' in
-    lowest terms exactly when the hook is singular at (E, Y) = (e*q', Y)
-    scaled by a/Y, so the move it calls for is at (e*t, a)."""
-    best_a, best_t = 0, 1
-    for t, arm in hooks_divisible_by(la, e):
+def _top_hook(la: Partition, e: int, p: int, q: int) -> tuple[int, int, int] | None:
+    """(arm + 1, t, r) of the longest hook of length e*t, in row r, whose slope
+    (arm + 1)/t is the largest in [1, p/q] (the last walked of ties), or None.
+    With a = arm + 1, a/t = Y/q' in lowest terms exactly when the hook is
+    singular at (E, Y) = (e*q', Y) scaled by a/Y: the move is at (e*t, a)."""
+    best_a, best_t, best_r = 0, 1, 0
+    for t, arm, r in hooks_divisible_by(la, e):
         a = arm + 1  # (a * best_t, t) orders by slope, then by length
-        if t <= a and a * q <= p * t and (a * best_t, t) > (best_a * t, best_t):
-            best_a, best_t = a, t
-    return (best_a, best_t) if best_a else None
+        if t <= a and a * q <= p * t and (a * best_t, t) >= (best_a * t, best_t):
+            best_a, best_t, best_r = a, t, r
+    return (best_a, best_t, best_r) if best_a else None
 
 
-def _abacus_step(la: Partition, em: int, ym: int) -> Partition:
+def _abacus_step(la: Partition, em: int, ym: int, r: int) -> Partition:
     """One regularisation move at integer parameters (em, ym), assuming the
     singular hooks of la at these parameters all have t = 1.
 
-    Take the largest occupied position b with b - em empty and exactly ym
-    empty positions in [b - em, b].  Let the class union F collect the
-    congruence classes mod em of those empty positions, let b_1 < ... < b_m
-    be the occupied positions in F after b - em and t_1 < t_2 < ... the
-    empty positions outside F after b.  With d minimal such that
-    t_d < b_{d+1} or d = m, move each bead b_i down to b_i - em and each
-    bead t_i - em up to t_i, for i = 1..d in turn.
+    Row r's bead b (from _top_hook's walk) is the largest occupied position
+    with b - em empty and exactly ym empty positions in [b - em, b].  Let
+    the class union F collect the congruence classes mod em of those empty
+    positions, let b_1 < ... < b_m be the occupied positions in F after
+    b - em and t_1 < t_2 < ... the empty positions outside F after b.  With
+    d minimal such that t_d < b_{d+1} or d = m, move each bead b_i down to
+    b_i - em and each bead t_i - em up to t_i, for i = 1..d in turn.
     """
-    occ = beta_numbers(la, len(la.parts))
-
-    def empties_in(lo: int, hi: int) -> int:
-        return sum(1 for p in range(lo, hi + 1) if p not in occ)
-
-    singular = (p for p in occ if p >= em and p - em not in occ and empties_in(p - em, p) == ym)
-    b = max(singular, default=None)
-    if b is None:
-        raise ValueError("no singular position on the abacus")
+    occ = beta_numbers(la, len(la))
+    b = la.parts[r - 1] + len(la) - r
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
     bs = sorted(p for p in occ if p > b - em and p % em in classes)
     assert bs and bs[0] == b
@@ -211,12 +176,12 @@ def _steps(la: Partition, e: int, p: int, q: int, descend: bool) -> Iterator[tup
     p/q-regular the loop ends, or with descend set goes on at the top slope
     a/t of _top_hook, which p/q then holds unreduced."""
     while (top := _top_hook(la, e, p, q)) is not None:
-        a, t = top
+        a, t, r = top
         if a * q < p * t:
             if not descend:
                 return
             p, q = a, t
-        kappa = _abacus_step(la, e * t, a)
+        kappa = _abacus_step(la, e * t, a, r)
         assert kappa != la
         la = kappa
         yield p, q, la

@@ -4,7 +4,7 @@ Starting from the conjugate of an e-regular partition, repeatedly
 regularise at the largest hook slope (arm + 1) / r not exceeding the last
 slope used, where the hook has length r*e.  The loop ends when no slope in
 [1, x] remains; the result is the Mullineux image.  The loop is
-ladders._steps, whose one hook walk per move also finds the next slope.
+ladders._steps, whose one hook walk per move finds the next slope and bead.
 An independent check walks the e-regular crystal: peel to the empty
 partition by good-node removals and rebuild with negated residues.
 """
@@ -17,15 +17,15 @@ from itertools import groupby
 from typing import Iterator
 
 from .crystals import ArmPrefix, _move_string, e_op
-from .ladders import LadderParams, _steps, hooks_divisible_by, regularise
-from .partitions import Hook, Partition
+from .ladders import LadderParams, _steps, regularise
+from .partitions import Hook, Partition, _sorted_hooks, hooks_divisible_by
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
     """Slopes (arm + 1) / r over the hooks of mu of length r*e (not used by mullineux)."""
     if e < 2:
         raise ValueError("e must be at least 2")
-    return {Fraction(arm + 1, t) for t, arm in hooks_divisible_by(mu, e)}
+    return {Fraction(arm + 1, t) for t, arm, _ in hooks_divisible_by(mu, e)}
 
 
 def _rounds(mu: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
@@ -154,7 +154,7 @@ def classify_hooks(la: Partition, e: int) -> list[tuple[Hook, str]]:
     """Steep/shallow classification of every hook of length divisible by e."""
     if e < 2:
         raise ValueError("e must be at least 2")
-    return [(h, hook_class(h.arm, h.leg, e)) for h in la.hooks() if h.length % e == 0]
+    return [(h, hook_class(h.arm, h.leg, e)) for h in _sorted_hooks(la, e)]
 
 
 @dataclass(frozen=True)

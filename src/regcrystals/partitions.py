@@ -4,6 +4,10 @@ Partitions are stored as weakly decreasing tuples of positive integers with
 trailing zeros dropped.  Young diagrams follow the English convention: the
 node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
+
+Hook data has one source, the bead walk hooks_divisible_by: hook(), hooks(),
+classify_hooks, is_A_regular, the ladder predicates and the regularisation
+move read it, and none of them builds a conjugate.
 """
 
 from __future__ import annotations
@@ -108,27 +112,17 @@ class Partition:
         return True
 
     def hook(self, corner: Node) -> Hook:
-        """The hook with the given corner node."""
+        """The hook with the given corner node, picked out of the walk."""
         if corner not in self:
             raise ValueError(f"{corner} is not a node of {self.parts}")
         r, c = corner
-        conj = self.conjugate()
-        arm = self.part(r) - c
-        leg = conj.part(c) - r
-        return Hook(corner, arm + leg + 1, arm, leg, (r, self.part(r)), (conj.part(c), c))
+        arm = self.parts[r - 1] - c
+        length = next(t for t, a, row in hooks_divisible_by(self, 1) if row == r and a == arm)
+        return _hook(self.parts, length, arm, r)
 
     def hooks(self) -> list[Hook]:
-        """All hooks, one per node, in row-major order."""
-        conj = self.conjugate().parts
-        out = []
-        for r, row_len in enumerate(self.parts, start=1):
-            for c in range(1, row_len + 1):
-                arm = row_len - c
-                leg = conj[c - 1] - r
-                out.append(
-                    Hook((r, c), arm + leg + 1, arm, leg, (r, row_len), (conj[c - 1], c))
-                )
-        return out
+        """All hooks, one per node, in row-major order: the walk at m = 1."""
+        return _sorted_hooks(self, 1)
 
     def remove_rim_hook(self, corner: Node) -> "Partition":
         """Remove the rim hook corresponding to the hook at ``corner``.
@@ -218,6 +212,45 @@ class Partition:
         return all(
             self.part(r) - self.part(r + 1) < e for r in range(1, len(self.parts) + 1)
         )
+
+
+def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
+    """(t, arm, r) for every hook of la of length m*t, with r its row.
+
+    On the bead set of la, a hook is a bead over a gap below it:
+    its length is their distance and its arm the number of gaps strictly
+    between.  A hook of length m*t pairs a bead with a gap on the same
+    runner of the m-runner abacus, so the walk up the positions keeps the
+    gaps seen so far by runner, visits at most |la|/m hooks and never
+    builds the conjugate.  No runner list is allocated when m exceeds the
+    largest hook length la_1 + len(la) - 1 (the empty partition has no hooks).
+    """
+    parts = la.parts
+    if not parts or m > parts[0] + len(parts) - 1:
+        return []
+    runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    out = []
+    pos = gaps = 0
+    for r, part in zip(range(len(parts), 0, -1), reversed(parts)):  # bottom bead first
+        while gaps < part:
+            runners[pos % m].append((pos, gaps))
+            pos += 1
+            gaps += 1
+        for gap, below in runners[pos % m]:
+            out.append(((pos - gap) // m, part - 1 - below, r))
+        pos += 1
+    return out
+
+
+def _hook(parts: tuple[int, ...], length: int, arm: int, r: int) -> Hook:
+    """The Hook of row r with the given length and arm."""
+    c, leg = parts[r - 1] - arm, length - 1 - arm
+    return Hook((r, c), length, arm, leg, (r, parts[r - 1]), (r + leg, c))
+
+
+def _sorted_hooks(la: Partition, m: int) -> list[Hook]:
+    """The hooks of la of length divisible by m, in row-major order."""
+    return sorted(_hook(la.parts, m * t, arm, r) for t, arm, r in hooks_divisible_by(la, m))
 
 
 def residue(node: Node, e: int) -> int:

@@ -2,7 +2,9 @@
 
 Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
-data is read off bead pairs of the display, column growth works through
+data is read off bead pairs of the display or scanned node by node through
+the conjugate (the node route the (t, arm, r) walk is compared with),
+column growth works through
 the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per node where the library moves
@@ -22,7 +24,7 @@ from functools import lru_cache
 from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_i_nodes, e_op, f_op
 from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id
 from regcrystals.mullineux import mullineux, slopes
-from regcrystals.partitions import Partition
+from regcrystals.partitions import Hook, Partition, beta_numbers
 from regcrystals.separation import SplitReport, combine, is_separated
 
 
@@ -77,6 +79,26 @@ def hook_data_by_beads(la: Partition) -> list[tuple[int, int, int]]:
             leg = sum(1 for p in between if p in occ)
             out.append((b - g, arm, leg))
     return sorted(out)
+
+
+def hooks_by_node_scan(la: Partition) -> list[Hook]:
+    """All hooks, one per node, in row-major order, each node's arm read off
+    its row and its leg off the conjugate's column."""
+    conj = la.conjugate().parts
+    out = []
+    for r, row_len in enumerate(la.parts, start=1):
+        for c in range(1, row_len + 1):
+            arm = row_len - c
+            leg = conj[c - 1] - r
+            out.append(Hook((r, c), arm + leg + 1, arm, leg, (r, row_len), (conj[c - 1], c)))
+    return out
+
+
+def node_route_hooks(la, m):
+    """(t, arm, r) of the hooks of length m*t in row r, read off the
+    node-by-node scan."""
+    hooks = hooks_by_node_scan(la)
+    return sorted((h.length // m, h.arm, h.corner[0]) for h in hooks if h.length % m == 0)
 
 
 def grow_columns_by_conjugate(la: Partition, m: int, e: int) -> Partition:
@@ -198,14 +220,30 @@ def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:
 
 def largest_singular_t(la, em: int, ym: int) -> int | None:
     """Largest t such that la has a hook of length em*t with arm ym*t - 1."""
-    return max((t for t, arm in hooks_divisible_by(la, em) if arm == ym * t - 1), default=None)
+    return max((t for t, arm, _ in hooks_divisible_by(la, em) if arm == ym * t - 1), default=None)
+
+
+def largest_singular_position(la, em: int, ym: int) -> int | None:
+    """The largest occupied position b of la's bead set (one bead per row)
+    with b - em empty and exactly ym empty positions in [b - em, b]."""
+    occ = beta_numbers(la, len(la))
+
+    def empties_in(lo: int, hi: int) -> int:
+        return sum(1 for p in range(lo, hi + 1) if p not in occ)
+
+    singular = (b for b in occ if b >= em and b - em not in occ and empties_in(b - em, b) == ym)
+    return max(singular, default=None)
 
 
 def regularise_steps_by_scale(la, params):
     """ladders.regularise_steps with each step's scale t found by a walk of
-    the E-abacus for the singular hooks, the move taken at (E*t, Y*t)."""
+    the E-abacus for the singular hooks, and its bead by a scan for the
+    largest singular position, the move taken at (E*t, Y*t)."""
     while (t := largest_singular_t(la, params.E, params.Y)) is not None:
-        la = _abacus_step(la, params.E * t, params.Y * t)
+        em, ym = params.E * t, params.Y * t
+        b = largest_singular_position(la, em, ym)
+        r = sorted(beta_numbers(la, len(la)), reverse=True).index(b) + 1
+        la = _abacus_step(la, em, ym, r)
         yield la
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from regcrystals import crystals as cr
 from regcrystals import verify as vf
-from regcrystals.cli import MAX_BEADS, MAX_GRAPH_SIZE, build_parser, main
+from regcrystals.cli import MAX_BEADS, MAX_CHAIN_BOUND, MAX_GRAPH_SIZE, build_parser, main
 from regcrystals.partitions import MAX_PARSE_SIZE, Partition, parse_partition
 
 GOLDEN_DOT = pathlib.Path(__file__).parent / "golden"
@@ -117,6 +117,13 @@ class TestLadderClass:
         code, out, _ = run(capsys, "ladder-class", "--e", "3", "--y", "2", "5,1")
         assert code == 0
         assert out.splitlines() == ["5,1", "4,1,1", "3,3", "3,2,1"]
+
+    def test_negative_bound_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ladder-class", "--e", "3", "--y", "2", "--bound", "-5", "3,1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --bound: size -5 is negative" in captured.err
 
 
 class TestCrystal:
@@ -246,6 +253,28 @@ class TestChain:
         code, out, err = run(capsys, "chain", "--e", e, "--from", "2,4,6", "--to", dst, la)
         assert (code, out) == (1, "")
         assert err == f"error: {parse_partition(la).parts} is not regular for the chain source\n"
+
+
+    @staticmethod
+    def slope_prefixes(e, n):
+        return [",".join(map(str, cr.ArmPrefix.from_slope(e, y, n, v).values)) for y, v in ((2, "+"), (1, "-"))]
+
+    @pytest.mark.parametrize("e, n", [(3, 41), (121, 1)])
+    def test_prefix_bound_over_the_limit_exits_1(self, capsys, monkeypatch, e, n):
+        def refuse(*args, **kwargs):
+            pytest.fail("a chain was built past the prefix bound limit")
+
+        monkeypatch.setattr(cr, "iso_chain", refuse)
+        src, dst = self.slope_prefixes(e, n)
+        code, out, err = run(capsys, "chain", "--e", str(e), "--from", src, "--to", dst)
+        assert (code, out) == (1, "")
+        assert err == f"error: prefix bound {e * n} exceeds the limit {MAX_CHAIN_BOUND}\n"
+
+    def test_prefix_bound_at_the_limit_is_accepted(self, capsys):
+        assert MAX_CHAIN_BOUND == 3 * 40
+        src, dst = self.slope_prefixes(3, 40)
+        code, out, err = run(capsys, "chain", "--e", "3", "--from", src, "--to", dst, "2,1")
+        assert (code, err) == (0, "") and out.startswith("chain: ")
 
 
 class TestSinglePath:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fingerprint_by_ladder_id, regularise_steps_by_scale, restrictise_steps_by_scale
+from oracles import (
+    fingerprint_by_ladder_id,
+    largest_singular_position,
+    node_route_hooks,
+    regularise_steps_by_scale,
+    restrictise_steps_by_scale,
+)
 from regcrystals import ladders as ld
 from regcrystals.ladders import LadderParams
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
@@ -72,11 +78,6 @@ class TestLadderGeometry:
                         and (a[1] - a[0]) % params.e == (b[1] - b[0]) % params.e
                     )
                     assert same == expected
-
-
-def node_route_hooks(la, m):
-    """(t, arm) of the hooks of length m*t, read off the node-by-node hook list."""
-    return sorted((h.length // m, h.arm) for h in la.hooks() if h.length % m == 0)
 
 
 def largest_parts_within(xs, cap):
@@ -201,6 +202,17 @@ class TestRegularisationStep:
         monkeypatch.setattr(ld, "_top_hook", lambda *a: walks.append(a) or walk(*a))
         assert ld.regularise(P("4,3,2,1"), params) == la
         assert steps > 1 and len(walks) == steps + 1
+
+    def test_top_hook_row_holds_the_largest_singular_position(self):
+        for e in range(2, 6):
+            for p, q in ((e - 1, 1), (3, 2)):
+                for la in all_up_to(12):
+                    top = ld._top_hook(la, e, p, q)
+                    if top is None:
+                        continue
+                    a, t, r = top
+                    bead = la.part(r) + len(la) - r
+                    assert bead == largest_singular_position(la, e * t, a), (la, e, p, q)
 
     def test_ascends_and_preserves_fingerprint(self):
         for params in (LadderParams(3, 2), LadderParams(4, 3), LadderParams(3, Fraction(4, 3))):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    hooks_by_node_scan,
     mullineux_steps_by_rounds,
     peel_and_rebuild_by_operators,
     regularise_steps_by_scale,
@@ -208,6 +209,14 @@ class TestHookClassification:
         for la in all_up_to(9):
             for hk, _ in classify_hooks(la, 3):
                 assert hk.length % 3 == 0
+
+    def test_equals_the_node_scan(self):
+        for e in range(2, 6):
+            for la in all_up_to(12):
+                expected = [
+                    (h, hook_class(h.arm, h.leg, e)) for h in hooks_by_node_scan(la) if h.length % e == 0
+                ]
+                assert classify_hooks(la, e) == expected, (la, e)
 
 
 class TestLyle:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dominates_by_prefix_sums, hook_data_by_beads, partition_count
+from oracles import dominates_by_prefix_sums, hook_data_by_beads, hooks_by_node_scan, partition_count
+from regcrystals.mullineux import classify_hooks
 from regcrystals.partitions import (
     MAX_PARSE_SIZE,
     Partition,
@@ -131,6 +132,24 @@ class TestHooks:
     def test_outside_node_rejected(self):
         with pytest.raises(ValueError):
             P("2,1").hook((1, 3))
+
+    def test_walk_equals_the_node_scan(self):
+        for la in all_up_to(12):
+            expected = hooks_by_node_scan(la)
+            assert la.hooks() == expected, la
+            assert [la.hook(h.corner) for h in expected] == expected, la
+
+    def test_no_conjugate_is_built(self, monkeypatch):
+        la = P("4,4,4,3,1")
+        expected = hooks_by_node_scan(la)
+
+        def refuse(self):
+            raise AssertionError("conjugate called")
+
+        monkeypatch.setattr(Partition, "conjugate", refuse)
+        assert la.hooks() == expected
+        assert [la.hook(h.corner) for h in expected] == expected
+        assert [h for h, _ in classify_hooks(la, 4)] == [h for h in expected if h.length % 4 == 0] != []
 
 
 class TestRimHooks:
