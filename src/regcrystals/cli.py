@@ -13,7 +13,9 @@ is placed.  crystal's size bound, given as --max-size or defaulted (3e for
 --slope, the prefix bound for --arm), may not exceed MAX_GRAPH_SIZE: a
 larger one exits 1 before any slope prefix or graph is built.  chain's
 prefix bound n*e may not exceed MAX_CHAIN_BOUND: a larger one exits 1
-before the chain is built.
+before the chain is built.  ladder-class's --bound may not exceed
+MAX_LADDER_CLASS_BOUND: a larger one exits 1 before any partition is
+enumerated.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -44,6 +46,10 @@ MAX_GRAPH_SIZE = 30
 # Largest arm prefix bound n*e accepted by chain: a chain holds about n^2
 # prefixes of n values each; at 120 the slowest, e = 3 with n = 40, has 492.
 MAX_CHAIN_BOUND = 120
+
+# Largest ladder-class --bound accepted: the class is found by fingerprinting
+# all p(|la|) partitions of |la|, which at 40 are 37,338.
+MAX_LADDER_CLASS_BOUND = 40
 
 
 def _partition_arg(text: str) -> Partition:
@@ -107,18 +113,22 @@ def _cmd_conj(args) -> int:
     return 0
 
 
+def _within(what: str, value: int, limit: int) -> int:
+    """value; ValueError naming what if it exceeds limit."""
+    if value > limit:
+        raise ValueError(f"{what} {value} exceeds the limit {limit}")
+    return value
+
+
 def _bead_count(la: Partition, e: int, beads: int | None = None) -> int:
     """beads, or the default count for la at e, within MAX_BEADS."""
     n = beads if beads is not None else ab.default_beads(la, e)
-    if n > MAX_BEADS:
-        raise ValueError(f"bead count {n} exceeds the limit {MAX_BEADS}")
-    return n
+    return _within("bead count", n, MAX_BEADS)
 
 
 def _cmd_abacus(args) -> int:
     n = _bead_count(args.partition, args.e, args.beads)
-    if args.e > MAX_BEADS:  # render writes one column per runner
-        raise ValueError(f"runner count {args.e} exceeds the limit {MAX_BEADS}")
+    _within("runner count", args.e, MAX_BEADS)  # render writes one column per runner
     display = ab.encode(args.partition, n, args.e)
     _emit(
         args,
@@ -152,7 +162,8 @@ def _reg_or_restrict(args) -> int:
 
 def _cmd_ladder_class(args) -> int:
     params = ld.LadderParams(args.e, args.y)
-    members = ld.ladder_class(args.partition, params, bound=args.bound)
+    bound = _within("oracle bound", args.bound, MAX_LADDER_CLASS_BOUND)
+    members = ld.ladder_class(args.partition, params, bound=bound)
     _emit(
         args,
         {"e": args.e, "y": str(args.y), "partitions": [str(p) for p in members]},
@@ -161,24 +172,19 @@ def _cmd_ladder_class(args) -> int:
     return 0
 
 
-def _graph_size(size: int) -> int:
-    """size, within MAX_GRAPH_SIZE."""
-    if size > MAX_GRAPH_SIZE:
-        raise ValueError(f"size bound {size} exceeds the limit {MAX_GRAPH_SIZE}")
-    return size
-
-
 def _cmd_crystal(args) -> int:
     if (args.arm is None) == (args.slope is None):
         raise ValueError("give exactly one of --arm and --slope")
     if args.arm is not None:
         prefix = cr.ArmPrefix(args.e, args.arm)
-        _graph_size(args.max_size if args.max_size is not None else prefix.bound)
+        size = args.max_size if args.max_size is not None else prefix.bound
+        _within("size bound", size, MAX_GRAPH_SIZE)
     else:
         y, variant = args.slope
         if args.e < 2:  # checked before the prefix length divides by e
             raise ValueError("e must be at least 2")
-        size = _graph_size(args.max_size if args.max_size is not None else 3 * args.e)
+        size = args.max_size if args.max_size is not None else 3 * args.e
+        _within("size bound", size, MAX_GRAPH_SIZE)
         prefix = cr.ArmPrefix.from_slope(args.e, y, max(1, -(-size // args.e)), variant)
     graph = cr.build_graph(prefix, args.max_size)
     dot = cr.to_dot(graph)
@@ -194,9 +200,7 @@ def _cmd_crystal(args) -> int:
 def _cmd_chain(args) -> int:
     src = cr.ArmPrefix(args.e, args.src)
     dst = cr.ArmPrefix(args.e, args.dst)
-    bound = max(src.bound, dst.bound)
-    if bound > MAX_CHAIN_BOUND:
-        raise ValueError(f"prefix bound {bound} exceeds the limit {MAX_CHAIN_BOUND}")
+    _within("prefix bound", max(src.bound, dst.bound), MAX_CHAIN_BOUND)
     chain = cr.iso_chain(src, dst)
     pairs = [params.pair() for params in chain.steps]
     lines = ["chain: " + " ".join(f"({E},{Y})" for E, Y in pairs)]

@@ -80,7 +80,7 @@ def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Part
     if residue_choice not in ("min", "max"):
         raise ValueError("residue_choice must be 'min' or 'max'")
     n = max(1, -(-la.size // e))
-    prefix = ArmPrefix.from_slope(e, 1, n, "-")
+    prefix = ArmPrefix(e, range(n))  # A_t = t - 1: the slope-1 '-' arm sequence
     order = range(e) if residue_choice == "min" else range(e - 1, -1, -1)
     return peel_and_rebuild(la, prefix, prefix, order, -1)
 

@@ -8,12 +8,17 @@ bound, its default moduli and its properties in report order, and
 ``iter_suites`` drives every suite through that table, yielding each
 suite's results as it finishes.  A suite with default moduli takes any
 e >= 2, checked before any suite runs; the others run fixed moduli and
-ignore e.  It reports one result per property: the number of instances
-checked and the first counterexample found, if any.  A property that
-checked nothing is reported as VACUOUS and counts as a failure.  Partitions are enumerated in
-increasing size, but most properties loop over e or the ladder
-parameters outside size, so a reported counterexample is minimal only
-within the first e or parameter set that fails.
+reject e when named.  It reports one result per property: the number of
+instances checked and the first counterexample found, if any.  A property
+that checked nothing is reported as VACUOUS and counts as a failure.
+
+A suite walks each (modulus or parameter set, partition) pair once,
+builds what that pair needs once (the conjugate, the core and quotient,
+the Mullineux image and oracle, the crystal graph) and yields every
+property that reads it.  Each property still sees its instances in
+enumeration order: e or the ladder parameters outermost, then partitions
+in increasing size, so a reported counterexample is minimal only within
+the first e or parameter set that fails.
 """
 
 from __future__ import annotations
@@ -66,90 +71,65 @@ def _mull(parts: tuple[int, ...], e: int) -> Partition:
 
 
 def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
-    for la in _all_partitions(max_size):
-        yield "conjugate_involution", la.conjugate().conjugate() == la, lambda: str(la)
-
-    for n in range(min(max_size, 15) + 1):
+    for n in range(max_size + 1):
         from_n = list(enumerate_partitions(n))
-        for la in from_n:
-            for mu in from_n:
-                ok = la.dominates(mu) == mu.conjugate().dominates(la.conjugate())
-                yield "dominance_reversed_by_conjugation", ok, lambda: f"{la} vs {mu}"
-
-    for la in _all_partitions(max_size):
-        for nd in la.removable_nodes():
-            smaller = la.remove_node(nd)
-            ok = smaller.size == la.size - 1 and nd in smaller.addable_nodes()
-            yield "node_removal_inverts_addition", ok, lambda: f"{la} node {nd}"
-
-    for la in _all_partitions(max_size):
-        for hook in la.hooks():
-            ok = la.remove_rim_hook(hook.corner).size == la.size - hook.length
-            yield "rim_hook_removal_size_drop", ok, lambda: f"{la} corner {hook.corner}"
-
-    for e in e_values:
-        for la in _all_partitions(max_size):
-            ok = la.is_e_regular(e) == la.conjugate().is_e_restricted(e)
-            yield "regular_iff_conjugate_restricted", ok, lambda: f"{la} e={e}"
+        conjugates = [la.conjugate() for la in from_n]
+        for la, conj in zip(from_n, conjugates):
+            yield "conjugate_involution", conj.conjugate() == la, lambda: str(la)
+            for nd in la.removable_nodes():
+                smaller = la.remove_node(nd)
+                ok = smaller.size == la.size - 1 and nd in smaller.addable_nodes()
+                yield "node_removal_inverts_addition", ok, lambda: f"{la} node {nd}"
+            for hook in la.hooks():
+                ok = la.remove_rim_hook(hook.corner).size == la.size - hook.length
+                yield "rim_hook_removal_size_drop", ok, lambda: f"{la} corner {hook.corner}"
+        if n <= 15:
+            for la, la_conj in zip(from_n, conjugates):
+                for mu, mu_conj in zip(from_n, conjugates):
+                    ok = la.dominates(mu) == mu_conj.dominates(la_conj)
+                    yield "dominance_reversed_by_conjugation", ok, lambda: f"{la} vs {mu}"
 
     for e in e_values:
-        for la in _all_partitions(max_size):
-            for n in (len(la.parts), len(la.parts) + 1, ab.default_beads(la, e)):
-                ok = ab.decode(ab.encode(la, n, e)) == la
-                yield "abacus_round_trip", ok, lambda: f"{la} n={n} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(max_size):
-            disp = ab.encode(la, ab.default_beads(la, e), e)
-            m = ((max(disp.occupied, default=0) + e + 1) // e) * e
-            ok = ab.decode(ab.conjugate_display(disp, m)) == la.conjugate()
-            yield "conjugate_display_matches_conjugate", ok, lambda: f"{la} e={e} m={m}"
-
-    for e in e_values:
-        for n in range(min(max_size, 12) + 1):
+        for n in range(max_size + 1):
             from_n = list(enumerate_partitions(n))
-            beads = max((len(la.parts) for la in from_n), default=0) + e
-            profiles = [ab.runner_profile(ab.encode(la, beads, e)) for la in from_n]
-            contents = [la.e_content(e) for la in from_n]
-            for i in range(len(from_n)):
-                for j in range(i + 1, len(from_n)):
-                    if contents[i] == contents[j]:
-                        yield (
-                            "equal_content_equal_runner_profile",
-                            profiles[i] == profiles[j],
-                            lambda: f"{from_n[i]} vs {from_n[j]} e={e}",
+            for la in from_n:
+                conj, n0 = la.conjugate(), ab.default_beads(la, e)
+                core, quot = ab.e_core(la, e, n0), ab.e_quotient(la, e, n0)
+                where = lambda: f"{la} e={e}"
+                ok = la.is_e_regular(e) == conj.is_e_restricted(e)
+                yield "regular_iff_conjugate_restricted", ok, where
+                for beads in (len(la.parts), len(la.parts) + 1, n0):
+                    ok = ab.decode(ab.encode(la, beads, e)) == la
+                    yield "abacus_round_trip", ok, lambda: f"{la} n={beads} e={e}"
+                disp = ab.encode(la, n0, e)
+                m = ((max(disp.occupied, default=0) + e + 1) // e) * e
+                ok = ab.decode(ab.conjugate_display(disp, m)) == conj
+                yield "conjugate_display_matches_conjugate", ok, lambda: f"{la} e={e} m={m}"
+                ok = core == ab.e_core(la, e, n0 + e) and quot == ab.e_quotient(la, e, n0 + e)
+                yield "core_quotient_bead_invariance", ok, where
+                ok = la.size == core.size + e * sum(q.size for q in quot)
+                yield "core_quotient_size_identity", ok, where
+                yield "core_quotient_rebuild", ab.from_core_and_quotient(core, quot, e) == la, where
+                if n <= 12:
+                    for m in range(4):
+                        via_beads = ab.grow_first_columns(la, m, e)
+                        taller = Partition(
+                            [conj.part(r) + e for r in range(1, m + 1)] + list(conj.parts[m:])
                         )
-
-    for e in e_values:
-        for la in _all_partitions(max_size):
-            n0 = ab.default_beads(la, e)
-            ok = (ab.e_core(la, e, n0) == ab.e_core(la, e, n0 + e)
-                  and ab.e_quotient(la, e, n0) == ab.e_quotient(la, e, n0 + e))
-            yield "core_quotient_bead_invariance", ok, lambda: f"{la} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(max_size):
-            core = ab.e_core(la, e)
-            quot = ab.e_quotient(la, e)
-            ok = la.size == core.size + e * sum(q.size for q in quot)
-            yield "core_quotient_size_identity", ok, lambda: f"{la} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(max_size):
-            rebuilt = ab.from_core_and_quotient(ab.e_core(la, e), ab.e_quotient(la, e), e)
-            yield "core_quotient_rebuild", rebuilt == la, lambda: f"{la} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(min(max_size, 12)):
-            for m in range(4):
-                via_beads = ab.grow_first_columns(la, m, e)
-                conj = la.conjugate()
-                taller = Partition(
-                    [conj.part(r) + e for r in range(1, m + 1)]
-                    + list(conj.parts[m:])
-                )
-                ok = via_beads == taller.conjugate()
-                yield "grow_columns_two_routes_agree", ok, lambda: f"{la} m={m} e={e}"
+                        ok = via_beads == taller.conjugate()
+                        yield "grow_columns_two_routes_agree", ok, lambda: f"{la} m={m} e={e}"
+            if n <= 12:
+                beads = max((len(la.parts) for la in from_n), default=0) + e
+                profiles = [ab.runner_profile(ab.encode(la, beads, e)) for la in from_n]
+                contents = [la.e_content(e) for la in from_n]
+                for i in range(len(from_n)):
+                    for j in range(i + 1, len(from_n)):
+                        if contents[i] == contents[j]:
+                            yield (
+                                "equal_content_equal_runner_profile",
+                                profiles[i] == profiles[j],
+                                lambda: f"{from_n[i]} vs {from_n[j]} e={e}",
+                            )
 
 
 _LADDER_PARAM_SET = (
@@ -164,8 +144,8 @@ _LADDER_PARAM_SET = (
 def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs the fixed parameters _LADDER_PARAM_SET; e_values is unused."""
     window = 12
+    nodes = [(r, c) for r in range(1, window + 1) for c in range(1, window + 1)]
     for params in _LADDER_PARAM_SET:
-        nodes = [(r, c) for r in range(1, window + 1) for c in range(1, window + 1)]
         for a in nodes:
             for b in nodes:
                 same_ladder = ld.ladder_id(a, params) == ld.ladder_id(b, params)
@@ -178,13 +158,20 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     lambda: f"{a} {b} {params!r}",
                 )
 
-    for params in _LADDER_PARAM_SET:
+        conj_params = params.conjugate_params()
         for n in range(max_size + 1):
             by_fp: dict = {}
             for la in enumerate_partitions(n):
-                key = frozenset(ld.fingerprint(la, params).items())
-                by_fp.setdefault(key, []).append(la)
-            for cls in by_fp.values():
+                fp = ld.fingerprint(la, params)
+                by_fp.setdefault(frozenset(fp.items()), []).append(la)
+                where = lambda: f"{la} at {params!r}"
+                if not ld.is_regular(la, params):
+                    kappa = ld.regularise_step(la, params)
+                    ok = kappa.dominates(la) and kappa != la and ld.fingerprint(kappa, params) == fp
+                    yield "step_ascends_and_preserves_fingerprint", ok, where
+                ok = ld.is_restricted(la, params) == ld.is_regular(la.conjugate(), conj_params)
+                yield "restricted_iff_conjugate_regular_for_conjugate_slope", ok, where
+            for key, cls in by_fp.items():
                 regs = [la for la in cls if ld.is_regular(la, params)]
                 rests = [la for la in cls if ld.is_restricted(la, params)]
                 rep = ld.regularise(cls[0], params)
@@ -197,7 +184,7 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 for la in cls:
                     reg = ld.regularise(la, params)
                     where = lambda: f"{la} at {params!r}"
-                    ok = ld.fingerprint(reg, params) == ld.fingerprint(la, params)
+                    ok = frozenset(ld.fingerprint(reg, params).items()) == key
                     yield "regularise_preserves_fingerprint", ok, where
                     ok = (
                         reg == rep
@@ -209,27 +196,6 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 if params.y.denominator > 1:
                     counts = {ld.bad_count(la, params) for la in cls}
                     yield "bad_count_constant_on_classes", len(counts) == 1, of_class
-
-    for params in _LADDER_PARAM_SET:
-        for la in _all_partitions(max_size):
-            if ld.is_regular(la, params):
-                continue
-            kappa = ld.regularise_step(la, params)
-            ok = (
-                kappa.dominates(la)
-                and kappa != la
-                and ld.fingerprint(kappa, params) == ld.fingerprint(la, params)
-            )
-            yield "step_ascends_and_preserves_fingerprint", ok, lambda: f"{la} at {params!r}"
-
-    for params in _LADDER_PARAM_SET:
-        conj_params = params.conjugate_params()
-        for la in _all_partitions(max_size):
-            yield (
-                "restricted_iff_conjugate_regular_for_conjugate_slope",
-                ld.is_restricted(la, params) == ld.is_regular(la.conjugate(), conj_params),
-                lambda: f"{la} at {params!r}",
-            )
 
 
 _CRYSTAL_PREFIXES = (
@@ -244,11 +210,11 @@ _CRYSTAL_PREFIXES = (
 
 def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs the fixed prefixes _CRYSTAL_PREFIXES; e_values is unused."""
-    regular_sets = []
+    first_layers = {}  # e -> layer counts of the first crystal with that e
     for prefix in _CRYSTAL_PREFIXES:
         bound = min(prefix.bound, max_size)
         regulars = [la for la in _all_partitions(bound) if cr.is_A_regular(la, prefix)]
-        regular_sets.append(regular_set := set(regulars))
+        regular_set = set(regulars)
         for la in regulars:
             for i in range(prefix.e):
                 down = cr.e_op(la, prefix, i)
@@ -263,40 +229,32 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                         yield "closure_under_operators", up in regular_set, where
                         yield "adjointness", cr.e_op(up, prefix, i) == la, where
 
-    # build_graph searches from the empty partition, so that is the unique source
-    # exactly when the search reaches every A-regular partition found above.
-    for prefix, regular_set in zip(_CRYSTAL_PREFIXES, regular_sets):
-        graph = cr.build_graph(prefix, min(prefix.bound, max_size))
+        # build_graph searches from the empty partition, so that is the unique source
+        # exactly when the search reaches every A-regular partition found above.
+        graph = cr.build_graph(prefix, bound)
         yield (
             "empty_is_unique_source",
             set(graph.vertices) == regular_set,
             lambda: f"{prefix!r}: {len(graph.vertices)} reached of {len(regular_set)}",
         )
 
-    for prefix in _CRYSTAL_PREFIXES[:3]:
-        graph = cr.build_graph(prefix, min(prefix.bound, max_size))
-        for la, i, mu in graph.edges:
-            added = next(
-                nd for nd in mu.removable_nodes() if nd not in la and mu.remove_node(nd) == la
-            )
-            ok = (added[1] - added[0]) % prefix.e == i
-            yield "edge_labels_match_added_residue", ok, lambda: f"{la} -{i}-> {mu}"
+        if prefix.e == 3:
+            for la, i, mu in graph.edges:
+                added = next(
+                    nd for nd in mu.removable_nodes() if nd not in la and mu.remove_node(nd) == la
+                )
+                ok = (added[1] - added[0]) % prefix.e == i
+                yield "edge_labels_match_added_residue", ok, lambda: f"{la} -{i}-> {mu}"
 
-    for e in (3, 4):
-        prefixes = [p for p in _CRYSTAL_PREFIXES if p.e == e]
-        graphs = [cr.build_graph(p, min(p.bound, max_size)) for p in prefixes]
-        base = None
-        for g in graphs:
-            layers = {}
-            for v in g.vertices:
-                layers[v.size] = layers.get(v.size, 0) + 1
-            if base is None:
-                base = layers
-            yield (
-                "layer_counts_agree_between_prefixes",
-                layers == base,
-                lambda: f"e={e}: {layers} != {base}",
-            )
+        layers = {}
+        for v in graph.vertices:
+            layers[v.size] = layers.get(v.size, 0) + 1
+        base = first_layers.setdefault(prefix.e, layers)
+        yield (
+            "layer_counts_agree_between_prefixes",
+            layers == base,
+            lambda: f"e={prefix.e}: {layers} != {base}",
+        )
 
     for e, y in ((4, Fraction(2)), (3, Fraction(3, 2)), (4, Fraction(5, 3))):
         n = -(-(max_size + 1) // e)
@@ -362,41 +320,26 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
 def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
     for e in e_values:
         for la in _all_partitions(max_size):
-            if not la.is_e_regular(e):
-                continue
-            image = _mull(la.parts, e)
             where = lambda: f"{la} e={e}"
-            yield "algorithm_equals_crystal_oracle", image == mullineux_oracle(la, e), where
-            ok = image.size == la.size and image.is_e_regular(e)
-            yield "image_is_e_regular_of_same_size", ok, where
-            yield "involution", _mull(image.parts, e) == la, where
+            if la.is_e_regular(e):
+                image, oracle = _mull(la.parts, e), mullineux_oracle(la, e)
+                yield "algorithm_equals_crystal_oracle", image == oracle, where
+                ok = image.size == la.size and image.is_e_regular(e)
+                yield "image_is_e_regular_of_same_size", ok, where
+                yield "involution", _mull(image.parts, e) == la, where
+                if la.size <= 10:
+                    ok = oracle == mullineux_oracle(la, e, "max")
+                    yield "oracle_residue_choice_is_irrelevant", ok, where
+            if la.size <= 14 and la.is_e_restricted(e):
+                image = _mull(la.conjugate().parts, e)
+                ok = image.e_content(e) == la.e_content(e)
+                yield "composite_preserves_content_on_restricted", ok, where
+                if la.size <= 12:
+                    yield "image_shares_e_core", ab.e_core(image, e) == ab.e_core(la, e), where
 
     for la in _all_partitions(max(max_size, 18)):
         if la.is_e_regular(2):
             yield "identity_for_e_2", _mull(la.parts, 2) == la, lambda: str(la)
-
-    for e in e_values:
-        for la in _all_partitions(min(max_size, 14)):
-            if not la.is_e_restricted(e):
-                continue
-            image = _mull(la.conjugate().parts, e)
-            ok = image.e_content(e) == la.e_content(e)
-            yield "composite_preserves_content_on_restricted", ok, lambda: f"{la} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(min(max_size, 10)):
-            if not la.is_e_regular(e):
-                continue
-            ok = mullineux_oracle(la, e, "min") == mullineux_oracle(la, e, "max")
-            yield "oracle_residue_choice_is_irrelevant", ok, lambda: f"{la} e={e}"
-
-    for e in e_values:
-        for la in _all_partitions(min(max_size, 12)):
-            if not la.is_e_restricted(e):
-                continue
-            image = _mull(la.conjugate().parts, e)
-            ok = ab.e_core(image, e) == ab.e_core(la, e)
-            yield "image_shares_e_core", ok, lambda: f"{la} e={e}"
 
 
 def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from regcrystals import crystals, verify
+from regcrystals.partitions import Partition
 
 
 @pytest.fixture
@@ -15,6 +16,19 @@ def lyle_fails_at_2_1(monkeypatch):
         return replace(report, dominates=False) if la.parts == (2, 1) else report
 
     monkeypatch.setattr(verify, "lyle_check", check)
+
+
+@pytest.fixture
+def oracle_fails_at_3_1(monkeypatch):
+    """verify's Mullineux oracle, returning the empty partition for 3,1 with
+    the 'min' residue choice and otherwise unchanged."""
+    real = verify.mullineux_oracle
+
+    def oracle(la, e, residue_choice="min"):
+        image = real(la, e, residue_choice)
+        return Partition() if la.parts == (3, 1) and residue_choice == "min" else image
+
+    monkeypatch.setattr(verify, "mullineux_oracle", oracle)
 
 
 @pytest.fixture

@@ -8,8 +8,16 @@ import tracemalloc
 import pytest
 
 from regcrystals import crystals as cr
+from regcrystals import ladders as ld
 from regcrystals import verify as vf
-from regcrystals.cli import MAX_BEADS, MAX_CHAIN_BOUND, MAX_GRAPH_SIZE, build_parser, main
+from regcrystals.cli import (
+    MAX_BEADS,
+    MAX_CHAIN_BOUND,
+    MAX_GRAPH_SIZE,
+    MAX_LADDER_CLASS_BOUND,
+    build_parser,
+    main,
+)
 from regcrystals.partitions import MAX_PARSE_SIZE, Partition, parse_partition
 
 GOLDEN_DOT = pathlib.Path(__file__).parent / "golden"
@@ -124,6 +132,21 @@ class TestLadderClass:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "argument --bound: size -5 is negative" in captured.err
+
+    def test_bound_over_the_limit_exits_1(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("partitions were enumerated past the bound limit")
+
+        monkeypatch.setattr(ld, "ladder_class", refuse)
+        code, out, err = run(capsys, "ladder-class", "--e", "3", "--y", "2", "--bound", "41", "5,1")
+        assert (code, out) == (1, "")
+        assert err == "error: oracle bound 41 exceeds the limit 40\n"
+
+    def test_bound_at_the_limit_is_accepted(self, capsys):
+        assert MAX_LADDER_CLASS_BOUND == 40
+        code, out, err = run(capsys, "ladder-class", "--e", "3", "--y", "2", "--bound", "40", "5,1")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["5,1", "4,1,1", "3,3", "3,2,1"]
 
 
 class TestCrystal:

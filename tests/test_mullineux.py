@@ -165,6 +165,12 @@ class TestOracle:
         with pytest.raises(ValueError):
             mullineux_oracle(P("1,1"), 2)
 
+    def test_prefix_is_the_slope_1_minus_prefix(self):
+        # the oracle builds its prefix as the values t - 1 directly
+        for e in range(2, 7):
+            for n in range(1, 31):
+                assert ArmPrefix(e, range(n)) == ArmPrefix.from_slope(e, 1, n, "-")
+
 
 class TestJamesRegularise:
     def test_examples(self):

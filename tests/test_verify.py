@@ -4,25 +4,79 @@ from regcrystals import verify
 from regcrystals.verify import iter_suites, run_suites
 
 
+# Each suite at a small bound, with the instance count of each property
+# there: a change in what the suite checks moves them.
 CASES = [
-    ("ladder", 7, None),
-    ("crystal", 10, None),
-    ("mullineux", 9, None),
-    ("core", 6, None),
-    ("lyle", 6, None),
-    ("paget", 4, None),
-    ("split", 5, (4,)),
+    ("ladder", 7, None, {
+        "depth_and_residue_classify_ladders": 103680,
+        "regularise_is_unique_class_maximum": 200,
+        "restrictise_is_unique_class_minimum": 200,
+        "regularise_preserves_fingerprint": 225,
+        "regularise_restrictise_idempotent_inverse": 225,
+        "bad_count_constant_on_classes": 90,
+        "step_ascends_and_preserves_fingerprint": 25,
+        "restricted_iff_conjugate_regular_for_conjugate_slope": 225,
+    }),
+    ("crystal", 10, None, {
+        "adjointness": 1362,
+        "closure_under_operators": 1362,
+        "empty_is_unique_source": 6,
+        "edge_labels_match_added_residue": 222,
+        "layer_counts_agree_between_prefixes": 6,
+        "regularisation_commutes_with_operators": 1086,
+        "regularisation_bijects_regular_sets": 33,
+        "chain_factorisations_induce_same_map": 270,
+    }),
+    ("mullineux", 9, None, {
+        "algorithm_equals_crystal_oracle": 344,
+        "involution": 344,
+        "image_is_e_regular_of_same_size": 344,
+        "identity_for_e_2": 253,
+        "composite_preserves_content_on_restricted": 344,
+        "oracle_residue_choice_is_irrelevant": 344,
+        "image_shares_e_core": 344,
+    }),
+    ("core", 6, None, {
+        "conjugate_involution": 30,
+        "dominance_reversed_by_conjugation": 210,
+        "node_removal_inverts_addition": 45,
+        "rim_hook_removal_size_drop": 135,
+        "regular_iff_conjugate_restricted": 120,
+        "abacus_round_trip": 360,
+        "conjugate_display_matches_conjugate": 120,
+        "equal_content_equal_runner_profile": 160,
+        "core_quotient_bead_invariance": 120,
+        "core_quotient_size_identity": 120,
+        "core_quotient_rebuild": 120,
+        "grow_columns_two_routes_agree": 480,
+    }),
+    ("lyle", 6, None, {
+        "dominance_always_holds": 120,
+        "equality_iff_all_hooks_steep_or_shallow": 120,
+    }),
+    ("paget", 4, None, {
+        "theorem_on_quotient_separated_partitions": 511,
+        "partner_shares_core": 585,
+    }),
+    ("split", 5, (4,), {
+        "split_combine_round_trip": 114,
+        "separated_regular_iff_half_restricted": 401,
+        "separated_restricted_iff_half_restricted": 401,
+        "splitting_theorem": 552,
+        "box_step_preserves_cbar_fingerprint": 110,
+    }),
 ]
 
 
 @pytest.mark.parametrize(
-    "suite, max_size, e_values", CASES, ids=[f"{suite}-{size}" for suite, size, _ in CASES]
+    "suite, max_size, e_values, counts", CASES, ids=[f"{case[0]}-{case[1]}" for case in CASES]
 )
-def test_suite_passes_at_a_small_bound(suite, max_size, e_values):
+def test_suite_passes_at_a_small_bound(suite, max_size, e_values, counts):
     results = run_suites([suite], max_size=max_size, e_values=e_values)
     assert results
     for result in results:
         assert result.ok and result.checked > 0, result.line()
+    assert {r.name: r.checked for r in results} == counts
 
 
 # Instance counts of the split suite at --max 5: a change in what the suite
@@ -60,6 +114,18 @@ def test_first_failure_is_reported_and_counted(lyle_fails_at_2_1):
         "FAIL lyle.dominance_always_holds checked=6 counterexample: 2,1 e=3"
     )
     assert equality.line() == "PASS lyle.equality_iff_all_hooks_steep_or_shallow checked=12"
+
+
+def test_first_failure_on_a_shared_loop(oracle_fails_at_3_1):
+    # the oracle is computed once per e-regular partition and read by two
+    # properties; 3,1 is the eighth 3-regular partition in enumeration order
+    lines = [r.line() for r in run_suites(["mullineux"], max_size=6, e_values=(3,))]
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert failed == [
+        "FAIL mullineux.algorithm_equals_crystal_oracle checked=8 counterexample: 3,1 e=3",
+        "FAIL mullineux.oracle_residue_choice_is_irrelevant checked=8 counterexample: 3,1 e=3",
+    ]
+    assert len(lines) == len(verify._SUITES["mullineux"][3])
 
 
 def test_each_suite_is_yielded_before_the_next_one_runs(monkeypatch):
