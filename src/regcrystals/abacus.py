@@ -6,10 +6,11 @@ of a partition puts beads at its n beta-numbers; conjugation truncates at a
 multiple m of e and places beads at m - 1 - t for every empty position t < m.
 
 The bead set has one codec: partitions.beta_numbers encodes and
-partitions.from_beta_numbers decodes.  The positions on a union of runners
-are renumbered by one pair, to_local and to_global, and from_runners is the
-one assembly of a display from per-runner bead counts and quotient
-components.  These work on plain position sets; only encode,
+partitions.from_beta_numbers decodes.  The e-quotient reads each runner's
+positions directly, position p becoming p // e; the positions on a union of
+runners are renumbered by one pair, to_local and to_global, and
+from_runners is the one assembly of a display from per-runner bead counts
+and quotient components.  These work on plain position sets; only encode,
 conjugate_display and restrict_to_classes build an Abacus.
 """
 
@@ -140,7 +141,7 @@ def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:
 
 def _quotient(occ: set[int], e: int) -> list[Partition]:
     """e_quotient on a bead set whose size is a multiple of e."""
-    return [from_beta_numbers(to_local(occ, e, (i,))) for i in range(e)]
+    return [from_beta_numbers({p // e for p in occ if p % e == i}) for i in range(e)]
 
 
 def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -> Partition:

@@ -15,7 +15,9 @@ larger one exits 1 before any slope prefix or graph is built.  chain's
 prefix bound n*e may not exceed MAX_CHAIN_BOUND: a larger one exits 1
 before the chain is built.  ladder-class's --bound may not exceed
 MAX_LADDER_CLASS_BOUND: a larger one exits 1 before any partition is
-enumerated.
+enumerated.  verify's --e may not exceed MAX_BEADS, as every suite places at
+least e beads per partition, and its --max may not exceed MAX_VERIFY_SIZE:
+a larger one exits 1 before any suite runs.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -50,6 +52,10 @@ MAX_CHAIN_BOUND = 120
 # Largest ladder-class --bound accepted: the class is found by fingerprinting
 # all p(|la|) partitions of |la|, which at 40 are 37,338.
 MAX_LADDER_CLASS_BOUND = 40
+
+# Largest verify --max accepted: a suite enumerates the partitions of every
+# size up to the bound, 28,629 at 30.
+MAX_VERIFY_SIZE = 30
 
 
 def _partition_arg(text: str) -> Partition:
@@ -294,6 +300,10 @@ def _cmd_paget(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.e is not None:
+        _within("modulus", args.e, MAX_BEADS)
+    if args.max is not None:
+        _within("size bound", args.max, MAX_VERIFY_SIZE)
     e_values = (args.e,) if args.e is not None else None
     try:
         per_suite = vf.iter_suites([args.suite], max_size=args.max, e_values=e_values)

@@ -9,15 +9,18 @@ node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
 the ladder depth first.  A-regularity reads the hooks of length
-divisible by e off the bead set.  The i-string kernel walks the rows once
-for residue i, then moves good i-nodes (last first) or cogood ones (first
-first) of a row list in place, checking only the hooks of each moved row
-and column as it moves; moving an i-node changes no other i-node's sign,
-so one walk serves the whole string.  e_op/f_op check their input in full
-on every call, with no memo, and move one node; mullineux.peel_and_rebuild
-moves whole strings, one walk each.  build_graph grows the crystal one size
-layer at a time, keyed by part tuples in sorted order; _cogood_nodes walks
-each vertex once and reduces every residue's signature in one pass, and
+divisible by e off the bead set.  One row walk, _signed_nodes, finds the
+signed nodes of one residue or of every residue, sorted by that key, and
+_reduce is the one signature reduction.  The i-string kernel walks the
+rows once for residue i, then moves good i-nodes (last first) or cogood
+ones (first first) of a row list in place, checking only the hooks of each
+moved row and column as it moves; moving an i-node changes no other
+i-node's sign, so one walk serves the whole string.  e_op/f_op check their
+input in full on every call, with no memo, and move one node;
+mullineux.peel_and_rebuild moves whole strings, one walk each: of every
+residue for a peeled string, of residue i for a rebuilt one.
+build_graph grows the crystal one size layer at a time, keyed by part
+tuples in sorted order; it walks each vertex once for every residue, and
 each residue's cogood node gives an edge.  Crystals for any two prefixes
 are isomorphic via a chain of ladder regularisations at the slope of each
 prefix in turn; apply_chain is the last image of chain_steps, which yields
@@ -145,69 +148,36 @@ class ArmPrefix:
         return f"ArmPrefix(e={self.e}, values={self.values})"
 
 
-def _signed_i_nodes(parts, prefix: ArmPrefix, i: int) -> list[tuple[Node, str]]:
-    """Addable (+) and removable (-) i-nodes of parts, sorted descending in the node order.
+def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, list[tuple[Node, str]]]:
+    """Addable (+) and removable (-) nodes of parts grouped by residue, each
+    group sorted descending in the node order: residue i alone, or every
+    residue when i is None.
 
     One walk down the rows finds them: row r ends in a removable node when
     the row below is shorter, and has an addable node after its end when the
     row above is longer.  A node (r, c) sorts by its key
-    (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e).
+    (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e), and its
+    residue is -(r - c) mod e.
     """
     e, y = prefix.e, prefix.slope
     wr = y.numerator
     wc = e * y.denominator - wr
-    before = (i - 1) % e  # (c - r) mod e of the last node of a row with an addable i-node
     keyed = []
     above = None
     for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
-        res = (p - r) % e
-        if res == i and below < p:
+        if below < p and (i is None or (p - r) % e == i):
             keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
-        elif res == before and above != p:
+        if above != p and (i is None or (p + 1 - r) % e == i):
             keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), "+"))
         above = p
     r = len(parts) + 1
-    if (1 - r) % e == i:
+    if i is None or (1 - r) % e == i:
         keyed.append((wr * r + wc, r - 1, (r, 1), "+"))
     keyed.sort(reverse=True)
-    return [(node, sign) for _, _, node, sign in keyed]
-
-
-def _cogood_nodes(parts, prefix: ArmPrefix) -> dict[int, Node]:
-    """The cogood i-node of parts for every residue i that has one, from one
-    walk down the rows and one sort of every addable and removable node
-    (the residue of a node is -(r - c) mod e, read off its key), then one
-    pass in descending order that keeps a stack of the unmatched '+' nodes
-    of each residue: a '-' pops its residue's last '+', and the bottom of
-    each stack is the first '+' of its reduced signature."""
-    e, y = prefix.e, prefix.slope
-    wr = y.numerator
-    wc = e * y.denominator - wr
-    keyed = []
-    above = None
-    for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
-        if below < p:
-            keyed.append((wr * r + wc * p, r - p, None))
-        if above != p:
-            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1)))
-        above = p
-    r = len(parts) + 1
-    keyed.append((wr * r + wc, r - 1, (r, 1)))
-    keyed.sort(reverse=True)
-    plus = {}
-    for _, d, node in keyed:
-        if node:
-            plus.setdefault(-d % e, []).append(node)
-        elif stack := plus.get(-d % e):
-            stack.pop()
-    return {i: stack[0] for i, stack in plus.items() if stack}
-
-
-def i_signature(la: Partition, prefix: ArmPrefix, i: int) -> str:
-    """Signs of the addable/removable i-nodes, greatest node first."""
-    if la.size > prefix.bound:
-        raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
-    return "".join(sign for _, sign in _signed_i_nodes(la.parts, prefix, i))
+    signed = {}
+    for _, d, node, sign in keyed:
+        signed.setdefault(-d % e, []).append((node, sign))
+    return signed
 
 
 def _reduce(signed) -> tuple[list, list]:
@@ -222,14 +192,6 @@ def _reduce(signed) -> tuple[list, list]:
         else:
             minus.append(item)
     return minus, plus
-
-
-def reduce_signature(s: str) -> str:
-    """Delete adjacent '+-' pairs to a fixpoint; the result is -...-+...+."""
-    if any(ch not in "+-" for ch in s):
-        raise ValueError(f"signature must be over '+'/'-': {s!r}")
-    minus, plus = _reduce(enumerate(s))
-    return "-" * len(minus) + "+" * len(plus)
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
@@ -285,6 +247,17 @@ def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
     return True
 
 
+def _move(parts: list[int], prefix: ArmPrefix, nodes, grow: bool) -> int:
+    """Add (grow) or remove the nodes of parts in place, in turn, checking
+    each move as it is made, and return how many moved; ValueError if a
+    move fails its check."""
+    for node in nodes:
+        _place(parts, node, grow)
+        if not _move_ok(parts, node, prefix):
+            raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
+    return len(nodes)
+
+
 def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int | None = None) -> int:
     """Move up to k i-nodes of parts in place after one walk, and return how
     many moved: the cogood nodes in turn (f_i applied k times) if grow, else
@@ -292,16 +265,10 @@ def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int
 
     Moving an i-node changes no other i-node's sign, so the reduced
     signature -^a +^b just loses its last '-' to its '+'s (or its first '+'
-    to its '-'s), and the next node to move is the next one it kept.  Each
-    move is checked as it is made; ValueError if one fails.
+    to its '-'s), and the next node to move is the next one it kept.
     """
-    minus, plus = _reduce(_signed_i_nodes(parts, prefix, i))
-    nodes = plus[:k] if grow else minus[::-1][:k]
-    for node in nodes:
-        _place(parts, node, grow)
-        if not _move_ok(parts, node, prefix):
-            raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
-    return len(nodes)
+    minus, plus = _reduce(_signed_nodes(parts, prefix, i).get(i, ()))
+    return _move(parts, prefix, plus[:k] if grow else minus[::-1][:k], grow)
 
 
 def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | None:
@@ -339,10 +306,11 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     built one size layer at a time from the empty partition.  The vertices of
     a layer are keyed by their part tuples and walked in sorted order, so the
     vertices and the edges (by source, then residue) come out sorted.  One
-    _cogood_nodes pass per vertex below the bound gives each residue's
-    cogood node, and each one gives an edge to the vertex with it added.
-    Each vertex is built and checked once, by the move check from the first
-    vertex that reaches it."""
+    all-residue _signed_nodes walk per vertex below the bound gives each
+    residue's signature; the first '+' of each reduced signature is that
+    residue's cogood node, and each one gives an edge to the vertex with it
+    added.  Each vertex is built and checked once, by the move check from
+    the first vertex that reaches it."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
@@ -358,8 +326,11 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
         above, layer = layer, {}
         for key in keys:
             la = above[key]
-            for i, node in sorted(_cogood_nodes(key, prefix).items()):
-                parts = list(key)
+            for i, signed in sorted(_signed_nodes(key, prefix).items()):
+                plus = _reduce(signed)[1]
+                if not plus:
+                    continue
+                parts, node = list(key), plus[0]
                 _place(parts, node, True)
                 mu = layer.get(tuple(parts))
                 if mu is None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator
 
-from .crystals import ArmPrefix, _move_string, e_op
+from .crystals import ArmPrefix, _move, _move_string, _reduce, _signed_nodes, e_op
 from .ladders import LadderParams, _steps, regularise
 from .partitions import Hook, Partition, _sorted_hooks, hooks_divisible_by
 
@@ -92,41 +92,36 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
     with a good node loses all of them (e_i applied epsilon_i times), and
     the run (i, count) is recorded.  The rebuild adds, last run first, count
     cogood nodes in dst at the residue sign*i mod e (f applied count times).
-    Removing i-nodes changes only the i-1, i and i+1 signatures, so a
-    residue found without a good node is skipped until a string of a
-    neighbouring residue is removed.  The crystal is connected from the
-    empty partition, so every path to it gives the same image.  The first
-    removal is e_op's, which checks la in full; after it, each string moves
-    on one row list in place, one walk per run, and each node is checked as
-    it moves, raising ValueError if it fails.
+    The crystal is connected from the empty partition, so every path to it
+    gives the same image.  The first removal is e_op's, which checks la in
+    full; after it, each string moves on one row list in place, and each
+    node is checked as it moves, raising ValueError if it fails.  Each later
+    peeled string takes one walk of every residue, and each rebuilt string
+    one walk of its residue.
     """
     if not la:
         return la
     if la.size > dst.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
-    e, bare = src.e, set()  # bare: residues with no good node on parts
     for i in order:
         mu = e_op(la, src, i)
         if mu is not None:
             break
-        bare.add(i)
     else:
         raise AssertionError(f"no good node on {la.parts}")
     parts = list(mu.parts)
     runs = [(i, 1 + _move_string(parts, src, i, False))]
     while parts:
-        bare = bare - {(i - 1) % e, (i + 1) % e} | {i}
+        signed = _signed_nodes(parts, src)
         for i in order:
-            if i not in bare:
-                count = _move_string(parts, src, i, False)
-                if count:
-                    break
-                bare.add(i)
+            good = _reduce(signed.get(i, ()))[0]
+            if good:
+                break
         else:
             raise AssertionError(f"no good node on {tuple(parts)}")
-        runs.append((i, count))
+        runs.append((i, _move(parts, src, good[::-1], False)))
     for i, count in reversed(runs):
-        i = sign * i % e
+        i = sign * i % src.e
         if _move_string(parts, dst, i, True, count) < count:
             raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
     return Partition(parts)

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -31,19 +32,39 @@ def oracle_fails_at_3_1(monkeypatch):
     monkeypatch.setattr(verify, "mullineux_oracle", oracle)
 
 
+# the modules that hold the crystal kernels by name; the package exports the
+# function mullineux under the module's name
+KERNEL_HOLDERS = (crystals, importlib.import_module("regcrystals.mullineux"))
+
+
 @pytest.fixture
-def count_walks(monkeypatch):
-    """count_walks(name) wraps crystals.<name> and returns the list it
-    appends the arguments of each later call to."""
+def replace_kernel(monkeypatch):
+    """replace_kernel(name, fake) sets crystals.<name>, and the same function
+    in every module that imported it by name, to fake; returns the real one."""
+
+    def install(name, fake):
+        real = getattr(crystals, name)
+        for module in KERNEL_HOLDERS:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, fake)
+        return real
+
+    return install
+
+
+@pytest.fixture
+def count_walks(replace_kernel):
+    """count_walks(name) wraps crystals.<name> wherever it is held and
+    returns the list it appends the arguments of each later call to."""
 
     def install(name):
-        real, walks = getattr(crystals, name), []
+        walks = []
 
         def counting(*args):
             walks.append(args)
             return real(*args)
 
-        monkeypatch.setattr(crystals, name, counting)
+        real = replace_kernel(name, counting)
         return walks
 
     return install

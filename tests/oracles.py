@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_i_nodes, e_op, f_op
+from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, e_op, f_op
 from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers
@@ -145,9 +145,9 @@ def arm_axioms_hold(e: int, values) -> bool:
 
 def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
     """crystals.build_graph breadth-first from the empty partition: one
-    signed-node walk and reduction per vertex and residue, one Partition per
-    edge target, and each new vertex checked by the move that first reached
-    it; vertices and edges are sorted at the end."""
+    one-residue signed-node walk and reduction per vertex and residue, one
+    Partition per edge target, and each new vertex checked by the move that
+    first reached it; vertices and edges are sorted at the end."""
     bound = prefix.bound if max_size is None else max_size
     vertices = [Partition()]
     reached = {vertices[0]}
@@ -156,7 +156,7 @@ def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
         if la.size == bound:
             continue
         for i in range(prefix.e):
-            plus = _reduce(_signed_i_nodes(la.parts, prefix, i))[1]
+            plus = _reduce(_signed_nodes(la.parts, prefix, i).get(i, ()))[1]
             if not plus:
                 continue
             parts, node = list(la.parts), plus[0]

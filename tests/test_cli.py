@@ -15,6 +15,7 @@ from regcrystals.cli import (
     MAX_CHAIN_BOUND,
     MAX_GRAPH_SIZE,
     MAX_LADDER_CLASS_BOUND,
+    MAX_VERIFY_SIZE,
     build_parser,
     main,
 )
@@ -577,6 +578,32 @@ class TestPaget:
         assert "unrecognized arguments: --beads" in capsys.readouterr().err
 
 
+class TestVerifyLimits:
+    # every suite places at least e beads per partition, and enumerates every
+    # partition of size up to --max
+    OVER = [("--max", MAX_VERIFY_SIZE + 1, "size bound", MAX_VERIFY_SIZE),
+            ("--e", MAX_BEADS + 1, "modulus", MAX_BEADS)]
+
+    @pytest.mark.parametrize("flag, value, what, limit", OVER, ids=[f"{f} {v}" for f, v, *_ in OVER])
+    def test_over_the_limit_exits_1(self, capsys, monkeypatch, flag, value, what, limit):
+        monkeypatch.setattr(vf, "iter_suites", lambda *args, **kwargs: pytest.fail("suites ran"))
+        code, out, err = run(capsys, "verify", "core", flag, str(value))
+        assert code == 1 and out == ""
+        assert err == f"error: {what} {value} exceeds the limit {limit}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, kwargs",
+        [("--max", MAX_VERIFY_SIZE, {"max_size": MAX_VERIFY_SIZE, "e_values": None}),
+         ("--e", MAX_BEADS, {"max_size": None, "e_values": (MAX_BEADS,)})],
+        ids=["--max", "--e"],
+    )
+    def test_at_the_limit_reaches_the_suites(self, capsys, monkeypatch, flag, value, kwargs):
+        calls = []
+        monkeypatch.setattr(vf, "iter_suites", lambda *args, **kw: calls.append((args, kw)) or [])
+        assert run(capsys, "verify", "core", flag, str(value)) == (0, "", "")
+        assert calls == [((["core"],), kwargs)]
+
+
 class TestVerify:
     def test_quick_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "lyle", "--e", "3", "--max", "6")
@@ -634,8 +661,8 @@ class TestVerify:
             f"core.{name}" for name in vf._SUITES["core"][3]
         ]
 
-    def test_peel_without_a_good_node_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cr, "_signed_i_nodes", lambda *args: [])
+    def test_peel_without_a_good_node_exits_1(self, capsys, replace_kernel):
+        replace_kernel("_signed_nodes", lambda *args: {})
         code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
         assert code == 1 and out == ""
         assert err == "error: no good node on (1,)\n"

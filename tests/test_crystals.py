@@ -73,7 +73,7 @@ class TestNodeOrder:
             3: [(5, 1), (2, 2), (1, 5)],
         }
         for a1, prefix in TABLE_PREFIXES.items():
-            pairs = cr._signed_i_nodes(P("5,2,1,1").parts, prefix, 0)
+            pairs = cr._signed_nodes(P("5,2,1,1").parts, prefix, 0)[0]
             assert [nd for nd, _ in pairs] == expected[a1]
             assert set(nd for nd, _ in pairs) == set(la_nodes)
 
@@ -165,7 +165,7 @@ def test_key_order_equals_node_compare(e):
             for (a, b), (la, i) in pairs.items():
                 if la.size > prefix.bound:
                     continue
-                order = [nd for nd, _ in cr._signed_i_nodes(la.parts, prefix, i)]
+                order = [nd for nd, _ in cr._signed_nodes(la.parts, prefix, i)[i]]
                 assert (order.index(a) < order.index(b)) == (node_compare(prefix, a, b) > 0)
                 checked += 1
     assert checked > 0
@@ -173,17 +173,18 @@ def test_key_order_equals_node_compare(e):
 
 @pytest.mark.parametrize("variant", "+-")
 def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
+    # the walk of every residue gives each residue the list its own walk gives
     for e in (2, 3, 4):
         for y in {Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)}:
             prefix = ArmPrefix.from_slope(e, y, 3, variant)
             for la in all_up_to(prefix.bound):
-                cogood = cr._cogood_nodes(la.parts, prefix)
+                every = cr._signed_nodes(la.parts, prefix)
+                assert set(every) <= set(range(e))
                 for i in range(e):
-                    pairs = cr._signed_i_nodes(la.parts, prefix, i)
+                    pairs = cr._signed_nodes(la.parts, prefix, i).get(i, [])
+                    assert every.get(i, []) == pairs, (la, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
-                    plus = cr._reduce(pairs)[1]
-                    assert cogood.get(i) == (plus[0] if plus else None), (la, i)
                     assert sorted(nd for nd, _ in pairs) == sorted(
                         nd for nd in la.addable_nodes() + la.removable_nodes()
                         if (nd[1] - nd[0]) % e == i
@@ -210,28 +211,30 @@ def test_derived_order_matches_comparator_sort_at_large_n():
                     la = random_partition(rng, rng.randint(n, prefix.bound))
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     for i in range(e):
-                        pairs = cr._signed_i_nodes(la.parts, prefix, i)
+                        pairs = cr._signed_nodes(la.parts, prefix, i).get(i, [])
                         assert pairs == sorted(pairs, key=by_compare, reverse=True), (la, i)
 
 
 class TestSignatures:
     def test_table_signatures(self):
+        # the 0-signature of 5,2,1,1 and the nodes its reduction keeps
         la = P("5,2,1,1")
-        expected = {0: ("--+", "--+"), 2: ("+--", "-"), 3: ("+--", "-")}
+        expected = {
+            0: ("--+", ([(1, 5), (2, 2)], [(5, 1)])),
+            2: ("+--", ([(2, 2)], [])),
+            3: ("+--", ([(1, 5)], [])),
+        }
         for a1, prefix in TABLE_PREFIXES.items():
-            sig = cr.i_signature(la, prefix, 0)
-            assert sig == expected[a1][0]
-            assert cr.reduce_signature(sig) == expected[a1][1]
+            signed = cr._signed_nodes(la.parts, prefix, 0)[0]
+            assert "".join(sign for _, sign in signed) == expected[a1][0]
+            assert cr._reduce(signed) == expected[a1][1]
 
     def test_reduce(self):
-        assert cr.reduce_signature("+-") == ""
-        assert cr.reduce_signature("++--") == ""
-        assert cr.reduce_signature("-+-+") == "-+"
-        assert cr.reduce_signature("") == ""
-
-    def test_reduce_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            cr.reduce_signature("+x")
+        # the positions of the signs that survive, '-' items then '+' items
+        assert cr._reduce(enumerate("+-")) == ([], [])
+        assert cr._reduce(enumerate("++--")) == ([], [])
+        assert cr._reduce(enumerate("-+-+")) == ([0], [3])
+        assert cr._reduce(enumerate("")) == ([], [])
 
 
 class TestOperators:
@@ -316,13 +319,13 @@ def test_string_kernel_equals_the_operators(prefix):
         if not cr.is_A_regular(la, prefix):
             continue
         for i in range(prefix.e):
-            reduced = cr.reduce_signature(cr.i_signature(la, prefix, i))
+            minus, plus = cr._reduce(cr._signed_nodes(la.parts, prefix, i).get(i, ()))
             parts, mu = list(la.parts), la
-            assert cr._move_string(parts, prefix, i, False) == reduced.count("-")
+            assert cr._move_string(parts, prefix, i, False) == len(minus)
             while (nu := cr.e_op(mu, prefix, i)) is not None:
                 mu = nu
             assert tuple(parts) == mu.parts, (la, i)
-            phi, mu = reduced.count("+"), la
+            phi, mu = len(plus), la
             for k in range(1, min(phi, prefix.bound - la.size) + 1):
                 mu, parts = cr.f_op(mu, prefix, i), list(la.parts)
                 assert cr._move_string(parts, prefix, i, True, k) == k
@@ -333,18 +336,34 @@ def test_string_kernel_equals_the_operators(prefix):
     assert strings > 0
 
 
-def test_peel_raises_when_a_move_fails_its_check(monkeypatch):
-    # a walk that reports the wrong node of 3,2,2 drops it and leaves 2,2,2,
-    # which is not 3-regular
-    real = cr._signed_i_nodes
+def report_a_wrong_node_of_3_2_2(replace_kernel):
+    """Make the walk report (1, 3) as the one removable node of 3,2,2 at
+    every residue it is asked for; removing it leaves 2,2,2, which is not
+    3-regular."""
 
-    def faulty(parts, prefix, i):
-        return [((1, 3), "-")] if list(parts) == [3, 2, 2] else real(parts, prefix, i)
+    def faulty(parts, prefix, i=None):
+        if list(parts) != [3, 2, 2]:
+            return real(parts, prefix, i)
+        return {r: [((1, 3), "-")] for r in (range(prefix.e) if i is None else [i])}
 
-    monkeypatch.setattr(cr, "_signed_i_nodes", faulty)
+    real = replace_kernel("_signed_nodes", faulty)
+
+
+def test_peel_raises_when_a_move_fails_its_check(replace_kernel):
+    # the wrong node is removed at the first removal, e_op's
+    report_a_wrong_node_of_3_2_2(replace_kernel)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
+
+
+def test_peel_run_raises_when_a_move_fails_its_check(replace_kernel):
+    # from 4,2,2,1 the second run starts on 3,2,2, and the all-residue walk
+    # of that run reports the wrong node
+    report_a_wrong_node_of_3_2_2(replace_kernel)
+    prefix = ArmPrefix.from_slope(3, 1, 3, "-")
+    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
+        peel_and_rebuild(P("4,2,2,1"), prefix, prefix, range(3), -1)
 
 
 def test_rebuild_checks_its_last_image(monkeypatch):
@@ -448,7 +467,7 @@ class TestGraphs:
 def test_graph_of_a_huge_modulus_walks_once_per_vertex(count_walks):
     # no loop or allocation of size e: one walk for the empty partition, and
     # none for the vertex at the bound
-    walks = count_walks("_cogood_nodes")
+    walks = count_walks("_signed_nodes")
     graph = cr.build_graph(ArmPrefix(10**8, (0,)), 1)
     assert graph.vertices == (Partition(), P("1"))
     assert graph.edges == ((Partition(), 0, P("1")),)
@@ -472,7 +491,7 @@ def filter_route_graph(prefix, bound):
     [(p, None) for p in verify._CRYSTAL_PREFIXES] + [(verify._CRYSTAL_PREFIXES[4], 8)],
 )
 def test_search_graph_equals_filter_route(prefix, max_size, count_walks):
-    walks = count_walks("_cogood_nodes")
+    walks = count_walks("_signed_nodes")
     graph = cr.build_graph(prefix, max_size)
     bound = prefix.bound if max_size is None else max_size
     assert len(walks) == sum(v.size < bound for v in graph.vertices)

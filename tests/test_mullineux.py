@@ -134,7 +134,7 @@ def test_walk_equals_the_operator_walk_at_large_n(count_walks):
     # pair, as in verify's chain_factorisations_induce_same_map); the string
     # walks take fewer row walks in all than the nodes they move, though not
     # each one: every string of a one-row partition has one node
-    walks = count_walks("_signed_i_nodes")
+    walks = count_walks("_signed_nodes")
     rng = random.Random(20210518)
     walked = moved = 0
     for k in range(12):
@@ -152,6 +152,17 @@ def test_walk_equals_the_operator_walk_at_large_n(count_walks):
             assert peel_and_rebuild(mu, src, dst, order, sign) == expected, (mu, e)
             walked, moved = walked + len(walks), moved + 2 * mu.size
     assert walked < moved
+
+
+@pytest.mark.parametrize("n, e, walks", [(12, 3, 27), (20, 4, 44)])
+def test_oracle_walks_on_one_row(count_walks, n, e, walks):
+    # every string of (n) has one node: the peel takes e_op's tries up to the
+    # residue n - 1 of the last node, one walk to end that string and one
+    # all-residue walk for each of the n - 1 later strings; the rebuild takes
+    # one walk per string
+    counted = count_walks("_signed_nodes")
+    assert mullineux_oracle(Partition([n]), e) == mullineux(Partition([n]), e)
+    assert len(counted) == walks == (n - 1) % e + 1 + 1 + (n - 1) + n
 
 
 class TestOracle:
