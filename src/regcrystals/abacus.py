@@ -203,7 +203,11 @@ def to_local(positions: Iterable[int], e: int, residues: Iterable[int]) -> set[i
     whose residue is in the set, so the result is a display with one runner
     per kept residue class.
     """
-    res = _classes(e, residues)
+    return _to_local(positions, e, _classes(e, residues))
+
+
+def _to_local(positions: Iterable[int], e: int, res: list[int]) -> set[int]:
+    """to_local for residues already sorted and checked, as _classes returns them."""
     rank = {r: k for k, r in enumerate(res)}
     c = len(res)
     return {(p // e) * c + rank[p % e] for p in positions if p % e in rank}
@@ -211,7 +215,11 @@ def to_local(positions: Iterable[int], e: int, residues: Iterable[int]) -> set[i
 
 def to_global(local: Iterable[int], e: int, residues: Iterable[int]) -> set[int]:
     """Inverse of to_local: the k-th position whose residue is in the set, for each k."""
-    res = _classes(e, residues)
+    return _to_global(local, e, _classes(e, residues))
+
+
+def _to_global(local: Iterable[int], e: int, res: list[int]) -> set[int]:
+    """to_global for residues already sorted and checked, as _classes returns them."""
     c = len(res)
     return {(k // c) * e + res[k % c] for k in local}
 
@@ -222,7 +230,7 @@ def restrict_to_classes(ab: Abacus, residues: Iterable[int]) -> Abacus:
     The result is a display with one runner per kept residue class.
     """
     res = _classes(ab.e, residues)
-    return Abacus(len(res), to_local(ab.occupied, ab.e, res))
+    return Abacus(len(res), _to_local(ab.occupied, ab.e, res))
 
 
 def render(ab: Abacus) -> str:

@@ -24,7 +24,11 @@ tuples in sorted order; it walks each vertex once for every residue, and
 each residue's cogood node gives an edge.  Crystals for any two prefixes
 are isomorphic via a chain of ladder regularisations at the slope of each
 prefix in turn; apply_chain is the last image of chain_steps, which yields
-each step.
+each step.  A chain visits every Farey slope between its ends but moves
+the partition at few of them, so chain_steps walks the hooks once per move,
+not per step: a step regularises (or restrictises) only when that list
+holds a hook singular at its slope, and checks its image against its own
+target prefix from the same list.
 """
 
 from __future__ import annotations
@@ -196,10 +200,20 @@ def _reduce(signed) -> tuple[list, list]:
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     """True if la has no hook of length e*t with arm length exactly A_t."""
+    return _regular(_e_hooks(la, prefix), prefix)
+
+
+def _e_hooks(la: Partition, prefix: ArmPrefix) -> list[tuple[int, int, int]]:
+    """hooks_divisible_by(la, e), for la within the crystal bound."""
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
+    return hooks_divisible_by(la, prefix.e)
+
+
+def _regular(hooks, prefix: ArmPrefix) -> bool:
+    """True if no (t, arm, r) of hooks has arm A_t."""
     arms = prefix.values
-    return all(arm != arms[t - 1] for t, arm, _ in hooks_divisible_by(la, prefix.e))
+    return all(arm != arms[t - 1] for t, arm, _ in hooks)
 
 
 def _place(parts: list[int], node: Node, grow: bool) -> None:
@@ -382,16 +396,20 @@ class Chain:
 
 
 def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[ArmPrefix, ...]:
-    """The prefixes from a down to b, each the arm_minus prefix of the last one's slope."""
+    """The prefixes from a down to b, each the arm_minus prefix of the last
+    one's slope, built from one list of values and validated by ArmPrefix.
+
+    A valid prefix of length n is fixed by its slope (A_t = floor(y*t)), and
+    its values rise with the slope, so b is reached when the slopes agree and
+    passed when the slope falls below b's.
+    """
     prefixes = [a]
-    cur = a
-    while cur.values != b.values:
-        p, q = cur.slope.numerator, cur.slope.denominator
-        nxt_vals = tuple((p * t - 1) // q for t in range(1, a.n + 1))  # arm_minus inline
-        if any(nv < bv for nv, bv in zip(nxt_vals, b.values)):
+    while (y := prefixes[-1].slope) != b.slope:
+        p, q = y.numerator, y.denominator
+        nxt = ArmPrefix(a.e, [(p * t - 1) // q for t in range(1, a.n + 1)])  # arm_minus inline
+        if nxt.slope < b.slope:
             raise AssertionError("chain step descended past the target prefix")
-        cur = ArmPrefix(a.e, nxt_vals)
-        prefixes.append(cur)
+        prefixes.append(nxt)
     return tuple(prefixes)
 
 
@@ -418,15 +436,26 @@ def chain_steps(la: Partition, chain: Chain) -> Iterator[tuple[LadderParams, Par
     A forward chain regularises at its steps in order; an inverse chain
     restrictises at them in reverse.  la is checked regular for the chain
     source, and each image for the prefix its step reaches.
+
+    One hook walk serves every step until the partition moves.  At slope
+    p/q = Y/(E/e), regularise moves la exactly when la is not (E, Y)-regular:
+    when some hook of length e*t has (arm + 1)*q == p*t.  restrictise moves
+    it exactly when some hook has arm*q == p*t (the conjugate hook is
+    singular at e - p/q).  Either equation makes q divide t.  Any other step
+    keeps la and its list of hooks.
     """
-    if not is_A_regular(la, chain.source):
+    hooks = _e_hooks(la, chain.source)
+    if not _regular(hooks, chain.source):
         raise ValueError(f"{la.parts} is not regular for the chain source")
-    op, pairs = regularise, zip(chain.steps, chain.prefixes[1:])
+    op, shift, pairs = regularise, 1, zip(chain.steps, chain.prefixes[1:])
     if chain.inverse:
-        op, pairs = restrictise, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
+        op, shift, pairs = restrictise, 0, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
     for params, target in pairs:
-        la = op(la, params)
-        if not is_A_regular(la, target):
+        p, q = params.Y, params.y.denominator
+        if any((arm + shift) * q == p * t for t, arm, _ in hooks):
+            la = op(la, params)
+            hooks = hooks_divisible_by(la, target.e)
+        if not _regular(hooks, target):
             raise ValueError(f"chain left the regular set at {params!r}")
         yield params, la
 

@@ -22,11 +22,11 @@ from typing import NamedTuple
 from .abacus import (
     _fit_runners,
     _quotient,
+    _to_global,
+    _to_local,
     default_beads,
     encode,  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
     runner_counts,
-    to_global,
-    to_local,
 )
 from .mullineux import _conjugate_image
 from .partitions import Partition, beta_numbers, from_beta_numbers
@@ -88,8 +88,9 @@ def _separated(occ: set[int], ctx: SplitContext) -> bool:
 def split(la: Partition, ctx: SplitContext) -> SplitResult:
     """Read off (la_I, la_Ibar, u) from the n-bead display."""
     occ = beta_numbers(la, ctx.n)
-    local_i = to_local(occ, ctx.e, ctx.residues)
-    local_ibar = to_local(occ, ctx.e, ctx.complement)
+    res, res_bar = _runners(ctx)
+    local_i = _to_local(occ, ctx.e, res)
+    local_ibar = _to_local(occ, ctx.e, res_bar)
     return SplitResult(from_beta_numbers(local_i), from_beta_numbers(local_ibar), len(local_i))
 
 
@@ -103,9 +104,16 @@ def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext, u: int
     """The n-bead set that combine decodes."""
     if not 0 <= u <= ctx.n:
         raise ValueError(f"u = {u} outside [0, {ctx.n}]")
-    occ = to_global(beta_numbers(beta, u), ctx.e, ctx.residues)
-    occ |= to_global(beta_numbers(gamma, ctx.n - u), ctx.e, ctx.complement)
+    res, res_bar = _runners(ctx)
+    occ = _to_global(beta_numbers(beta, u), ctx.e, res)
+    occ |= _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, res_bar)
     return occ
+
+
+def _runners(ctx: SplitContext) -> tuple[list[int], list[int]]:
+    """The residues of I and of its complement, each sorted: the runner
+    lists that the unchecked renumberings read, checked once by SplitContext."""
+    return sorted(ctx.residues), [i for i in range(ctx.e) if i not in ctx.residues]
 
 
 def box_row(alpha: Partition, beta: Partition, c_bar: int) -> Partition:

@@ -13,16 +13,18 @@ the ladder fingerprint keys each node by its own ladder_id call, the
 splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, the arm-sequence axiom is
-tested pair by pair, and the crystal graph is searched breadth-first with
-one row walk per vertex and residue.
+tested pair by pair, the crystal graph is searched breadth-first with
+one row walk per vertex and residue, and a chain applies its
+regularisation or restrictisation at every step and checks every image in
+full.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, e_op, f_op
-from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id
+from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, e_op, f_op, is_A_regular
+from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers
 from regcrystals.separation import SplitReport, combine, is_separated
@@ -187,6 +189,23 @@ def peel_and_rebuild_by_operators(la, src, dst, order, sign):
         la = f_op(la, dst, i)
         assert la is not None, f"no cogood {i}-node"
     return la
+
+
+def chain_steps_by_step(la, chain):
+    """crystals.chain_steps with no hook list kept across steps: every step
+    regularises (or, on an inverse chain, restrictises) la, moved or not, and
+    checks the image A-regular for the prefix the step reaches by a walk of
+    its own."""
+    if not is_A_regular(la, chain.source):
+        raise ValueError(f"{la.parts} is not regular for the chain source")
+    op, pairs = regularise, zip(chain.steps, chain.prefixes[1:])
+    if chain.inverse:
+        op, pairs = restrictise, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
+    for params, target in pairs:
+        la = op(la, params)
+        if not is_A_regular(la, target):
+            raise ValueError(f"chain left the regular set at {params!r}")
+        yield params, la
 
 
 def fingerprint_by_ladder_id(la, params) -> Counter:

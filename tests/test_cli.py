@@ -435,6 +435,113 @@ start: 6,4,2,1,1,1,1
     "chain --e 4 --json --from 2,4,6,8 --to 1,2,4,5 4,3^2,2,1^4":
         '{"e": 4, "images": ["5,4,2,1,1,1,1,1", "5,4,2,1,1,1,1,1", "6,4,2,1,1,1,1", '
         '"6,4,2,1,1,1,1"], "inverse": false, "steps": [[4, 2], [16, 7], [12, 5], [8, 3]]}\n',
+    # a long chain (33 steps, 4 moves) from slope 2 '+' to slope 1 '-' and back
+    "chain --e 3 --from 2,4,6,8,10,12,14,16,18,20 --to 0,1,2,3,4,5,6,7,8,9 5,4,3,2,1^4": (
+        'chain: (3,2) (30,19) (27,17) (24,15) (21,13) (18,11) (15,9) (27,16) (12,7) (21,12) (30,17) (9,5)'
+        ' (24,13) (15,8) (21,11) (27,14) (6,3) (27,13) (21,10) (15,7) (24,11) (9,4) (30,13) (21,9) (12,5)'
+        ' (27,11) (15,6) (18,7) (21,8) (24,9) (27,10) (30,11) (3,1)\n'
+        """\
+start: 5,4,3,2,1,1,1,1
+(3,2) -> 8,4,1,1,1,1,1,1
+(30,19) -> 8,4,1,1,1,1,1,1
+(27,17) -> 8,4,1,1,1,1,1,1
+(24,15) -> 8,4,1,1,1,1,1,1
+(21,13) -> 8,4,1,1,1,1,1,1
+(18,11) -> 8,4,1,1,1,1,1,1
+(15,9) -> 8,4,1,1,1,1,1,1
+(27,16) -> 8,4,1,1,1,1,1,1
+(12,7) -> 8,4,1,1,1,1,1,1
+(21,12) -> 8,4,1,1,1,1,1,1
+(30,17) -> 8,4,1,1,1,1,1,1
+(9,5) -> 8,4,1,1,1,1,1,1
+(24,13) -> 8,4,1,1,1,1,1,1
+(15,8) -> 9,4,1,1,1,1,1
+(21,11) -> 9,4,1,1,1,1,1
+(27,14) -> 9,4,1,1,1,1,1
+(6,3) -> 9,4,1,1,1,1,1
+(27,13) -> 9,4,1,1,1,1,1
+(21,10) -> 9,4,1,1,1,1,1
+(15,7) -> 9,4,1,1,1,1,1
+(24,11) -> 9,4,1,1,1,1,1
+(9,4) -> 9,5,1,1,1,1
+(30,13) -> 9,5,1,1,1,1
+(21,9) -> 9,5,1,1,1,1
+(12,5) -> 9,5,1,1,1,1
+(27,11) -> 9,5,1,1,1,1
+(15,6) -> 9,5,1,1,1,1
+(18,7) -> 9,5,1,1,1,1
+(21,8) -> 9,5,1,1,1,1
+(24,9) -> 9,5,1,1,1,1
+(27,10) -> 9,5,1,1,1,1
+(30,11) -> 9,5,1,1,1,1
+(3,1) -> 9,5,2,2
+"""
+    ),
+    "chain --e 3 --from 0,1,2,3,4,5,6,7,8,9 --to 2,4,6,8,10,12,14,16,18,20 9,5,2^2": (
+        'chain: (3,2) (30,19) (27,17) (24,15) (21,13) (18,11) (15,9) (27,16) (12,7) (21,12) (30,17) (9,5)'
+        ' (24,13) (15,8) (21,11) (27,14) (6,3) (27,13) (21,10) (15,7) (24,11) (9,4) (30,13) (21,9) (12,5)'
+        ' (27,11) (15,6) (18,7) (21,8) (24,9) (27,10) (30,11) (3,1)\n'
+        """\
+applied as restrictisations in reverse order
+start: 9,5,2,2
+(3,1) -> 9,5,1,1,1,1
+(30,11) -> 9,5,1,1,1,1
+(27,10) -> 9,5,1,1,1,1
+(24,9) -> 9,5,1,1,1,1
+(21,8) -> 9,5,1,1,1,1
+(18,7) -> 9,5,1,1,1,1
+(15,6) -> 9,5,1,1,1,1
+(27,11) -> 9,5,1,1,1,1
+(12,5) -> 9,5,1,1,1,1
+(21,9) -> 9,5,1,1,1,1
+(30,13) -> 9,5,1,1,1,1
+(9,4) -> 9,4,1,1,1,1,1
+(24,11) -> 9,4,1,1,1,1,1
+(15,7) -> 9,4,1,1,1,1,1
+(21,10) -> 9,4,1,1,1,1,1
+(27,13) -> 9,4,1,1,1,1,1
+(6,3) -> 9,4,1,1,1,1,1
+(27,14) -> 9,4,1,1,1,1,1
+(21,11) -> 9,4,1,1,1,1,1
+(15,8) -> 8,4,1,1,1,1,1,1
+(24,13) -> 8,4,1,1,1,1,1,1
+(9,5) -> 8,4,1,1,1,1,1,1
+(30,17) -> 8,4,1,1,1,1,1,1
+(21,12) -> 8,4,1,1,1,1,1,1
+(12,7) -> 8,4,1,1,1,1,1,1
+(27,16) -> 8,4,1,1,1,1,1,1
+(15,9) -> 8,4,1,1,1,1,1,1
+(18,11) -> 8,4,1,1,1,1,1,1
+(21,13) -> 8,4,1,1,1,1,1,1
+(24,15) -> 8,4,1,1,1,1,1,1
+(27,17) -> 8,4,1,1,1,1,1,1
+(30,19) -> 8,4,1,1,1,1,1,1
+(3,2) -> 5,4,3,2,1,1,1,1
+"""
+    ),
+    "chain --e 3 --json --from 2,4,6,8,10,12,14,16,18,20 --to 0,1,2,3,4,5,6,7,8,9 5,4,3,2,1^4":
+        '{"e": 3, "images": ["8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", '
+        '"8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", '
+        '"8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "9,4,1,1,1,1,1", '
+        '"9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", '
+        '"9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", '
+        '"9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", '
+        '"9,5,1,1,1,1", "9,5,2,2"], "inverse": false, "steps": [[3, 2], [30, 19], [27, 17], [24, 15], '
+        '[21, 13], [18, 11], [15, 9], [27, 16], [12, 7], [21, 12], [30, 17], [9, 5], [24, 13], [15, 8], '
+        '[21, 11], [27, 14], [6, 3], [27, 13], [21, 10], [15, 7], [24, 11], [9, 4], [30, 13], [21, 9], '
+        '[12, 5], [27, 11], [15, 6], [18, 7], [21, 8], [24, 9], [27, 10], [30, 11], [3, 1]]}\n',
+    "chain --e 3 --json --from 0,1,2,3,4,5,6,7,8,9 --to 2,4,6,8,10,12,14,16,18,20 9,5,2^2":
+        '{"e": 3, "images": ["9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", '
+        '"9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", "9,5,1,1,1,1", '
+        '"9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", '
+        '"9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "9,4,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", '
+        '"8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", '
+        '"8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", "8,4,1,1,1,1,1,1", '
+        '"8,4,1,1,1,1,1,1", "5,4,3,2,1,1,1,1"], "inverse": true, "steps": [[3, 2], [30, 19], [27, 17], '
+        '[24, 15], [21, 13], [18, 11], [15, 9], [27, 16], [12, 7], [21, 12], [30, 17], [9, 5], [24, 13], '
+        '[15, 8], [21, 11], [27, 14], [6, 3], [27, 13], [21, 10], [15, 7], [24, 11], [9, 4], [30, 13], '
+        '[21, 9], [12, 5], [27, 11], [15, 6], [18, 7], [21, 8], [24, 9], [27, 10], [30, 11], [3, 1]]}\n',
+    "chain --e 3 --from 2,4,6 --to 0,1,2 9,9,9": (1, '', 'error: |la| = 27 exceeds the crystal bound 9\n'),
     # split and paget read their runners through SplitContext and the bead sets
     "split --e 5 --I 1,4 --beads 15 9,7,3,3,2,1": """\
 lambda_I = 2
@@ -460,7 +567,8 @@ match = yes
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_output(capsys, command):
-    assert run(capsys, *command.split()) == (0, GOLDEN[command], "")
+    expected = GOLDEN[command]  # stdout of a command that exits 0, else (code, stdout, stderr)
+    assert run(capsys, *command.split()) == (expected if isinstance(expected, tuple) else (0, expected, ""))
 
 
 class TestMull:

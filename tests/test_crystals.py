@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oracles import arm_axioms_hold, build_graph_by_search, node_compare
+from oracles import arm_axioms_hold, build_graph_by_search, chain_steps_by_step, node_compare
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import verify
@@ -603,3 +603,91 @@ class TestChains:
             cr.apply_chain(P("3"), chain)  # has a 3-hook with arm 2
         with pytest.raises(ValueError, match="not regular for the chain source"):
             cr.apply_chain(P("3"), iso_chain(chain.source, chain.source))
+
+
+# the prefix pairs of verify crystal's chain_factorisations_induce_same_map
+VERIFY_CHAIN_PAIRS = ((3, (2, 4, 6), (0, 1, 2)), (4, (3, 6, 9), (0, 1, 2)), (4, (2, 4, 6), (1, 2, 4)))
+
+
+def chain_ends(e, n):
+    """The slope-(e-1) '+' and slope-1 '-' prefixes of length n: the ends of the longest chain."""
+    return ArmPrefix.from_slope(e, e - 1, n, "+"), ArmPrefix.from_slope(e, 1, n, "-")
+
+
+def long_chains():
+    """The e = 3, n = 10 chain of 33 steps, forward and inverse, each with a
+    partition it moves 4 times."""
+    top, bottom = chain_ends(3, 10)
+    return ((cr.iso_chain(top, bottom), P("5,4,3,2,1^4")), (cr.iso_chain(bottom, top), P("9,5,2^2")))
+
+
+def moves(la, steps):
+    images = [mu for _, mu in steps]
+    return sum(mu != nu for mu, nu in zip([la, *images], images))
+
+
+class TestOneWalkPerMove:
+    @pytest.mark.parametrize("e, top, bottom", VERIFY_CHAIN_PAIRS)
+    def test_equals_the_per_step_route_on_every_source_partition(self, e, top, bottom):
+        a, b = ArmPrefix(e, top), ArmPrefix(e, bottom)
+        for chain in (cr.iso_chain(a, b), cr.iso_chain(b, a)):
+            checked = moved = 0
+            for la in all_up_to(chain.source.bound):
+                if cr.is_A_regular(la, chain.source):
+                    steps = list(cr.chain_steps(la, chain))
+                    assert steps == list(chain_steps_by_step(la, chain)), (la, chain.inverse)
+                    checked += 1
+                    moved += moves(la, steps)
+            assert checked > 0 and moved > 0
+
+    def test_equals_the_per_step_route_at_large_n(self):
+        # seeded partitions with n = 30..60 and e = 3..6 on the longest chain,
+        # made regular for its source: restricted at slope e - 1 for the
+        # slope-(e-1) '+' prefix, regular at slope 1 for the slope-1 '-' one
+        rng = random.Random(20210515)
+        moved = 0
+        for k in range(16):
+            e, n = 3 + k % 4, 30 + 30 * k // 15
+            top, bottom = chain_ends(e, -(-n // e))
+            la = random_partition(rng, n)
+            for chain, mu in (
+                (cr.iso_chain(top, bottom), ld.restrictise(la, ld.LadderParams(e, e - 1))),
+                (cr.iso_chain(bottom, top), ld.regularise(la, ld.LadderParams(e, 1))),
+            ):
+                steps = list(cr.chain_steps(mu, chain))
+                assert steps == list(chain_steps_by_step(mu, chain)), (mu, chain.inverse)
+                moved += moves(mu, steps)
+        assert moved > 0
+
+    def test_walks_once_per_move(self, monkeypatch):
+        walks, ops = [], []
+        real_walk = cr.hooks_divisible_by
+        monkeypatch.setattr(cr, "hooks_divisible_by", lambda la, m: walks.append(la) or real_walk(la, m))
+        for name in ("regularise", "restrictise"):
+            real_op = getattr(cr, name)
+            monkeypatch.setattr(cr, name, lambda la, params, op=real_op: ops.append(la) or op(la, params))
+        for chain, la in long_chains():
+            walks.clear()
+            ops.clear()
+            steps = list(cr.chain_steps(la, chain))
+            assert (len(steps), moves(la, steps), len(ops), len(walks)) == (33, 4, 4, 5)
+
+    @pytest.mark.parametrize("op", ["regularise", "restrictise"])
+    def test_a_step_that_does_not_move_fails_its_target_check(self, monkeypatch, op):
+        # each chain's first singular step keeps la, which is then singular for the prefix it reaches
+        monkeypatch.setattr(cr, op, lambda la, params: la)
+        chain, la = long_chains()[1 if op == "restrictise" else 0]
+        with pytest.raises(ValueError, match="chain left the regular set"):
+            list(cr.chain_steps(la, chain))
+
+    def test_descending_chain_takes_the_arm_minus_prefix_of_each_slope(self):
+        pairs = [(ArmPrefix(e, top), ArmPrefix(e, bottom)) for e, top, bottom in VERIFY_CHAIN_PAIRS]
+        pairs += [chain_ends(e, n) for e in range(3, 7) for n in (1, 5, 12, 20)]
+        for a, b in pairs:
+            prefixes = cr._descending_chain(a, b)
+            assert prefixes[0] == a and prefixes[-1] == b
+            for previous, prefix in zip(prefixes, prefixes[1:]):
+                assert prefix == ArmPrefix.from_slope(a.e, previous.slope, a.n, "-")
+            # from a lower prefix than a, the first step already falls below a
+            with pytest.raises(AssertionError, match="descended past the target prefix"):
+                cr._descending_chain(prefixes[1], a)
