@@ -10,7 +10,7 @@ from .partitions import (
     parse_partition,
     residue,
 )
-from .abacus import Abacus, decode, e_core, e_quotient, encode
+from .abacus import decode, e_core, e_quotient, encode
 from .ladders import LadderParams, fingerprint, ladder_class, regularise, restrictise
 from .crystals import ArmPrefix, CrystalGraph, apply_chain, build_graph, iso_chain
 from .mullineux import james_regularise, lyle_check, mullineux, mullineux_oracle
@@ -19,7 +19,6 @@ from .separation import SplitContext, combine, paget_mu, split, verify_split
 __version__ = "0.1.0"
 
 __all__ = [
-    "Abacus",
     "ArmPrefix",
     "CrystalGraph",
     "Hook",

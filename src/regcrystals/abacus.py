@@ -5,13 +5,14 @@ e-runner abacus, so position p sits on runner p mod e.  The n-bead display
 of a partition puts beads at its n beta-numbers; conjugation truncates at a
 multiple m of e and places beads at m - 1 - t for every empty position t < m.
 
-The bead set has one codec: partitions.beta_numbers encodes and
-partitions.from_beta_numbers decodes.  The e-quotient reads each runner's
+A display is its bead set, a plain set of positions, with the runner count
+e passed alongside wherever it matters.  The bead set has one codec:
+partitions.beta_numbers encodes and partitions.from_beta_numbers decodes
+(encode and decode name them here).  The e-quotient reads each runner's
 positions directly, position p becoming p // e; the positions on a union of
 runners are renumbered by one pair, to_local and to_global, and
 from_runners is the one assembly of a display from per-runner bead counts
-and quotient components.  These work on plain position sets; only encode,
-conjugate_display and restrict_to_classes build an Abacus.
+and quotient components.
 """
 
 from __future__ import annotations
@@ -19,42 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .partitions import Partition, beta_numbers, from_beta_numbers
-
-
-class Abacus:
-    """A finite set of occupied positions on an e-runner abacus."""
-
-    __slots__ = ("e", "occupied")
-
-    e: int
-    occupied: frozenset[int]
-
-    def __init__(self, e: int, occupied: Iterable[int]):
-        e = int(e)
-        check_runners(e)
-        occ = frozenset(int(p) for p in occupied)
-        if any(p < 0 for p in occ):
-            raise ValueError("positions must be non-negative")
-        self.e = e
-        self.occupied = occ
-
-    @property
-    def n(self) -> int:
-        """Number of beads."""
-        return len(self.occupied)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Abacus)
-            and self.e == other.e
-            and self.occupied == other.occupied
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.occupied))
-
-    def __repr__(self) -> str:
-        return f"Abacus(e={self.e}, occupied={sorted(self.occupied)})"
 
 
 def check_runners(e: int) -> None:
@@ -70,27 +35,28 @@ def default_beads(la: Partition, e: int) -> int:
     return -(-(rows + e) // e) * e
 
 
-def encode(la: Partition, n: int, e: int) -> Abacus:
-    """The n-bead display for la: beads at its n beta-numbers."""
-    return Abacus(e, beta_numbers(la, n))
+def encode(la: Partition, n: int, e: int) -> set[int]:
+    """The bead set of la's n-bead display on e runners: its n beta-numbers."""
+    check_runners(e)
+    return beta_numbers(la, n)
 
 
-def decode(ab: Abacus) -> Partition:
-    """The partition encoded by the display."""
-    return from_beta_numbers(ab.occupied)
+def decode(occupied: Iterable[int]) -> Partition:
+    """The partition whose display has beads at the occupied positions."""
+    return from_beta_numbers(occupied)
 
 
-def conjugate_display(ab: Abacus, m: int) -> Abacus:
+def conjugate_display(occupied: set[int], e: int, m: int) -> set[int]:
     """Truncate at position m and swap beads with gaps, rotated through 180 degrees.
 
-    Decodes to the conjugate of decode(ab).  Requires m to be a multiple of
-    the runner count and larger than every occupied position.
+    Decodes to the conjugate of decode(occupied).  Requires m to be a
+    multiple of the runner count e and larger than every occupied position.
     """
-    if m % ab.e:
-        raise ValueError(f"m = {m} is not a multiple of e = {ab.e}")
-    if ab.occupied and m <= max(ab.occupied):
+    if m % e:
+        raise ValueError(f"m = {m} is not a multiple of e = {e}")
+    if occupied and m <= max(occupied):
         raise ValueError(f"m = {m} does not exceed the last bead")
-    return Abacus(ab.e, {m - 1 - t for t in range(m) if t not in ab.occupied})
+    return {m - 1 - t for t in range(m) if t not in occupied}
 
 
 def runner_counts(positions: Iterable[int], e: int) -> list[int]:
@@ -99,11 +65,6 @@ def runner_counts(positions: Iterable[int], e: int) -> list[int]:
     for p in positions:
         counts[p % e] += 1
     return counts
-
-
-def runner_profile(ab: Abacus) -> dict[int, int]:
-    """Bead count on each runner, keyed by runner label 0..e-1."""
-    return dict(enumerate(runner_counts(ab.occupied, ab.e)))
 
 
 def from_runners(quotient: Sequence[Partition], counts: Sequence[int]) -> Partition:
@@ -224,25 +185,18 @@ def _to_global(local: Iterable[int], e: int, res: list[int]) -> set[int]:
     return {(k // c) * e + res[k % c] for k in local}
 
 
-def restrict_to_classes(ab: Abacus, residues: Iterable[int]) -> Abacus:
-    """Keep only the positions on the given runners, renumbered 0, 1, 2, ...
-
-    The result is a display with one runner per kept residue class.
-    """
-    res = _classes(ab.e, residues)
-    return Abacus(len(res), _to_local(ab.occupied, ab.e, res))
+# The name under which the bench gives to_local a span.
+restrict_to_classes = to_local
 
 
-def render(ab: Abacus) -> str:
-    """Text grid with runner headers: 'b' marks a bead, '.' a gap."""
-    width = len(str(ab.e - 1))
-    rows = (max(ab.occupied) // ab.e + 1) if ab.occupied else 1
-    lines = [" ".join(str(i).rjust(width) for i in range(ab.e))]
+def render(occupied: set[int], e: int) -> str:
+    """Text grid of the bead set on e runners, with runner headers: 'b' marks
+    a bead, '.' a gap."""
+    width = len(str(e - 1))
+    rows = (max(occupied) // e + 1) if occupied else 1
+    lines = [" ".join(str(i).rjust(width) for i in range(e))]
     for row in range(rows):
         lines.append(
-            " ".join(
-                ("b" if row * ab.e + i in ab.occupied else ".").rjust(width)
-                for i in range(ab.e)
-            )
+            " ".join(("b" if row * e + i in occupied else ".").rjust(width) for i in range(e))
         )
     return "\n".join(lines)

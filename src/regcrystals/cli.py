@@ -4,7 +4,7 @@ Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
 error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
 internal check or a --dot file that cannot be written, 2 bad flags (a
-verify --e below a suite's least modulus among them) or unparseable input.
+verify --e outside a suite's range among them) or unparseable input.
 abacus show and split take a --beads count because their output depends on
 it; paget does not, as its results are the same for every bead count.  The
 bead count, given or derived from --e (paget's too), and the runner count of
@@ -17,7 +17,9 @@ before the chain is built.  ladder-class's --bound may not exceed
 MAX_LADDER_CLASS_BOUND: a larger one exits 1 before any partition is
 enumerated.  verify's --e may not exceed MAX_BEADS, as every suite places at
 least e beads per partition, and its --max may not exceed MAX_VERIFY_SIZE:
-a larger one exits 1 before any suite runs.
+a larger one exits 1 before any suite runs.  verify split and verify paget
+are exponential in e and take e up to MAX_SPLIT_E and MAX_PAGET_E: a larger
+--e is outside the suite's range and exits 2 before any suite runs.
 verify prints each suite's lines as that suite finishes.
 """
 
@@ -135,12 +137,8 @@ def _bead_count(la: Partition, e: int, beads: int | None = None) -> int:
 def _cmd_abacus(args) -> int:
     n = _bead_count(args.partition, args.e, args.beads)
     _within("runner count", args.e, MAX_BEADS)  # render writes one column per runner
-    display = ab.encode(args.partition, n, args.e)
-    _emit(
-        args,
-        {"e": display.e, "n": display.n, "occupied": sorted(display.occupied)},
-        [ab.render(display)],
-    )
+    occupied = ab.encode(args.partition, n, args.e)
+    _emit(args, {"e": args.e, "n": n, "occupied": sorted(occupied)}, [ab.render(occupied, args.e)])
     return 0
 
 

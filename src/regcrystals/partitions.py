@@ -159,17 +159,6 @@ class Partition:
                 out.append((i + 1, p))
         return out
 
-    def add_node(self, node: Node) -> "Partition":
-        r, c = node
-        if node not in self.addable_nodes():
-            raise ValueError(f"{node} is not an addable node of {self.parts}")
-        ps = list(self.parts)
-        if r == len(ps) + 1:
-            ps.append(1)
-        else:
-            ps[r - 1] += 1
-        return Partition(ps)
-
     def remove_node(self, node: Node) -> "Partition":
         r, c = node
         if node not in self.removable_nodes():

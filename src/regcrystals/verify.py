@@ -7,9 +7,10 @@ first failure.  The ``_SUITES`` table gives each suite its default size
 bound, its default moduli and its properties in report order, and
 ``iter_suites`` drives every suite through that table, yielding each
 suite's results as it finishes.  A suite with default moduli takes any
-e >= 2, checked before any suite runs; the others run fixed moduli and
-reject e when named.  It reports one result per property: the number of
-instances checked and the first counterexample found, if any.  A property
+e >= 2, up to MAX_SPLIT_E for split and MAX_PAGET_E for paget, checked
+before any suite runs; the others run fixed moduli and reject e when
+named.  It reports one result per property: the number of instances
+checked and the first counterexample found, if any.  A property
 that checked nothing is reported as VACUOUS and counts as a failure.
 
 A suite walks each (modulus or parameter set, partition) pair once,
@@ -101,9 +102,9 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 for beads in (len(la.parts), len(la.parts) + 1, n0):
                     ok = ab.decode(ab.encode(la, beads, e)) == la
                     yield "abacus_round_trip", ok, lambda: f"{la} n={beads} e={e}"
-                disp = ab.encode(la, n0, e)
-                m = ((max(disp.occupied, default=0) + e + 1) // e) * e
-                ok = ab.decode(ab.conjugate_display(disp, m)) == conj
+                occupied = ab.encode(la, n0, e)
+                m = ((max(occupied, default=0) + e + 1) // e) * e
+                ok = ab.decode(ab.conjugate_display(occupied, e, m)) == conj
                 yield "conjugate_display_matches_conjugate", ok, lambda: f"{la} e={e} m={m}"
                 ok = core == ab.e_core(la, e, n0 + e) and quot == ab.e_quotient(la, e, n0 + e)
                 yield "core_quotient_bead_invariance", ok, where
@@ -120,7 +121,7 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
                         yield "grow_columns_two_routes_agree", ok, lambda: f"{la} m={m} e={e}"
             if n <= 12:
                 beads = max((len(la.parts) for la in from_n), default=0) + e
-                profiles = [ab.runner_profile(ab.encode(la, beads, e)) for la in from_n]
+                profiles = [ab.runner_counts(ab.encode(la, beads, e), e) for la in from_n]
                 contents = [la.e_content(e) for la in from_n]
                 for i in range(len(from_n)):
                     for j in range(i + 1, len(from_n)):
@@ -523,6 +524,13 @@ _SUITES = {
 
 SUITES = tuple(_SUITES)
 
+# Largest e split and paget accept: they walk the 2^e - 2 proper residue
+# subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core
+# box split takes about 130 s at e = 7, paget 19 s at e = 5 and over 60 s at 6.
+MAX_SPLIT_E = 7
+MAX_PAGET_E = 5
+_MAX_E = {"split": MAX_SPLIT_E, "paget": MAX_PAGET_E}
+
 
 def iter_suites(
     names, max_size: int | None = None, e_values=None
@@ -533,8 +541,8 @@ def iter_suites(
     instances up to its first failure.
 
     Raises ValueError at once for an unknown name, for e values given to a
-    suite named explicitly that runs fixed moduli, or for e < 2 when a
-    chosen suite takes e.
+    suite named explicitly that runs fixed moduli, or for e < 2 (or above
+    the suite's _MAX_E bound) when a chosen suite takes e.
     """
     unknown = set(names) - set(SUITES) - {"all"}
     if unknown:
@@ -546,6 +554,9 @@ def iter_suites(
             raise ValueError(f"suite {name} runs fixed moduli and takes no e values")
         if low and _SUITES[name][2]:
             raise ValueError(f"suite {name} runs e >= 2, got e = {low[0]}")
+        high = [e for e in e_values or () if e > _MAX_E.get(name, e)]
+        if high:
+            raise ValueError(f"suite {name} runs e <= {_MAX_E[name]}, got e = {high[0]}")
     return (_run_suite(name, max_size, e_values) for name in chosen)
 
 

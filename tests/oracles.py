@@ -3,8 +3,8 @@
 Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display or scanned node by node through
-the conjugate (the node route the (t, arm, r) walk is compared with),
-column growth works through
+the conjugate (the node route the (t, arm, r) walk is compared with), a
+node is added by editing the parts list, column growth works through
 the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per node where the library moves
@@ -101,6 +101,19 @@ def node_route_hooks(la, m):
     node-by-node scan."""
     hooks = hooks_by_node_scan(la)
     return sorted((h.length // m, h.arm, h.corner[0]) for h in hooks if h.length % m == 0)
+
+
+def add_node(la: Partition, node) -> Partition:
+    """la with the addable node (row, column) added, by editing its parts."""
+    if node not in la.addable_nodes():
+        raise ValueError(f"{node} is not an addable node of {la.parts}")
+    parts = list(la.parts)
+    r = node[0]
+    if r == len(parts) + 1:
+        parts.append(1)
+    else:
+        parts[r - 1] += 1
+    return Partition(parts)
 
 
 def grow_columns_by_conjugate(la: Partition, m: int, e: int) -> Partition:

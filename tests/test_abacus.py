@@ -24,18 +24,26 @@ def all_up_to(n):
 
 class TestEncodeDecode:
     def test_paper_display(self):
-        assert sorted(ab.encode(P("6,4,2,1,1"), 7, 5).occupied) == [0, 1, 3, 4, 6, 9, 12]
+        assert sorted(ab.encode(P("6,4,2,1,1"), 7, 5)) == [0, 1, 3, 4, 6, 9, 12]
 
     def test_empty(self):
-        assert sorted(ab.encode(Partition(), 6, 3).occupied) == list(range(6))
+        assert ab.encode(Partition(), 6, 3) == set(range(6))
 
     def test_second_display(self):
-        assert sorted(ab.encode(P("9,3^3,2"), 5, 5).occupied) == [2, 4, 5, 6, 13]
+        assert sorted(ab.encode(P("9,3^3,2"), 5, 5)) == [2, 4, 5, 6, 13]
 
     def test_decode_examples(self):
-        assert ab.decode(ab.Abacus(5, {2, 4, 5, 6, 13})) == P("9,3,3,3,2")
-        assert ab.decode(ab.Abacus(5, {0, 1, 3, 4, 6, 9, 12})) == P("6,4,2,1,1")
-        assert ab.decode(ab.Abacus(3, range(4))) == Partition()
+        assert ab.decode({2, 4, 5, 6, 13}) == P("9,3,3,3,2")
+        assert ab.decode({0, 1, 3, 4, 6, 9, 12}) == P("6,4,2,1,1")
+        assert ab.decode(range(4)) == Partition()
+
+    def test_needs_a_runner(self):
+        with pytest.raises(ValueError, match="^an abacus needs at least one runner$"):
+            ab.encode(P("2,1"), 3, 0)
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(ValueError):
+            ab.decode({-1, 2})
 
     def test_too_few_beads(self):
         with pytest.raises(ValueError):
@@ -50,35 +58,39 @@ class TestEncodeDecode:
 
 class TestConjugateDisplay:
     def test_paper_display(self):
-        disp = ab.conjugate_display(ab.encode(P("6,4,2,1,1"), 7, 5), 15)
-        assert sorted(disp.occupied) == [0, 1, 3, 4, 6, 7, 9, 12]
+        disp = ab.conjugate_display(ab.encode(P("6,4,2,1,1"), 7, 5), 5, 15)
+        assert sorted(disp) == [0, 1, 3, 4, 6, 7, 9, 12]
         assert ab.decode(disp) == P("5,3,2^2,1^2")
 
     def test_empty_stays_empty(self):
-        disp = ab.conjugate_display(ab.encode(Partition(), 5, 5), 5)
+        disp = ab.conjugate_display(ab.encode(Partition(), 5, 5), 5, 5)
         assert ab.decode(disp) == Partition()
+        assert ab.conjugate_display(set(), 3, 6) == set(range(6))
 
     def test_m_validation(self):
         disp = ab.encode(P("3,1"), 4, 2)
-        with pytest.raises(ValueError):
-            ab.conjugate_display(disp, 7)  # not a multiple of e
-        with pytest.raises(ValueError):
-            ab.conjugate_display(disp, 6)  # does not clear the last bead
+        with pytest.raises(ValueError, match="^m = 7 is not a multiple of e = 2$"):
+            ab.conjugate_display(disp, 2, 7)
+        with pytest.raises(ValueError, match="^m = 6 does not exceed the last bead$"):
+            ab.conjugate_display(disp, 2, 6)
 
     def test_decodes_to_conjugate(self):
         for e in (2, 3, 5):
             for la in all_up_to(10):
                 disp = ab.encode(la, ab.default_beads(la, e), e)
-                m = ((max(disp.occupied) + e + 1) // e) * e
-                assert ab.decode(ab.conjugate_display(disp, m)) == la.conjugate()
+                m = ((max(disp) + e + 1) // e) * e
+                assert ab.decode(ab.conjugate_display(disp, e, m)) == la.conjugate()
 
 
 class TestRunnerProfile:
+    # a display's runner profile is its list of runner_counts
     def test_example(self):
-        assert ab.runner_profile(ab.encode(P("9,3^3,2"), 5, 5)) == {i: 1 for i in range(5)}
+        assert ab.runner_counts(ab.encode(P("9,3^3,2"), 5, 5), 5) == [1] * 5
+        assert ab.runner_counts(ab.encode(P("6,4,2,1,1"), 7, 5), 5) == [1, 2, 1, 1, 2]
 
     def test_empty_display(self):
-        assert ab.runner_profile(ab.encode(Partition(), 4, 4)) == {i: 1 for i in range(4)}
+        assert ab.runner_counts(ab.encode(Partition(), 4, 4), 4) == [1] * 4
+        assert ab.runner_counts(set(), 3) == [0, 0, 0]
 
     def test_equal_content_equal_profile(self):
         for e in (2, 3):
@@ -89,7 +101,7 @@ class TestRunnerProfile:
                 for la in layer:
                     key = frozenset(la.e_content(e).items())
                     groups.setdefault(key, []).append(
-                        tuple(sorted(ab.runner_profile(ab.encode(la, beads, e)).items()))
+                        tuple(ab.runner_counts(ab.encode(la, beads, e), e))
                     )
                 for profiles in groups.values():
                     assert len(set(profiles)) == 1
@@ -151,17 +163,17 @@ class TestGrowColumns:
 class TestRestrictToClasses:
     def test_paper_split(self):
         disp = ab.encode(P("5,3,3,2,1"), 10, 5)
-        assert ab.decode(ab.restrict_to_classes(disp, {0, 2})) == P("2")
-        assert ab.decode(ab.restrict_to_classes(disp, {1, 3, 4})) == P("2,1")
+        assert ab.decode(ab.restrict_to_classes(disp, 5, {0, 2})) == P("2")
+        assert ab.decode(ab.restrict_to_classes(disp, 5, {1, 3, 4})) == P("2,1")
 
     def test_full_residue_set_is_identity(self):
         for la in all_up_to(8):
             disp = ab.encode(la, ab.default_beads(la, 4), 4)
-            assert ab.decode(ab.restrict_to_classes(disp, range(4))) == la
+            assert ab.restrict_to_classes(disp, 4, range(4)) == disp
 
     def test_empty_residues_rejected(self):
-        with pytest.raises(ValueError):
-            ab.restrict_to_classes(ab.encode(P("2"), 4, 4), set())
+        with pytest.raises(ValueError, match="^need at least one residue class$"):
+            ab.restrict_to_classes(ab.encode(P("2"), 4, 4), 4, set())
 
 
 class TestRenumbering:
@@ -235,7 +247,7 @@ class TestRoundTripsUpTo400:
 
 class TestRender:
     def test_grid(self):
-        text = ab.render(ab.encode(P("6,4,2,1,1"), 7, 5))
+        text = ab.render(ab.encode(P("6,4,2,1,1"), 7, 5), 5)
         assert text.splitlines() == [
             "0 1 2 3 4",
             "b b . b b",

@@ -562,6 +562,16 @@ match = yes
     "paget --e 3 --json 6,4,2,1,1":
         '{"match": true, "mu": "6,4,2,1,1", "mu_separated": true, "mullineux": "6,4,2,1,1", '
         '"quotient": ["-", "-", "-"], "sigma": [1, 0, 2]}\n',
+    # abacus show reads the bead set alone: two-digit runner headers, and no beads
+    "abacus show --e 12 --beads 14 6,4,2,1,1": """\
+ 0  1  2  3  4  5  6  7  8  9 10 11
+ b  b  b  b  b  b  b  b  b  .  b  b
+ .  b  .  .  b  .  .  b  .  .  .  .
+""",
+    "abacus show --e 12 --beads 14 --json 6,4,2,1,1":
+        '{"e": 12, "n": 14, "occupied": [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 16, 19]}\n',
+    "abacus show --e 3 --beads 0 -": "0 1 2\n. . .\n",
+    "abacus show --e 3 --beads 0 --json -": '{"e": 3, "n": 0, "occupied": []}\n',
 }
 
 
@@ -749,6 +759,19 @@ class TestVerify:
         named = "core" if suite == "all" else suite
         assert code == 2 and out == ""
         assert err == f"error: suite {named} runs e >= 2, got e = {e}\n"
+
+    @pytest.mark.parametrize(
+        "suite, e, named, bound",
+        [("split", "8", "split", 7), ("paget", "6", "paget", 5),
+         ("all", "6", "paget", 5), ("all", "8", "split", 7)],
+    )
+    def test_modulus_above_the_suite_range_exits_2(self, capsys, monkeypatch, suite, e, named, bound):
+        # split and paget are exponential in e; the check comes before any suite runs
+        for name, (_, *rest) in list(vf._SUITES.items()):
+            monkeypatch.setitem(vf._SUITES, name, (lambda *args: pytest.fail("a suite ran"), *rest))
+        code, out, err = run(capsys, "verify", suite, "--e", e)
+        assert code == 2 and out == ""
+        assert err == f"error: suite {named} runs e <= {bound}, got e = {e}\n"
 
     @pytest.mark.parametrize("suite, e", [("ladder", "-1"), ("crystal", "3")])
     def test_e_for_a_fixed_moduli_suite_exits_2(self, capsys, suite, e):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dominates_by_prefix_sums, hook_data_by_beads, hooks_by_node_scan, partition_count
+from oracles import add_node, dominates_by_prefix_sums, hook_data_by_beads, hooks_by_node_scan, partition_count
 from regcrystals.mullineux import classify_hooks
 from regcrystals.partitions import (
     MAX_PARSE_SIZE,
@@ -182,7 +182,7 @@ class TestNodes:
                 smaller = la.remove_node(nd)
                 assert smaller.size == la.size - 1
                 assert nd in smaller.addable_nodes()
-                assert smaller.add_node(nd) == la
+                assert add_node(smaller, nd) == la
 
 
 class TestResidues:

@@ -155,6 +155,16 @@ def test_moduli_are_checked_before_any_suite_runs(monkeypatch, names, e):
     assert started == []
 
 
+@pytest.mark.parametrize("name, limit", [("split", verify.MAX_SPLIT_E), ("paget", verify.MAX_PAGET_E)])
+def test_exponential_suites_take_e_up_to_their_bound(name, limit):
+    # iter_suites checks the moduli at once and runs a suite only when iterated
+    iter_suites([name], e_values=(limit,))
+    with pytest.raises(ValueError, match=f"^suite {name} runs e <= {limit}, got e = {limit + 1}$"):
+        iter_suites([name], e_values=(limit + 1,))
+    # the other suites that take e have no such bound
+    iter_suites(["core", "mullineux", "lyle"], e_values=(100,))
+
+
 @pytest.mark.parametrize("name", ["ladder", "crystal"])
 def test_suites_with_fixed_moduli_reject_e_values_when_named(name):
     for e in (3, -1):
