@@ -13,9 +13,10 @@ Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
 restrictise_steps (the conjugated steps at the conjugate slope e - y).
 
-regularise_steps and the Mullineux loop share one step loop, _steps, with
-one e-walk per move (_top_hook), which also gives the row of the moved bead.
-Every hook predicate here reads the bead set through hooks_divisible_by.
+regularise_steps and the Mullineux loop share one step loop, _steps, which
+carries one bead set across its moves: per move, one walk of the kernel
+partitions._bead_walk (_top_hook) finds the bead that _abacus_step moves in
+place.  The maps encode and decode once; the predicates read hooks_divisible_by.
 
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
@@ -25,9 +26,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
-from .partitions import Node, Partition, beta_numbers, enumerate_partitions, from_beta_numbers, hooks_divisible_by
+from .abacus import conjugate_display
+from .partitions import (Node, Partition, _bead_walk, beta_numbers, enumerate_partitions, from_beta_numbers,
+                         hooks_divisible_by)
 
 
 class LadderParams:
@@ -42,10 +46,10 @@ class LadderParams:
 
     def __init__(self, e: int, y):
         e = int(e)
-        y = Fraction(y)
+        y = y if type(y) is Fraction else Fraction(y)
         if e < 2:
             raise ValueError("e must be at least 2")
-        if not 1 <= y <= e - 1:
+        if not y.denominator <= y.numerator <= (e - 1) * y.denominator:
             raise ValueError(f"slope {y} outside [1, {e - 1}]")
         self.e = e
         self.y = y
@@ -119,24 +123,26 @@ def bad_count(la: Partition, params: LadderParams) -> int:
     return sum(1 for t, arm, _ in hooks_divisible_by(la, params.e) if t % z and arm == num * t // z)
 
 
-def _top_hook(la: Partition, e: int, p: int, q: int) -> tuple[int, int, int] | None:
-    """(arm + 1, t, r) of the longest hook of length e*t, in row r, whose slope
-    (arm + 1)/t is the largest in [1, p/q] (the last walked of ties), or None.
+def _top_hook(occ: set[int], e: int, p: int, q: int) -> tuple[int, int, int] | None:
+    """(arm + 1, t, b) of the longest hook of length e*t of the bead set occ,
+    with bead b, whose slope (arm + 1)/t is the largest in [1, p/q] (the
+    last walked of ties), or None; one walk, keeping the best so far.
     With a = arm + 1, a/t = Y/q' in lowest terms exactly when the hook is
     singular at (E, Y) = (e*q', Y) scaled by a/Y: the move is at (e*t, a)."""
-    best_a, best_t, best_r = 0, 1, 0
-    for t, arm, r in hooks_divisible_by(la, e):
-        a = arm + 1  # (a * best_t, t) orders by slope, then by length
-        if t <= a and a * q <= p * t and (a * best_t, t) >= (best_a * t, best_t):
-            best_a, best_t, best_r = a, t, r
-    return (best_a, best_t, best_r) if best_a else None
+    best_a, best_t, best_b = 0, 1, 0
+    for b, part, gaps in _bead_walk(map(sub, sorted(occ), range(len(occ))), e):
+        for g, below in gaps:
+            t, a = (b - g) // e, part - below  # slope a/t in [1, p/q], then by slope and length
+            if a * q <= p * t and (x := a * best_t) >= (y := best_a * t) and t <= a and (x > y or t >= best_t):
+                best_a, best_t, best_b = a, t, b
+    return (best_a, best_t, best_b) if best_a else None
 
 
-def _abacus_step(la: Partition, em: int, ym: int, r: int) -> Partition:
-    """One regularisation move at integer parameters (em, ym), assuming the
-    singular hooks of la at these parameters all have t = 1.
+def _abacus_step(occ: set[int], em: int, ym: int, b: int) -> int:
+    """One regularisation move at integer parameters (em, ym) on the bead set
+    occ, in place, assuming its singular hooks there all have t = 1; returns d.
 
-    Row r's bead b (from _top_hook's walk) is the largest occupied position
+    The bead b (from _top_hook's walk) is the largest occupied position
     with b - em empty and exactly ym empty positions in [b - em, b].  Let
     the class union F collect the congruence classes mod em of those empty
     positions, let b_1 < ... < b_m be the occupied positions in F after
@@ -144,8 +150,6 @@ def _abacus_step(la: Partition, em: int, ym: int, r: int) -> Partition:
     d minimal such that t_d < b_{d+1} or d = m, move each bead b_i down to
     b_i - em and each bead t_i - em up to t_i, for i = 1..d in turn.
     """
-    occ = beta_numbers(la, len(la))
-    b = la.parts[r - 1] + len(la) - r
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
     bs = sorted(p for p in occ if p > b - em and p % em in classes)
     assert bs and bs[0] == b
@@ -164,34 +168,34 @@ def _abacus_step(la: Partition, em: int, ym: int, r: int) -> Partition:
         assert ts[i] - em in occ and ts[i] not in occ
         occ.remove(ts[i] - em)
         occ.add(ts[i])
-    return from_beta_numbers(occ)
+    return d
 
 
-def _steps(la: Partition, e: int, p: int, q: int, descend: bool) -> Iterator[tuple[int, int, Partition]]:
-    """Regularise la at slope p/q, yielding (p, q, kappa) after each move.
+def _steps(occ: set[int], e: int, p: int, q: int, descend: bool) -> Iterator[tuple[int, int]]:
+    """Regularise the bead set occ in place at slope p/q, yielding (p, q) per move.
 
     Each step scales (E, Y) by the largest t for which a singular hook
     occurs, then performs the single move at the scaled parameters; it gives
-    a strictly more dominant partition in the same ladder class.  Once la is
-    p/q-regular the loop ends, or with descend set goes on at the top slope
-    a/t of _top_hook, which p/q then holds unreduced."""
-    while (top := _top_hook(la, e, p, q)) is not None:
-        a, t, r = top
+    a strictly more dominant partition in the same ladder class.  Once occ
+    is p/q-regular the loop ends, or with descend set goes on at the top
+    slope a/t of _top_hook, which p/q then holds unreduced."""
+    while (top := _top_hook(occ, e, p, q)) is not None:
+        a, t, b = top
         if a * q < p * t:
             if not descend:
                 return
             p, q = a, t
-        kappa = _abacus_step(la, e * t, a, r)
-        assert kappa != la
-        la = kappa
-        yield p, q, la
+        d = _abacus_step(occ, e * t, a, b)
+        assert d >= 1
+        yield p, q
 
 
 def regularise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
     """Yield the partition after each move of the abacus regularisation of la
     (see _steps); nothing is yielded when la is already (E, Y)-regular."""
-    for _, _, la in _steps(la, params.e, params.Y, params.y.denominator, False):
-        yield la
+    occ = beta_numbers(la, len(la))
+    for _ in _steps(occ, params.e, params.Y, params.y.denominator, False):
+        yield from_beta_numbers(occ)
 
 
 def regularise_step(la: Partition, params: LadderParams) -> Partition:
@@ -208,9 +212,9 @@ def regularise_step(la: Partition, params: LadderParams) -> Partition:
 def regularise(la: Partition, params: LadderParams) -> Partition:
     """The unique (E, Y)-regular partition in the ladder class of la: the
     last step of regularise_steps, or la itself when there is none."""
-    for la in regularise_steps(la, params):
-        pass
-    return la
+    occ = beta_numbers(la, len(la))
+    moves = sum(1 for _ in _steps(occ, params.e, params.Y, params.y.denominator, False))
+    return from_beta_numbers(occ) if moves else la
 
 
 def restrictise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
@@ -222,8 +226,13 @@ def restrictise_steps(la: Partition, params: LadderParams) -> Iterator[Partition
 
 def restrictise(la: Partition, params: LadderParams) -> Partition:
     """The unique (E, Y)-restricted partition in the ladder class of la: the
-    last step of restrictise_steps, conjugating only la and the result."""
-    return regularise(la.conjugate(), params.conjugate_params()).conjugate()
+    last step of restrictise_steps, or la itself when there is none.  The
+    steps run on conjugate_display of la's bead set, at the conjugate slope
+    e - p/q = (E - Y)/q, and the result is conjugated back the same way."""
+    occ = conjugate_display(beta_numbers(la, len(la)), 1, la.part(1) + len(la))
+    if not sum(1 for _ in _steps(occ, params.e, params.E - params.Y, params.y.denominator, False)):
+        return la
+    return from_beta_numbers(conjugate_display(occ, 1, max(occ) + 1))
 
 
 def ladder_class(la: Partition, params: LadderParams, bound: int = 14) -> list[Partition]:

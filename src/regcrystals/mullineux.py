@@ -4,7 +4,8 @@ Starting from the conjugate of an e-regular partition, repeatedly
 regularise at the largest hook slope (arm + 1) / r not exceeding the last
 slope used, where the hook has length r*e.  The loop ends when no slope in
 [1, x] remains; the result is the Mullineux image.  The loop is
-ladders._steps, whose one hook walk per move finds the next slope and bead.
+ladders._steps on one bead set, whose one kernel walk per move finds the
+next slope and bead; the image is decoded once.
 An independent check walks the e-regular crystal: peel to the empty
 partition by good-node removals and rebuild with negated residues.
 """
@@ -18,7 +19,7 @@ from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _reduce, _signed_nodes, e_op
 from .ladders import LadderParams, _steps, regularise
-from .partitions import Hook, Partition, _sorted_hooks, hooks_divisible_by
+from .partitions import Hook, Partition, _sorted_hooks, beta_numbers, from_beta_numbers, hooks_divisible_by
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
@@ -28,24 +29,21 @@ def slopes(mu: Partition, e: int) -> set[Fraction]:
     return {Fraction(arm + 1, t) for t, arm, _ in hooks_divisible_by(mu, e)}
 
 
-def _rounds(mu: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
-    """Each round's slope and last partition of the loop from mu = la';
-    ValueError unless mu is e-restricted, that is, la is e-regular."""
+def _loop(mu: Partition, e: int) -> tuple[set[int], Iterator[tuple[int, int]]]:
+    """The bead set of mu = la' and the loop's moves on it; ValueError
+    unless mu is e-restricted, that is, la is e-regular."""
     if e == 1 and mu:
         raise ValueError("only the empty partition is 1-regular")
     if not mu.is_e_restricted(e):
         raise ValueError(f"{mu.conjugate().parts} is not {e}-regular")
-    for (p, q), steps in groupby(_steps(mu, e, e - 1, 1, True), key=lambda step: step[:2]):
-        for _, _, mu in steps:
-            pass
-        yield Fraction(p, q), mu
+    occ = beta_numbers(mu, len(mu))
+    return occ, _steps(occ, e, e - 1, 1, True)
 
 
 def _conjugate_image(mu: Partition, e: int) -> Partition:
     """mullineux(mu', e), run from mu without building mu'."""
-    for _, mu in _rounds(mu, e):
-        pass
-    return mu
+    occ, moves = _loop(mu, e)
+    return from_beta_numbers(occ) if sum(1 for _ in moves) else mu
 
 
 def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
@@ -53,8 +51,13 @@ def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition
 
     The loop starts from la' with ceiling x = e - 1; each round takes the
     largest hook slope y in [1, x], regularises at y, and lowers x to y.
+    groupby reads one move ahead, so each move is decoded before it.
     """
-    yield from _rounds(la.conjugate(), e)
+    occ, moves = _loop(la.conjugate(), e)
+    decoded = ((p, q, from_beta_numbers(occ)) for p, q in moves)
+    for (p, q), steps in groupby(decoded, key=lambda step: step[:2]):
+        *_, (_, _, mu) = steps
+        yield Fraction(p, q), mu
 
 
 def mullineux(la: Partition, e: int) -> Partition:

@@ -5,9 +5,10 @@ trailing zeros dropped.  Young diagrams follow the English convention: the
 node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
 
-Hook data has one source, the bead walk hooks_divisible_by: hook(), hooks(),
-classify_hooks, is_A_regular, the ladder predicates and the regularisation
-move read it, and none of them builds a conjugate.
+Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
+reads it for hook(), hooks(), classify_hooks, is_A_regular and the ladder
+predicates, and the regularisation loop on the bead set it carries from
+move to move; none of them builds a conjugate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
+from operator import ge, gt, sub
 from typing import NamedTuple
 
 Node = tuple[int, int]
@@ -48,12 +51,13 @@ class Partition:
     size: int
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
-        for i, p in enumerate(ps):
-            if p <= 0:
-                raise ValueError(f"parts must be positive, got {ps}")
-            if i and ps[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {ps}")
+        ps = tuple(map(int, parts))
+        if ps and (ps[-1] <= 0 or not all(map(ge, ps, ps[1:]))):
+            for i, p in enumerate(ps):  # the first bad index names the fault
+                if p <= 0:
+                    raise ValueError(f"parts must be positive, got {ps}")
+                if i and ps[i - 1] < p:
+                    raise ValueError(f"parts must be weakly decreasing, got {ps}")
         self.parts = ps
         self.size = sum(ps)
 
@@ -85,12 +89,9 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the Young diagram in the main diagonal."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for c in range(p):
-                cols[c] += 1
+        cols: list[int] = []
+        for r in range(len(self.parts), 0, -1):  # columns ending in row r
+            cols += [r] * (self.parts[r - 1] - len(cols))
         return Partition(cols)
 
     def dominates(self, other: "Partition") -> bool:
@@ -103,13 +104,8 @@ class Partition:
             raise ValueError(
                 f"dominance is defined only for equal sizes: {self.size} != {other.size}"
             )
-        acc_s = acc_o = 0
-        for r in range(1, max(len(self), len(other)) + 1):
-            acc_s += self.part(r)
-            acc_o += other.part(r)
-            if acc_s < acc_o:
-                return False
-        return True
+        # map stops at the shorter, where one side's sum is the full size
+        return all(map(ge, accumulate(self.parts), accumulate(other.parts)))
 
     def hook(self, corner: Node) -> Hook:
         """The hook with the given corner node, picked out of the walk."""
@@ -183,24 +179,32 @@ class Partition:
         """True if no e parts are equal (for e = 1: only the empty partition)."""
         if e < 1:
             raise ValueError("e must be positive")
-        if e == 1:
-            return not self.parts
-        run = 1
-        for i in range(1, len(self.parts)):
-            run = run + 1 if self.parts[i] == self.parts[i - 1] else 1
-            if run >= e:
-                return False
-        return True
+        return all(map(gt, self.parts, self.parts[e - 1:]))
 
     def is_e_restricted(self, e: int) -> bool:
         """True if all consecutive part differences are < e."""
         if e < 1:
             raise ValueError("e must be positive")
-        if e == 1:
-            return not self.parts
-        return all(
-            self.part(r) - self.part(r + 1) < e for r in range(1, len(self.parts) + 1)
-        )
+        return all(a - b < e for a, b in zip(self.parts, self.parts[1:] + (0,)))
+
+
+def _bead_walk(parts: Iterable[int], m: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """(b, part, gaps) for each bead of a display from the bottom up, given
+    the gap counts below the beads in that order (zeros allowed): b is the
+    bead's position, part its gap count and gaps the walk's own list of
+    (g, gaps below g) for the gaps g < b on b's runner of the m-runner
+    abacus, read before the next bead.  A bead with no such gap heads no
+    hook of length divisible by m and is passed over."""
+    runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    pos = gaps = 0
+    for part in parts:
+        while gaps < part:
+            runners[pos % m].append((pos, gaps))
+            pos += 1
+            gaps += 1
+        if run := runners[pos % m]:
+            yield pos, part, run
+        pos += 1
 
 
 def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
@@ -209,26 +213,17 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
     On the bead set of la, a hook is a bead over a gap below it:
     its length is their distance and its arm the number of gaps strictly
     between.  A hook of length m*t pairs a bead with a gap on the same
-    runner of the m-runner abacus, so the walk up the positions keeps the
-    gaps seen so far by runner, visits at most |la|/m hooks and never
-    builds the conjugate.  No runner list is allocated when m exceeds the
-    largest hook length la_1 + len(la) - 1 (the empty partition has no hooks).
+    runner of the m-runner abacus, so _bead_walk visits at most |la|/m
+    hooks and never builds the conjugate.  No walk starts when m exceeds
+    the largest hook length la_1 + len(la) - 1 (the empty partition has no
+    hooks).
     """
     parts = la.parts
     if not parts or m > parts[0] + len(parts) - 1:
         return []
-    runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    out = []
-    pos = gaps = 0
-    for r, part in zip(range(len(parts), 0, -1), reversed(parts)):  # bottom bead first
-        while gaps < part:
-            runners[pos % m].append((pos, gaps))
-            pos += 1
-            gaps += 1
-        for gap, below in runners[pos % m]:
-            out.append(((pos - gap) // m, part - 1 - below, r))
-        pos += 1
-    return out
+    n = len(parts)  # the bead b of row r has part = b - (n - r) gaps below it
+    return [((b - g) // m, part - 1 - below, n - b + part) for b, part, gaps in _bead_walk(reversed(parts), m)
+            for g, below in gaps]
 
 
 def _hook(parts: tuple[int, ...], length: int, arm: int, r: int) -> Hook:
@@ -269,17 +264,10 @@ def from_beta_numbers(positions: Iterable[int]) -> Partition:
     With beads at positions b_1 > ... > b_n, the partition is
     lambda_r = b_r + r - n.
     """
-    occ = sorted(set(positions), reverse=True)
-    n = len(occ)
+    occ = sorted(positions if isinstance(positions, (set, frozenset)) else set(positions), reverse=True)
     if occ and occ[-1] < 0:
         raise ValueError("beta-numbers must be non-negative")
-    parts = []
-    for i, b in enumerate(occ):
-        p = b + i + 1 - n
-        if p <= 0:
-            break
-        parts.append(p)
-    return Partition(parts)
+    return Partition([p for p in map(sub, occ, range(len(occ) - 1, -1, -1)) if p])
 
 
 def parse_partition(text: str) -> Partition:

@@ -12,11 +12,11 @@ whole strings, each operator checking the partition it is given in full,
 the ladder fingerprint keys each node by its own ladder_id call, the
 splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
-each round's slope from the set of all slopes, the arm-sequence axiom is
-tested pair by pair, the crystal graph is searched breadth-first with
-one row walk per vertex and residue, and a chain applies its
-regularisation or restrictisation at every step and checks every image in
-full.
+each round's slope from the set of all slopes, each move encodes and
+decodes its partition, the arm-sequence axiom is tested pair by pair, the
+crystal graph is searched breadth-first with one row walk per vertex and
+residue, and a chain applies its regularisation or restrictisation at
+every step and checks every image in full.
 """
 
 from collections import Counter
@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, e_op, f_op, is_A_regular
-from regcrystals.ladders import LadderParams, _abacus_step, hooks_divisible_by, ladder_id, regularise, restrictise
+from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
-from regcrystals.partitions import Hook, Partition, beta_numbers
+from regcrystals.partitions import Hook, Partition, beta_numbers, from_beta_numbers
 from regcrystals.separation import SplitReport, combine, is_separated
 
 
@@ -267,6 +267,36 @@ def largest_singular_position(la, em: int, ym: int) -> int | None:
     return max(singular, default=None)
 
 
+def abacus_move(la: Partition, em: int, ym: int, r: int) -> Partition:
+    """One regularisation move at integer parameters (em, ym) on la, from
+    the bead of row r, assuming the singular hooks of la at these parameters
+    all have t = 1: la's bead set is encoded, moved as ladders._abacus_step
+    describes and decoded."""
+    occ = beta_numbers(la, len(la))
+    b = la.parts[r - 1] + len(la) - r
+    classes = {p % em for p in range(b - em, b + 1) if p not in occ}
+    bs = sorted(p for p in occ if p > b - em and p % em in classes)
+    assert bs and bs[0] == b
+    m = len(bs)
+    ts: list[int] = []
+    p = b + 1
+    while len(ts) < m:
+        if p not in occ and p % em not in classes:
+            ts.append(p)
+        p += 1
+    d = next(i for i in range(1, m + 1) if i == m or ts[i - 1] < bs[i])
+    for i in range(d):
+        assert bs[i] in occ and bs[i] - em not in occ
+        occ.remove(bs[i])
+        occ.add(bs[i] - em)
+        assert ts[i] - em in occ and ts[i] not in occ
+        occ.remove(ts[i] - em)
+        occ.add(ts[i])
+    kappa = from_beta_numbers(occ)
+    assert kappa != la
+    return kappa
+
+
 def regularise_steps_by_scale(la, params):
     """ladders.regularise_steps with each step's scale t found by a walk of
     the E-abacus for the singular hooks, and its bead by a scan for the
@@ -275,7 +305,7 @@ def regularise_steps_by_scale(la, params):
         em, ym = params.E * t, params.Y * t
         b = largest_singular_position(la, em, ym)
         r = sorted(beta_numbers(la, len(la)), reverse=True).index(b) + 1
-        la = _abacus_step(la, em, ym, r)
+        la = abacus_move(la, em, ym, r)
         yield la
 
 

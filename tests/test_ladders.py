@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from fractions import Fraction
 
@@ -13,10 +14,14 @@ from oracles import (
     restrictise_steps_by_scale,
 )
 from regcrystals import ladders as ld
+from regcrystals import partitions as pt
 from regcrystals.ladders import LadderParams
-from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
+from regcrystals.mullineux import mullineux, mullineux_steps
+from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, parse_partition
 
 P = parse_partition
+# the package exports the function mullineux under the module's name
+mx = importlib.import_module("regcrystals.mullineux")
 
 
 def all_up_to(n):
@@ -43,6 +48,24 @@ class TestParams:
             LadderParams(3, 3)
         with pytest.raises(ValueError):
             LadderParams(3, Fraction(1, 2))
+
+    @pytest.mark.parametrize("e, y, message", [
+        (3, 3, "slope 3 outside [1, 2]"),
+        (3, Fraction(1, 2), "slope 1/2 outside [1, 2]"),
+        (4, Fraction(7, 2), "slope 7/2 outside [1, 3]"),
+        (2, Fraction(3, 2), "slope 3/2 outside [1, 1]"),
+        (1, 1, "e must be at least 2"),
+    ])
+    def test_rejection_messages(self, e, y, message):
+        with pytest.raises(ValueError) as exc:
+            LadderParams(e, y)
+        assert str(exc.value) == message
+
+    def test_fraction_slope_kept_and_bounds_inclusive(self):
+        y = Fraction(5, 3)
+        assert LadderParams(4, y).y is y
+        assert LadderParams(3, "3/2").pair() == (6, 3)
+        assert LadderParams(3, 1).y == 1 and LadderParams(3, Fraction(2)).y == 2
 
     def test_conjugate_params(self):
         assert LadderParams(3, 2).conjugate_params() == LadderParams(3, 1)
@@ -207,11 +230,10 @@ class TestRegularisationStep:
         for e in range(2, 6):
             for p, q in ((e - 1, 1), (3, 2)):
                 for la in all_up_to(12):
-                    top = ld._top_hook(la, e, p, q)
+                    top = ld._top_hook(beta_numbers(la, len(la)), e, p, q)
                     if top is None:
                         continue
-                    a, t, r = top
-                    bead = la.part(r) + len(la) - r
+                    a, t, bead = top
                     assert bead == largest_singular_position(la, e * t, a), (la, e, p, q)
 
     def test_ascends_and_preserves_fingerprint(self):
@@ -222,6 +244,51 @@ class TestRegularisationStep:
                 kappa = ld.regularise_step(la, params)
                 assert kappa != la and kappa.dominates(la)
                 assert ld.fingerprint(kappa, params) == ld.fingerprint(la, params)
+
+
+class TestOperationCounts:
+    """One encode and one decode per call, one kernel walk per move plus
+    one that finds nothing, and no Partition.conjugate in restrictise."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"encode": 0, "decode": 0, "walk": 0, "conjugate": 0}
+
+        def counting(key, real):
+            def wrapper(*args):
+                seen[key] += 1
+                return real(*args)
+            return wrapper
+
+        for name, key in (("beta_numbers", "encode"), ("from_beta_numbers", "decode"), ("_bead_walk", "walk")):
+            real = getattr(pt, name)
+            fake = counting(key, real)
+            for module in (pt, ld, mx):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, fake)
+        monkeypatch.setattr(Partition, "conjugate", counting("conjugate", Partition.conjugate))
+        return seen
+
+    @pytest.mark.parametrize("name, text", [
+        ("regularise", "4,3,2,1"),
+        ("restrictise", "5,1"),
+        ("restrictise", "6,2,1"),
+    ])
+    def test_regularise_and_restrictise(self, counts, name, text):
+        la, params = P(text), LadderParams(3, 2)
+        walk = list(getattr(ld, f"{name}_steps")(la, params))
+        assert len(walk) >= 2
+        counts.update(encode=0, decode=0, walk=0, conjugate=0)
+        assert getattr(ld, name)(la, params) == walk[-1]
+        assert counts == {"encode": 1, "decode": 1, "walk": len(walk) + 1, "conjugate": 0}
+
+    def test_mullineux(self, counts):
+        la = P("6,2,1")
+        moves = sum(1 for _ in ld._steps(beta_numbers(la.conjugate(), len(la.conjugate())), 3, 2, 1, True))
+        assert moves >= 2 and [mu for _, mu in mullineux_steps(la, 3)][-1] == P("5,2,2")
+        counts.update(encode=0, decode=0, walk=0, conjugate=0)
+        assert mullineux(la, 3) == P("5,2,2")
+        assert (counts["encode"], counts["decode"], counts["walk"]) == (1, 1, moves + 1)
 
 
 class TestStepGenerators:

@@ -281,6 +281,21 @@ class TestSharedLoop:
                     moved += len(steps)
         assert moved > 100
 
+    def test_restrictise_equals_the_scaled_walk_route_at_n_50_to_400(self):
+        # restrictise conjugates on the bead set; the oracle route conjugates partitions
+        rng = random.Random(20210519)
+        moved = 0
+        for k in range(20):
+            e, n = 3 + k % 4, 50 + 350 * k // 19
+            la = random_regular_partition(rng, n, e)
+            for mu in (la, la.conjugate()):
+                y = Fraction(rng.randint(2, 3 * (e - 1)), rng.choice((2, 3)))
+                params = LadderParams(e, max(1, min(e - 1, y)))
+                steps = list(restrictise_steps_by_scale(mu, params))
+                assert ld.restrictise(mu, params) == (steps[-1] if steps else mu), (mu, params)
+                moved += len(steps)
+        assert moved > 60
+
     def test_image_of_a_conjugate_runs_from_the_restricted_partition(self):
         for e in (2, 3, 4):
             for la in all_up_to(9):

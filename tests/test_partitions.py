@@ -10,6 +10,7 @@ from regcrystals.partitions import (
     MAX_PARSE_SIZE,
     Partition,
     PartitionParseError,
+    _bead_walk,
     beta_numbers,
     enumerate_partitions,
     format_partition,
@@ -38,6 +39,18 @@ class TestConstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition([3, 0])
+
+    @pytest.mark.parametrize("parts, fault", [
+        ((3, 0), "positive"),
+        ((1, 2), "weakly decreasing"),
+        ((2, 0, 3), "positive"),
+        ((1, 2, 0), "weakly decreasing"),
+        ((2, -1, -3), "positive"),
+    ])
+    def test_first_bad_index_names_the_fault(self, parts, fault):
+        with pytest.raises(ValueError) as exc:
+            Partition(parts)
+        assert str(exc.value) == f"parts must be {fault}, got {parts}"
 
     def test_size_cached(self):
         assert P("9,3^3,2").size == 20
@@ -128,6 +141,24 @@ class TestHooks:
     def test_matches_bead_oracle(self):
         for la in all_up_to(12):
             assert sorted((h.length, h.arm, h.leg) for h in la.hooks()) == hook_data_by_beads(la)
+
+    def test_bead_walk_matches_bead_oracle(self):
+        for la in all_up_to(12):
+            beads = sorted(beta_numbers(la, len(la)))
+            for m in range(1, 6):
+                walk = [(b, part, list(gaps)) for b, part, gaps in _bead_walk(reversed(la.parts), m)]
+                expected = []
+                for i, b in enumerate(beads):
+                    gaps = [(g, g - sum(c < g for c in beads)) for g in range(b % m, b, m) if g not in beads]
+                    if gaps:
+                        expected.append((b, b - i, gaps))
+                assert walk == expected, (la, m)
+                hooks = []
+                for b, part, gaps in walk:
+                    for g, below in gaps:
+                        arm = part - 1 - below
+                        hooks.append((b - g, arm, b - g - 1 - arm))
+                assert sorted(hooks) == [h for h in hook_data_by_beads(la) if h[0] % m == 0], (la, m)
 
     def test_outside_node_rejected(self):
         with pytest.raises(ValueError):
