@@ -7,6 +7,15 @@ la_I, and likewise la_Ibar on the complement.  A partition is I-separated
 when its first empty I-position comes after its last occupied
 Ibar-position.  A SplitContext holds (e, I, n); combine, build_split_pair
 and verify_split take the number u of beads on I-positions as an argument.
+
+Separation is monotone in u for fixed halves.  With u beads on I the
+first empty I-position is local I-position u - len(la_I), which rises with
+u; with n - u beads on Ibar the last occupied Ibar-position is local
+position la_Ibar_1 + (n - u) - 1 (none when u = n), which falls.  So the u
+at which a pair of halves is separated form a suffix of every u range, and
+separation_thresholds reads where each suffix starts without building a
+bead set.
+
 The splitting theorem computes m_e(la') for separated partitions from m_c
 and m_cbar on the two halves; iterating it over runners gives the
 quotient-separated description of the Mullineux map.
@@ -188,10 +197,41 @@ def split_u_range(
 ) -> range:
     """The u for which build_split_pair can place both pairs of halves on
     ctx.n beads: from max(len(la_I), len(mu_I)) to
-    n - max(len(la_Ibar), len(mu_Ibar))."""
+    n - max(len(la_Ibar), len(mu_Ibar)).  Within it the u at which la (or
+    mu) is I-separated form a suffix: see the module docstring."""
     h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
     low = max(len(h.lambda_I), len(h.mu_I))
     return range(low, ctx.n - max(len(h.lambda_Ibar), len(h.mu_Ibar)) + 1)
+
+
+def separation_thresholds(
+    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
+) -> tuple[int, int]:
+    """(u_la, u_both): the least u in split_u_range at which la is
+    I-separated, and the least at which both la and mu are.  Each is the
+    range's stop when no u qualifies; la (and mu) are separated exactly at
+    the u of the range from there on."""
+    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
+    us = split_u_range(alpha, beta, gamma, ctx)
+    u_la = _least_separated_u(h.lambda_I, h.lambda_Ibar, ctx, us)
+    return u_la, max(u_la, _least_separated_u(h.mu_I, h.mu_Ibar, ctx, us))
+
+
+def _least_separated_u(
+    half_i: Partition, half_ibar: Partition, ctx: SplitContext, us: range
+) -> int:
+    """The least u in us at which combine(half_i, half_ibar, ctx, u) is
+    I-separated, or us.stop: the first empty I-position against the last
+    occupied Ibar-position, each renumbered as _to_global does.  At u = n
+    there is no Ibar bead: local position -1 renumbers below 0."""
+    e, c, cb, n = ctx.e, ctx.c, ctx.c_bar, ctx.n
+    res, res_bar = _runners(ctx)
+    top = half_ibar.part(1) - 1
+    for u in us:
+        k, j = u - len(half_i), top + n - u
+        if (k // c) * e + res[k % c] > (j // cb) * e + res_bar[j % cb]:
+            return u
+    return us.stop
 
 
 @dataclass(frozen=True)
@@ -218,9 +258,9 @@ def verify_split(
     and separation is read off those bead sets before they are decoded.
     """
     la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx, u)
-    la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
     la_sep = _separated(la_occ, ctx)
     mu_sep = _separated(mu_occ, ctx)
+    la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
     if not (la_sep and mu_sep):
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
     image = _conjugate_image(la, ctx.e)
@@ -234,8 +274,14 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
 
     Internal diagnostic for the single-step equivalence test.
     """
-    cb = ctx.c_bar
     nu_i, nu_ibar, u = split(nu, ctx)
+    return combine(*_box_halves(nu_i, nu_ibar, ctx), ctx, u)
+
+
+def _box_halves(nu_i: Partition, nu_ibar: Partition, ctx: SplitContext) -> tuple[Partition, Partition]:
+    """The halves (xi_I, tau) of _box_step's result from the halves of nu:
+    they do not depend on u, so one pair serves every u."""
+    cb = ctx.c_bar
     s = next(
         (r for r in range(1, len(nu_ibar) + 1) if nu_ibar.part(r) - nu_ibar.part(r + 1) >= cb),
         None,
@@ -243,9 +289,7 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
     if s is None:
         raise ValueError(f"{nu_ibar.parts} is already {cb}-restricted")
     reduced = [p - cb if r < s else p for r, p in enumerate(nu_ibar.parts)]
-    tau = Partition(p for p in reduced if p > 0)
-    xi_i = box_col(Partition([s]), nu_i, ctx.c)
-    return combine(xi_i, tau, ctx, u)
+    return box_col(Partition([s]), nu_i, ctx.c), Partition(p for p in reduced if p > 0)
 
 
 def quotient_sigma(la: Partition, e: int) -> tuple[int, ...]:

@@ -3,15 +3,17 @@
 Each suite is a generator of instances: it walks a family of properties
 over bounded enumerations and yields one ``(property, ok, describe)``
 triple per instance, where ``describe`` is called only for a property's
-first failure.  The ``_SUITES`` table gives each suite its default size
-bound, its default moduli and its properties in report order, and
-``iter_suites`` drives every suite through that table, yielding each
-suite's results as it finishes.  A suite with default moduli takes any
-e >= 2, up to MAX_SPLIT_E for split and MAX_PAGET_E for paget, checked
-before any suite runs; the others run fixed moduli and reject e when
-named.  It reports one result per property: the number of instances
-checked and the first counterexample found, if any.  A property
-that checked nothing is reported as VACUOUS and counts as a failure.
+first failure; ``ok`` is None for an instance whose hypothesis is not met,
+which counts as checked and as skipped and tests nothing.  The ``_SUITES``
+table gives each suite its default size bound, its default moduli and its
+properties in report order, and ``iter_suites`` drives every suite through
+that table, yielding each suite's results as it finishes.  A suite with
+default moduli takes any e >= 2, up to MAX_SPLIT_E for split and
+MAX_PAGET_E for paget, checked before any suite runs; the others run fixed
+moduli and reject e when named.  It reports one result per property: the number of instances
+checked (and of those skipped, when any were) and the first
+counterexample found, if any.  A property that checked nothing, or only
+skipped instances, is reported as VACUOUS and counts as a failure.
 
 A suite walks each (modulus or parameter set, partition) pair once,
 builds what that pair needs once (the conjugate, the core and quotient,
@@ -38,8 +40,9 @@ from . import separation as sp
 from .partitions import Partition, enumerate_partitions
 
 
-# What a suite yields: (property, ok, describe), one triple per instance.
-Instances = Iterator[tuple[str, bool, Callable[[], str]]]
+# What a suite yields: (property, ok, describe), one triple per instance;
+# ok is None when the instance's hypothesis is not met.
+Instances = Iterator[tuple[str, bool | None, Callable[[], str]]]
 
 
 @dataclass
@@ -48,17 +51,19 @@ class CheckResult:
     name: str
     checked: int = 0
     failure: str | None = None
+    skipped: int = 0  # of the checked instances, those whose hypothesis was not met
 
     @property
     def ok(self) -> bool:
-        return self.failure is None and self.checked > 0
+        return self.failure is None and self.checked > self.skipped
 
     def line(self) -> str:
+        counts = f"checked={self.checked}" + (f" skipped={self.skipped}" if self.skipped else "")
         if self.failure is not None:
-            return f"FAIL {self.suite}.{self.name} checked={self.checked} counterexample: {self.failure}"
-        if not self.checked:
-            return f"VACUOUS {self.suite}.{self.name} checked=0"
-        return f"PASS {self.suite}.{self.name} checked={self.checked}"
+            return f"FAIL {self.suite}.{self.name} {counts} counterexample: {self.failure}"
+        if not self.ok:
+            return f"VACUOUS {self.suite}.{self.name} {counts}"
+        return f"PASS {self.suite}.{self.name} {counts}"
 
 
 def _all_partitions(max_size: int):
@@ -369,8 +374,14 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     For each (alpha, beta, gamma, I) the four halves of the splitting pair
     do not depend on u: separation.split_u_range reads the u range off
-    their lengths, and verify_split, called once per u, reuses them from
-    its memo."""
+    their lengths, and separation.separation_thresholds the least u at
+    which la, and both la and mu, are I-separated.  Below the joint
+    threshold an instance is yielded as skipped and nothing is built; la
+    alone is built from la's threshold on when the box step reads it.
+    From the joint threshold on verify_split checks the theorem, and a
+    report that the hypothesis is not met there fails the instance.  The
+    box step's halves do not depend on u either, so they are found once
+    and each u only combines them."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)
@@ -410,25 +421,38 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 for beta in betas:
                     for gamma in gammas:
                         # for every u, the Ibar-half of la is cbar*alpha + gamma row-wise
-                        bar_restricted = sp.box_row(alpha, gamma, cb).is_e_restricted(cb)
+                        la_ibar = sp.box_row(alpha, gamma, cb)
+                        bar_restricted = la_ibar.is_e_restricted(cb)
+                        box = None if bar_restricted else sp._box_halves(beta, la_ibar, ctx)
+                        u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx)
+                        where = lambda: (
+                            f"alpha={alpha} beta={beta} gamma={gamma} "
+                            f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}"
+                        )
                         for u in sp.split_u_range(alpha, beta, gamma, ctx):
-                            report = sp.verify_split(alpha, beta, gamma, ctx, u)
-                            yield (
-                                "splitting_theorem",
-                                report.verdict != "falsified",
-                                lambda: f"alpha={alpha} beta={beta} gamma={gamma} "
-                                f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}",
-                            )
-                            if report.la_separated and box_ok and not bar_restricted:
+                            if u < u_both:
+                                yield "splitting_theorem", None, where
+                                if u < u_la or box is None or not box_ok:
+                                    continue
+                                nu = sp.combine(beta, la_ibar, ctx, u)
+                            else:
+                                report = sp.verify_split(alpha, beta, gamma, ctx, u)
+                                if report.verdict == "hypothesis-not-met":
+                                    yield "splitting_theorem", False, lambda: (
+                                        f"{where()} not separated at or above u = {u_both}"
+                                    )
+                                else:
+                                    yield "splitting_theorem", report.verdict == "holds", where
+                                if box is None or not box_ok:
+                                    continue
                                 nu = report.la
-                                xi = sp._box_step(nu, ctx)
-                                fp = ld.fingerprint(nu, params)
-                                box_ok = ld.fingerprint(xi, params) == fp
-                                yield (
-                                    "box_step_preserves_cbar_fingerprint",
-                                    box_ok,
-                                    lambda: f"nu={nu} I={sorted(ctx.residues)} e={e} u={u}",
-                                )
+                            xi = sp.combine(*box, ctx, u)
+                            box_ok = ld.fingerprint(xi, params) == ld.fingerprint(nu, params)
+                            yield (
+                                "box_step_preserves_cbar_fingerprint",
+                                box_ok,
+                                lambda: f"nu={nu} I={sorted(ctx.residues)} e={e} u={u}",
+                            )
 
 
 def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -569,7 +593,10 @@ def _run_suite(name: str, max_size: int | None, e_values) -> list[CheckResult]:
         if res.failure is None:
             res.checked += 1
             if not ok:
-                res.failure = describe()
+                if ok is None:
+                    res.skipped += 1
+                else:
+                    res.failure = describe()
     return list(by_name.values())
 
 

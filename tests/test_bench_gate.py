@@ -1,9 +1,12 @@
-"""The benchmark's large_n gate at a tuning seed, read from bench/.
+"""The benchmark's large_n gate at a tuning seed and its split gate, read
+from bench/.
 
 At n = 50..400, where the exhaustive suites cannot reach, the gate checks
 that mullineux equals the crystal oracle and is an involution, that
 regularise and restrictise keep the ladder class, that every chain is
 undone by its reverse, and that build_graph meets its pinned edge counts.
+The split gate runs `verify split --e 4 --max 12` and needs every property
+to PASS with its pinned instance count.
 """
 
 import os
@@ -23,3 +26,8 @@ def test_large_n_gate_passes_at_a_tuning_seed():
     inputs = workloads.prepare_large_n(rc, sampler.large_n_inputs(1))
     gate = workloads.large_n(rc, inputs)["gate"]
     assert (gate.attempted, gate.failed) == (390, 0), gate.problems
+
+
+def test_split_gate_passes_with_its_pinned_counts():
+    gate = workloads.split(rc, None)["gate"]
+    assert (gate.attempted, gate.failed) == (28456, 0), gate.problems

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import split_report_oracle
@@ -237,6 +239,68 @@ class TestHalvesOncePerTriple:
         for _ in range(2):  # a raise leaves nothing in the memo
             with pytest.raises(ValueError, match="is not 2-restricted"):
                 sp.verify_split(P("1"), P("3"), P("1"), ctx, 10)
+
+
+class TestSeparationThresholds:
+    """separation_thresholds against the separation that verify_split reads
+    off the bead sets, and against is_separated on the decoded pair."""
+
+    @pytest.mark.parametrize("e", [3, 4, 5])
+    def test_thresholds_match_verify_split_on_the_suite_instances(self, e):
+        # the instances of the split suite at --max 8: pieces of size <= 2
+        pieces = list(all_up_to(2))
+        below = inside = 0
+        for ctx0 in verify._split_contexts(e, 2):
+            c, cb = ctx0.c, ctx0.c_bar
+            for alpha in pieces:
+                for beta in (p for p in pieces if p.is_e_restricted(c)):
+                    for gamma in (p for p in pieces if p.is_e_restricted(cb)):
+                        u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx0)
+                        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+                        assert u_range.start <= u_la <= u_both <= u_range.stop
+                        for u in u_range:
+                            report = sp.verify_split(alpha, beta, gamma, ctx0, u)
+                            where = (alpha, beta, gamma, ctx0, u, u_la, u_both)
+                            assert (u >= u_la) == report.la_separated, where
+                            assert (u >= u_both) == (report.la_separated and report.mu_separated), where
+                        below += u_range.start < u_both
+                        inside += u_range.start < u_both < u_range.stop
+        assert below > inside > 0
+
+    def test_thresholds_match_is_separated_on_seeded_pieces(self):
+        rng = random.Random(20)
+        pieces = list(all_up_to(6))
+        seen = {"la below": 0, "mu below": 0, "met": 0}
+        for _ in range(300):
+            e = rng.randint(3, 7)
+            residues = frozenset(rng.sample(range(e), rng.randint(1, e - 1)))
+            ctx0 = next(
+                ctx for ctx in verify._split_contexts(e, 6) if ctx.residues == residues
+            )
+            alpha = rng.choice(pieces)
+            beta = rng.choice([p for p in pieces if p.is_e_restricted(ctx0.c)])
+            gamma = rng.choice([p for p in pieces if p.is_e_restricted(ctx0.c_bar)])
+            u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx0)
+            for u in sp.split_u_range(alpha, beta, gamma, ctx0):
+                la, mu = sp.build_split_pair(alpha, beta, gamma, ctx0, u)
+                la_sep, mu_sep = sp.is_separated(la, ctx0), sp.is_separated(mu, ctx0)
+                where = (alpha, beta, gamma, ctx0, u, u_la, u_both)
+                assert (u >= u_la) == la_sep, where
+                assert (u >= u_both) == (la_sep and mu_sep), where
+                seen["la below"] += not la_sep
+                seen["mu below"] += la_sep and not mu_sep
+                seen["met"] += la_sep and mu_sep
+        assert all(seen.values()), seen
+
+    def test_none_separated_gives_the_range_stop(self):
+        # with gamma = 1^2 on runners 1, 2 the last Ibar bead lies above the
+        # first gap on runner 0: position 5 against 0 at u = 0, 4 against 3 at u = 1
+        ctx0 = SplitContext(3, frozenset({0}), 3)
+        args = (Partition(), Partition(), P("1^2"), ctx0)
+        u_range = sp.split_u_range(*args)
+        assert u_range == range(0, 2)
+        assert sp.separation_thresholds(*args) == (u_range.stop, u_range.stop)
+        assert not any(sp.verify_split(*args, u).la_separated for u in u_range)
 
 
 class TestBoxStep:

@@ -100,11 +100,42 @@ SPLIT_COUNTS = {
 }
 
 
+# Of those, the splitting-theorem instances whose pair is not I-separated:
+# they count as checked and test nothing.
+SPLIT_SKIPPED = {(4,): 272, (3, 5): 916}
+
+
 @pytest.mark.parametrize("e_values", list(SPLIT_COUNTS), ids=str)
 def test_split_counts_at_max_5(e_values):
     results = run_suites(["split"], max_size=5, e_values=e_values)
     assert all(r.ok for r in results), [r.line() for r in results]
     assert {r.name: r.checked for r in results} == SPLIT_COUNTS[e_values]
+    assert {r.name: r.skipped for r in results if r.skipped} == {
+        "splitting_theorem": SPLIT_SKIPPED[e_values]
+    }
+    theorem = next(r for r in results if r.name == "splitting_theorem")
+    assert theorem.line() == (
+        f"PASS split.splitting_theorem checked={theorem.checked} skipped={SPLIT_SKIPPED[e_values]}"
+    )
+
+
+def test_skipped_instances_are_counted_and_never_pass_alone(monkeypatch):
+    def suite(max_size, e_values):
+        yield from (("met", None, str), ("met", True, str), ("met", None, str))
+        yield from (("unmet", None, str), ("unmet", None, str))
+        yield from (("failed", None, str), ("failed", False, lambda: "here"), ("failed", None, str))
+        yield "plain", True, str
+
+    properties = ("met", "unmet", "failed", "plain", "none")
+    monkeypatch.setitem(verify._SUITES, "core", (suite, 1, (2,), properties))
+    assert [(r.line(), r.ok) for r in run_suites(["core"])] == [
+        ("PASS core.met checked=3 skipped=2", True),
+        ("VACUOUS core.unmet checked=2 skipped=2", False),
+        # instances after the first failure are not counted
+        ("FAIL core.failed checked=2 skipped=1 counterexample: here", False),
+        ("PASS core.plain checked=1", True),
+        ("VACUOUS core.none checked=0", False),
+    ]
 
 
 def test_first_failure_is_reported_and_counted(lyle_fails_at_2_1):
