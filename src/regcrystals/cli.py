@@ -47,8 +47,8 @@ MAX_BEADS = MAX_PARSE_SIZE
 # which covers the default bound 3e for every e <= 10.
 MAX_GRAPH_SIZE = 30
 
-# Largest arm prefix bound n*e accepted by chain: a chain holds about n^2
-# prefixes of n values each; at 120 the slowest, e = 3 with n = 40, has 492.
+# Largest arm prefix bound n*e accepted by chain: it prints one step per slope
+# of order n between the ends; at 120 the longest, e = 3 with n = 40, has 491.
 MAX_CHAIN_BOUND = 120
 
 # Largest ladder-class --bound accepted: the class is found by fingerprinting

@@ -8,37 +8,32 @@ cogood i-node read off from the reduced i-signature in the A-dependent
 node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
-the ladder depth first.  A-regularity reads the hooks of length
-divisible by e off the bead set.  One row walk, _signed_nodes, finds the
-signed nodes of one residue or of every residue, sorted by that key, and
-_reduce is the one signature reduction.  The i-string kernel walks the
-rows once for residue i, then moves good i-nodes (last first) or cogood
-ones (first first) of a row list in place, checking only the hooks of each
-moved row and column as it moves; moving an i-node changes no other
-i-node's sign, so one walk serves the whole string.  e_op/f_op check their
-input in full on every call, with no memo, and move one node;
-mullineux.peel_and_rebuild moves whole strings, one walk each: of every
-residue for a peeled string, of residue i for a rebuilt one.
-build_graph grows the crystal one size layer at a time, keyed by part
-tuples in sorted order; it walks each vertex once for every residue, and
-each residue's cogood node gives an edge.  Crystals for any two prefixes
-are isomorphic via a chain of ladder regularisations at the slope of each
-prefix in turn; apply_chain is the last image of chain_steps, which yields
-each step.  A chain visits every Farey slope between its ends but moves
-the partition at few of them, so chain_steps walks the hooks once per move,
-not per step: a step regularises (or restrictises) only when that list
-holds a hook singular at its slope, and checks its image against its own
-target prefix from the same list.
+the ladder depth first.  One row walk, _signed_nodes, finds the signed
+nodes sorted by that key, and _reduce is the one signature reduction.  The
+i-string kernel moves a whole string of a row list in place after one walk,
+checking only the hooks of each moved row and column; e_op/f_op check their
+input in full and move one node.  build_graph grows the crystal one size
+layer at a time, one walk per vertex for every residue.
+
+Crystals for any two prefixes are isomorphic via a chain of ladder
+regularisations at the Farey slopes of order n between them.  A chain runs
+as mullineux does, on ladders._steps with one bead set that moves only at
+the singular slopes, and checks its images by one hook walk per hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import sub
 from typing import Iterator
 
-from .ladders import LadderParams, regularise, restrictise
-from .partitions import Node, Partition, format_partition, hooks_divisible_by
+from .abacus import conjugate_display
+from .ladders import LadderParams, _hold_ends, _steps
+from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
+from .partitions import (Node, Partition, _bead_walk, beta_numbers, format_partition, from_beta_numbers,
+                         hooks_divisible_by)
 
 
 def arm_plus(y, t: int) -> int:
@@ -200,20 +195,10 @@ def _reduce(signed) -> tuple[list, list]:
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     """True if la has no hook of length e*t with arm length exactly A_t."""
-    return _regular(_e_hooks(la, prefix), prefix)
-
-
-def _e_hooks(la: Partition, prefix: ArmPrefix) -> list[tuple[int, int, int]]:
-    """hooks_divisible_by(la, e), for la within the crystal bound."""
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
-    return hooks_divisible_by(la, prefix.e)
-
-
-def _regular(hooks, prefix: ArmPrefix) -> bool:
-    """True if no (t, arm, r) of hooks has arm A_t."""
     arms = prefix.values
-    return all(arm != arms[t - 1] for t, arm, _ in hooks)
+    return all(arm != arms[t - 1] for t, arm, _ in hooks_divisible_by(la, prefix.e))
 
 
 def _place(parts: list[int], node: Node, grow: bool) -> None:
@@ -367,102 +352,107 @@ def to_dot(graph: CrystalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _farey_predecessor(y: Fraction, n: int) -> Fraction:
+    """The largest fraction below y = p/q with denominator at most n >= q:
+    r/s with p*s - q*r = 1 for the largest s <= n with s = p^-1 (mod q)."""
+    p, q = y.numerator, y.denominator
+    s = n - (n - pow(p, -1, q)) % q
+    return Fraction((p * s - 1) // q, s)
+
+
 @dataclass(frozen=True)
 class Chain:
-    """A regularisation chain between two arm prefixes.
+    """A regularisation chain from the arm prefix source to target.  Each
+    prefix is the '+' prefix of its slope, so the ends fix the chain: it
+    regularises at every slope of order n from the larger end's down to just
+    above the smaller's; with ``inverse`` set, source is the smaller end,
+    and the steps apply in reverse order as restrictisations."""
 
-    ``prefixes`` descend from the larger prefix to the smaller; step k is
-    the ladder regularisation at the slope of prefixes[k], which carries it
-    to prefixes[k + 1].  With ``inverse`` set, the chain represents the map
-    from prefixes[-1] up to prefixes[0], applied as restrictisations in
-    reverse order.
-    """
-
-    prefixes: tuple[ArmPrefix, ...]
+    source: ArmPrefix
+    target: ArmPrefix
     inverse: bool = False
 
-    @property
+    @cached_property
     def steps(self) -> tuple[LadderParams, ...]:
-        """The ladder parameters of each step: the slope of every prefix but the last."""
-        return tuple(LadderParams(p.e, p.slope) for p in self.prefixes[:-1])
-
-    @property
-    def source(self) -> ArmPrefix:
-        return self.prefixes[-1] if self.inverse else self.prefixes[0]
-
-    @property
-    def target(self) -> ArmPrefix:
-        return self.prefixes[0] if self.inverse else self.prefixes[-1]
-
-
-def _descending_chain(a: ArmPrefix, b: ArmPrefix) -> tuple[ArmPrefix, ...]:
-    """The prefixes from a down to b, each the arm_minus prefix of the last
-    one's slope, built from one list of values and validated by ArmPrefix.
-
-    A valid prefix of length n is fixed by its slope (A_t = floor(y*t)), and
-    its values rise with the slope, so b is reached when the slopes agree and
-    passed when the slope falls below b's.
-    """
-    prefixes = [a]
-    while (y := prefixes[-1].slope) != b.slope:
-        p, q = y.numerator, y.denominator
-        nxt = ArmPrefix(a.e, [(p * t - 1) // q for t in range(1, a.n + 1)])  # arm_minus inline
-        if nxt.slope < b.slope:
-            raise AssertionError("chain step descended past the target prefix")
-        prefixes.append(nxt)
-    return tuple(prefixes)
+        """The ladder parameters of each step in descending slope order, by
+        the Farey-predecessor recurrence of order n; built on first read."""
+        upper, lower = (self.target, self.source) if self.inverse else (self.source, self.target)
+        steps, y = [], upper.slope
+        while y > lower.slope:
+            steps.append(LadderParams(upper.e, y))
+            y = _farey_predecessor(y, upper.n)
+        return tuple(steps)
 
 
 def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
-    """The regularisation chain realising the crystal isomorphism a -> b.
-
-    Each step regularises at the slope max(A_t / t) of the current prefix,
-    replacing it by the matching lower arm prefix, until b is
-    reached.  For a < b the chain is built from b down to a and marked
-    inverse (applied as restrictisations in reverse order).
-    """
+    """The regularisation chain realising the crystal isomorphism a -> b:
+    forward when a >= b value by value, inverse when a <= b."""
     if a.e != b.e or a.n != b.n:
         raise ValueError("arm prefixes must share e and length")
     if all(x >= y for x, y in zip(a.values, b.values)):
-        return Chain(_descending_chain(a, b), inverse=False)
+        return Chain(a, b)
     if all(x <= y for x, y in zip(a.values, b.values)):
-        return Chain(_descending_chain(b, a), inverse=True)
+        return Chain(a, b, inverse=True)
     raise ValueError("arm prefixes are not comparable")
 
 
-def chain_steps(la: Partition, chain: Chain) -> Iterator[tuple[LadderParams, Partition]]:
-    """Yield (params, image) for each step of the chain applied to la.
+def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[int]]]:
+    """Apply chain to la on one bead set, yielding (lo, occ) as each hold of
+    the step loop ends, once checked: the steps at loop slopes above lo not
+    yet passed map la to occ (to la' on an inverse chain).  A forward chain
+    regularises at the singular slopes in (slope target, slope source]: the
+    loop down to the strict floor slope target.  An inverse chain
+    restrictises at them ascending: the loop on the conjugate display at
+    slopes e - y, down to e - slope target inclusive.
 
-    A forward chain regularises at its steps in order; an inverse chain
-    restrictises at them in reverse.  la is checked regular for the chain
-    source, and each image for the prefix its step reaches.
-
-    One hook walk serves every step until the partition moves.  At slope
-    p/q = Y/(E/e), regularise moves la exactly when la is not (E, Y)-regular:
-    when some hook of length e*t has (arm + 1)*q == p*t.  restrictise moves
-    it exactly when some hook has arm*q == p*t (the conjugate hook is
-    singular at e - p/q).  Either equation makes q divide t.  Any other step
-    keeps la and its list of hooks.
+    A hook (t, arm) of length e*t breaks the prefix of slope z exactly when
+    arm/t <= z < (arm + 1)/t.  A hold keeps the bead set from the moves at
+    slope hi (or the start) to those at the next slope lo (or the floor), so
+    its steps reach the prefixes of the slopes z of order n in [lo, hi), and
+    one such z lies in [arm/t, (arm + 1)/t) exactly when arm/t < hi and
+    (arm + 1)/t > lo: arm/t (denominator t <= n) does if arm/t >= lo, else
+    lo does.  On the conjugate display, with arms e*t - 1 - arm, the same
+    test says some e - z in (lo, hi] lies in (arm/t, (arm + 1)/t].  At the
+    start slope it meets only hooks that the source check rejects.
     """
-    hooks = _e_hooks(la, chain.source)
-    if not _regular(hooks, chain.source):
+    source, target, e = chain.source, chain.target, chain.source.e
+    if not is_A_regular(la, source):
         raise ValueError(f"{la.parts} is not regular for the chain source")
-    op, shift, pairs = regularise, 1, zip(chain.steps, chain.prefixes[1:])
+    occ = beta_numbers(la, len(la))
     if chain.inverse:
-        op, shift, pairs = restrictise, 0, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
-    for params, target in pairs:
-        p, q = params.Y, params.y.denominator
-        if any((arm + shift) * q == p * t for t, arm, _ in hooks):
-            la = op(la, params)
-            hooks = hooks_divisible_by(la, target.e)
-        if not _regular(hooks, target):
-            raise ValueError(f"chain left the regular set at {params!r}")
-        yield params, la
+        occ = conjugate_display(occ, 1, la.part(1) + len(la))
+        start, end = e - source.slope, _farey_predecessor(e - target.slope, source.n)
+    else:
+        start, end = source.slope, target.slope
+    start, end = start.as_integer_ratio(), end.as_integer_ratio()
+    for (hp, hq), (lp, lq) in _hold_ends(_steps(occ, e, *start, True, end), start, end):
+        hooks = _bead_walk(map(sub, sorted(occ), range(len(occ))), e)
+        arms = (((b - g) // e, part - 1 - below) for b, part, run in hooks for g, below in run)
+        if any(arm * hq < hp * t and (arm + 1) * lq > lp * t for t, arm in arms):
+            low, high = Fraction(lp, lq), Fraction(hp, hq)
+            at = f"[{e - high}, {e - low})" if chain.inverse else f"[{low}, {high})"
+            raise ValueError(f"chain left the regular set at a slope in {at}")
+        yield (lp, lq), occ
+
+
+def _decode(occ: set[int], chain: Chain) -> Partition:
+    return from_beta_numbers(conjugate_display(occ, 1, max(occ) + 1) if chain.inverse else occ)
+
+
+def chain_steps(la: Partition, chain: Chain) -> Iterator[tuple[LadderParams, Partition]]:
+    """Yield (params, image) for each step of the chain applied to la: the
+    steps in order, or in reverse as restrictisations on an inverse chain.
+    Each hold of _holds, which checks the images, is decoded once."""
+    steps, e, k = chain.steps[::-1] if chain.inverse else chain.steps, chain.source.e, 0
+    for held, ((lp, lq), occ) in enumerate(_holds(la, chain)):
+        mu = _decode(occ, chain) if held else la
+        while k < len(steps) and (e - steps[k].y if chain.inverse else steps[k].y) * lq > lp:
+            yield steps[k], mu
+            k += 1
 
 
 def apply_chain(la: Partition, chain: Chain) -> Partition:
-    """Image of la under the chain: the last image of chain_steps, or la
-    itself for a chain of no steps."""
-    for _, la in chain_steps(la, chain):
-        pass
-    return la
+    """Image of la under the chain: one encode, the step loop of _holds and
+    one decode, or la itself when nothing moves."""
+    holds = list(_holds(la, chain))
+    return _decode(holds[-1][1], chain) if len(holds) > 1 else la

@@ -13,8 +13,8 @@ Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
 restrictise_steps (the conjugated steps at the conjugate slope e - y).
 
-regularise_steps and the Mullineux loop share one step loop, _steps, which
-carries one bead set across its moves: per move, one walk of the kernel
+regularise_steps, the Mullineux loop and the crystal chains share one step
+loop, _steps, on one carried bead set: per move, one walk of the kernel
 partitions._bead_walk (_top_hook) finds the bead that _abacus_step moves in
 place.  The maps encode and decode once; the predicates read hooks_divisible_by.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, groupby, pairwise
 from operator import sub
 from typing import Iterator
 
@@ -171,30 +172,40 @@ def _abacus_step(occ: set[int], em: int, ym: int, b: int) -> int:
     return d
 
 
-def _steps(occ: set[int], e: int, p: int, q: int, descend: bool) -> Iterator[tuple[int, int]]:
-    """Regularise the bead set occ in place at slope p/q, yielding (p, q) per move.
+def _steps(occ: set[int], e: int, p: int, q: int, descend: bool,
+           floor: tuple[int, int] | None = None) -> Iterator[tuple[int, int]]:
+    """Regularise the bead set occ in place at slope p/q, yielding (p, q) before each move.
 
     Each step scales (E, Y) by the largest t for which a singular hook
     occurs, then performs the single move at the scaled parameters; it gives
     a strictly more dominant partition in the same ladder class.  Once occ
     is p/q-regular the loop ends, or with descend set goes on at the top
-    slope a/t of _top_hook, which p/q then holds unreduced."""
+    slope a/t of _top_hook, which p/q then holds unreduced, until a/t is at
+    or below the strict floor slope fp/fq, when one is given."""
     while (top := _top_hook(occ, e, p, q)) is not None:
         a, t, b = top
+        if floor and a * floor[1] <= floor[0] * t:
+            return
         if a * q < p * t:
             if not descend:
                 return
             p, q = a, t
+        yield p, q
         d = _abacus_step(occ, e * t, a, b)
         assert d >= 1
-        yield p, q
+
+
+def _hold_ends(moves: Iterator[tuple[int, int]], start, end) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """(hi, lo) for each hold of a _steps loop while the bead set is still
+    the one held: the start slope or a round's, then the next round's or end."""
+    return pairwise(chain([start], (slope for slope, _ in groupby(moves)), [end]))
 
 
 def regularise_steps(la: Partition, params: LadderParams) -> Iterator[Partition]:
     """Yield the partition after each move of the abacus regularisation of la
-    (see _steps); nothing is yielded when la is already (E, Y)-regular."""
+    (pairwise reads one move ahead of _steps); none when la is regular."""
     occ = beta_numbers(la, len(la))
-    for _ in _steps(occ, params.e, params.Y, params.y.denominator, False):
+    for _ in pairwise(chain(_steps(occ, params.e, params.Y, params.y.denominator, False), [None])):
         yield from_beta_numbers(occ)
 
 

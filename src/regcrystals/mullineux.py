@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import islice
 from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _reduce, _signed_nodes, e_op
-from .ladders import LadderParams, _steps, regularise
+from .ladders import LadderParams, _hold_ends, _steps, regularise
 from .partitions import Hook, Partition, _sorted_hooks, beta_numbers, from_beta_numbers, hooks_divisible_by
 
 
@@ -51,13 +51,11 @@ def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition
 
     The loop starts from la' with ceiling x = e - 1; each round takes the
     largest hook slope y in [1, x], regularises at y, and lowers x to y.
-    groupby reads one move ahead, so each move is decoded before it.
+    The bead set is decoded once per round; the first hold, of la', is skipped.
     """
     occ, moves = _loop(la.conjugate(), e)
-    decoded = ((p, q, from_beta_numbers(occ)) for p, q in moves)
-    for (p, q), steps in groupby(decoded, key=lambda step: step[:2]):
-        *_, (_, _, mu) = steps
-        yield Fraction(p, q), mu
+    for (p, q), _ in islice(_hold_ends(moves, None, None), 1, None):
+        yield Fraction(p, q), from_beta_numbers(occ)
 
 
 def mullineux(la: Partition, e: int) -> Partition:

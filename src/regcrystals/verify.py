@@ -302,7 +302,8 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
         a = cr.ArmPrefix(e, top)
         b = cr.ArmPrefix(e, bottom)
         direct = cr.iso_chain(a, b)
-        mid = direct.prefixes[len(direct.prefixes) // 2]
+        # the prefix halfway along the chain's prefixes, one per step and the end b
+        mid = cr.ArmPrefix.from_slope(e, direct.steps[(len(direct.steps) + 1) // 2].y, a.n)
         to_mid, from_mid = cr.iso_chain(a, mid), cr.iso_chain(mid, b)
         # slopes with denominator > bound/e have no singular partitions within
         # the truncation, so padding the chain with one more step moves nothing

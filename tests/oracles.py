@@ -15,15 +15,17 @@ and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
 decodes its partition, the arm-sequence axiom is tested pair by pair, the
 crystal graph is searched breadth-first with one row walk per vertex and
-residue, and a chain applies its regularisation or restrictisation at
-every step and checks every image in full.
+residue, and a chain walks its prefixes one validated ArmPrefix per
+Farey slope, applies its regularisation or restrictisation at every step
+and checks every image in full.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from regcrystals.crystals import CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, e_op, f_op, is_A_regular
+from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, arm_minus, e_op, f_op,
+                                 is_A_regular)
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, from_beta_numbers
@@ -204,17 +206,40 @@ def peel_and_rebuild_by_operators(la, src, dst, order, sign):
     return la
 
 
+def descending_prefixes(a, b):
+    """The prefixes from a down to b, each the arm_minus prefix of the last
+    one's slope, each built and validated as an ArmPrefix: the Farey walk of
+    order n as a walk of prefixes.
+
+    A valid prefix of length n is fixed by its slope (A_t = floor(y*t)), and
+    its values rise with the slope, so b is reached when the slopes agree and
+    passed when the slope falls below b's.
+    """
+    prefixes = [a]
+    while (y := prefixes[-1].slope) != b.slope:
+        nxt = ArmPrefix(a.e, [arm_minus(y, t) for t in range(1, a.n + 1)])
+        if nxt.slope < b.slope:
+            raise AssertionError("chain step descended past the target prefix")
+        prefixes.append(nxt)
+    return tuple(prefixes)
+
+
 def chain_steps_by_step(la, chain):
-    """crystals.chain_steps with no hook list kept across steps: every step
-    regularises (or, on an inverse chain, restrictises) la, moved or not, and
+    """crystals.chain_steps from the walk of descending_prefixes, with no
+    step loop kept across steps: every step regularises (or, on an inverse
+    chain, restrictises) la at the slope of its prefix, moved or not, and
     checks the image A-regular for the prefix the step reaches by a walk of
     its own."""
     if not is_A_regular(la, chain.source):
         raise ValueError(f"{la.parts} is not regular for the chain source")
-    op, pairs = regularise, zip(chain.steps, chain.prefixes[1:])
+    upper, lower = (chain.target, chain.source) if chain.inverse else (chain.source, chain.target)
+    prefixes = descending_prefixes(upper, lower)
+    # the step at the slope of each prefix but the last carries it to the next
+    steps = [(LadderParams(p.e, p.slope), p, q) for p, q in zip(prefixes, prefixes[1:])]
+    op, checks = regularise, [(params, q) for params, _, q in steps]
     if chain.inverse:
-        op, pairs = restrictise, zip(reversed(chain.steps), reversed(chain.prefixes[:-1]))
-    for params, target in pairs:
+        op, checks = restrictise, [(params, p) for params, p, _ in reversed(steps)]
+    for params, target in checks:
         la = op(la, params)
         if not is_A_regular(la, target):
             raise ValueError(f"chain left the regular set at {params!r}")

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 
-from oracles import add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, node_compare
+from oracles import (add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, descending_prefixes,
+                     node_compare)
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
+from regcrystals import partitions as pt
 from regcrystals import verify
 from regcrystals.crystals import ArmPrefix
 from regcrystals.mullineux import peel_and_rebuild
@@ -532,9 +534,11 @@ def test_layered_graph_equals_the_search_on_larger_graphs(prefix, max_size):
 
 
 def iso_chain(a, b):
-    """cr.iso_chain(a, b), whose steps must be the slopes of its prefixes but the last."""
+    """cr.iso_chain(a, b), whose steps must be the slopes of the oracle's
+    walk of prefixes from the larger end down to the smaller, but the last."""
     chain = cr.iso_chain(a, b)
-    assert chain.steps == tuple(ld.LadderParams(a.e, p.slope) for p in chain.prefixes[:-1])
+    upper, lower = (b, a) if chain.inverse else (a, b)
+    assert chain.steps == tuple(ld.LadderParams(a.e, p.slope) for p in descending_prefixes(upper, lower)[:-1])
     return chain
 
 
@@ -626,6 +630,15 @@ def moves(la, steps):
     return sum(mu != nu for mu, nu in zip([la, *images], images))
 
 
+def route_moves(la, chain):
+    """The steps of chain_steps that move la, after checking chain_steps and
+    apply_chain against the per-step route of the oracle."""
+    steps, expected = list(cr.chain_steps(la, chain)), list(chain_steps_by_step(la, chain))
+    assert steps == expected, (la, chain)
+    assert cr.apply_chain(la, chain) == (expected[-1][1] if expected else la), (la, chain)
+    return moves(la, steps)
+
+
 class TestOneWalkPerMove:
     @pytest.mark.parametrize("e, top, bottom", VERIFY_CHAIN_PAIRS)
     def test_equals_the_per_step_route_on_every_source_partition(self, e, top, bottom):
@@ -634,10 +647,8 @@ class TestOneWalkPerMove:
             checked = moved = 0
             for la in all_up_to(chain.source.bound):
                 if cr.is_A_regular(la, chain.source):
-                    steps = list(cr.chain_steps(la, chain))
-                    assert steps == list(chain_steps_by_step(la, chain)), (la, chain.inverse)
                     checked += 1
-                    moved += moves(la, steps)
+                    moved += route_moves(la, chain)
             assert checked > 0 and moved > 0
 
     def test_equals_the_per_step_route_at_large_n(self):
@@ -654,40 +665,87 @@ class TestOneWalkPerMove:
                 (cr.iso_chain(top, bottom), ld.restrictise(la, ld.LadderParams(e, e - 1))),
                 (cr.iso_chain(bottom, top), ld.regularise(la, ld.LadderParams(e, 1))),
             ):
-                steps = list(cr.chain_steps(mu, chain))
-                assert steps == list(chain_steps_by_step(mu, chain)), (mu, chain.inverse)
-                moved += moves(mu, steps)
+                moved += route_moves(mu, chain)
         assert moved > 0
 
+    def test_equals_the_per_step_route_on_random_prefix_pairs(self):
+        # seeded comparable prefix pairs, e = 3..5 and lengths 2..5, each
+        # chain run both ways on every regular partition of size <= 16
+        rng = random.Random(20210521)
+        moved = 0
+        for k in range(12):
+            e, n = 3 + k % 3, 2 + k % 4
+            ends = sorted((ArmPrefix.from_slope(e, Fraction(rng.randint(q, (e - 1) * q), q), n, rng.choice("+-"))
+                           for q in (rng.randint(1, n), rng.randint(1, n))), key=lambda p: p.slope)
+            for chain in (cr.iso_chain(ends[1], ends[0]), cr.iso_chain(ends[0], ends[1])):
+                for la in all_up_to(min(16, chain.source.bound)):
+                    if cr.is_A_regular(la, chain.source):
+                        moved += route_moves(la, chain)
+        assert moved > 100
+
     def test_walks_once_per_move(self, monkeypatch):
-        walks, ops = [], []
-        real_walk = cr.hooks_divisible_by
-        monkeypatch.setattr(cr, "hooks_divisible_by", lambda la, m: walks.append(la) or real_walk(la, m))
-        for name in ("regularise", "restrictise"):
-            real_op = getattr(cr, name)
-            monkeypatch.setattr(cr, name, lambda la, params, op=real_op: ops.append(la) or op(la, params))
+        # one hook walk for the source check, one _top_hook walk per abacus
+        # move plus one that finds nothing, and one check walk per hold: of
+        # the source and after each round of moves at one slope
+        walks, moved = [], []
+        real_walk, real_steps = pt._bead_walk, cr._steps
+        for module in (pt, ld, cr):
+            monkeypatch.setattr(module, "_bead_walk", lambda *a: walks.append(a) or real_walk(*a))
+        monkeypatch.setattr(cr, "_steps", lambda *a: (moved.append(m) or m for m in real_steps(*a)))
+        counts = []
         for chain, la in long_chains():
             walks.clear()
-            ops.clear()
+            moved.clear()
             steps = list(cr.chain_steps(la, chain))
-            assert (len(steps), moves(la, steps), len(ops), len(walks)) == (33, 4, 4, 5)
+            rounds = len(set(moved))
+            assert len(walks) == 1 + (len(moved) + 1) + (1 + rounds)
+            counts.append((len(steps), moves(la, steps), rounds, len(moved), len(walks)))
+        assert counts == [(33, 4, 4, 7, 14), (33, 4, 4, 5, 12)]
 
     @pytest.mark.parametrize("op", ["regularise", "restrictise"])
     def test_a_step_that_does_not_move_fails_its_target_check(self, monkeypatch, op):
-        # each chain's first singular step keeps la, which is then singular for the prefix it reaches
-        monkeypatch.setattr(cr, op, lambda la, params: la)
+        # a step loop that stops after its first slope leaves la unmoved at the
+        # chain's later singular steps, forward (regularise) and inverse (restrictise)
+        real_steps = cr._steps
+
+        def first_slope_only(*args):
+            moves = real_steps(*args)
+            first = next(moves, None)
+            if first:
+                yield first
+                yield from takewhile(lambda move: move == first, moves)
+
+        monkeypatch.setattr(cr, "_steps", first_slope_only)
         chain, la = long_chains()[1 if op == "restrictise" else 0]
         with pytest.raises(ValueError, match="chain left the regular set"):
             list(cr.chain_steps(la, chain))
+        with pytest.raises(ValueError, match="chain left the regular set"):
+            cr.apply_chain(la, chain)
 
     def test_descending_chain_takes_the_arm_minus_prefix_of_each_slope(self):
+        # the oracle's walk of prefixes, and the Farey-predecessor recurrence
+        # of Chain.steps against its (E, Y) pairs
         pairs = [(ArmPrefix(e, top), ArmPrefix(e, bottom)) for e, top, bottom in VERIFY_CHAIN_PAIRS]
         pairs += [chain_ends(e, n) for e in range(3, 7) for n in (1, 5, 12, 20)]
         for a, b in pairs:
-            prefixes = cr._descending_chain(a, b)
+            prefixes = descending_prefixes(a, b)
             assert prefixes[0] == a and prefixes[-1] == b
             for previous, prefix in zip(prefixes, prefixes[1:]):
                 assert prefix == ArmPrefix.from_slope(a.e, previous.slope, a.n, "-")
+            expected = [ld.LadderParams(a.e, p.slope).pair() for p in prefixes[:-1]]
+            for chain in (cr.iso_chain(a, b), cr.iso_chain(b, a)):
+                assert [params.pair() for params in chain.steps] == expected
             # from a lower prefix than a, the first step already falls below a
             with pytest.raises(AssertionError, match="descended past the target prefix"):
-                cr._descending_chain(prefixes[1], a)
+                descending_prefixes(prefixes[1], a)
+
+    def test_steps_are_built_once(self, monkeypatch):
+        chain = cr.iso_chain(*chain_ends(3, 10))
+        built = []
+        real = ld.LadderParams.__init__
+        monkeypatch.setattr(ld.LadderParams, "__init__", lambda self, *a: built.append(a) or real(self, *a))
+        for _ in range(3):
+            assert len(chain.steps) == 33
+            cr.apply_chain(P("5,4,3,2,1^4"), chain)
+        assert len(built) == 33
+        assert cr.iso_chain(*chain_ends(3, 10)).steps == chain.steps

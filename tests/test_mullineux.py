@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from oracles import (
 )
 from regcrystals import abacus as ab
 from regcrystals import ladders as ld
-from regcrystals.crystals import ArmPrefix
+from regcrystals.crystals import ArmPrefix, apply_chain, iso_chain
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import (
     _conjugate_image,
@@ -29,6 +30,7 @@ from regcrystals.mullineux import (
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
 
 P = parse_partition
+mx = importlib.import_module("regcrystals.mullineux")
 
 
 def all_up_to(n):
@@ -323,3 +325,43 @@ class TestSharedLoop:
             steps += len(moves)
             assert len(walks) == 1 + len(moves), (la, e)
         assert steps > rounds > 20
+
+    def test_trace_decodes_once_per_round(self, monkeypatch):
+        decodes = []
+        real = mx.from_beta_numbers
+        monkeypatch.setattr(mx, "from_beta_numbers", lambda occ: decodes.append(occ) or real(occ))
+        rounds = moves = 0
+        for e, la in large_inputs():
+            decodes.clear()
+            steps = list(mullineux_steps(la, e))
+            assert len(decodes) == len(steps), (la, e)
+            rounds += len(steps)
+            moves += sum(1 for _ in ld._steps(ab.encode(la.conjugate(), len(la.conjugate()), e), e, e - 1, 1, True))
+        assert moves > rounds > 20
+
+
+def chain_image(la, e):
+    """mullineux(la, e) as the paper factors it: the chain of crystal
+    isomorphisms from the slope-(e-1) '+' crystal down to the slope-1 '-'
+    one, at prefix length ceil(|la|/e) (at least 1), applied to la'."""
+    k = max(1, -(-la.size // e))
+    top, bottom = ArmPrefix.from_slope(e, e - 1, k, "+"), ArmPrefix.from_slope(e, 1, k, "-")
+    return apply_chain(la.conjugate(), iso_chain(top, bottom))
+
+
+class TestChainFactorisation:
+    def test_every_regular_partition_up_to_14(self):
+        checked = 0
+        for e in range(2, 6):
+            for la in all_up_to(14):
+                if la.is_e_regular(e):
+                    assert chain_image(la, e) == mullineux(la, e), (la, e)
+                    checked += 1
+        assert checked > 1000
+
+    def test_seeded_partitions_at_n_50_to_400(self):
+        rng = random.Random(20210523)
+        for k in range(100):
+            e, n = 3 + k % 4, 50 + 350 * k // 99
+            la = random_regular_partition(rng, n, e)
+            assert chain_image(la, e) == mullineux(la, e), (la, e)
