@@ -74,10 +74,13 @@ def from_runners(quotient: Sequence[Partition], counts: Sequence[int]) -> Partit
     beta-number k of quotient[i] on counts[i] beads; empty components give
     the core.  Raises ValueError when some counts[i] < len(quotient[i]).
     """
+    return from_beta_numbers(_runner_beads(quotient, counts))
+
+
+def _runner_beads(quotient: Sequence[Partition], counts: Sequence[int]) -> set[int]:
+    """The bead set that from_runners decodes."""
     e = len(quotient)
-    return from_beta_numbers(
-        i + e * k for i, (q, u) in enumerate(zip(quotient, counts)) for k in beta_numbers(q, u)
-    )
+    return {i + e * k for i, (q, u) in enumerate(zip(quotient, counts)) for k in beta_numbers(q, u)}
 
 
 def e_core(la: Partition, e: int, n: int | None = None) -> Partition:

@@ -81,7 +81,8 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {reason}") from None
 
 
 def _slope_arg(text: str) -> tuple[Fraction, str]:
@@ -207,7 +208,7 @@ def _cmd_chain(args) -> int:
     _within("prefix bound", max(src.bound, dst.bound), MAX_CHAIN_BOUND)
     chain = cr.iso_chain(src, dst)
     pairs = [params.pair() for params in chain.steps]
-    lines = ["chain: " + " ".join(f"({E},{Y})" for E, Y in pairs)]
+    lines = ["chain: " + (" ".join(f"({E},{Y})" for E, Y in pairs) or "(none)")]
     if chain.inverse:
         lines.append("applied as restrictisations in reverse order")
     images = []

@@ -321,6 +321,28 @@ def _quotient_separated(occ: set[int], e: int, sigma: tuple[int, ...]) -> bool:
     )
 
 
+def separated_quotients(components: list[Partition], counts: list[int]) -> list[tuple[Partition, ...]]:
+    """The tuples of product(components, repeat=e) whose display, with counts[i]
+    >= len(q) beads on runner i, is e-quotient separated, in product order.
+    Runner i holding q on u beads has its last bead at i + e*(q_1 + u - 1) (< 0
+    if u = 0) and its first gap at i + e*(u - len q); separation compares them
+    pairwise in sigma order, so each runner extends only the prefixes it suits."""
+    if any(len(q) > min(counts) for q in components):
+        raise ValueError(f"runner bead count {min(counts)} is less than a component's length")
+    e = len(counts)
+    found = [((), ())]  # each separated prefix, with its runners' (last bead, first gap)
+    for j, u in enumerate(counts):
+        ends = [(q, j + e * (q.part(1) + u - 1), j + e * (u - len(q))) for q in components]
+        found = [
+            ((*prefix, q), (*seen, (last, gap)))
+            for prefix, seen in found
+            for q, last, gap in ends
+            # runner i < j comes before j in sigma order exactly when counts[i] <= u
+            if all(a < gap if counts[i] <= u else last < b for i, (a, b) in enumerate(seen))
+        ]
+    return [prefix for prefix, _ in found]
+
+
 def paget_mu(la: Partition, e: int) -> Partition:
     """The quotient-shifted partner of an e-restricted, e-quotient-separated
     partition: same e-core, empty first quotient component in sigma order,

@@ -458,24 +458,23 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
 def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs each e of e_values on quotients whose components have size at
-    most max(1, min(2, max_size // 4))."""
+    most b = max(1, min(2, max_size // 4)), with b + 3 + d_i beads on runner
+    i for each d in [-2, 2]^e summing to 0.  Only quotient-separated tuples
+    are built, and only those with e-restricted bead sets are decoded: as
+    positions 0..e-1 hold beads, no two consecutive beads are over e apart."""
     quotient_bound = max(1, min(2, max_size // 4))
-    offset = 2
-    small = [list(enumerate_partitions(s)) for s in range(quotient_bound + 1)]
-    components = [p for group in small for p in group]
+    components = [p for s in range(quotient_bound + 1) for p in enumerate_partitions(s)]
     for e in e_values:
-        m = offset + quotient_bound + 1
-        offsets = range(-offset, offset + 1)
-        for deltas in product(offsets, repeat=e):
+        for deltas in product(range(-2, 3), repeat=e):
             if sum(deltas):
                 continue
-            # every runner holds more beads than any component has parts
-            counts = [m + d for d in deltas]
+            counts = [quotient_bound + 3 + d for d in deltas]
             core = ab.from_runners([Partition()] * e, counts)
-            for quot in product(components, repeat=e):
-                la = ab.from_runners(quot, counts)
-                if not la.is_e_restricted(e) or not sp.is_quotient_separated(la, e):
+            for quot in sp.separated_quotients(components, counts):
+                beads = sorted(ab._runner_beads(quot, counts))
+                if any(b - a > e for a, b in zip(beads, beads[1:])):
                     continue
+                la = ab.decode(beads)
                 mu = sp.paget_mu(la, e)
                 where = lambda: f"{la} e={e}"
                 yield "partner_shares_core", ab.e_core(mu, e) == core, where
@@ -551,7 +550,7 @@ SUITES = tuple(_SUITES)
 
 # Largest e split and paget accept: they walk the 2^e - 2 proper residue
 # subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core
-# box split takes about 130 s at e = 7, paget 19 s at e = 5 and over 60 s at 6.
+# box split takes about 130 s at e = 7, paget 3 s at e = 5 and 20 s at 6.
 MAX_SPLIT_E = 7
 MAX_PAGET_E = 5
 _MAX_E = {"split": MAX_SPLIT_E, "paget": MAX_PAGET_E}

@@ -15,21 +15,25 @@ and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
 decodes its partition, the arm-sequence axiom is tested pair by pair, the
 crystal graph is searched breadth-first with one row walk per vertex and
-residue, and a chain walks its prefixes one validated ArmPrefix per
+residue, a chain walks its prefixes one validated ArmPrefix per
 Farey slope, applies its regularisation or restrictisation at every step
-and checks every image in full.
+and checks every image in full, and the Paget instances are found by
+decoding every display of the runner product and filtering it with the
+public partition tests.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
+from regcrystals.abacus import from_runners
 from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, arm_minus, e_op, f_op,
                                  is_A_regular)
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
-from regcrystals.partitions import Hook, Partition, beta_numbers, from_beta_numbers
-from regcrystals.separation import SplitReport, combine, is_separated
+from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
+from regcrystals.separation import SplitReport, combine, is_quotient_separated, is_separated
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +277,25 @@ def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:
         return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
     image = mullineux(la.conjugate(), ctx.e)
     return SplitReport("holds" if image == mu else "falsified", la, mu, la_sep, mu_sep, image)
+
+
+def paget_instances_by_filter(e: int, quotient_bound: int) -> list[Partition]:
+    """The partitions the paget suite tests at modulus e, in its order: for
+    each d in [-2, 2]^e summing to 0, every display with quotient_bound + 3 +
+    d_i beads on runner i whose components have size at most quotient_bound,
+    decoded in product order and kept when it is e-restricted and
+    e-quotient separated."""
+    components = [p for s in range(quotient_bound + 1) for p in enumerate_partitions(s)]
+    found = []
+    for deltas in product(range(-2, 3), repeat=e):
+        if sum(deltas):
+            continue
+        counts = [quotient_bound + 3 + d for d in deltas]
+        for quot in product(components, repeat=e):
+            la = from_runners(quot, counts)
+            if la.is_e_restricted(e) and is_quotient_separated(la, e):
+                found.append(la)
+    return found
 
 
 def largest_singular_t(la, em: int, ym: int) -> int | None:

@@ -121,6 +121,24 @@ class TestRegRestrict:
         assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["reg", "--e", "3", "--y", "3/0", "2,1"], "--y: bad rational '3/0'"),
+        (["restrict", "--e", "3", "--y", "1/0", "2,1"], "--y: bad rational '1/0'"),
+        (["crystal", "--e", "3", "--slope", "3/0+"], "--slope: bad rational '3/0'"),
+    ],
+    ids=["reg", "restrict", "crystal"],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv, reason):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {reason}: zero denominator\n")
+
+
 class TestLadderClass:
     def test_class_listing(self, capsys):
         code, out, _ = run(capsys, "ladder-class", "--e", "3", "--y", "2", "5,1")
@@ -542,6 +560,10 @@ start: 9,5,2,2
         '[15, 8], [21, 11], [27, 14], [6, 3], [27, 13], [21, 10], [15, 7], [24, 11], [9, 4], [30, 13], '
         '[21, 9], [12, 5], [27, 11], [15, 6], [18, 7], [21, 8], [24, 9], [27, 10], [30, 11], [3, 1]]}\n',
     "chain --e 3 --from 2,4,6 --to 0,1,2 9,9,9": (1, '', 'error: |la| = 27 exceeds the crystal bound 9\n'),
+    # equal prefixes: a chain of no steps
+    "chain --e 3 --from 2,4,6 --to 2,4,6 2,1": "chain: (none)\nstart: 2,1\n",
+    "chain --e 3 --json --from 2,4,6 --to 2,4,6 2,1":
+        '{"e": 3, "images": [], "inverse": false, "steps": []}\n',
     # split and paget read their runners through SplitContext and the bead sets
     "split --e 5 --I 1,4 --beads 15 9,7,3,3,2,1": """\
 lambda_I = 2

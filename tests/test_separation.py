@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -340,6 +341,27 @@ class TestQuotientSeparation:
     def test_separated_examples(self):
         assert sp.is_quotient_separated(self.PAGET_LA, 4)
         assert sp.is_quotient_separated(self.PAGET_MU, 4)
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_separated_quotients_are_the_separated_product_tuples(self, e):
+        components = [p for s in range(3) for p in enumerate_partitions(s)]
+        # the paget suite's runner counts, and for e <= 3 short runners down
+        # to none; each bead total is a multiple of e, so the runner labels
+        # agree with those of is_quotient_separated's own display
+        vectors = [[5 + d for d in ds] for ds in product(range(-2, 3), repeat=e) if not sum(ds)]
+        if e < 4:
+            vectors += [list(cs) for cs in product(range(4), repeat=e) if sum(cs) % e == 0]
+        for counts in vectors:
+            fits = [q for q in components if len(q) <= min(counts)]
+            expected = [
+                quot for quot in product(fits, repeat=e)
+                if sp.is_quotient_separated(ab.from_runners(quot, counts), e)
+            ]
+            assert sp.separated_quotients(fits, counts) == expected, counts
+
+    def test_separated_quotients_need_room_for_every_component(self):
+        with pytest.raises(ValueError, match="^runner bead count 1 is less than a component's length$"):
+            sp.separated_quotients([Partition(), P("1,1")], [1, 3, 2])
 
 
 class TestPaget:

@@ -1,5 +1,8 @@
 import pytest
 
+from oracles import paget_instances_by_filter
+from regcrystals import abacus as ab
+from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.verify import iter_suites, run_suites
 
@@ -117,6 +120,51 @@ def test_split_counts_at_max_5(e_values):
     assert theorem.line() == (
         f"PASS split.splitting_theorem checked={theorem.checked} skipped={SPLIT_SKIPPED[e_values]}"
     )
+
+
+@pytest.mark.parametrize("e, quotient_bound", [(2, 2), (3, 2), (4, 2), (5, 1)])
+def test_paget_tests_the_filtered_runner_product_in_order(monkeypatch, e, quotient_bound):
+    seen = []
+    real = sp.paget_mu
+
+    def recording(la, e):
+        seen.append((la, e))
+        return real(la, e)
+
+    monkeypatch.setattr(sp, "paget_mu", recording)
+    # --max 4b gives the quotient bound b for b = 1, 2
+    results = run_suites(["paget"], max_size=4 * quotient_bound, e_values=(e,))
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert seen == [(la, e) for la in paget_instances_by_filter(e, quotient_bound)]
+
+
+# The paget suite at default bounds (e = 3 and 4, quotient bound 2).  Of
+# the 22,976 displays of its runner products, 3,640 are quotient separated
+# and 1,497 of those are also e-restricted: the suite decodes only these.
+# from_runners builds the 104 cores and runs twice per tested display (in
+# paget_mu and e_core); the bound leaves room for one more call per tested
+# display, while decoding the whole product and filtering it made 26,074.
+PAGET_DEFAULT_COUNTS = {
+    "theorem_on_quotient_separated_partitions": 1019,
+    "partner_shares_core": 1497,
+}
+
+
+def test_paget_at_default_bounds_decodes_only_what_it_tests(monkeypatch):
+    calls = {"from_runners": 0, "decode": 0}
+    for name in calls:
+        real = getattr(ab, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ab, name, counting)
+    results = run_suites(["paget"])
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert {r.name: r.checked for r in results} == PAGET_DEFAULT_COUNTS
+    assert calls["decode"] == 1497
+    assert calls["from_runners"] <= 1497 + 104 + 2 * 1497
 
 
 def test_skipped_instances_are_counted_and_never_pass_alone(monkeypatch):
