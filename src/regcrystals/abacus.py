@@ -78,9 +78,19 @@ def from_runners(quotient: Sequence[Partition], counts: Sequence[int]) -> Partit
 
 
 def _runner_beads(quotient: Sequence[Partition], counts: Sequence[int]) -> set[int]:
-    """The bead set that from_runners decodes."""
+    """The bead set that from_runners decodes, built as one set: runner i
+    holds i + e*k for the u beta-numbers k of q = quotient[i], namely
+    k = 0 .. u - len(q) - 1 and k = q_r + u - r for each row r of q."""
     e = len(quotient)
-    return {i + e * k for i, (q, u) in enumerate(zip(quotient, counts)) for k in beta_numbers(q, u)}
+    beads = []
+    for i, (q, u) in enumerate(zip(quotient, counts)):
+        rows = len(q.parts)
+        if u < rows:
+            raise ValueError(f"need at least {rows} beads, got {u}")
+        top = i + e * u
+        beads += range(i, i + e * (u - rows), e)
+        beads += [top + e * (p - r) for r, p in enumerate(q.parts, start=1)]
+    return set(beads)
 
 
 def e_core(la: Partition, e: int, n: int | None = None) -> Partition:
@@ -104,8 +114,12 @@ def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:
 
 
 def _quotient(occ: set[int], e: int) -> list[Partition]:
-    """e_quotient on a bead set whose size is a multiple of e."""
-    return [from_beta_numbers({p // e for p in occ if p % e == i}) for i in range(e)]
+    """e_quotient on a bead set whose size is a multiple of e, bucketing
+    the beads by runner in one pass."""
+    runners = [set() for _ in range(e)]
+    for p in occ:
+        runners[p % e].add(p // e)
+    return list(map(from_beta_numbers, runners))
 
 
 def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -> Partition:

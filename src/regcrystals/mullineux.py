@@ -7,7 +7,14 @@ slope used, where the hook has length r*e.  The loop ends when no slope in
 ladders._steps on one bead set, whose one kernel walk per move finds the
 next slope and bead; the image is decoded once.
 An independent check walks the e-regular crystal: peel to the empty
-partition by good-node removals and rebuild with negated residues.
+partition by good-node removals and rebuild with negated residues.  A
+caller that walks many partitions in increasing size may pass the oracle
+(or peel_and_rebuild) a ``known`` table of part tuple -> image that the same
+(src, dst, order, sign) gave before; the peel then stops at the first vertex
+in the table and rebuilds from its image, and records la's image there.
+The table holds only the oracle's own images, so it stays a route
+independent of the ladder loop; by the crystal commutation
+m(e_i la) = e_{-i} m(la) (Kleshchev) the images equal the untabled ones.
 """
 
 from __future__ import annotations
@@ -63,14 +70,18 @@ def mullineux(la: Partition, e: int) -> Partition:
     return _conjugate_image(la.conjugate(), e)
 
 
-def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Partition:
+def mullineux_oracle(
+    la: Partition, e: int, residue_choice: str = "min", *, known: dict | None = None
+) -> Partition:
     """Independent Mullineux computation through the e-regular crystal.
 
     Peel la down to the empty partition by good-node removals, recording
     the residues, then rebuild from the empty partition by cogood
     additions at the negated residues in reverse order.  The
     ``residue_choice`` picks which good residue to peel when several exist
-    ('min' or 'max'); the result is independent of the choice.
+    ('min' or 'max'); the result is independent of the choice.  ``known``
+    is peel_and_rebuild's table, kept by the caller for one (e,
+    residue_choice).
     """
     if e == 1:
         if la:
@@ -83,11 +94,14 @@ def mullineux_oracle(la: Partition, e: int, residue_choice: str = "min") -> Part
     n = max(1, -(-la.size // e))
     prefix = ArmPrefix(e, range(n))  # A_t = t - 1: the slope-1 '-' arm sequence
     order = range(e) if residue_choice == "min" else range(e - 1, -1, -1)
-    return peel_and_rebuild(la, prefix, prefix, order, -1)
+    return peel_and_rebuild(la, prefix, prefix, order, -1, known=known)
 
 
-def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign: int) -> Partition:
-    """Walk la to the empty partition in the src crystal and back up in dst.
+def peel_and_rebuild(
+    la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign: int, *, known: dict | None = None
+) -> Partition:
+    """Walk la to the empty partition, or to a vertex in ``known``, in the
+    src crystal and back up in dst.
 
     The peel removes whole good strings: the first residue i in ``order``
     with a good node loses all of them (e_i applied epsilon_i times), and
@@ -99,9 +113,19 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
     node is checked as it moves, raising ValueError if it fails.  Each later
     peeled string takes one walk of every residue, and each rebuilt string
     one walk of its residue.
+
+    ``known`` maps part tuples to the images that this same (src, dst,
+    order, sign) gave them, and defaults to {(): Partition()}.  The peel
+    stops after the first string that ends at a vertex in the table and
+    rebuilds from that vertex's image; la's image is then recorded in the
+    table.  The first removal is still e_op's full check of la.  A caller
+    that walks the crystal's vertices in increasing size finds e_i^max la
+    in the table, so each instance peels and rebuilds one string.
     """
     if not la:
         return la
+    if known is None:
+        known = {(): Partition()}
     if la.size > dst.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
     for i in order:
@@ -112,7 +136,7 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
         raise AssertionError(f"no good node on {la.parts}")
     parts = list(mu.parts)
     runs = [(i, 1 + _move_string(parts, src, i, False))]
-    while parts:
+    while (vertex := tuple(parts)) not in known:
         signed = _signed_nodes(parts, src)
         for i in order:
             good = _reduce(signed.get(i, ()))[0]
@@ -121,11 +145,13 @@ def peel_and_rebuild(la: Partition, src: ArmPrefix, dst: ArmPrefix, order, sign:
         else:
             raise AssertionError(f"no good node on {tuple(parts)}")
         runs.append((i, _move(parts, src, good[::-1], False)))
+    parts = list(known[vertex].parts)
     for i, count in reversed(runs):
         i = sign * i % src.e
         if _move_string(parts, dst, i, True, count) < count:
             raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
-    return Partition(parts)
+    image = known[la.parts] = Partition(parts)
+    return image
 
 
 def james_regularise(la: Partition, e: int) -> Partition:

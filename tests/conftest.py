@@ -22,11 +22,12 @@ def lyle_fails_at_2_1(monkeypatch):
 @pytest.fixture
 def oracle_fails_at_3_1(monkeypatch):
     """verify's Mullineux oracle, returning the empty partition for 3,1 with
-    the 'min' residue choice and otherwise unchanged."""
+    the 'min' residue choice and otherwise unchanged; a ``known`` table is
+    passed through, so it keeps the real oracle's images."""
     real = verify.mullineux_oracle
 
-    def oracle(la, e, residue_choice="min"):
-        image = real(la, e, residue_choice)
+    def oracle(la, e, residue_choice="min", **table):
+        image = real(la, e, residue_choice, **table)
         return Partition() if la.parts == (3, 1) and residue_choice == "min" else image
 
     monkeypatch.setattr(verify, "mullineux_oracle", oracle)

@@ -19,7 +19,9 @@ residue, a chain walks its prefixes one validated ArmPrefix per
 Farey slope, applies its regularisation or restrictisation at every step
 and checks every image in full, and the Paget instances are found by
 decoding every display of the runner product and filtering it with the
-public partition tests.
+public partition tests.  The e-quotient and a display's bead set from
+runner components are also built one runner at a time, as the abacus layer
+did before it bucketed beads in one pass.
 """
 
 from collections import Counter
@@ -373,3 +375,14 @@ def mullineux_steps_by_rounds(la, e):
         for mu in regularise_steps_by_scale(mu, LadderParams(e, x)):
             pass
         yield x, mu
+
+
+def quotient_runner_by_runner(occ: set[int], e: int) -> list[Partition]:
+    """abacus._quotient with one pass over the bead set per runner."""
+    return [from_beta_numbers({p // e for p in occ if p % e == i}) for i in range(e)]
+
+
+def runner_beads_by_runner_sets(quotient, counts) -> set[int]:
+    """abacus._runner_beads from one beta-number set per runner."""
+    e = len(quotient)
+    return {i + e * k for i, (q, u) in enumerate(zip(quotient, counts)) for k in beta_numbers(q, u)}

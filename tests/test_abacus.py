@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grow_columns_by_conjugate
+from oracles import grow_columns_by_conjugate, quotient_runner_by_runner, runner_beads_by_runner_sets
 from regcrystals import abacus as ab
 from regcrystals import separation as sp
 from regcrystals.partitions import (
@@ -218,6 +218,33 @@ class TestFromRunners:
     def test_component_longer_than_its_runner_rejected(self):
         with pytest.raises(ValueError):
             ab.from_runners([P("1,1"), Partition()], [1, 3])
+
+
+class TestOnePassRunners:
+    """The one-pass quotient and the one-set runner beads against the
+    runner-by-runner routes they replaced."""
+
+    def test_quotient_and_runner_beads_equal_the_runner_by_runner_routes(self):
+        for e in range(2, 7):
+            for la in all_up_to(12):
+                for n in (ab.default_beads(la, e), ab.default_beads(la, e) + e):
+                    occ = beta_numbers(la, n)
+                    quot = ab._quotient(occ, e)
+                    assert quot == quotient_runner_by_runner(occ, e), (la, e, n)
+                    counts = ab.runner_counts(occ, e)
+                    for extra in (0, 1):
+                        padded = [u + extra for u in counts]
+                        beads = ab._runner_beads(quot, padded)
+                        assert beads == runner_beads_by_runner_sets(quot, padded), (la, e, n)
+                    assert beads == {p + e for p in occ} | set(range(e))
+
+    def test_short_runner_raises_the_beta_number_message(self):
+        for quot, counts in (([P("1,1"), Partition()], [1, 3]), ([Partition(), P("3,2,1")], [4, 2])):
+            with pytest.raises(ValueError) as new:
+                ab._runner_beads(quot, counts)
+            with pytest.raises(ValueError) as old:
+                runner_beads_by_runner_sets(quot, counts)
+            assert str(new.value) == str(old.value)
 
 
 # Seeded partitions up to size 400, far past what enumeration reaches.

@@ -6,7 +6,8 @@ that mullineux equals the crystal oracle and is an involution, that
 regularise and restrictise keep the ladder class, that every chain is
 undone by its reverse, and that build_graph meets its pinned edge counts.
 The split gate runs `verify split --e 4 --max 12` and needs every property
-to PASS with its pinned instance count.
+to PASS with its pinned instance count; the catalogue gate does the same for
+the crystal and mullineux suites at default bounds.
 """
 
 import os
@@ -31,3 +32,10 @@ def test_large_n_gate_passes_at_a_tuning_seed():
 def test_split_gate_passes_with_its_pinned_counts():
     gate = workloads.split(rc, None)["gate"]
     assert (gate.attempted, gate.failed) == (28456, 0), gate.problems
+
+
+def test_catalogue_gate_passes_for_the_crystal_and_mullineux_suites():
+    suites = ("crystal", "mullineux")
+    pinned = {k: v for k, v in workloads.PINNED_CATALOGUE.items() if k.split(".")[0] in suites}
+    gate = workloads.run_suites(rc, [(s, {}) for s in suites], pinned)["gate"]
+    assert (gate.attempted, gate.failed) == (18070, 0), gate.problems

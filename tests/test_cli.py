@@ -299,9 +299,10 @@ class TestChain:
 
     @staticmethod
     def slope_prefixes(e, n):
-        return [",".join(map(str, cr.ArmPrefix.from_slope(e, y, n, v).values)) for y, v in ((2, "+"), (1, "-"))]
+        """The prefixes of the longest chain: slope e - 1 '+' down to 1 '-'."""
+        return [",".join(map(str, cr.ArmPrefix.from_slope(e, y, n, v).values)) for y, v in ((e - 1, "+"), (1, "-"))]
 
-    @pytest.mark.parametrize("e, n", [(3, 41), (121, 1)])
+    @pytest.mark.parametrize("e, n", [(3, 101), (301, 1)])
     def test_prefix_bound_over_the_limit_exits_1(self, capsys, monkeypatch, e, n):
         def refuse(*args, **kwargs):
             pytest.fail("a chain was built past the prefix bound limit")
@@ -313,10 +314,12 @@ class TestChain:
         assert err == f"error: prefix bound {e * n} exceeds the limit {MAX_CHAIN_BOUND}\n"
 
     def test_prefix_bound_at_the_limit_is_accepted(self, capsys):
-        assert MAX_CHAIN_BOUND == 3 * 40
-        src, dst = self.slope_prefixes(3, 40)
-        code, out, err = run(capsys, "chain", "--e", "3", "--from", src, "--to", dst, "2,1")
+        # e = 4 with n = 75 gives the longest step list of any e at the limit
+        assert MAX_CHAIN_BOUND == 4 * 75 == 300
+        src, dst = self.slope_prefixes(4, 75)
+        code, out, err = run(capsys, "chain", "--e", "4", "--from", src, "--to", dst, "2,1")
         assert (code, err) == (0, "") and out.startswith("chain: ")
+        assert out.splitlines()[0].count("(") == 3473
 
 
 class TestSinglePath:

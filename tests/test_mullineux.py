@@ -13,7 +13,7 @@ from oracles import (
 )
 from regcrystals import abacus as ab
 from regcrystals import ladders as ld
-from regcrystals.crystals import ArmPrefix, apply_chain, iso_chain
+from regcrystals.crystals import ArmPrefix, apply_chain, is_A_regular, iso_chain
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import (
     _conjugate_image,
@@ -165,6 +165,55 @@ def test_oracle_walks_on_one_row(count_walks, n, e, walks):
     counted = count_walks("_signed_nodes")
     assert mullineux_oracle(Partition([n]), e) == mullineux(Partition([n]), e)
     assert len(counted) == walks == (n - 1) % e + 1 + 1 + (n - 1) + n
+
+
+class TestKnownTable:
+    """peel_and_rebuild's table of images, kept by a caller that walks the
+    crystal in increasing size, against the untabled route."""
+
+    @pytest.mark.parametrize("choice, bound", [("min", 16), ("max", 12)])
+    def test_tabled_oracle_equals_the_untabled_one(self, choice, bound):
+        for e in range(2, 7):
+            known = {(): Partition()}
+            for la in all_up_to(bound):
+                if la.is_e_regular(e):
+                    tabled = mullineux_oracle(la, e, choice, known=known)
+                    assert tabled == mullineux_oracle(la, e, choice) == known[la.parts], (la, e)
+
+    @pytest.mark.parametrize(
+        "e, top, bottom", [(3, (2, 4, 6), (0, 1, 2)), (4, (3, 6, 9), (0, 1, 2)), (4, (2, 4, 6), (1, 2, 4))]
+    )
+    def test_tabled_chain_pair_equals_the_untabled_one(self, e, top, bottom):
+        # the chain pairs of verify's chain_factorisations_induce_same_map
+        a, b = ArmPrefix(e, top), ArmPrefix(e, bottom)
+        known = {(): Partition()}
+        for la in all_up_to(min(a.bound, 12)):
+            if is_A_regular(la, a):
+                tabled = peel_and_rebuild(la, a, b, range(e), 1, known=known)
+                assert tabled == peel_and_rebuild(la, a, b, range(e), 1), (la, e)
+
+    @pytest.mark.parametrize("n, e", [(12, 3), (20, 4)])
+    def test_a_known_first_vertex_takes_no_all_residue_walk(self, count_walks, n, e):
+        # the string of (n) has one node, so its first peeled vertex is (n - 1):
+        # e_op's tries, one walk to end the string and one rebuild walk
+        walks = count_walks("_signed_nodes")
+        known = {(): Partition(), (n - 1,): mullineux_oracle(Partition([n - 1]), e)}
+        walks.clear()
+        tabled = mullineux_oracle(Partition([n]), e, known=known)
+        assert len(walks) == (n - 1) % e + 1 + 1 + 1
+        assert not [args for args in walks if len(args) == 2]
+        walks.clear()
+        assert mullineux_oracle(Partition([n]), e) == tabled
+        assert len(walks) == (n - 1) % e + 1 + 1 + (n - 1) + n
+        assert sum(len(args) == 2 for args in walks) == n - 1
+
+    def test_walking_up_in_size_takes_no_all_residue_walk(self, count_walks):
+        walks = count_walks("_signed_nodes")
+        known = {(): Partition()}
+        for la in all_up_to(10):
+            if la.is_e_regular(3):
+                mullineux_oracle(la, 3, known=known)
+        assert walks and not [args for args in walks if len(args) == 2]
 
 
 class TestOracle:
