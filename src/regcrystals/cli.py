@@ -52,8 +52,9 @@ MAX_GRAPH_SIZE = 30
 # 3 down to 1, has 3,473 steps and is built in about 0.02 s.
 MAX_CHAIN_BOUND = 300
 
-# Largest ladder-class --bound accepted: the class is found by fingerprinting
-# all p(|la|) partitions of |la|, which at 40 are 37,338.
+# Largest ladder-class --bound accepted: the class is found by comparing the
+# ladders.class_key of all p(|la|) partitions of |la|, which at 40 are 37,338,
+# in about 0.4 s on a shared 2-core box.
 MAX_LADDER_CLASS_BOUND = 40
 
 # Largest verify --max accepted: a suite enumerates the partitions of every

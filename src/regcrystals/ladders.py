@@ -7,7 +7,9 @@ Y*r + (E - Y)*c and the residue mod e.  Two partitions are equivalent when
 every ladder meets them in the same number of nodes, and each equivalence
 class holds a unique (E, Y)-regular partition (its dominance maximum, the
 regularisation) and a unique (E, Y)-restricted one (the minimum, the
-restrictisation).
+restrictisation).  fingerprint counts la's nodes on each ladder; class_key
+is its integer form, a sorted tuple of one int per Y-column block of a row,
+and every class equality test here and in verify compares class_keys.
 
 Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
@@ -101,6 +103,39 @@ def fingerprint(la: Partition, params: LadderParams) -> Counter:
         for r, row_len in enumerate(la.parts, start=1)
         for j in range(row_len)
     )
+
+
+def class_key(la: Partition, params: LadderParams) -> tuple[int, ...]:
+    """An integer form of fingerprint: class_key(la) == class_key(mu) exactly
+    when fingerprint(la) == fingerprint(mu), so it decides ladder-class
+    equality without building a Counter.
+
+    With drop = E - Y, cut row r of part p into blocks of Y columns.  Block
+    k covers fingerprint keys (R, 1), ..., (R, Y) of the ladder row
+    R = r + k*drop when it is full, and (R, 1), ..., (R, rem) when it is
+    the last, partial block of rem = p % Y > 0 columns.  A full block gives
+    the integer R*Y and a partial one R*Y + rem; with 0 <= rem < Y these
+    are distinct for distinct (R, rem).  The key is the sorted list of
+    these integers over all blocks.
+
+    It is a bijection with the fingerprint fp: a full block at R adds one to
+    every fp(R, s) and a partial block of rem columns one to fp(R, s) for
+    s <= rem, so fp(R, Y) counts the keys R*Y and, for 1 <= t < Y,
+    fp(R, t) - fp(R, t + 1) counts the keys R*Y + t.  Either determines
+    the other, so equal keys mean equal fingerprints and conversely.
+    """
+    ym = params.Y
+    step = (params.E - ym) * ym
+    keys: list[int] = []
+    ry = 0  # r*Y for row r
+    for row_len in la.parts:
+        ry += ym
+        top = ry + row_len // ym * step  # R*Y past the last full block
+        keys.extend(range(ry, top, step))
+        if rem := row_len % ym:
+            keys.append(top + rem)
+    keys.sort()
+    return tuple(keys)
 
 
 def is_regular(la: Partition, params: LadderParams) -> bool:
@@ -248,8 +283,8 @@ def restrictise(la: Partition, params: LadderParams) -> Partition:
 
 def ladder_class(la: Partition, params: LadderParams, bound: int = 14) -> list[Partition]:
     """Brute-force ladder class of la: all equal-size partitions with the
-    same fingerprint, most dominant first."""
+    same class_key (so the same fingerprint), most dominant first."""
     if la.size > bound:
         raise ValueError(f"|la| = {la.size} exceeds the oracle bound {bound}")
-    target = fingerprint(la, params)
-    return [mu for mu in enumerate_partitions(la.size) if fingerprint(mu, params) == target]
+    target = class_key(la, params)
+    return [mu for mu in enumerate_partitions(la.size) if class_key(mu, params) == target]

@@ -9,7 +9,8 @@ the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
 crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
-the ladder fingerprint keys each node by its own ladder_id call, the
+the ladder fingerprint keys each node by its own ladder_id call and is
+also read back off the integer class key block by block, the
 splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
@@ -21,7 +22,8 @@ and checks every image in full, and the Paget instances are found by
 decoding every display of the runner product and filtering it with the
 public partition tests.  The e-quotient and a display's bead set from
 runner components are also built one runner at a time, as the abacus layer
-did before it bucketed beads in one pass.
+did before it bucketed beads in one pass.  The seeded partitions of the
+large-n tests are drawn here too, by random cuts of n.
 """
 
 from collections import Counter
@@ -259,6 +261,20 @@ def fingerprint_by_ladder_id(la, params) -> Counter:
         for r, row_len in enumerate(la.parts, start=1)
         for c in range(1, row_len + 1)
     )
+
+
+def random_partition(rng, n):
+    """A seeded partition of n: random cuts of n into between 1 and 2*sqrt(n) rows."""
+    rows = rng.randint(1, 2 * int(n ** 0.5))
+    cuts = sorted(rng.sample(range(1, n), rows - 1))
+    return Partition(sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True))
+
+
+def fingerprint_from_class_key(key, params) -> Counter:
+    """The fingerprint a class_key stands for: key k covers the ladders
+    (k // Y, s) for s = 1..(k % Y or Y)."""
+    ym = params.Y
+    return Counter((k // ym, s) for k in key for s in range(1, (k % ym or ym) + 1))
 
 
 def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:

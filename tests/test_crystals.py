@@ -6,7 +6,7 @@ from itertools import product, takewhile
 import pytest
 
 from oracles import (add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, descending_prefixes,
-                     node_compare)
+                     node_compare, random_partition)
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import partitions as pt
@@ -191,13 +191,6 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
                         nd for nd in la.addable_nodes() + la.removable_nodes()
                         if (nd[1] - nd[0]) % e == i
                     )
-
-
-def random_partition(rng, n):
-    """A seeded partition of n: random cuts of n into between 1 and 2*sqrt(n) rows."""
-    rows = rng.randint(1, 2 * int(n ** 0.5))
-    cuts = sorted(rng.sample(range(1, n), rows - 1))
-    return Partition(sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True))
 
 
 def test_derived_order_matches_comparator_sort_at_large_n():

@@ -1,15 +1,20 @@
 import importlib
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add_node,
     fingerprint_by_ladder_id,
+    fingerprint_from_class_key,
     largest_singular_position,
     node_route_hooks,
+    random_partition,
     regularise_steps_by_scale,
     restrictise_steps_by_scale,
 )
@@ -164,6 +169,68 @@ class TestFingerprint:
             params = LadderParams(e, y)
             for la in all_up_to(12):
                 assert ld.fingerprint(la, params) == fingerprint_by_ladder_id(la, params), (la, y)
+
+
+def slope_grid(e):
+    """Every slope p/q in [1, e - 1] with q <= 3."""
+    return sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)})
+
+
+def move_one_node(rng, la):
+    """la with a random removable node moved to a random addable node."""
+    r, _ = rng.choice(la.removable_nodes())
+    parts = list(la.parts)
+    parts[r - 1] -= 1
+    kappa = Partition([p for p in parts if p])
+    return add_node(kappa, rng.choice(kappa.addable_nodes()))
+
+
+class TestClassKey:
+    """class_key against fingerprint: equal keys exactly when equal
+    fingerprints, and the key expands back to the fingerprint."""
+
+    def test_equality_is_fingerprint_equality_on_equal_size_pairs(self):
+        # up to n = 11: a partial-block key one too high first merges two
+        # classes there, 8,2,1 and 6,5 at e = 4, y = 2
+        pairs = same_class = 0
+        for e in range(2, 7):
+            for y in slope_grid(e):
+                params = LadderParams(e, y)
+                for n in range(12):
+                    both = [(ld.class_key(la, params), ld.fingerprint(la, params)) for la in enumerate_partitions(n)]
+                    for (k1, f1), (k2, f2) in combinations(both, 2):
+                        assert (k1 == k2) == (f1 == f2), (k1, k2, params)
+                        pairs += 1
+                        same_class += f1 == f2
+        assert (pairs, same_class) == (146_790, 1215)
+
+    def test_expansion_is_the_fingerprint(self):
+        for e in range(2, 7):
+            for y in slope_grid(e):
+                params = LadderParams(e, y)
+                for la in all_up_to(12):
+                    expanded = fingerprint_from_class_key(ld.class_key(la, params), params)
+                    assert expanded == ld.fingerprint(la, params), (la, params)
+
+    def test_seeded_large_partitions(self):
+        # the key expands to the fingerprint and is constant on la, its
+        # regularisation and restrictisation; on one-node moves and random
+        # same-size pairs its equality agrees with fingerprint's
+        rng = random.Random(20261019)
+        moved_apart = 0
+        for n in range(50, 401, 25):
+            for e in (3, 4, 5, 6):
+                params = LadderParams(e, rng.choice((Fraction(3, 2), Fraction(5, 3), Fraction(e - 1))))
+                la = random_partition(rng, n)
+                key = ld.class_key(la, params)
+                assert fingerprint_from_class_key(key, params) == ld.fingerprint(la, params)
+                assert ld.class_key(ld.regularise(la, params), params) == key
+                assert ld.class_key(ld.restrictise(la, params), params) == key
+                fp = ld.fingerprint(la, params)
+                for mu in (move_one_node(rng, la), move_one_node(rng, la), random_partition(rng, n)):
+                    assert (ld.class_key(mu, params) == key) == (ld.fingerprint(mu, params) == fp), (la, mu, params)
+                    moved_apart += ld.fingerprint(mu, params) != fp
+        assert moved_apart > 100
 
 
 class TestRegularityPredicates:

@@ -1,7 +1,8 @@
 import pytest
 
-from oracles import paget_instances_by_filter
+from oracles import fingerprint_from_class_key, paget_instances_by_filter
 from regcrystals import abacus as ab
+from regcrystals import ladders as ld
 from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.verify import iter_suites, run_suites
@@ -120,6 +121,31 @@ def test_split_counts_at_max_5(e_values):
     assert theorem.line() == (
         f"PASS split.splitting_theorem checked={theorem.checked} skipped={SPLIT_SKIPPED[e_values]}"
     )
+
+
+def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
+    # the box step compares class_keys of (xi, nu), in that order, and never
+    # builds a fingerprint; each verdict is the fingerprint route's, and each
+    # key expands to its partition's fingerprint
+    keyed = []
+    real_key, real_fp = ld.class_key, ld.fingerprint
+
+    def recording(la, params):
+        keyed.append((la, params))
+        return real_key(la, params)
+
+    def refused(la, params):
+        raise AssertionError("fingerprint called")
+
+    monkeypatch.setattr(ld, "class_key", recording)
+    monkeypatch.setattr(ld, "fingerprint", refused)
+    verdicts = [ok for name, ok, _ in verify.suite_split(8, (4,)) if name == "box_step_preserves_cbar_fingerprint"]
+    monkeypatch.undo()
+    assert len(keyed) == 2 * len(verdicts) == 2 * 947
+    for (xi, params), (nu, _), ok in zip(keyed[::2], keyed[1::2], verdicts):
+        assert ok is (real_fp(xi, params) == real_fp(nu, params)), (xi, nu, params)
+        for la in (xi, nu):
+            assert fingerprint_from_class_key(real_key(la, params), params) == real_fp(la, params), (la, params)
 
 
 @pytest.mark.parametrize("e, quotient_bound", [(2, 2), (3, 2), (4, 2), (5, 1)])
