@@ -14,7 +14,7 @@ from .abacus import decode, e_core, e_quotient, encode
 from .ladders import LadderParams, fingerprint, ladder_class, regularise, restrictise
 from .crystals import ArmPrefix, CrystalGraph, apply_chain, build_graph, iso_chain
 from .mullineux import james_regularise, lyle_check, mullineux, mullineux_oracle
-from .separation import SplitContext, combine, paget_mu, split, verify_split
+from .separation import SplitContext, SplitPair, combine, paget_mu, split, split_pair, verify_split
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,7 @@ __all__ = [
     "Partition",
     "PartitionParseError",
     "SplitContext",
+    "SplitPair",
     "apply_chain",
     "build_graph",
     "combine",
@@ -48,5 +49,6 @@ __all__ = [
     "residue",
     "restrictise",
     "split",
+    "split_pair",
     "verify_split",
 ]

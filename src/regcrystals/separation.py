@@ -8,6 +8,11 @@ when its first empty I-position comes after its last occupied
 Ibar-position.  A SplitContext holds (e, I, n); combine, build_split_pair
 and verify_split take the number u of beads on I-positions as an argument.
 
+The four halves of the splitting theorem's pair (la, mu) depend on its
+pieces (alpha, beta, gamma) and c only: split_pair builds them as one
+SplitPair, which the caller passes with a context to each function that
+places the pair on n beads, so nothing is kept between calls.
+
 Separation is monotone in u for fixed halves.  With u beads on I the
 first empty I-position is local I-position u - len(la_I), which rises with
 u; with n - u beads on Ibar the last occupied Ibar-position is local
@@ -24,7 +29,6 @@ quotient-separated description of the Mullineux map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
@@ -142,24 +146,29 @@ def box_col(alpha: Partition, beta: Partition, c: int) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
-class _Halves(NamedTuple):
+class SplitPair(NamedTuple):
+    """The halves of the splitting pair (la, mu), built by split_pair: one
+    value serves every residue set I of size c, bead count and u."""
+
     lambda_I: Partition
     lambda_Ibar: Partition
     mu_I: Partition
     mu_Ibar: Partition
 
 
-@lru_cache(maxsize=1024)
-def _split_halves(
-    alpha: Partition, beta: Partition, gamma: Partition, c: int, c_bar: int
-) -> _Halves:
-    """The four halves of the splitting pair, which do not depend on u, the
-    residues or the bead count: each is computed once for every u."""
+def split_pair(alpha: Partition, beta: Partition, gamma: Partition, c: int, c_bar: int) -> SplitPair:
+    """The halves of the pair (la, mu) of the splitting theorem.
+
+    la has la_I = beta and la_Ibar = cbar*alpha + gamma row-wise; mu has
+    mu_I = the parts of m_c(beta') with c copies of each part of alpha',
+    and mu_Ibar = m_cbar(gamma').  beta must be c-restricted and gamma
+    cbar-restricted (forced empty when c or cbar is 1).
+    """
     if not beta.is_e_restricted(c):
         raise ValueError(f"beta = {beta.parts} is not {c}-restricted")
     if not gamma.is_e_restricted(c_bar):
         raise ValueError(f"gamma = {gamma.parts} is not {c_bar}-restricted")
-    return _Halves(
+    return SplitPair(
         beta,
         box_row(alpha, gamma, c_bar),
         box_col(alpha.conjugate(), _conjugate_image(beta, c), c),
@@ -167,54 +176,29 @@ def _split_halves(
     )
 
 
-def _split_pair_beads(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
-) -> tuple[set[int], set[int]]:
-    """The n-bead sets of the pair (la, mu) of build_split_pair."""
-    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
-    return (
-        _combined_beads(h.lambda_I, h.lambda_Ibar, ctx, u),
-        _combined_beads(h.mu_I, h.mu_Ibar, ctx, u),
-    )
+def build_split_pair(pair: SplitPair, ctx: SplitContext, u: int) -> tuple[Partition, Partition]:
+    """The pair (la, mu) of the splitting theorem, with u beads on the
+    I-positions of ctx.n; pair must be split_pair(..., ctx.c, ctx.c_bar)."""
+    return combine(pair.lambda_I, pair.lambda_Ibar, ctx, u), combine(pair.mu_I, pair.mu_Ibar, ctx, u)
 
 
-def build_split_pair(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
-) -> tuple[Partition, Partition]:
-    """The pair (la, mu) of the splitting theorem.
-
-    la has la_I = beta and la_Ibar = cbar*alpha + gamma row-wise; mu has
-    mu_I = the parts of m_c(beta') with c copies of each part of alpha',
-    and mu_Ibar = m_cbar(gamma').  beta must be c-restricted and gamma
-    cbar-restricted (forced empty when c or cbar is 1).
-    """
-    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx, u)
-    return from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
-
-
-def split_u_range(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
-) -> range:
+def split_u_range(pair: SplitPair, ctx: SplitContext) -> range:
     """The u for which build_split_pair can place both pairs of halves on
     ctx.n beads: from max(len(la_I), len(mu_I)) to
     n - max(len(la_Ibar), len(mu_Ibar)).  Within it the u at which la (or
     mu) is I-separated form a suffix: see the module docstring."""
-    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
-    low = max(len(h.lambda_I), len(h.mu_I))
-    return range(low, ctx.n - max(len(h.lambda_Ibar), len(h.mu_Ibar)) + 1)
+    low = max(len(pair.lambda_I), len(pair.mu_I))
+    return range(low, ctx.n - max(len(pair.lambda_Ibar), len(pair.mu_Ibar)) + 1)
 
 
-def separation_thresholds(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext
-) -> tuple[int, int]:
+def separation_thresholds(pair: SplitPair, ctx: SplitContext) -> tuple[int, int]:
     """(u_la, u_both): the least u in split_u_range at which la is
     I-separated, and the least at which both la and mu are.  Each is the
     range's stop when no u qualifies; la (and mu) are separated exactly at
     the u of the range from there on."""
-    h = _split_halves(alpha, beta, gamma, ctx.c, ctx.c_bar)
-    us = split_u_range(alpha, beta, gamma, ctx)
-    u_la = _least_separated_u(h.lambda_I, h.lambda_Ibar, ctx, us)
-    return u_la, max(u_la, _least_separated_u(h.mu_I, h.mu_Ibar, ctx, us))
+    us = split_u_range(pair, ctx)
+    u_la = _least_separated_u(pair.lambda_I, pair.lambda_Ibar, ctx, us)
+    return u_la, max(u_la, _least_separated_u(pair.mu_I, pair.mu_Ibar, ctx, us))
 
 
 def _least_separated_u(
@@ -246,18 +230,16 @@ class SplitReport:
     mullineux_image: Partition | None
 
 
-def verify_split(
-    alpha: Partition, beta: Partition, gamma: Partition, ctx: SplitContext, u: int
-) -> SplitReport:
+def verify_split(pair: SplitPair, ctx: SplitContext, u: int) -> SplitReport:
     """Check one instance: when both la and mu are I-separated, assert that
     m_e(la') = mu; otherwise report that the hypothesis is not met.
 
-    la and mu are those of build_split_pair.  Their four halves do not
-    depend on u, so they are computed once per (alpha, beta, gamma, c) and
-    kept in a bounded memo; each u then only places them on the n beads,
-    and separation is read off those bead sets before they are decoded.
+    la and mu are those of build_split_pair: each u only places the
+    pair's halves on the n beads, and separation is read off those bead
+    sets before they are decoded.
     """
-    la_occ, mu_occ = _split_pair_beads(alpha, beta, gamma, ctx, u)
+    la_occ = _combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
+    mu_occ = _combined_beads(pair.mu_I, pair.mu_Ibar, ctx, u)
     la_sep = _separated(la_occ, ctx)
     mu_sep = _separated(mu_occ, ctx)
     la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
@@ -275,13 +257,12 @@ def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
     Internal diagnostic for the single-step equivalence test.
     """
     nu_i, nu_ibar, u = split(nu, ctx)
-    return combine(*_box_halves(nu_i, nu_ibar, ctx), ctx, u)
+    return combine(*_box_halves(nu_i, nu_ibar, ctx.c, ctx.c_bar), ctx, u)
 
 
-def _box_halves(nu_i: Partition, nu_ibar: Partition, ctx: SplitContext) -> tuple[Partition, Partition]:
+def _box_halves(nu_i: Partition, nu_ibar: Partition, c: int, cb: int) -> tuple[Partition, Partition]:
     """The halves (xi_I, tau) of _box_step's result from the halves of nu:
-    they do not depend on u, so one pair serves every u."""
-    cb = ctx.c_bar
+    they depend on c and cbar only, so one pair serves every I and u."""
     s = next(
         (r for r in range(1, len(nu_ibar) + 1) if nu_ibar.part(r) - nu_ibar.part(r + 1) >= cb),
         None,
@@ -289,7 +270,7 @@ def _box_halves(nu_i: Partition, nu_ibar: Partition, ctx: SplitContext) -> tuple
     if s is None:
         raise ValueError(f"{nu_ibar.parts} is already {cb}-restricted")
     reduced = [p - cb if r < s else p for r, p in enumerate(nu_ibar.parts)]
-    return box_col(Partition([s]), nu_i, ctx.c), Partition(p for p in reduced if p > 0)
+    return box_col(Partition([s]), nu_i, c), Partition(p for p in reduced if p > 0)
 
 
 def quotient_sigma(la: Partition, e: int) -> tuple[int, ...]:

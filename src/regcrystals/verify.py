@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import Callable, Iterator
 
 from . import abacus as ab
@@ -69,11 +69,6 @@ class CheckResult:
 def _all_partitions(max_size: int):
     for n in range(max_size + 1):
         yield from enumerate_partitions(n)
-
-
-@lru_cache(maxsize=None)
-def _mull(parts: tuple[int, ...], e: int) -> Partition:
-    return _mullineux(Partition(parts), e)
 
 
 def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -334,22 +329,25 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     The oracle keeps one table of its images per (e, residue choice), and
     partitions come in increasing size, so each oracle call peels one
-    string to a vertex already in the table and rebuilds one string."""
+    string to a vertex already in the table and rebuilds one string.  The
+    algorithm's images are kept for this run only."""
+    # _mullineux is looked up at each call, so a wrapper installed on it sees them
+    mull = lru_cache(maxsize=None)(lambda parts, e: _mullineux(Partition(parts), e))
     for e in e_values:
         known_min, known_max = {(): Partition()}, {(): Partition()}
         for la in _all_partitions(max_size):
             where = lambda: f"{la} e={e}"
             if la.is_e_regular(e):
-                image, oracle = _mull(la.parts, e), mullineux_oracle(la, e, known=known_min)
+                image, oracle = mull(la.parts, e), mullineux_oracle(la, e, known=known_min)
                 yield "algorithm_equals_crystal_oracle", image == oracle, where
                 ok = image.size == la.size and image.is_e_regular(e)
                 yield "image_is_e_regular_of_same_size", ok, where
-                yield "involution", _mull(image.parts, e) == la, where
+                yield "involution", mull(image.parts, e) == la, where
                 if la.size <= 10:
                     ok = oracle == mullineux_oracle(la, e, "max", known=known_max)
                     yield "oracle_residue_choice_is_irrelevant", ok, where
             if la.size <= 14 and la.is_e_restricted(e):
-                image = _mull(la.conjugate().parts, e)
+                image = mull(la.conjugate().parts, e)
                 ok = image.e_content(e) == la.e_content(e)
                 yield "composite_preserves_content_on_restricted", ok, where
                 if la.size <= 12:
@@ -357,7 +355,7 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     for la in _all_partitions(max(max_size, 18)):
         if la.is_e_regular(2):
-            yield "identity_for_e_2", _mull(la.parts, 2) == la, lambda: str(la)
+            yield "identity_for_e_2", mull(la.parts, 2) == la, lambda: str(la)
 
 
 def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -370,7 +368,7 @@ def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
 
 def _split_contexts(e: int, piece_bound: int):
-    """All proper residue subsets with bead counts sized per the grids."""
+    """All proper residue subsets, by increasing size, with bead counts sized per the grids."""
     max_parts = piece_bound * (e - 1) + piece_bound  # parts of mu_I in the worst case
     n = e * (-(-(max_parts + e) // e))
     for k in range(1, e):
@@ -384,17 +382,18 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     pieces of size at most max(1, max_size // 4), so e = 2 leaves them
     VACUOUS.
 
-    For each (alpha, beta, gamma, I) the four halves of the splitting pair
-    do not depend on u: separation.split_u_range reads the u range off
-    their lengths, and separation.separation_thresholds the least u at
-    which la, and both la and mu, are I-separated.  Below the joint
-    threshold an instance is yielded as skipped and nothing is built; la
-    alone is built from la's threshold on when the box step reads it.
-    From the joint threshold on verify_split checks the theorem, and a
-    report that the hypothesis is not met there fails the instance.  The
-    box step's halves do not depend on u either, so they are found once
-    and each u only combines them; the box step compares the ladders.class_key
-    of the two partitions, the integer form of their c-bar fingerprints."""
+    The halves of the splitting pair and of the box step depend on (alpha,
+    beta, gamma) and c = |I| only, and _split_contexts yields the residue
+    sets grouped by c: each c builds one list of separation.split_pair and
+    box halves, read by every I of that size.  For each I, split_u_range
+    reads the u range off the halves' lengths, and separation_thresholds
+    the least u at which la, and both la and mu, are I-separated.  Below
+    the joint threshold an instance is yielded as skipped and nothing is
+    built; la alone is built from la's threshold on when the box step
+    reads it.  From the joint threshold on verify_split checks the
+    theorem, and a report that the hypothesis is not met there fails the
+    instance.  The box step compares the ladders.class_key of the two
+    partitions, the integer form of their c-bar fingerprints."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)
@@ -425,47 +424,50 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     pieces = list(_all_partitions(piece_bound))
     box_ok = True  # once the box step fails it is not computed again
     for e in (e for e in e_values if e >= 3):
-        for ctx in _split_contexts(e, piece_bound):
-            c, cb = ctx.c, ctx.c_bar
+        for c, contexts in groupby(_split_contexts(e, piece_bound), key=lambda ctx: ctx.c):
+            cb = e - c
             betas = [p for p in pieces if p.is_e_restricted(c)]
             gammas = [p for p in pieces if p.is_e_restricted(cb)]
-            params = ld.LadderParams(e, cb)
+            instances = []  # (alpha, beta, gamma, pair, box halves or None)
             for alpha in pieces:
                 for beta in betas:
                     for gamma in gammas:
-                        # for every u, the Ibar-half of la is cbar*alpha + gamma row-wise
-                        la_ibar = sp.box_row(alpha, gamma, cb)
-                        bar_restricted = la_ibar.is_e_restricted(cb)
-                        box = None if bar_restricted else sp._box_halves(beta, la_ibar, ctx)
-                        u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx)
-                        where = lambda: (
-                            f"alpha={alpha} beta={beta} gamma={gamma} "
-                            f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}"
-                        )
-                        for u in sp.split_u_range(alpha, beta, gamma, ctx):
-                            if u < u_both:
-                                yield "splitting_theorem", None, where
-                                if u < u_la or box is None or not box_ok:
-                                    continue
-                                nu = sp.combine(beta, la_ibar, ctx, u)
+                        pair = sp.split_pair(alpha, beta, gamma, c, cb)
+                        bar = pair.lambda_Ibar
+                        box = None if bar.is_e_restricted(cb) else sp._box_halves(beta, bar, c, cb)
+                        instances.append((alpha, beta, gamma, pair, box))
+            params = ld.LadderParams(e, cb)
+            for ctx in contexts:
+                for alpha, beta, gamma, pair, box in instances:
+                    u_la, u_both = sp.separation_thresholds(pair, ctx)
+                    where = lambda: (
+                        f"alpha={alpha} beta={beta} gamma={gamma} "
+                        f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}"
+                    )
+                    for u in sp.split_u_range(pair, ctx):
+                        if u < u_both:
+                            yield "splitting_theorem", None, where
+                            if u < u_la or box is None or not box_ok:
+                                continue
+                            nu = sp.combine(pair.lambda_I, pair.lambda_Ibar, ctx, u)
+                        else:
+                            report = sp.verify_split(pair, ctx, u)
+                            if report.verdict == "hypothesis-not-met":
+                                yield "splitting_theorem", False, lambda: (
+                                    f"{where()} not separated at or above u = {u_both}"
+                                )
                             else:
-                                report = sp.verify_split(alpha, beta, gamma, ctx, u)
-                                if report.verdict == "hypothesis-not-met":
-                                    yield "splitting_theorem", False, lambda: (
-                                        f"{where()} not separated at or above u = {u_both}"
-                                    )
-                                else:
-                                    yield "splitting_theorem", report.verdict == "holds", where
-                                if box is None or not box_ok:
-                                    continue
-                                nu = report.la
-                            xi = sp.combine(*box, ctx, u)
-                            box_ok = ld.class_key(xi, params) == ld.class_key(nu, params)
-                            yield (
-                                "box_step_preserves_cbar_fingerprint",
-                                box_ok,
-                                lambda: f"nu={nu} I={sorted(ctx.residues)} e={e} u={u}",
-                            )
+                                yield "splitting_theorem", report.verdict == "holds", where
+                            if box is None or not box_ok:
+                                continue
+                            nu = report.la
+                        xi = sp.combine(*box, ctx, u)
+                        box_ok = ld.class_key(xi, params) == ld.class_key(nu, params)
+                        yield (
+                            "box_step_preserves_cbar_fingerprint",
+                            box_ok,
+                            lambda: f"nu={nu} I={sorted(ctx.residues)} e={e} u={u}",
+                        )
 
 
 def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:

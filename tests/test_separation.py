@@ -45,7 +45,7 @@ class TestContext:
                 sp.combine(Partition(), Partition(), ctx, u)
             for build in (sp.build_split_pair, sp.verify_split):
                 with pytest.raises(ValueError, match=message):
-                    build(*pieces, ctx, u)
+                    build(sp.split_pair(*pieces, ctx.c, ctx.c_bar), ctx, u)
 
 
 class TestSeparated:
@@ -83,7 +83,8 @@ class TestNoDisplayObjects:
         halves = sp.split(la, ctx)
         assert sp.combine(halves.lambda_I, halves.lambda_Ibar, ctx, halves.u) == la
         assert sp.is_separated(la, ctx)
-        assert sp.verify_split(P("1"), Partition(), Partition(), ctx, 6).verdict != "falsified"
+        pair = sp.split_pair(P("1"), Partition(), Partition(), ctx.c, ctx.c_bar)
+        assert sp.verify_split(pair, ctx, 6).verdict != "falsified"
         assert sp.paget_mu(P("11,10,9,8,7,5^2,4,3,2,1^5"), 4) == P("19,10,9,8,7,4,3,3,3,2,1")
 
 
@@ -133,12 +134,12 @@ class TestSplitPair:
     CTX5 = SplitContext(5, frozenset({1, 4}), 15)
 
     def test_first_example(self):
-        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5, 10)
+        la, mu = sp.build_split_pair(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
         assert la == P("15,11,9,7^3,6,4^3,2,1")
         assert mu == P("17,16,14,10,9,5,2^2,1^2")
 
     def test_first_example_halves(self):
-        la, mu = sp.build_split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), self.CTX5, 10)
+        la, mu = sp.build_split_pair(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
         halves_la = sp.split(la, self.CTX5)
         halves_mu = sp.split(mu, self.CTX5)
         assert halves_la.lambda_I == P("2,1^2") and halves_la.lambda_Ibar == P("7^2,4")
@@ -147,28 +148,26 @@ class TestSplitPair:
 
     def test_counterexample_pair(self):
         ctx = SplitContext(6, frozenset({0, 3, 5}), 12)
-        la, mu = sp.build_split_pair(Partition(), Partition(), P("2,2"), ctx, 7)
+        la, mu = sp.build_split_pair(sp.split_pair(Partition(), Partition(), P("2,2"), 3, 3), ctx, 7)
         assert la == P("2^5") and mu == P("5,2^2,1")
 
     def test_restriction_preconditions(self):
-        ctx = SplitContext(5, frozenset({1, 4}), 15)
         with pytest.raises(ValueError):
-            sp.build_split_pair(P("1"), P("3"), P("1"), ctx, 10)  # beta not 2-restricted
-        ctx1 = SplitContext(5, frozenset({1}), 15)
+            sp.split_pair(P("1"), P("3"), P("1"), 2, 3)  # beta not 2-restricted
         with pytest.raises(ValueError):
-            sp.build_split_pair(P("1"), P("1"), P("1"), ctx1, 5)  # c = 1 forces beta empty
+            sp.split_pair(P("1"), P("1"), P("1"), 1, 4)  # c = 1 forces beta empty
 
 
 class TestVerifySplit:
     def test_holds(self):
-        rep = sp.verify_split(P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5(), 10)
+        rep = sp.verify_split(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.ctx5(), 10)
         assert rep.verdict == "holds"
         assert rep.la_separated and rep.mu_separated
         assert rep.mullineux_image == rep.mu
 
     def test_hypothesis_not_met(self):
         ctx = SplitContext(6, frozenset({0, 3, 5}), 12)
-        rep = sp.verify_split(Partition(), Partition(), P("2,2"), ctx, 7)
+        rep = sp.verify_split(sp.split_pair(Partition(), Partition(), P("2,2"), 3, 3), ctx, 7)
         assert rep.verdict == "hypothesis-not-met"
         assert rep.la_separated and not rep.mu_separated
         assert rep.mullineux_image is None
@@ -176,12 +175,12 @@ class TestVerifySplit:
 
     def test_empty_inputs(self):
         ctx = SplitContext(5, frozenset({1, 4}), 15)
-        rep = sp.verify_split(Partition(), Partition(), Partition(), ctx, 6)
+        rep = sp.verify_split(sp.split_pair(Partition(), Partition(), Partition(), 2, 3), ctx, 6)
         assert rep.verdict == "holds"
 
     def test_image_is_taken_without_conjugating(self, monkeypatch):
-        # m_e(la') runs from la itself; the halves are memoised by the first call
-        args = (P("2^2,1"), P("2,1^2"), P("1^3"), self.ctx5(), 10)
+        # m_e(la') runs from la itself; the halves are built before the count starts
+        args = (sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.ctx5(), 10)
         assert sp.verify_split(*args).verdict == "holds"
         calls, real = [], Partition.conjugate
         monkeypatch.setattr(Partition, "conjugate", lambda la: calls.append(la) or real(la))
@@ -195,8 +194,9 @@ class TestVerifySplit:
 
 
 class TestHalvesOncePerTriple:
-    """verify_split reads the u-invariant halves from a memo and tests
-    separation on bead sets; the oracle rebuilds everything for each u."""
+    """verify_split places the halves of one SplitPair, built once per
+    (alpha, beta, gamma, c), at every u and tests separation on bead sets;
+    the oracle rebuilds everything for each u."""
 
     @pytest.mark.parametrize("e", [3, 4])
     def test_reports_equal_the_oracle_for_every_u(self, e):
@@ -214,32 +214,31 @@ class TestHalvesOncePerTriple:
                         high = ctx0.n - max(
                             len(alpha), len(gamma), len(mullineux(gamma.conjugate(), cb))
                         )
-                        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+                        pair = sp.split_pair(alpha, beta, gamma, c, cb)
+                        u_range = sp.split_u_range(pair, ctx0)
                         assert u_range == range(low, high + 1)
                         for u in u_range:
-                            report = sp.verify_split(alpha, beta, gamma, ctx0, u)
+                            report = sp.verify_split(pair, ctx0, u)
                             assert report == split_report_oracle(alpha, beta, gamma, ctx0, u), (
                                 alpha, beta, gamma, ctx0, u)
-                            assert (report.la, report.mu) == sp.build_split_pair(
-                                alpha, beta, gamma, ctx0, u)
+                            assert (report.la, report.mu) == sp.build_split_pair(pair, ctx0, u)
                             checked += 1
                             met += report.verdict != "hypothesis-not-met"
         assert checked > met > 0
 
     def test_u_range_ends_where_combine_fails(self):
         ctx0 = SplitContext(5, frozenset({1, 4}), 15)
-        alpha, beta, gamma = P("2^2,1"), P("2,1^2"), P("1^3")
-        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+        pair = sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), ctx0.c, ctx0.c_bar)
+        u_range = sp.split_u_range(pair, ctx0)
         assert 10 in u_range
         for u in (u_range.start - 1, u_range.stop):
             with pytest.raises(ValueError, match="need at least"):
-                sp.build_split_pair(alpha, beta, gamma, ctx0, u)
+                sp.build_split_pair(pair, ctx0, u)
 
     def test_unrestricted_pieces_are_rejected_every_time(self):
-        ctx = SplitContext(5, frozenset({1, 4}), 15)
-        for _ in range(2):  # a raise leaves nothing in the memo
-            with pytest.raises(ValueError, match="is not 2-restricted"):
-                sp.verify_split(P("1"), P("3"), P("1"), ctx, 10)
+        for _ in range(2):  # nothing is kept between calls
+            with pytest.raises(ValueError, match=r"^beta = \(3,\) is not 2-restricted$"):
+                sp.split_pair(P("1"), P("3"), P("1"), 2, 3)
 
 
 class TestSeparationThresholds:
@@ -256,11 +255,12 @@ class TestSeparationThresholds:
             for alpha in pieces:
                 for beta in (p for p in pieces if p.is_e_restricted(c)):
                     for gamma in (p for p in pieces if p.is_e_restricted(cb)):
-                        u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx0)
-                        u_range = sp.split_u_range(alpha, beta, gamma, ctx0)
+                        pair = sp.split_pair(alpha, beta, gamma, c, cb)
+                        u_la, u_both = sp.separation_thresholds(pair, ctx0)
+                        u_range = sp.split_u_range(pair, ctx0)
                         assert u_range.start <= u_la <= u_both <= u_range.stop
                         for u in u_range:
-                            report = sp.verify_split(alpha, beta, gamma, ctx0, u)
+                            report = sp.verify_split(pair, ctx0, u)
                             where = (alpha, beta, gamma, ctx0, u, u_la, u_both)
                             assert (u >= u_la) == report.la_separated, where
                             assert (u >= u_both) == (report.la_separated and report.mu_separated), where
@@ -281,9 +281,10 @@ class TestSeparationThresholds:
             alpha = rng.choice(pieces)
             beta = rng.choice([p for p in pieces if p.is_e_restricted(ctx0.c)])
             gamma = rng.choice([p for p in pieces if p.is_e_restricted(ctx0.c_bar)])
-            u_la, u_both = sp.separation_thresholds(alpha, beta, gamma, ctx0)
-            for u in sp.split_u_range(alpha, beta, gamma, ctx0):
-                la, mu = sp.build_split_pair(alpha, beta, gamma, ctx0, u)
+            pair = sp.split_pair(alpha, beta, gamma, ctx0.c, ctx0.c_bar)
+            u_la, u_both = sp.separation_thresholds(pair, ctx0)
+            for u in sp.split_u_range(pair, ctx0):
+                la, mu = sp.build_split_pair(pair, ctx0, u)
                 la_sep, mu_sep = sp.is_separated(la, ctx0), sp.is_separated(mu, ctx0)
                 where = (alpha, beta, gamma, ctx0, u, u_la, u_both)
                 assert (u >= u_la) == la_sep, where
@@ -297,7 +298,7 @@ class TestSeparationThresholds:
         # with gamma = 1^2 on runners 1, 2 the last Ibar bead lies above the
         # first gap on runner 0: position 5 against 0 at u = 0, 4 against 3 at u = 1
         ctx0 = SplitContext(3, frozenset({0}), 3)
-        args = (Partition(), Partition(), P("1^2"), ctx0)
+        args = (sp.split_pair(Partition(), Partition(), P("1^2"), 1, 2), ctx0)
         u_range = sp.split_u_range(*args)
         assert u_range == range(0, 2)
         assert sp.separation_thresholds(*args) == (u_range.stop, u_range.stop)

@@ -5,6 +5,7 @@ from regcrystals import abacus as ab
 from regcrystals import ladders as ld
 from regcrystals import separation as sp
 from regcrystals import verify
+from regcrystals.partitions import Partition
 from regcrystals.verify import iter_suites, run_suites
 
 
@@ -146,6 +147,62 @@ def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
         assert ok is (real_fp(xi, params) == real_fp(nu, params)), (xi, nu, params)
         for la in (xi, nu):
             assert fingerprint_from_class_key(real_key(la, params), params) == real_fp(la, params), (la, params)
+
+
+def test_split_builds_each_pair_once_per_c(monkeypatch):
+    # at --e 4 --max 12 the pieces have size <= 3: 42 + 175 + 42 triples
+    # (alpha, beta, gamma) for c = 1, 2, 3, each built once for all the
+    # residue sets of its size, and 222 of them with a box step
+    calls = {"split_pair": 0, "box_row": 0, "_box_halves": 0}
+    building, outside = [], []  # the split_pair calls running; box_row calls outside any
+    for name in calls:
+        real = getattr(sp, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            if name == "box_row" and not building:
+                outside.append(args)
+            if name != "split_pair":
+                return real(*args)
+            building.append(args)
+            try:
+                return real(*args)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(sp, name, counting)
+    results = run_suites(["split"], max_size=12, e_values=(4,))
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert calls == {"split_pair": 259, "box_row": 259, "_box_halves": 222}
+    assert outside == []
+    counts = {r.name: (r.checked, r.skipped) for r in results}
+    assert counts["splitting_theorem"] == (15526, 9352)
+    assert counts["box_step_preserves_cbar_fingerprint"] == (5110, 0)
+
+
+def test_mullineux_run_reads_no_image_of_an_earlier_run(monkeypatch):
+    # a fault put in after one run shows in the next: no image is kept
+    assert all(r.ok for r in run_suites(["mullineux"], max_size=6, e_values=(3,)))
+    real = verify._mullineux
+    monkeypatch.setattr(
+        verify, "_mullineux", lambda la, e: Partition() if la.parts == (3, 1) else real(la, e)
+    )
+    lines = [r.line() for r in run_suites(["mullineux"], max_size=6, e_values=(3,))]
+    assert "FAIL mullineux.algorithm_equals_crystal_oracle checked=8 counterexample: 3,1 e=3" in lines
+
+
+def test_split_run_reads_no_pair_of_an_earlier_run(monkeypatch):
+    # a fault put in after one run shows in the next: no pair is kept
+    assert all(r.ok for r in run_suites(["split"], max_size=8, e_values=(4,)))
+    real = sp.box_col
+    # a first argument of size 1, as alpha' is for alpha = 1, gains a second row
+    monkeypatch.setattr(
+        sp, "box_col", lambda alpha, beta, c: real(Partition([1, 1]) if alpha.size == 1 else alpha, beta, c)
+    )
+    theorem = next(
+        r for r in run_suites(["split"], max_size=8, e_values=(4,)) if r.name == "splitting_theorem"
+    )
+    assert theorem.failure == "alpha=1 beta=- gamma=- I=[0] e=4 n=12 u=5", theorem.line()
 
 
 @pytest.mark.parametrize("e, quotient_bound", [(2, 2), (3, 2), (4, 2), (5, 1)])
