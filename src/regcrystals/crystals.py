@@ -425,8 +425,9 @@ def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[i
     else:
         start, end = source.slope, target.slope
     start, end = start.as_integer_ratio(), end.as_integer_ratio()
+    hooked = occ and e <= max(occ)  # else no hook has length e or more and nothing moves
     for (hp, hq), (lp, lq) in _hold_ends(_steps(occ, e, *start, True, end), start, end):
-        hooks = _bead_walk(map(sub, sorted(occ), range(len(occ))), e)
+        hooks = _bead_walk(map(sub, sorted(occ), range(len(occ))), e) if hooked else ()
         arms = (((b - g) // e, part - 1 - below) for b, part, run in hooks for g, below in run)
         if any(arm * hq < hp * t and (arm + 1) * lq > lp * t for t, arm in arms):
             low, high = Fraction(lp, lq), Fraction(hp, hq)

@@ -217,6 +217,8 @@ def _steps(occ: set[int], e: int, p: int, q: int, descend: bool,
     is p/q-regular the loop ends, or with descend set goes on at the top
     slope a/t of _top_hook, which p/q then holds unreduced, until a/t is at
     or below the strict floor slope fp/fq, when one is given."""
+    if not occ or e > max(occ):  # no hook is longer than the last bead: no walk of e runners
+        return
     while (top := _top_hook(occ, e, p, q)) is not None:
         a, t, b = top
         if floor and a * floor[1] <= floor[0] * t:

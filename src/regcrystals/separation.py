@@ -29,7 +29,6 @@ quotient-separated description of the Mullineux map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import NamedTuple
 
 from .abacus import (
@@ -250,19 +249,10 @@ def verify_split(pair: SplitPair, ctx: SplitContext, u: int) -> SplitReport:
     return SplitReport(verdict, la, mu, la_sep, mu_sep, image)
 
 
-def _box_step(nu: Partition, ctx: SplitContext) -> Partition:
-    """One column-box move towards the (e, cbar)-regularisation of an
-    I-separated partition nu whose complement half is not cbar-restricted.
-
-    Internal diagnostic for the single-step equivalence test.
-    """
-    nu_i, nu_ibar, u = split(nu, ctx)
-    return combine(*_box_halves(nu_i, nu_ibar, ctx.c, ctx.c_bar), ctx, u)
-
-
 def _box_halves(nu_i: Partition, nu_ibar: Partition, c: int, cb: int) -> tuple[Partition, Partition]:
-    """The halves (xi_I, tau) of _box_step's result from the halves of nu:
-    they depend on c and cbar only, so one pair serves every I and u."""
+    """The halves (xi_I, tau) after one column-box move towards the (e, cbar)-regularisation
+    of an I-separated nu with halves (nu_I, nu_Ibar), nu_Ibar not cbar-restricted: they
+    depend on c and cbar only, so one pair serves every I and u."""
     s = next(
         (r for r in range(1, len(nu_ibar) + 1) if nu_ibar.part(r) - nu_ibar.part(r + 1) >= cb),
         None,
@@ -287,33 +277,29 @@ def _sigma(counts: list[int]) -> tuple[int, ...]:
 
 def is_quotient_separated(la: Partition, e: int) -> bool:
     """True if, for every pair of runners in sigma order, the last bead of
-    the earlier runner precedes the first gap of the later one.  e more
-    beads shift every runner alike, so the bead count does not matter."""
+    the earlier runner precedes the first gap of the later one: the bead
+    set of la is encoded once and separated_quotients asked about its own
+    quotient.  e more beads shift every runner alike, so the bead count
+    does not matter."""
     occ = beta_numbers(la, default_beads(la, e))
-    return _quotient_separated(occ, e, _sigma(runner_counts(occ, e)))
+    return bool(separated_quotients([[q] for q in _quotient(occ, e)], runner_counts(occ, e)))
 
 
-def _quotient_separated(occ: set[int], e: int, sigma: tuple[int, ...]) -> bool:
-    """is_quotient_separated on a bead set whose size is a multiple of e."""
-    last_bead = [max((p for p in occ if p % e == i), default=-1) for i in range(e)]
-    first_gap = [next(p for p in count(i, e) if p not in occ) for i in range(e)]
-    return all(
-        last_bead[sigma[k]] < first_gap[sigma[l]] for k in range(e) for l in range(k + 1, e)
-    )
-
-
-def separated_quotients(components: list[Partition], counts: list[int]) -> list[tuple[Partition, ...]]:
-    """The tuples of product(components, repeat=e) whose display, with counts[i]
-    >= len(q) beads on runner i, is e-quotient separated, in product order.
-    Runner i holding q on u beads has its last bead at i + e*(q_1 + u - 1) (< 0
-    if u = 0) and its first gap at i + e*(u - len q); separation compares them
-    pairwise in sigma order, so each runner extends only the prefixes it suits."""
-    if any(len(q) > min(counts) for q in components):
-        raise ValueError(f"runner bead count {min(counts)} is less than a component's length")
+def separated_quotients(choices: list[list[Partition]], counts: list[int]) -> list[tuple[Partition, ...]]:
+    """The tuples of product(*choices), one component per runner, whose
+    display with counts[i] >= len(q) beads on runner i is e-quotient
+    separated (e = len(counts)), in product order: the one test of
+    quotient separation.  Runner i holding q on u beads has its last bead
+    at i + e*(q_1 + u - 1) (< 0 if u = 0) and its first gap at
+    i + e*(u - len q); separation compares them pairwise in sigma order, so
+    each runner extends only the prefixes it suits."""
+    for qs, u in zip(choices, counts):
+        if any(len(q) > u for q in qs):
+            raise ValueError(f"runner bead count {u} is less than a component's length")
     e = len(counts)
     found = [((), ())]  # each separated prefix, with its runners' (last bead, first gap)
-    for j, u in enumerate(counts):
-        ends = [(q, j + e * (q.part(1) + u - 1), j + e * (u - len(q))) for q in components]
+    for j, (qs, u) in enumerate(zip(choices, counts)):
+        ends = [(q, j + e * (q.part(1) + u - 1), j + e * (u - len(q))) for q in qs]
         found = [
             ((*prefix, q), (*seen, (last, gap)))
             for prefix, seen in found
@@ -326,18 +312,25 @@ def separated_quotients(components: list[Partition], counts: list[int]) -> list[
 
 def paget_mu(la: Partition, e: int) -> Partition:
     """The quotient-shifted partner of an e-restricted, e-quotient-separated
-    partition: same e-core, empty first quotient component in sigma order,
-    and each later component the conjugate of its predecessor in la.  The
-    result is the same for every bead count, so none is taken; the bead
-    set of la is encoded once and every step reads it."""
+    partition: _paget_partner of the quotient and runner counts of la's
+    bead set, encoded once.  No bead count is taken, as none matters."""
     if not la.is_e_restricted(e):
         raise ValueError(f"{la.parts} is not {e}-restricted")
     occ = beta_numbers(la, default_beads(la, e))
-    counts = runner_counts(occ, e)
-    sigma = _sigma(counts)
-    if not _quotient_separated(occ, e, sigma):
+    quot, counts = _quotient(occ, e), runner_counts(occ, e)
+    if not separated_quotients([[q] for q in quot], counts):
         raise ValueError(f"{la.parts} is not {e}-quotient separated")
-    quot = _quotient(occ, e)
+    return _paget_partner(quot, counts)
+
+
+def _paget_partner(quot: list[Partition], counts: list[int]) -> Partition:
+    """paget_mu of the display with quotient quot on counts[i] beads on
+    runner i, unchecked: same e-core, empty first quotient component in
+    sigma order, and each later component the conjugate of its
+    predecessor.  The counts of any display whose bead count is a multiple
+    of e give the same partner."""
+    e = len(counts)
+    sigma = _sigma(counts)
     new_quot: list[Partition] = [Partition()] * e
     for k in range(2, e + 1):
         new_quot[sigma[k - 1]] = quot[sigma[k - 2]].conjugate()

@@ -474,8 +474,9 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs each e of e_values on quotients whose components have size at
     most b = max(1, min(2, max_size // 4)), with b + 3 + d_i beads on runner
     i for each d in [-2, 2]^e summing to 0.  Only quotient-separated tuples
-    are built, and only those with e-restricted bead sets are decoded: as
-    positions 0..e-1 hold beads, no two consecutive beads are over e apart."""
+    are built, and only those with e-restricted bead sets are decoded (as
+    positions 0..e-1 hold beads, no two consecutive beads are over e apart)
+    and given the partner that _paget_partner builds from the tuple itself."""
     quotient_bound = max(1, min(2, max_size // 4))
     components = [p for s in range(quotient_bound + 1) for p in enumerate_partitions(s)]
     for e in e_values:
@@ -484,12 +485,12 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 continue
             counts = [quotient_bound + 3 + d for d in deltas]
             core = ab.from_runners([Partition()] * e, counts)
-            for quot in sp.separated_quotients(components, counts):
+            for quot in sp.separated_quotients([components] * e, counts):
                 beads = sorted(ab._runner_beads(quot, counts))
                 if any(b - a > e for a, b in zip(beads, beads[1:])):
                     continue
                 la = ab.decode(beads)
-                mu = sp.paget_mu(la, e)
+                mu = sp._paget_partner(quot, counts)
                 where = lambda: f"{la} e={e}"
                 yield "partner_shares_core", ab.e_core(mu, e) == core, where
                 if sp.is_quotient_separated(mu, e):
@@ -563,8 +564,8 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 # Largest e split and paget accept: they walk the 2^e - 2 proper residue
-# subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core
-# box split takes about 48 s at e = 7, paget 3 s at e = 5 and 20 s at 6.
+# subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core box
+# split takes about 48 s at e = 7, paget 2.1 s at e = 5 and 13 s at 6 (Python 3.11).
 MAX_SPLIT_E = 7
 MAX_PAGET_E = 5
 _MAX_E = {"split": MAX_SPLIT_E, "paget": MAX_PAGET_E}

@@ -18,18 +18,20 @@ decodes its partition, the arm-sequence axiom is tested pair by pair, the
 crystal graph is searched breadth-first with one row walk per vertex and
 residue, a chain walks its prefixes one validated ArmPrefix per
 Farey slope, applies its regularisation or restrictisation at every step
-and checks every image in full, and the Paget instances are found by
-decoding every display of the runner product and filtering it with the
-public partition tests.  The e-quotient and a display's bead set from
-runner components are also built one runner at a time, as the abacus layer
-did before it bucketed beads in one pass.  The seeded partitions of the
+and checks every image in full, e-quotient separation is a scan of the
+bead set for each runner's last bead and first gap, and the Paget
+instances are found by decoding every display of the runner product and
+filtering it with that scan and the public restrictedness test.  The
+e-quotient and a display's bead set from runner components are also built
+one runner at a time, as the abacus layer did before it bucketed beads in
+one pass.  The seeded partitions of the
 large-n tests are drawn here too, by random cuts of n.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 from regcrystals.abacus import from_runners
 from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, arm_minus, e_op, f_op,
@@ -37,7 +39,7 @@ from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _re
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
-from regcrystals.separation import SplitReport, combine, is_quotient_separated, is_separated
+from regcrystals.separation import SplitReport, combine, is_separated
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +304,7 @@ def paget_instances_by_filter(e: int, quotient_bound: int) -> list[Partition]:
     each d in [-2, 2]^e summing to 0, every display with quotient_bound + 3 +
     d_i beads on runner i whose components have size at most quotient_bound,
     decoded in product order and kept when it is e-restricted and
-    e-quotient separated."""
+    e-quotient separated by the bead scan."""
     components = [p for s in range(quotient_bound + 1) for p in enumerate_partitions(s)]
     found = []
     for deltas in product(range(-2, 3), repeat=e):
@@ -311,9 +313,21 @@ def paget_instances_by_filter(e: int, quotient_bound: int) -> list[Partition]:
         counts = [quotient_bound + 3 + d for d in deltas]
         for quot in product(components, repeat=e):
             la = from_runners(quot, counts)
-            if la.is_e_restricted(e) and is_quotient_separated(la, e):
+            if la.is_e_restricted(e) and quotient_separated_by_beads(la, e):
                 found.append(la)
     return found
+
+
+def quotient_separated_by_beads(la: Partition, e: int) -> bool:
+    """e-quotient separation scanned on a display of la with a multiple of e
+    beads: for runners k before l in sigma order (bead count, then runner),
+    the last bead on k comes before the first gap on l."""
+    occ = beta_numbers(la, (len(la) // e + 1) * e)
+    counts = [sum(1 for p in occ if p % e == i) for i in range(e)]
+    sigma = sorted(range(e), key=lambda i: (counts[i], i))
+    last_bead = [max((p for p in occ if p % e == i), default=-1) for i in range(e)]
+    first_gap = [next(p for p in count(i, e) if p not in occ) for i in range(e)]
+    return all(last_bead[sigma[k]] < first_gap[sigma[l]] for k in range(e) for l in range(k + 1, e))
 
 
 def largest_singular_t(la, em: int, ym: int) -> int | None:

@@ -18,6 +18,7 @@ from oracles import (
     regularise_steps_by_scale,
     restrictise_steps_by_scale,
 )
+from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import partitions as pt
 from regcrystals.ladders import LadderParams
@@ -143,6 +144,27 @@ class TestHooksDivisibleBy:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+E_HUGE = 10**5
+HUGE_CHAIN = cr.iso_chain(cr.ArmPrefix(E_HUGE, (2, 4, 6)), cr.ArmPrefix(E_HUGE, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("call, image", [
+    (lambda la: mullineux(la, E_HUGE), "2,1,1"),
+    (lambda la: ld.regularise(la, LadderParams(E_HUGE, 2)), "3,1"),
+    (lambda la: ld.restrictise(la, LadderParams(E_HUGE, 2)), "3,1"),
+    (lambda la: cr.apply_chain(la, HUGE_CHAIN), "3,1"),
+], ids=["mullineux", "regularise", "restrictise", "apply_chain"])
+def test_step_loop_walks_no_runners_when_e_exceeds_every_hook(call, image):
+    # the largest hook of 3,1 has length 4; e runner lists would take megabytes
+    tracemalloc.start()
+    try:
+        assert call(P("3,1")) == P(image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class TestFingerprint:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import split_report_oracle
+from oracles import quotient_separated_by_beads, split_report_oracle
 from regcrystals import abacus as ab
 from regcrystals import separation as sp
 from regcrystals import verify
@@ -305,6 +305,12 @@ class TestSeparationThresholds:
         assert not any(sp.verify_split(*args, u).la_separated for u in u_range)
 
 
+def box_step(nu, ctx):
+    """One column-box move on nu, composed as the split suite makes it."""
+    nu_i, nu_ibar, u = sp.split(nu, ctx)
+    return sp.combine(*sp._box_halves(nu_i, nu_ibar, ctx.c, ctx.c_bar), ctx, u)
+
+
 class TestBoxStep:
     def test_preserves_cbar_fingerprint(self):
         checked = 0
@@ -317,7 +323,7 @@ class TestBoxStep:
                 halves = sp.split(la, ctx0)
                 if halves.lambda_Ibar.is_e_restricted(ctx0.c_bar):
                     continue
-                xi = sp._box_step(la, ctx0)
+                xi = box_step(la, ctx0)
                 assert fingerprint(xi, params) == fingerprint(la, params)
                 checked += 1
         assert checked > 0
@@ -325,7 +331,7 @@ class TestBoxStep:
     def test_restricted_input_rejected(self):
         ctx = SplitContext(5, frozenset({1, 4}), 10)
         with pytest.raises(ValueError):
-            sp._box_step(P("1"), ctx)
+            box_step(P("1"), ctx)
 
 
 class TestQuotientSeparation:
@@ -358,11 +364,33 @@ class TestQuotientSeparation:
                 quot for quot in product(fits, repeat=e)
                 if sp.is_quotient_separated(ab.from_runners(quot, counts), e)
             ]
-            assert sp.separated_quotients(fits, counts) == expected, counts
+            assert sp.separated_quotients([fits] * e, counts) == expected, counts
 
     def test_separated_quotients_need_room_for_every_component(self):
         with pytest.raises(ValueError, match="^runner bead count 1 is less than a component's length$"):
-            sp.separated_quotients([Partition(), P("1,1")], [1, 3, 2])
+            sp.separated_quotients([[Partition(), P("1,1")]] * 3, [1, 3, 2])
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5])
+    def test_is_quotient_separated_matches_the_bead_scan(self, e):
+        for la in all_up_to(14):
+            assert sp.is_quotient_separated(la, e) == quotient_separated_by_beads(la, e), la
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_separated_quotients_with_a_choice_list_per_runner(self, e):
+        # each runner gets its own seeded sample of the components that fit
+        # on it; the bead totals are multiples of e, as in the paget suite
+        rng = random.Random(2105 + e)
+        components = [p for s in range(4) for p in enumerate_partitions(s)]
+        for _ in range(40):
+            counts = [rng.randrange(5) for _ in range(e - 1)]
+            counts.append(rng.randrange(5) * e + (-sum(counts)) % e)
+            choices = [rng.sample(fit, min(len(fit), 4)) for fit in
+                       ([q for q in components if len(q) <= u] for u in counts)]
+            expected = [
+                quot for quot in product(*choices)
+                if quotient_separated_by_beads(ab.from_runners(quot, counts), e)
+            ]
+            assert sp.separated_quotients(choices, counts) == expected, (choices, counts)
 
 
 class TestPaget:

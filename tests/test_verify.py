@@ -207,25 +207,38 @@ def test_split_run_reads_no_pair_of_an_earlier_run(monkeypatch):
 
 @pytest.mark.parametrize("e, quotient_bound", [(2, 2), (3, 2), (4, 2), (5, 1)])
 def test_paget_tests_the_filtered_runner_product_in_order(monkeypatch, e, quotient_bound):
-    seen = []
-    real = sp.paget_mu
+    # the suite decodes each tested display once and builds its partner from
+    # the quotient it generated, never through paget_mu's checks
+    seen, checked = [], []
+    real = ab.decode
 
-    def recording(la, e):
-        seen.append((la, e))
-        return real(la, e)
+    def recording(beads):
+        seen.append(real(beads))
+        return seen[-1]
 
-    monkeypatch.setattr(sp, "paget_mu", recording)
+    monkeypatch.setattr(ab, "decode", recording)
+    monkeypatch.setattr(sp, "paget_mu", lambda *args: checked.append(args))
     # --max 4b gives the quotient bound b for b = 1, 2
     results = run_suites(["paget"], max_size=4 * quotient_bound, e_values=(e,))
     assert all(r.ok for r in results), [r.line() for r in results]
-    assert seen == [(la, e) for la in paget_instances_by_filter(e, quotient_bound)]
+    assert seen == paget_instances_by_filter(e, quotient_bound)
+    assert checked == []
+
+
+def test_paget_at_the_largest_e():
+    results = run_suites(["paget"], e_values=(verify.MAX_PAGET_E,))
+    assert verify.MAX_PAGET_E == 5
+    assert [r.line() for r in results] == [
+        "PASS paget.theorem_on_quotient_separated_partitions checked=5389",
+        "PASS paget.partner_shares_core checked=8930",
+    ]
 
 
 # The paget suite at default bounds (e = 3 and 4, quotient bound 2).  Of
 # the 22,976 displays of its runner products, 3,640 are quotient separated
 # and 1,497 of those are also e-restricted: the suite decodes only these.
 # from_runners builds the 104 cores and runs twice per tested display (in
-# paget_mu and e_core); the bound leaves room for one more call per tested
+# the partner's _fit_runners and e_core); the bound leaves room for one more call per tested
 # display, while decoding the whole product and filtering it made 26,074.
 PAGET_DEFAULT_COUNTS = {
     "theorem_on_quotient_separated_partitions": 1019,
