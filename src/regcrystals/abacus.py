@@ -184,7 +184,7 @@ def to_local(positions: Iterable[int], e: int, residues: Iterable[int]) -> set[i
     return _to_local(positions, e, _classes(e, residues))
 
 
-def _to_local(positions: Iterable[int], e: int, res: list[int]) -> set[int]:
+def _to_local(positions: Iterable[int], e: int, res: Sequence[int]) -> set[int]:
     """to_local for residues already sorted and checked, as _classes returns them."""
     rank = {r: k for k, r in enumerate(res)}
     c = len(res)
@@ -196,7 +196,7 @@ def to_global(local: Iterable[int], e: int, residues: Iterable[int]) -> set[int]
     return _to_global(local, e, _classes(e, residues))
 
 
-def _to_global(local: Iterable[int], e: int, res: list[int]) -> set[int]:
+def _to_global(local: Iterable[int], e: int, res: Sequence[int]) -> set[int]:
     """to_global for residues already sorted and checked, as _classes returns them."""
     c = len(res)
     return {(k // c) * e + res[k % c] for k in local}

@@ -20,7 +20,9 @@ least e beads per partition, and its --max may not exceed MAX_VERIFY_SIZE:
 a larger one exits 1 before any suite runs.  verify split and verify paget
 are exponential in e and take e up to MAX_SPLIT_E and MAX_PAGET_E: a larger
 --e is outside the suite's range and exits 2 before any suite runs.
-verify prints each suite's lines as that suite finishes.
+verify prints each suite's lines as that suite finishes.  reg, restrict and
+mull with both --json and --trace add a "steps" list to the JSON, one item
+per line that the text trace prints after its start line.
 """
 
 from __future__ import annotations
@@ -149,25 +151,28 @@ def _cmd_abacus(args) -> int:
     return 0
 
 
+def _emit_traced(args, payload: dict, steps: list, lines: list[str]) -> None:
+    """_emit of payload, or of its "result" as text; with --trace the JSON
+    gains the steps and the text the trace lines: the start line, then one
+    line per step."""
+    if args.trace:
+        payload["steps"] = steps
+    _emit(args, payload, (lines if args.trace else []) + [payload["result"]])
+
+
 def _reg_or_restrict(args) -> int:
     params = ld.LadderParams(args.e, args.y)
-    res = args.partition
-    lines = [f"mu = {res}"]
-    for k, res in enumerate(args.steps(res, params), start=1):
-        lines.append(f"step {k}: {res}")
-    lines = (lines if args.trace else []) + [str(res)]
-    _emit(
-        args,
-        {
-            "input": str(args.partition),
-            "e": args.e,
-            "y": str(args.y),
-            "E": params.E,
-            "Y": params.Y,
-            "result": str(res),
-        },
-        lines,
-    )
+    steps = [str(res) for res in args.steps(args.partition, params)]
+    payload = {
+        "input": str(args.partition),
+        "e": args.e,
+        "y": str(args.y),
+        "E": params.E,
+        "Y": params.Y,
+        "result": steps[-1] if steps else str(args.partition),
+    }
+    lines = [f"mu = {args.partition}", *(f"step {k}: {res}" for k, res in enumerate(steps, start=1))]
+    _emit_traced(args, payload, steps, lines)
     return 0
 
 
@@ -237,16 +242,12 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_mull(args) -> int:
-    res = args.partition.conjugate()
-    lines = [f"mu = {res}"]
-    for y, res in mullineux_steps(args.partition, args.e):
-        lines.append(f"y = {y} -> {res}")
-    lines = (lines if args.trace else []) + [str(res)]
-    _emit(
-        args,
-        {"input": str(args.partition), "e": args.e, "result": str(res)},
-        lines,
-    )
+    start = args.partition.conjugate()
+    steps = [{"y": str(y), "partition": str(res)} for y, res in mullineux_steps(args.partition, args.e)]
+    result = steps[-1]["partition"] if steps else str(start)
+    payload = {"input": str(args.partition), "e": args.e, "result": result}
+    lines = [f"mu = {start}", *(f"y = {step['y']} -> {step['partition']}" for step in steps)]
+    _emit_traced(args, payload, steps, lines)
     return 0
 
 

@@ -5,7 +5,9 @@ regularise at the largest hook slope (arm + 1) / r not exceeding the last
 slope used, where the hook has length r*e.  The loop ends when no slope in
 [1, x] remains; the result is the Mullineux image.  The loop is
 ladders._steps on one bead set, whose one kernel walk per move finds the
-next slope and bead; the image is decoded once.
+next slope and bead; the image is decoded once.  _loop takes la' on any
+number of beads, so separation.verify_split runs it on the display it
+holds and never decodes it.
 An independent check walks the e-regular crystal: peel to the empty
 partition by good-node removals and rebuild with negated residues.  A
 caller that walks many partitions in increasing size may pass the oracle
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import sub
 from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _reduce, _signed_nodes, e_op
@@ -36,21 +39,26 @@ def slopes(mu: Partition, e: int) -> set[Fraction]:
     return {Fraction(arm + 1, t) for t, arm, _ in hooks_divisible_by(mu, e)}
 
 
-def _loop(mu: Partition, e: int) -> tuple[set[int], Iterator[tuple[int, int]]]:
-    """The bead set of mu = la' and the loop's moves on it; ValueError
-    unless mu is e-restricted, that is, la is e-regular."""
-    if e == 1 and mu:
-        raise ValueError("only the empty partition is 1-regular")
-    if not mu.is_e_restricted(e):
-        raise ValueError(f"{mu.conjugate().parts} is not {e}-regular")
-    occ = beta_numbers(mu, len(mu))
-    return occ, _steps(occ, e, e - 1, 1, True)
+def _loop(occ: set[int], e: int) -> Iterator[tuple[int, int]]:
+    """The loop's moves on the bead set occ of mu = la', made in place;
+    ValueError unless mu is e-restricted, that is, la is e-regular: no two
+    consecutive beads, counting a bead at -1, lie more than e apart.  Beads
+    added at the bottom shift every hook alike, so every bead count of mu
+    gives the same moves; occ is decoded only for the error message."""
+    beads = sorted(occ)
+    if e < 1 or max(map(sub, beads, [-1, *beads]), default=1) > e:
+        if e < 1:
+            raise ValueError("e must be positive")
+        if e == 1:
+            raise ValueError("only the empty partition is 1-regular")
+        raise ValueError(f"{from_beta_numbers(occ).conjugate().parts} is not {e}-regular")
+    return _steps(occ, e, e - 1, 1, True)
 
 
 def _conjugate_image(mu: Partition, e: int) -> Partition:
     """mullineux(mu', e), run from mu without building mu'."""
-    occ, moves = _loop(mu, e)
-    return from_beta_numbers(occ) if sum(1 for _ in moves) else mu
+    occ = beta_numbers(mu, len(mu))
+    return from_beta_numbers(occ) if sum(1 for _ in _loop(occ, e)) else mu
 
 
 def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition]]:
@@ -60,8 +68,9 @@ def mullineux_steps(la: Partition, e: int) -> Iterator[tuple[Fraction, Partition
     largest hook slope y in [1, x], regularises at y, and lowers x to y.
     The bead set is decoded once per round; the first hold, of la', is skipped.
     """
-    occ, moves = _loop(la.conjugate(), e)
-    for (p, q), _ in islice(_hold_ends(moves, None, None), 1, None):
+    mu = la.conjugate()
+    occ = beta_numbers(mu, len(mu))
+    for (p, q), _ in islice(_hold_ends(_loop(occ, e), None, None), 1, None):
         yield Fraction(p, q), from_beta_numbers(occ)
 
 

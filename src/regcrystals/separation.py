@@ -13,6 +13,11 @@ pieces (alpha, beta, gamma) and c only: split_pair builds them as one
 SplitPair, which the caller passes with a context to each function that
 places the pair on n beads, so nothing is kept between calls.
 
+The checks run on n-bead sets, decoded only where a Partition is read:
+_separated and _split take the set that is_separated and split encode,
+and verify_split runs the Mullineux loop on la's set and keeps la, mu and
+the image as sets, which its SplitReport decodes on read.
+
 Separation is monotone in u for fixed halves.  With u beads on I the
 first empty I-position is local I-position u - len(la_I), which rises with
 u; with n - u beads on Ibar the last occupied Ibar-position is local
@@ -28,7 +33,7 @@ quotient-separated description of the Mullineux map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .abacus import (
@@ -40,7 +45,7 @@ from .abacus import (
     encode,  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
     runner_counts,
 )
-from .mullineux import _conjugate_image
+from .mullineux import _conjugate_image, _loop
 from .partitions import Partition, beta_numbers, from_beta_numbers
 
 
@@ -48,11 +53,15 @@ from .partitions import Partition, beta_numbers, from_beta_numbers
 class SplitContext:
     """Runner split data: modulus e, residue set I and bead count n.  The
     number u of beads on I-positions is an argument of each function that
-    places two halves on the n beads."""
+    places two halves on the n beads.  runners holds the residues of I and
+    of its complement, each sorted: the runner lists that the unchecked
+    renumberings read, built once from the checked fields and left out of
+    repr, == and hashing."""
 
     e: int
     residues: frozenset[int]
     n: int
+    runners: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(int(i) for i in self.residues))
@@ -64,6 +73,8 @@ class SplitContext:
             raise ValueError("I must be a proper subset of the residue classes")
         if self.n <= 0 or self.n % self.e:
             raise ValueError(f"bead count {self.n} must be a positive multiple of {self.e}")
+        bar = tuple(i for i in range(self.e) if i not in self.residues)
+        object.__setattr__(self, "runners", (tuple(sorted(self.residues)), bar))
 
     @property
     def c(self) -> int:
@@ -98,9 +109,14 @@ def _separated(occ: set[int], ctx: SplitContext) -> bool:
 
 
 def split(la: Partition, ctx: SplitContext) -> SplitResult:
-    """Read off (la_I, la_Ibar, u) from the n-bead display."""
-    occ = beta_numbers(la, ctx.n)
-    res, res_bar = _runners(ctx)
+    """Read off (la_I, la_Ibar, u) from the n-bead display: the display is
+    encoded and _split read off it."""
+    return _split(beta_numbers(la, ctx.n), ctx)
+
+
+def _split(occ: set[int], ctx: SplitContext) -> SplitResult:
+    """split on the n-bead set of the partition."""
+    res, res_bar = ctx.runners
     local_i = _to_local(occ, ctx.e, res)
     local_ibar = _to_local(occ, ctx.e, res_bar)
     return SplitResult(from_beta_numbers(local_i), from_beta_numbers(local_ibar), len(local_i))
@@ -116,16 +132,10 @@ def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext, u: int
     """The n-bead set that combine decodes."""
     if not 0 <= u <= ctx.n:
         raise ValueError(f"u = {u} outside [0, {ctx.n}]")
-    res, res_bar = _runners(ctx)
+    res, res_bar = ctx.runners
     occ = _to_global(beta_numbers(beta, u), ctx.e, res)
     occ |= _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, res_bar)
     return occ
-
-
-def _runners(ctx: SplitContext) -> tuple[list[int], list[int]]:
-    """The residues of I and of its complement, each sorted: the runner
-    lists that the unchecked renumberings read, checked once by SplitContext."""
-    return sorted(ctx.residues), [i for i in range(ctx.e) if i not in ctx.residues]
 
 
 def box_row(alpha: Partition, beta: Partition, c_bar: int) -> Partition:
@@ -208,7 +218,7 @@ def _least_separated_u(
     occupied Ibar-position, each renumbered as _to_global does.  At u = n
     there is no Ibar bead: local position -1 renumbers below 0."""
     e, c, cb, n = ctx.e, ctx.c, ctx.c_bar, ctx.n
-    res, res_bar = _runners(ctx)
+    res, res_bar = ctx.runners
     top = half_ibar.part(1) - 1
     for u in us:
         k, j = u - len(half_i), top + n - u
@@ -219,34 +229,50 @@ def _least_separated_u(
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Outcome of one splitting-theorem instance."""
+    """Outcome of one splitting-theorem instance, on the n-bead sets of la,
+    mu and the Mullineux image m_e(la'); la, mu and mullineux_image decode
+    them on each read.  The sets belong to the report: do not change them."""
 
     verdict: str  # "holds" | "hypothesis-not-met" | "falsified"
-    la: Partition
-    mu: Partition
+    la_beads: set[int]
+    mu_beads: set[int]
     la_separated: bool
     mu_separated: bool
-    mullineux_image: Partition | None
+    image_beads: set[int] | None
+
+    @property
+    def la(self) -> Partition:
+        return from_beta_numbers(self.la_beads)
+
+    @property
+    def mu(self) -> Partition:
+        return from_beta_numbers(self.mu_beads)
+
+    @property
+    def mullineux_image(self) -> Partition | None:
+        return None if self.image_beads is None else from_beta_numbers(self.image_beads)
 
 
 def verify_split(pair: SplitPair, ctx: SplitContext, u: int) -> SplitReport:
     """Check one instance: when both la and mu are I-separated, assert that
     m_e(la') = mu; otherwise report that the hypothesis is not met.
 
-    la and mu are those of build_split_pair: each u only places the
-    pair's halves on the n beads, and separation is read off those bead
-    sets before they are decoded.
+    la and mu are those of build_split_pair, kept as bead sets: each u only
+    places the pair's halves on the n beads, separation is read off those
+    sets, and the Mullineux loop runs on a copy of la's set, whose result
+    is compared with mu's.  Nothing is decoded.
     """
     la_occ = _combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
     mu_occ = _combined_beads(pair.mu_I, pair.mu_Ibar, ctx, u)
     la_sep = _separated(la_occ, ctx)
     mu_sep = _separated(mu_occ, ctx)
-    la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
     if not (la_sep and mu_sep):
-        return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
-    image = _conjugate_image(la, ctx.e)
-    verdict = "holds" if image == mu else "falsified"
-    return SplitReport(verdict, la, mu, la_sep, mu_sep, image)
+        return SplitReport("hypothesis-not-met", la_occ, mu_occ, la_sep, mu_sep, None)
+    image = set(la_occ)
+    for _ in _loop(image, ctx.e):
+        pass
+    verdict = "holds" if image == mu_occ else "falsified"
+    return SplitReport(verdict, la_occ, mu_occ, la_sep, mu_sep, image)
 
 
 def _box_halves(nu_i: Partition, nu_ibar: Partition, c: int, cb: int) -> tuple[Partition, Partition]:

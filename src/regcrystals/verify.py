@@ -37,7 +37,7 @@ from . import crystals as cr
 from . import ladders as ld
 from .mullineux import _conjugate_image, lyle_check, mullineux as _mullineux, mullineux_oracle, peel_and_rebuild
 from . import separation as sp
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, beta_numbers, enumerate_partitions
 
 
 # What a suite yields: (property, ok, describe), one triple per instance;
@@ -382,6 +382,10 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     pieces of size at most max(1, max_size // 4), so e = 2 leaves them
     VACUOUS.
 
+    The two separated_*_iff_half_restricted properties encode each
+    partition once per e, on the bead count that every residue set of that
+    e shares, and test and split that bead set for each I.
+
     The halves of the splitting pair and of the box step depend on (alpha,
     beta, gamma) and c = |I| only, and _split_contexts yields the residue
     sets grouped by c: each c builds one list of separation.split_pair and
@@ -391,9 +395,10 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     the joint threshold an instance is yielded as skipped and nothing is
     built; la alone is built from la's threshold on when the box step
     reads it.  From the joint threshold on verify_split checks the
-    theorem, and a report that the hypothesis is not met there fails the
-    instance.  The box step compares the ladders.class_key of the two
-    partitions, the integer form of their c-bar fingerprints."""
+    theorem on bead sets, and a report that the hypothesis is not met there
+    fails the instance.  The box step decodes the report's la and compares
+    the ladders.class_key of the two partitions, the integer form of their
+    c-bar fingerprints."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)
@@ -404,16 +409,17 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 yield "split_combine_round_trip", ok, lambda: f"{la} I={sorted(residues)} e={e}"
 
     for e in (4, 5):
+        n = e * ((max_size + e) // e + 1)
+        displays = [(la, beta_numbers(la, n)) for la in _all_partitions(max_size)]
         for k in range(1, e):
             for combo in combinations(range(e), k):
                 residues = frozenset(combo)
-                n = e * ((max_size + e) // e + 1)
                 ctx = sp.SplitContext(e, residues, n)
                 params = ld.LadderParams(e, ctx.c_bar)
-                for la in _all_partitions(max_size):
-                    if not sp.is_separated(la, ctx):
+                for la, occ in displays:
+                    if not sp._separated(occ, ctx):
                         continue
-                    halves = sp.split(la, ctx)
+                    halves = sp._split(occ, ctx)
                     where = lambda: f"{la} I={sorted(residues)} e={e}"
                     ok = ld.is_regular(la, params) == halves.lambda_Ibar.is_e_restricted(ctx.c_bar)
                     yield "separated_regular_iff_half_restricted", ok, where
@@ -565,7 +571,7 @@ SUITES = tuple(_SUITES)
 
 # Largest e split and paget accept: they walk the 2^e - 2 proper residue
 # subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core box
-# split takes about 48 s at e = 7, paget 2.1 s at e = 5 and 13 s at 6 (Python 3.11).
+# split takes about 46 s at e = 7, paget 2.1 s at e = 5 and 13 s at 6 (Python 3.11).
 MAX_SPLIT_E = 7
 MAX_PAGET_E = 5
 _MAX_E = {"split": MAX_SPLIT_E, "paget": MAX_PAGET_E}

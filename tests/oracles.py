@@ -39,7 +39,7 @@ from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _re
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
-from regcrystals.separation import SplitReport, combine, is_separated
+from regcrystals.separation import combine, is_separated
 
 
 @lru_cache(maxsize=None)
@@ -279,11 +279,12 @@ def fingerprint_from_class_key(key, params) -> Counter:
     return Counter((k // ym, s) for k in key for s in range(1, (k % ym or ym) + 1))
 
 
-def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:
-    """The splitting-theorem report built from scratch for u: both
-    partitions by combine from halves made here, separation by the public
-    is_separated on the decoded partitions, and m_e(la') when both are
-    separated."""
+def split_report_oracle(alpha, beta, gamma, ctx, u) -> tuple:
+    """The fields (verdict, la, mu, la_separated, mu_separated,
+    mullineux_image) of the splitting-theorem report, built from scratch for
+    u: both partitions by combine from halves made here, separation by the
+    public is_separated on the decoded partitions, and m_e(la') when both
+    are separated."""
     c, cb = ctx.c, ctx.c_bar
     rows = range(max(len(alpha), len(gamma)))
     la_ibar = Partition(cb * alpha.part(r + 1) + gamma.part(r + 1) for r in rows)
@@ -294,9 +295,9 @@ def split_report_oracle(alpha, beta, gamma, ctx, u) -> SplitReport:
     mu = combine(Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx, u)
     la_sep, mu_sep = is_separated(la, ctx), is_separated(mu, ctx)
     if not (la_sep and mu_sep):
-        return SplitReport("hypothesis-not-met", la, mu, la_sep, mu_sep, None)
+        return "hypothesis-not-met", la, mu, la_sep, mu_sep, None
     image = mullineux(la.conjugate(), ctx.e)
-    return SplitReport("holds" if image == mu else "falsified", la, mu, la_sep, mu_sep, image)
+    return "holds" if image == mu else "falsified", la, mu, la_sep, mu_sep, image
 
 
 def paget_instances_by_filter(e: int, quotient_bound: int) -> list[Partition]:

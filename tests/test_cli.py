@@ -341,7 +341,28 @@ class TestSinglePath:
         assert traced.splitlines()[-1] + "\n" == plain
         _, payload, _ = run(capsys, *argv, "--json")
         _, traced_payload, _ = run(capsys, *argv, "--json", "--trace")
-        assert json.loads(payload) == json.loads(traced_payload)
+        traced_payload = json.loads(traced_payload)
+        steps = traced_payload.pop("steps")
+        assert json.loads(payload) == traced_payload
+        # one JSON step per text line between the start line and the result
+        assert len(steps) == len(traced.splitlines()) - 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("reg", "--e", "3", "--y", "2", "4,3,2,1"), lambda k, step: f"step {k}: {step}"),
+            (("restrict", "--e", "4", "--y", "5/2", "12,9,9,5,3,3,1"), lambda k, step: f"step {k}: {step}"),
+            (("mull", "--e", "3", "6,2,1"), lambda k, step: f"y = {step['y']} -> {step['partition']}"),
+        ],
+        ids=["reg", "restrict", "mull"],
+    )
+    def test_json_trace_holds_the_text_trace_steps(self, capsys, argv, line):
+        _, traced, _ = run(capsys, *argv, "--trace")
+        code, out, _ = run(capsys, *argv, "--json", "--trace")
+        steps = json.loads(out)["steps"]
+        assert code == 0 and len(steps) >= 1
+        assert [line(k, step) for k, step in enumerate(steps, start=1)] == traced.splitlines()[1:-1]
+        assert json.loads(out)["result"] == traced.splitlines()[-1]
 
     @pytest.mark.parametrize(
         "src, dst, la",
@@ -388,7 +409,16 @@ y = 1 -> 10,10,9,7,5,4,4,3,3,3,3,2,2,2,1,1,1,1
 """,
     "mull --e 3 --json 6,2,1": '{"e": 3, "input": "6,2,1", "result": "5,2,2"}\n',
     "mull --e 4 --trace --json 12,9,9,5,3,3,1":
-        '{"e": 4, "input": "12,9,9,5,3,3,1", "result": "11,9,6,5,4,2,2,2,1"}\n',
+        '{"e": 4, "input": "12,9,9,5,3,3,1", "result": "11,9,6,5,4,2,2,2,1", "steps": ['
+        '{"partition": "11,9,6,4,4,2,1,1,1,1,1,1", "y": "2"}, '
+        '{"partition": "11,9,6,5,4,2,1,1,1,1,1", "y": "4/3"}, '
+        '{"partition": "11,9,6,5,4,2,2,2,1", "y": "1"}]}\n',
+    "reg --e 3 --y 2 --json --trace 4,3,2,1":
+        '{"E": 3, "Y": 2, "e": 3, "input": "4,3,2,1", "result": "7,3", '
+        '"steps": ["5,2,2,1", "6,2,1,1", "7,2,1", "7,3"], "y": "2"}\n',
+    "restrict --e 3 --y 2 --json --trace 9,3^3,2":
+        '{"E": 3, "Y": 2, "e": 3, "input": "9,3,3,3,2", "result": "5,5,5,3,2", '
+        '"steps": ["5,5,5,3,2"], "y": "2"}\n',
     "reg --e 3 --y 2 --trace 4,3,2,1": """\
 mu = 4,3,2,1
 step 1: 5,2,2,1

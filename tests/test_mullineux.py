@@ -27,7 +27,7 @@ from regcrystals.mullineux import (
     peel_and_rebuild,
     slopes,
 )
-from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
+from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers, parse_partition
 
 P = parse_partition
 mx = importlib.import_module("regcrystals.mullineux")
@@ -358,6 +358,40 @@ class TestSharedLoop:
             with pytest.raises(ValueError) as got:
                 _conjugate_image(la, e)
             assert str(got.value) == str(expected.value)
+
+    def test_loop_makes_the_same_moves_on_every_bead_count(self):
+        # beads added at the bottom shift every hook alike
+        for e in (2, 3, 4, 5):
+            for mu in all_up_to(9):
+                if not mu.is_e_restricted(e):
+                    continue
+                short = beta_numbers(mu, len(mu))
+                moves = list(mx._loop(short, e))
+                for extra in (1, e, 2 * e + 1):
+                    occ = beta_numbers(mu, len(mu) + extra)
+                    assert list(mx._loop(occ, e)) == moves, (mu, e, extra)
+                    assert from_beta_numbers(occ) == from_beta_numbers(short) == _conjugate_image(mu, e)
+
+    @pytest.mark.parametrize(
+        "mu, e, message",
+        [
+            ("3", 3, r"^\(1, 1, 1\) is not 3-regular$"),
+            ("4,1", 2, r"^\(2, 1, 1, 1\) is not 2-regular$"),
+            ("5,5,1", 4, r"^\(3, 2, 2, 2, 2\) is not 4-regular$"),
+            ("1", 1, r"^only the empty partition is 1-regular$"),
+            ("-", 0, r"^e must be positive$"),
+        ],
+    )
+    def test_unrestricted_bead_set_raises_the_loop_message(self, mu, e, message):
+        # on any bead count, before any bead moves; the partition route says the same
+        mu = P(mu)
+        for n in (len(mu), len(mu) + 1, len(mu) + 3):
+            occ = beta_numbers(mu, n)
+            with pytest.raises(ValueError, match=message):
+                mx._loop(occ, e)
+            assert occ == beta_numbers(mu, n)
+        with pytest.raises(ValueError, match=message):
+            _conjugate_image(mu, e)
 
     def test_one_walk_per_step_plus_one(self, monkeypatch):
         walks, moves = [], []

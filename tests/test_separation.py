@@ -8,7 +8,7 @@ from regcrystals import abacus as ab
 from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.ladders import LadderParams, fingerprint
-from regcrystals.mullineux import mullineux
+from regcrystals.mullineux import _conjugate_image, mullineux
 from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
 from regcrystals.separation import SplitContext
 
@@ -35,6 +35,14 @@ class TestContext:
         ctx = SplitContext(5, frozenset({0, 2}), 10)
         assert ctx.c == 2 and ctx.c_bar == 3
         assert ctx.complement == frozenset({1, 3, 4})
+
+    def test_runner_lists_are_built_once_and_not_compared(self):
+        ctx = SplitContext(5, {4, 1}, 15)
+        assert ctx.runners == ((1, 4), (0, 2, 3))
+        assert repr(ctx) == "SplitContext(e=5, residues=frozenset({1, 4}), n=15)"
+        other = SplitContext(5, frozenset({1, 4}), 15)
+        object.__setattr__(other, "runners", ((), ()))
+        assert ctx == other and hash(ctx) == hash(other)
 
     def test_u_outside_the_bead_count_is_rejected(self):
         ctx = SplitContext(5, frozenset({1, 4}), 15)
@@ -219,7 +227,11 @@ class TestHalvesOncePerTriple:
                         assert u_range == range(low, high + 1)
                         for u in u_range:
                             report = sp.verify_split(pair, ctx0, u)
-                            assert report == split_report_oracle(alpha, beta, gamma, ctx0, u), (
+                            fields = (
+                                report.verdict, report.la, report.mu,
+                                report.la_separated, report.mu_separated, report.mullineux_image,
+                            )
+                            assert fields == split_report_oracle(alpha, beta, gamma, ctx0, u), (
                                 alpha, beta, gamma, ctx0, u)
                             assert (report.la, report.mu) == sp.build_split_pair(pair, ctx0, u)
                             checked += 1
@@ -239,6 +251,64 @@ class TestHalvesOncePerTriple:
         for _ in range(2):  # nothing is kept between calls
             with pytest.raises(ValueError, match=r"^beta = \(3,\) is not 2-restricted$"):
                 sp.split_pair(P("1"), P("3"), P("1"), 2, 3)
+
+
+class TestBeadRoute:
+    """verify_split runs the Mullineux loop on a copy of la's n-bead set and
+    compares it with mu's; the partition route decodes la and runs
+    _conjugate_image on it."""
+
+    @staticmethod
+    def check_held(pair, ctx, u_both):
+        held = 0
+        for u in range(u_both, sp.split_u_range(pair, ctx).stop):
+            report = sp.verify_split(pair, ctx, u)
+            la, mu = sp.build_split_pair(pair, ctx, u)
+            where = (pair, ctx, u)
+            assert (report.la, report.mu) == (la, mu), where
+            assert report.mullineux_image == _conjugate_image(la, ctx.e), where
+            assert report.verdict == "holds", where
+            held += 1
+        return held
+
+    def test_every_held_instance_at_e_4_max_12(self):
+        # the instances of verify split --e 4 --max 12: pieces of size <= 3
+        pieces = list(all_up_to(3))
+        held = 0
+        for ctx in verify._split_contexts(4, 3):
+            c, cb = ctx.c, ctx.c_bar
+            for alpha in pieces:
+                for beta in (p for p in pieces if p.is_e_restricted(c)):
+                    for gamma in (p for p in pieces if p.is_e_restricted(cb)):
+                        pair = sp.split_pair(alpha, beta, gamma, c, cb)
+                        held += self.check_held(pair, ctx, sp.separation_thresholds(pair, ctx)[1])
+        assert held == 6174
+
+    @pytest.mark.parametrize("e", [5, 6])
+    def test_seeded_instances(self, e):
+        rng = random.Random(2105 + e)
+        pieces = list(all_up_to(3))
+        contexts = list(verify._split_contexts(e, 3))
+        held = 0
+        for _ in range(150):
+            ctx = rng.choice(contexts)
+            alpha = rng.choice(pieces)
+            beta = rng.choice([p for p in pieces if p.is_e_restricted(ctx.c)])
+            gamma = rng.choice([p for p in pieces if p.is_e_restricted(ctx.c_bar)])
+            pair = sp.split_pair(alpha, beta, gamma, ctx.c, ctx.c_bar)
+            held += self.check_held(pair, ctx, sp.separation_thresholds(pair, ctx)[1])
+        assert held > 300
+
+    def test_report_decodes_only_what_is_read(self, monkeypatch):
+        decodes = []
+        real = sp.from_beta_numbers
+        monkeypatch.setattr(sp, "from_beta_numbers", lambda occ: decodes.append(occ) or real(occ))
+        report = sp.verify_split(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
+        assert report.verdict == "holds" and decodes == []
+        assert report.mullineux_image == report.mu == P("17,16,14,10,9,5,2^2,1^2")
+        assert len(decodes) == 2
+
+    CTX5 = SplitContext(5, frozenset({1, 4}), 15)
 
 
 class TestSeparationThresholds:

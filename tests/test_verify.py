@@ -124,6 +124,18 @@ def test_split_counts_at_max_5(e_values):
     )
 
 
+def test_split_counts_at_e_5_max_8():
+    # the first bound past --max 5 at e = 5: pieces of size <= 2
+    results = run_suites(["split"], max_size=8, e_values=(5,))
+    assert [r.line() for r in results] == [
+        "PASS split.split_combine_round_trip checked=402",
+        "PASS split.separated_regular_iff_half_restricted checked=1074",
+        "PASS split.separated_restricted_iff_half_restricted checked=1074",
+        "PASS split.splitting_theorem checked=12670 skipped=6952",
+        "PASS split.box_step_preserves_cbar_fingerprint checked=3918",
+    ]
+
+
 def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
     # the box step compares class_keys of (xi, nu), in that order, and never
     # builds a fingerprint; each verdict is the fingerprint route's, and each
