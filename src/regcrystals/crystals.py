@@ -8,12 +8,13 @@ cogood i-node read off from the reduced i-signature in the A-dependent
 node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
-the ladder depth first.  One row walk, _signed_nodes, finds the signed
-nodes sorted by that key, and _reduce is the one signature reduction.  The
-i-string kernel moves a whole string of a row list in place after one walk,
-checking only the hooks of each moved row and column; e_op/f_op check their
-input in full and move one node.  build_graph grows the crystal one size
-layer at a time, one walk per vertex for every residue.
+the ladder depth first.  One row walk, _signed_nodes, sorts the signed
+nodes by that key and reduces every residue's signature in the same pass.
+The i-string kernel moves a whole string of a row list in place after one
+walk, checking only the shape of each moved row and the hooks of its row
+and column, and builds its image unchecked; e_op/f_op check their input
+in full and move one node.  build_graph grows the crystal one size layer
+at a time, one walk per vertex for every residue.
 
 Crystals for any two prefixes are isomorphic via a chain of ladder
 regularisations at the Farey slopes of order n between them.  A chain runs
@@ -147,16 +148,19 @@ class ArmPrefix:
         return f"ArmPrefix(e={self.e}, values={self.values})"
 
 
-def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, list[tuple[Node, str]]]:
-    """Addable (+) and removable (-) nodes of parts grouped by residue, each
-    group sorted descending in the node order: residue i alone, or every
-    residue when i is None.
+def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, tuple[list[Node], list[Node]]]:
+    """residue -> (minus, plus), the reduced signature of parts: the
+    removable ('-') and addable ('+') nodes, in order, that survive deleting
+    adjacent '+-' pairs, so the good node is minus[-1] and the cogood one
+    plus[0].  Residue i alone (always a key), or every residue with a
+    signed node when i is None.
 
-    One walk down the rows finds them: row r ends in a removable node when
-    the row below is shorter, and has an addable node after its end when the
-    row above is longer.  A node (r, c) sorts by its key
+    One walk down the rows finds the nodes: row r ends in a removable node
+    when the row below is shorter, and has an addable node after its end
+    when the row above is longer.  A node (r, c) sorts by its key
     (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e), and its
-    residue is -(r - c) mod e.
+    residue is -(r - c) mod e; one pass down the sorted nodes reduces
+    every residue at once.
     """
     e, y = prefix.e, prefix.slope
     wr = y.numerator
@@ -165,32 +169,25 @@ def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, l
     above = None
     for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
         if below < p and (i is None or (p - r) % e == i):
-            keyed.append((wr * r + wc * p, r - p, (r, p), "-"))
+            keyed.append((wr * r + wc * p, r - p, (r, p), False))
         if above != p and (i is None or (p + 1 - r) % e == i):
-            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), "+"))
+            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), True))
         above = p
     r = len(parts) + 1
     if i is None or (1 - r) % e == i:
-        keyed.append((wr * r + wc, r - 1, (r, 1), "+"))
+        keyed.append((wr * r + wc, r - 1, (r, 1), True))
     keyed.sort(reverse=True)
-    signed = {}
-    for _, d, node, sign in keyed:
-        signed.setdefault(-d % e, []).append((node, sign))
-    return signed
-
-
-def _reduce(signed) -> tuple[list, list]:
-    """The items of the '-' and of the '+' signs, in order, that survive
-    deleting adjacent '+-' pairs to a fixpoint from the (item, sign) pairs."""
-    minus, plus = [], []
-    for item, sign in signed:
-        if sign == "+":
-            plus.append(item)
-        elif plus:
-            plus.pop()
+    signed = {} if i is None else {i: ([], [])}
+    for _, d, node, grow in keyed:
+        if (sig := signed.get(-d % e)) is None:
+            sig = signed[-d % e] = ([], [])
+        if grow:
+            sig[1].append(node)
+        elif sig[1]:
+            sig[1].pop()
         else:
-            minus.append(item)
-    return minus, plus
+            sig[0].append(node)
+    return signed
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
@@ -202,26 +199,35 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
 
 
 def _place(parts: list[int], node: Node, grow: bool) -> None:
-    """Add (grow) or remove the addable or removable node of parts, in place."""
+    """Add (grow) or remove the addable or removable node of parts, in
+    place; a removal below the last row changes nothing."""
     r = node[0]
-    if r > len(parts):
-        parts.append(1)
-    else:
+    if r <= len(parts):
         parts[r - 1] += 1 if grow else -1
         if not parts[-1]:  # a removable node in column 1 ends the last row
             parts.pop()
+    elif grow:
+        parts.append(1)
 
 
-def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
-    """True if no hook that moving node changed has length e*t and arm A_t,
-    for parts just moved by _place from an A-regular partition.
+def _move_ok(parts: list[int], node: Node, grow: bool, prefix: ArmPrefix) -> bool:
+    """True if parts, just moved by _place from an A-regular partition by
+    adding (grow) or removing node, is again an A-regular partition, so
+    the crystal moves may build it unchecked.
 
-    Adding or removing the node (r, c) moves one bead of the bead set, and
-    the only hooks it changes are those of the moved bead (the hooks of row
-    r) and of the gap it leaves (the hooks of column c above row r).
+    Only row r moved: node was there to move, and parts is a partition,
+    exactly when row r now ends at column c (added) or c - 1 (removed),
+    lies between its neighbours, and is positive or past the end.  Moving
+    the node (r, c) moves one bead of the bead set, and the only hooks it
+    changes are those of the moved bead (the hooks of row r) and of the
+    gap it leaves (the hooks of column c above row r).
     """
     (r, c), e, arms, rows = node, prefix.e, prefix.values, len(parts)
     pr = parts[r - 1] if r <= rows else 0
+    if pr != (c if grow else c - 1) or r > rows + 1:
+        return False
+    if r > 1 and parts[r - 2] < pr or pr < (parts[r] if r < rows else r == rows):
+        return False
     # row r: the columns in (parts[j], parts[j-1]] have leg j - r (j >= r, 0-based)
     upper = pr
     for j in range(r, rows + 1):
@@ -237,7 +243,7 @@ def _move_ok(parts: list[int], node: Node, prefix: ArmPrefix) -> bool:
             arm += e
         upper = lower
     # column c above row r, which ends at row r when (r, c) is a node of parts
-    foot = r if pr >= c else r - 1
+    foot = r if grow else r - 1
     for row in range(1, r):
         arm = parts[row - 1] - c
         length = arm + foot - row + 1
@@ -252,7 +258,7 @@ def _move(parts: list[int], prefix: ArmPrefix, nodes, grow: bool) -> int:
     move fails its check."""
     for node in nodes:
         _place(parts, node, grow)
-        if not _move_ok(parts, node, prefix):
+        if not _move_ok(parts, node, grow, prefix):
             raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
     return len(nodes)
 
@@ -266,7 +272,7 @@ def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int
     signature -^a +^b just loses its last '-' to its '+'s (or its first '+'
     to its '-'s), and the next node to move is the next one it kept.
     """
-    minus, plus = _reduce(_signed_nodes(parts, prefix, i).get(i, ()))
+    minus, plus = _signed_nodes(parts, prefix, i)[i]
     return _move(parts, prefix, plus[:k] if grow else minus[::-1][:k], grow)
 
 
@@ -275,7 +281,7 @@ def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | 
     if not is_A_regular(la, prefix):
         raise ValueError(f"{la.parts} is not regular for {prefix!r}")
     parts = list(la.parts)
-    return Partition(parts) if _move_string(parts, prefix, i, grow, 1) else None
+    return Partition._of(tuple(parts)) if _move_string(parts, prefix, i, grow, 1) else None
 
 
 def e_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
@@ -306,10 +312,10 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     a layer are keyed by their part tuples and walked in sorted order, so the
     vertices and the edges (by source, then residue) come out sorted.  One
     all-residue _signed_nodes walk per vertex below the bound gives each
-    residue's signature; the first '+' of each reduced signature is that
-    residue's cogood node, and each one gives an edge to the vertex with it
-    added.  Each vertex is built and checked once, by the move check from
-    the first vertex that reaches it."""
+    residue's reduced signature; its first '+' is that residue's cogood
+    node, and each one gives an edge to the vertex with it added.  Each
+    vertex is checked once, shape and hooks, by the move check from the
+    first vertex that reaches it, and then built unchecked."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
@@ -325,16 +331,15 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
         above, layer = layer, {}
         for key in keys:
             la = above[key]
-            for i, signed in sorted(_signed_nodes(key, prefix).items()):
-                plus = _reduce(signed)[1]
+            for i, (_, plus) in sorted(_signed_nodes(key, prefix).items()):
                 if not plus:
                     continue
                 parts, node = list(key), plus[0]
                 _place(parts, node, True)
                 mu = layer.get(tuple(parts))
                 if mu is None:
-                    mu = Partition(parts)
-                    if not _move_ok(parts, node, prefix):
+                    mu = Partition._of(tuple(parts))
+                    if not _move_ok(parts, node, True, prefix):
                         raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
                     layer[mu.parts] = mu
                 edges.append((la, i, mu))

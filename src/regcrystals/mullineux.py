@@ -27,7 +27,7 @@ from itertools import islice
 from operator import sub
 from typing import Iterator
 
-from .crystals import ArmPrefix, _move, _move_string, _reduce, _signed_nodes, e_op
+from .crystals import ArmPrefix, _move, _move_string, _signed_nodes, e_op
 from .ladders import LadderParams, _hold_ends, _steps, regularise
 from .partitions import Hook, Partition, _sorted_hooks, beta_numbers, from_beta_numbers, hooks_divisible_by
 
@@ -117,11 +117,13 @@ def peel_and_rebuild(
     the run (i, count) is recorded.  The rebuild adds, last run first, count
     cogood nodes in dst at the residue sign*i mod e (f applied count times).
     The crystal is connected from the empty partition, so every path to it
-    gives the same image.  The first removal is e_op's, which checks la in
-    full; after it, each string moves on one row list in place, and each
-    node is checked as it moves, raising ValueError if it fails.  Each later
-    peeled string takes one walk of every residue, and each rebuilt string
-    one walk of its residue.
+    gives the same image.  One walk of every residue of la picks the first
+    string; its first node is removed by the one e_op call, which checks la
+    in full, and the rest as that walk listed them.  After it, each string
+    moves on one row list in place, each node checked as it moves (shape
+    and hooks), raising ValueError if it fails.  Each later peeled string
+    takes one walk of every residue, and each rebuilt string one walk of
+    its residue.
 
     ``known`` maps part tuples to the images that this same (src, dst,
     order, sign) gave them, and defaults to {(): Partition()}.  The peel
@@ -137,29 +139,26 @@ def peel_and_rebuild(
         known = {(): Partition()}
     if la.size > dst.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
-    for i in order:
-        mu = e_op(la, src, i)
-        if mu is not None:
-            break
-    else:
+    signed = _signed_nodes(la.parts, src)
+    i = next((i for i in order if i in signed and signed[i][0]), None)
+    # e_op checks la in full, so a singular la raises even if no residue has a good node
+    mu = e_op(la, src, next(iter(order)) if i is None else i)
+    if i is None or mu is None:
         raise AssertionError(f"no good node on {la.parts}")
     parts = list(mu.parts)
-    runs = [(i, 1 + _move_string(parts, src, i, False))]
+    runs = [(i, 1 + _move(parts, src, signed[i][0][-2::-1], False))]
     while (vertex := tuple(parts)) not in known:
         signed = _signed_nodes(parts, src)
-        for i in order:
-            good = _reduce(signed.get(i, ()))[0]
-            if good:
-                break
-        else:
-            raise AssertionError(f"no good node on {tuple(parts)}")
-        runs.append((i, _move(parts, src, good[::-1], False)))
+        i = next((i for i in order if i in signed and signed[i][0]), None)
+        if i is None:
+            raise AssertionError(f"no good node on {vertex}")
+        runs.append((i, _move(parts, src, signed[i][0][::-1], False)))
     parts = list(known[vertex].parts)
     for i, count in reversed(runs):
         i = sign * i % src.e
         if _move_string(parts, dst, i, True, count) < count:
             raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
-    image = known[la.parts] = Partition(parts)
+    image = known[la.parts] = Partition._of(tuple(parts))
     return image
 
 

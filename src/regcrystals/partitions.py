@@ -43,7 +43,8 @@ class Hook(NamedTuple):
 
 
 class Partition:
-    """Immutable weakly decreasing sequence of positive integers."""
+    """Immutable weakly decreasing sequence of positive integers; the
+    constructor checks its input in full, and _of is the trusted one."""
 
     __slots__ = ("parts", "size")
 
@@ -60,6 +61,14 @@ class Partition:
                     raise ValueError(f"parts must be weakly decreasing, got {ps}")
         self.parts = ps
         self.size = sum(ps)
+
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of parts, unchecked: for tuples valid by construction,
+        as in conjugate, remove_node and the moves crystals._move_ok passed."""
+        la = object.__new__(cls)
+        la.parts, la.size = parts, sum(parts)
+        return la
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -92,7 +101,7 @@ class Partition:
         cols: list[int] = []
         for r in range(len(self.parts), 0, -1):  # columns ending in row r
             cols += [r] * (self.parts[r - 1] - len(cols))
-        return Partition(cols)
+        return Partition._of(tuple(cols))
 
     def dominates(self, other: "Partition") -> bool:
         """True if every prefix sum of this partition is >= other's.
@@ -163,7 +172,7 @@ class Partition:
         ps[r - 1] -= 1
         if ps[-1] == 0:
             ps.pop()
-        return Partition(ps)
+        return Partition._of(tuple(ps))
 
     def e_content(self, e: int) -> Counter:
         """Multiset of node residues (c - r) mod e."""
@@ -267,7 +276,7 @@ def from_beta_numbers(positions: Iterable[int]) -> Partition:
     occ = sorted(positions if isinstance(positions, (set, frozenset)) else set(positions), reverse=True)
     if occ and occ[-1] < 0:
         raise ValueError("beta-numbers must be non-negative")
-    return Partition([p for p in map(sub, occ, range(len(occ) - 1, -1, -1)) if p])
+    return Partition._of(tuple([p for p in map(sub, occ, range(len(occ) - 1, -1, -1)) if p]))
 
 
 def parse_partition(text: str) -> Partition:
@@ -306,7 +315,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         return
     parts = [n]
     while True:
-        yield Partition(parts)
+        yield Partition._of(tuple(parts))
         i = len(parts) - 1
         while i >= 0 and parts[i] == 1:
             i -= 1

@@ -143,19 +143,18 @@ _LADDER_PARAM_SET = (
 
 
 def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
-    """Runs the fixed parameters _LADDER_PARAM_SET; e_values is unused."""
+    """Runs the fixed parameters _LADDER_PARAM_SET; e_values is unused.  The
+    node-pair loop reads each node's ladder_id, depth and residue, computed
+    once per parameter set."""
     window = 12
     nodes = [(r, c) for r in range(1, window + 1) for c in range(1, window + 1)]
     for params in _LADDER_PARAM_SET:
-        for a in nodes:
-            for b in nodes:
-                same_ladder = ld.ladder_id(a, params) == ld.ladder_id(b, params)
-                same_depth_res = ld.depth(a, params) == ld.depth(b, params) and (
-                    (a[1] - a[0]) % params.e == (b[1] - b[0]) % params.e
-                )
+        data = [(a, ld.ladder_id(a, params), (ld.depth(a, params), (a[1] - a[0]) % params.e)) for a in nodes]
+        for a, ladder_a, depth_res_a in data:
+            for b, ladder_b, depth_res_b in data:
                 yield (
                     "depth_and_residue_classify_ladders",
-                    same_ladder == same_depth_res,
+                    (ladder_a == ladder_b) == (depth_res_a == depth_res_b),
                     lambda: f"{a} {b} {params!r}",
                 )
 

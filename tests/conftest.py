@@ -69,3 +69,24 @@ def count_walks(replace_kernel):
         return walks
 
     return install
+
+
+@pytest.fixture
+def replace_walk(replace_kernel):
+    """replace_walk(fake) sets crystals._signed_nodes, wherever it is held,
+    to a walk that returns fake(real, parts, prefix, i).  Each result must
+    have the real walk's shape, residue -> (good list, cogood list) with i
+    a key when given, or the call fails at once: a fake left behind by a
+    change of that shape cannot send a peel astray."""
+
+    def install(fake):
+        def walk(parts, prefix, i=None):
+            signed = fake(real, parts, prefix, i)
+            assert type(signed) is dict and (i is None or i in signed), signed
+            assert all(type(sig) is tuple and len(sig) == 2 and all(type(nodes) is list for nodes in sig)
+                       for sig in signed.values()), signed
+            return signed
+
+        real = replace_kernel("_signed_nodes", walk)
+
+    return install

@@ -7,7 +7,8 @@ the conjugate (the node route the (t, arm, r) walk is compared with), a
 node is added by editing the parts list, column growth works through
 the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
-crystal walk takes one public operator per node where the library moves
+signed nodes of a signature are read off Partition's node lists and reduced
+apart from the walk that sorts them, the crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
 the ladder fingerprint keys each node by its own ladder_id call and is
 also read back off the integer class key block by block, the
@@ -15,8 +16,8 @@ splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
 decodes its partition, the arm-sequence axiom is tested pair by pair, the
-crystal graph is searched breadth-first with one row walk per vertex and
-residue, a chain walks its prefixes one validated ArmPrefix per
+crystal graph is searched breadth-first with one such reference walk per
+vertex and residue, a chain walks its prefixes one validated ArmPrefix per
 Farey slope, applies its regularisation or restrictisation at every step
 and checks every image in full, e-quotient separation is a scan of the
 bead set for each runner's last bead and first gap, and the Paget
@@ -34,8 +35,7 @@ from functools import lru_cache
 from itertools import count, product
 
 from regcrystals.abacus import from_runners
-from regcrystals.crystals import (ArmPrefix, CrystalGraph, _move_ok, _place, _reduce, _signed_nodes, arm_minus, e_op, f_op,
-                                 is_A_regular)
+from regcrystals.crystals import ArmPrefix, CrystalGraph, _move_ok, _place, arm_minus, e_op, f_op, is_A_regular
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
@@ -170,11 +170,43 @@ def arm_axioms_hold(e: int, values) -> bool:
     return True
 
 
+def signed_nodes_by_walk(parts, prefix, i=None) -> dict:
+    """The unreduced signatures that crystals._signed_nodes reduces in its
+    walk: residue -> [(node, sign), ...], the addable ('+') and removable
+    ('-') nodes of residue i (every residue when i is None), read off
+    Partition's own node lists and sorted descending by the key
+    (Y*r + (E - Y)*c, r - c) of the prefix slope y = Y / (E/e)."""
+    la, e, y = Partition(parts), prefix.e, prefix.slope
+    wr, wc = y.numerator, e * y.denominator - y.numerator
+    nodes = [(nd, "+") for nd in la.addable_nodes()] + [(nd, "-") for nd in la.removable_nodes()]
+    nodes.sort(key=lambda item: (wr * item[0][0] + wc * item[0][1], item[0][0] - item[0][1]), reverse=True)
+    signed = {}
+    for (r, c), sign in nodes:
+        if i is None or (c - r) % e == i:
+            signed.setdefault((c - r) % e, []).append(((r, c), sign))
+    return signed
+
+
+def reduce_signature(signed) -> tuple[list, list]:
+    """The items of the '-' and of the '+' signs, in order, that survive
+    deleting adjacent '+-' pairs to a fixpoint from the (item, sign) pairs."""
+    minus, plus = [], []
+    for item, sign in signed:
+        if sign == "+":
+            plus.append(item)
+        elif plus:
+            plus.pop()
+        else:
+            minus.append(item)
+    return minus, plus
+
+
 def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
     """crystals.build_graph breadth-first from the empty partition: one
-    one-residue signed-node walk and reduction per vertex and residue, one
-    Partition per edge target, and each new vertex checked by the move that
-    first reached it; vertices and edges are sorted at the end."""
+    one-residue reference walk (signed_nodes_by_walk) and reduction per
+    vertex and residue, one Partition per edge target, and each new vertex
+    checked by the move that first reached it; vertices and edges are sorted
+    at the end."""
     bound = prefix.bound if max_size is None else max_size
     vertices = [Partition()]
     reached = {vertices[0]}
@@ -183,14 +215,14 @@ def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
         if la.size == bound:
             continue
         for i in range(prefix.e):
-            plus = _reduce(_signed_nodes(la.parts, prefix, i).get(i, ()))[1]
+            plus = reduce_signature(signed_nodes_by_walk(la.parts, prefix, i).get(i, ()))[1]
             if not plus:
                 continue
             parts, node = list(la.parts), plus[0]
             _place(parts, node, True)
             mu = Partition(parts)
             if mu not in reached:
-                assert _move_ok(parts, node, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"
+                assert _move_ok(parts, node, True, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"
                 reached.add(mu)
                 vertices.append(mu)
             edges.append((la, i, mu))

@@ -847,8 +847,9 @@ class TestVerify:
             f"core.{name}" for name in vf._SUITES["core"][3]
         ]
 
-    def test_peel_without_a_good_node_exits_1(self, capsys, replace_kernel):
-        replace_kernel("_signed_nodes", lambda *args: {})
+    def test_peel_without_a_good_node_exits_1(self, capsys, replace_walk):
+        # a walk that finds no signed node at any residue
+        replace_walk(lambda real, parts, prefix, i: {} if i is None else {i: ([], [])})
         code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
         assert code == 1 and out == ""
         assert err == "error: no good node on (1,)\n"

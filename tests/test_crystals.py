@@ -6,7 +6,7 @@ from itertools import product, takewhile
 import pytest
 
 from oracles import (add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, descending_prefixes,
-                     node_compare, random_partition)
+                     node_compare, random_partition, reduce_signature, signed_nodes_by_walk)
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import partitions as pt
@@ -75,7 +75,7 @@ class TestNodeOrder:
             3: [(5, 1), (2, 2), (1, 5)],
         }
         for a1, prefix in TABLE_PREFIXES.items():
-            pairs = cr._signed_nodes(P("5,2,1,1").parts, prefix, 0)[0]
+            pairs = signed_nodes_by_walk(P("5,2,1,1").parts, prefix, 0)[0]
             assert [nd for nd, _ in pairs] == expected[a1]
             assert set(nd for nd, _ in pairs) == set(la_nodes)
 
@@ -167,7 +167,7 @@ def test_key_order_equals_node_compare(e):
             for (a, b), (la, i) in pairs.items():
                 if la.size > prefix.bound:
                     continue
-                order = [nd for nd, _ in cr._signed_nodes(la.parts, prefix, i)[i]]
+                order = [nd for nd, _ in signed_nodes_by_walk(la.parts, prefix, i)[i]]
                 assert (order.index(a) < order.index(b)) == (node_compare(prefix, a, b) > 0)
                 checked += 1
     assert checked > 0
@@ -175,7 +175,9 @@ def test_key_order_equals_node_compare(e):
 
 @pytest.mark.parametrize("variant", "+-")
 def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
-    # the walk of every residue gives each residue the list its own walk gives
+    # the walk of every residue gives each residue the reduced signature its
+    # own walk gives, and that is the reduction of the reference walk, whose
+    # order is the comparator's
     for e in (2, 3, 4):
         for y in {Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)}:
             prefix = ArmPrefix.from_slope(e, y, 3, variant)
@@ -183,8 +185,11 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
                 every = cr._signed_nodes(la.parts, prefix)
                 assert set(every) <= set(range(e))
                 for i in range(e):
-                    pairs = cr._signed_nodes(la.parts, prefix, i).get(i, [])
-                    assert every.get(i, []) == pairs, (la, i)
+                    reduced = cr._signed_nodes(la.parts, prefix, i)
+                    assert list(reduced) == [i]
+                    assert every.get(i, ([], [])) == reduced[i], (la, i)
+                    pairs = signed_nodes_by_walk(la.parts, prefix, i).get(i, [])
+                    assert reduced[i] == reduce_signature(pairs), (la, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
                     assert sorted(nd for nd, _ in pairs) == sorted(
@@ -206,8 +211,9 @@ def test_derived_order_matches_comparator_sort_at_large_n():
                     la = random_partition(rng, rng.randint(n, prefix.bound))
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     for i in range(e):
-                        pairs = cr._signed_nodes(la.parts, prefix, i).get(i, [])
+                        pairs = signed_nodes_by_walk(la.parts, prefix, i).get(i, [])
                         assert pairs == sorted(pairs, key=by_compare, reverse=True), (la, i)
+                        assert cr._signed_nodes(la.parts, prefix, i)[i] == reduce_signature(pairs), (la, i)
 
 
 class TestSignatures:
@@ -220,16 +226,17 @@ class TestSignatures:
             3: ("+--", ([(1, 5)], [])),
         }
         for a1, prefix in TABLE_PREFIXES.items():
-            signed = cr._signed_nodes(la.parts, prefix, 0)[0]
+            signed = signed_nodes_by_walk(la.parts, prefix, 0)[0]
             assert "".join(sign for _, sign in signed) == expected[a1][0]
-            assert cr._reduce(signed) == expected[a1][1]
+            assert cr._signed_nodes(la.parts, prefix, 0) == {0: expected[a1][1]}
 
     def test_reduce(self):
-        # the positions of the signs that survive, '-' items then '+' items
-        assert cr._reduce(enumerate("+-")) == ([], [])
-        assert cr._reduce(enumerate("++--")) == ([], [])
-        assert cr._reduce(enumerate("-+-+")) == ([0], [3])
-        assert cr._reduce(enumerate("")) == ([], [])
+        # the reference reduction: the positions of the signs that survive,
+        # '-' items then '+' items
+        assert reduce_signature(enumerate("+-")) == ([], [])
+        assert reduce_signature(enumerate("++--")) == ([], [])
+        assert reduce_signature(enumerate("-+-+")) == ([0], [3])
+        assert reduce_signature(enumerate("")) == ([], [])
 
 
 class TestOperators:
@@ -295,11 +302,11 @@ def test_one_move_recheck_equals_full_check(prefix):
     for la in all_up_to(prefix.bound):
         if not cr.is_A_regular(la, prefix):
             continue
-        moved = [(la.remove_node(nd), nd) for nd in la.removable_nodes()]
+        moved = [(la.remove_node(nd), nd, False) for nd in la.removable_nodes()]
         if la.size < prefix.bound:
-            moved += [(add_node(la, nd), nd) for nd in la.addable_nodes()]
-        for mu, nd in moved:
-            assert cr._move_ok(list(mu.parts), nd, prefix) == cr.is_A_regular(mu, prefix), (la, mu)
+            moved += [(add_node(la, nd), nd, True) for nd in la.addable_nodes()]
+        for mu, nd, grow in moved:
+            assert cr._move_ok(list(mu.parts), nd, grow, prefix) == cr.is_A_regular(mu, prefix), (la, mu)
             moves += 1
     assert moves > 0
 
@@ -314,7 +321,7 @@ def test_string_kernel_equals_the_operators(prefix):
         if not cr.is_A_regular(la, prefix):
             continue
         for i in range(prefix.e):
-            minus, plus = cr._reduce(cr._signed_nodes(la.parts, prefix, i).get(i, ()))
+            minus, plus = cr._signed_nodes(la.parts, prefix, i)[i]
             parts, mu = list(la.parts), la
             assert cr._move_string(parts, prefix, i, False) == len(minus)
             while (nu := cr.e_op(mu, prefix, i)) is not None:
@@ -331,34 +338,115 @@ def test_string_kernel_equals_the_operators(prefix):
     assert strings > 0
 
 
-def report_a_wrong_node_of_3_2_2(replace_kernel):
-    """Make the walk report (1, 3) as the one removable node of 3,2,2 at
-    every residue it is asked for; removing it leaves 2,2,2, which is not
+def report_a_wrong_node_of_3_2_2(replace_walk):
+    """Make the walk report (1, 3) as the one good node of 3,2,2 at every
+    residue it is asked for; removing it leaves 2,2,2, which is not
     3-regular."""
 
-    def faulty(parts, prefix, i=None):
+    def faulty(real, parts, prefix, i):
         if list(parts) != [3, 2, 2]:
             return real(parts, prefix, i)
-        return {r: [((1, 3), "-")] for r in (range(prefix.e) if i is None else [i])}
+        return {r: ([(1, 3)], []) for r in (range(prefix.e) if i is None else [i])}
 
-    real = replace_kernel("_signed_nodes", faulty)
+    replace_walk(faulty)
 
 
-def test_peel_raises_when_a_move_fails_its_check(replace_kernel):
+def test_peel_raises_when_a_move_fails_its_check(replace_walk):
     # the wrong node is removed at the first removal, e_op's
-    report_a_wrong_node_of_3_2_2(replace_kernel)
+    report_a_wrong_node_of_3_2_2(replace_walk)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
 
 
-def test_peel_run_raises_when_a_move_fails_its_check(replace_kernel):
+def test_peel_run_raises_when_a_move_fails_its_check(replace_walk):
     # from 4,2,2,1 the second run starts on 3,2,2, and the all-residue walk
     # of that run reports the wrong node
-    report_a_wrong_node_of_3_2_2(replace_kernel)
+    report_a_wrong_node_of_3_2_2(replace_walk)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
         peel_and_rebuild(P("4,2,2,1"), prefix, prefix, range(3), -1)
+
+
+def report_a_misplaced_node_of_3_2_2(replace_walk, grow):
+    """Make the walk report, at every residue it is asked for, a node of
+    3,2,2 that is not there to move: (3, 3) as the one cogood node if grow,
+    which is not addable and leaves 3,2,3, else (2, 2) as the one good node,
+    which is not removable and leaves 3,1,2."""
+
+    def faulty(real, parts, prefix, i):
+        if list(parts) != [3, 2, 2]:
+            return real(parts, prefix, i)
+        signature = ([], [(3, 3)]) if grow else ([(2, 2)], [])
+        return {r: signature for r in (range(prefix.e) if i is None else [i])}
+
+    replace_walk(faulty)
+
+
+SHAPE_PREFIX = ArmPrefix.from_slope(3, 1, 3, "-")
+
+# Each run meets the misplaced node of 3,2,2: grow, the error and its message.
+# Before the move check tested shapes, e_op, the peel's first removal and
+# build_graph raised through Partition's validation of the image (build_graph
+# a ValueError), and f_op and the rebuild through the hook check; the peel's
+# later string carried 3,1,2 on and raised only in its rebuild ("no cogood
+# 1-node on (3, 1, 1)").  Now the move check's shape test rejects each move.
+REMOVED, ADDED = r"^\(3, 1, 2\) is not regular for ArmPrefix", r"^\(3, 2, 3\) is not regular for ArmPrefix"
+SHAPE_FAULTS = {
+    "e_op": (False, ValueError, REMOVED, lambda: cr.e_op(P("3,2,2"), SHAPE_PREFIX, 0)),
+    "peel_first_removal": (False, ValueError, REMOVED,
+                           lambda: peel_and_rebuild(P("3,2,2"), SHAPE_PREFIX, SHAPE_PREFIX, range(3), -1)),
+    "peel_later_string": (False, ValueError, REMOVED,
+                          lambda: peel_and_rebuild(P("4,2,2,1"), SHAPE_PREFIX, SHAPE_PREFIX, range(3), -1)),
+    "f_op": (True, ValueError, ADDED, lambda: cr.f_op(P("3,2,2"), SHAPE_PREFIX, 0)),
+    # the rebuild of 1 from a table that maps the empty partition to 3,2,2
+    "rebuild": (True, ValueError, ADDED, lambda: peel_and_rebuild(P("1"), SHAPE_PREFIX, SHAPE_PREFIX, range(3), 1,
+                                                                  known={(): P("3,2,2")})),
+    "build_graph": (True, RuntimeError, r"^operator left the A-regular set: 3,2,2 -\d-> 3,2,3$",
+                    lambda: cr.build_graph(SHAPE_PREFIX)),
+}
+
+
+@pytest.mark.parametrize("run", SHAPE_FAULTS)
+def test_a_misplaced_node_fails_the_shape_check(replace_walk, run):
+    grow, error, message, call = SHAPE_FAULTS[run]
+    report_a_misplaced_node_of_3_2_2(replace_walk, grow)
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
+def test_peel_rejects_a_singular_partition(prefix):
+    # e_op's full check raises on every singular la, also on those with no
+    # good node at any residue, which the peel's walk would not pick a string on
+    no_good = 0
+    for la in all_up_to(prefix.bound):
+        if not cr.is_A_regular(la, prefix):
+            no_good += not any(minus for minus, _ in cr._signed_nodes(la.parts, prefix).values())
+            with pytest.raises(ValueError, match="is not regular for ArmPrefix"):
+                peel_and_rebuild(la, prefix, prefix, range(prefix.e), 1)
+    assert no_good > 0
+
+
+@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
+def test_a_passed_move_leaves_a_regular_partition(prefix):
+    # from every A-regular partition, _place at every node of a box around
+    # it, either way: whatever _move_ok passes, the public constructor
+    # accepts and the full check finds regular, so the crystal moves may
+    # build it unchecked; and some misplaced moves are rejected by the shape
+    rejected = 0
+    for la in all_up_to(prefix.bound - 1):
+        if not cr.is_A_regular(la, prefix):
+            continue
+        for node in product(range(1, len(la) + 3), range(1, la.part(1) + 3)):
+            for grow in (True, False):
+                parts = list(la.parts)
+                cr._place(parts, node, grow)
+                if cr._move_ok(parts, node, grow, prefix):
+                    assert cr.is_A_regular(Partition(parts), prefix), (la, node, grow)
+                else:
+                    rejected += valueerror_text(Partition, parts) is not None
+    assert rejected > 0
 
 
 def test_rebuild_checks_its_last_image(monkeypatch):
@@ -393,7 +481,7 @@ def test_walk_rejects_a_partition_beyond_the_target_bound():
 
 def test_operator_images_pass_the_move_check(monkeypatch):
     # e_op and f_op raise rather than return an image outside the crystal
-    monkeypatch.setattr(cr, "_move_ok", lambda parts, node, prefix: False)
+    monkeypatch.setattr(cr, "_move_ok", lambda parts, node, grow, prefix: False)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     for op, i in ((cr.e_op, 2), (cr.f_op, 0)):
         with pytest.raises(ValueError, match="not regular for"):

@@ -156,15 +156,15 @@ def test_walk_equals_the_operator_walk_at_large_n(count_walks):
     assert walked < moved
 
 
-@pytest.mark.parametrize("n, e, walks", [(12, 3, 27), (20, 4, 44)])
+@pytest.mark.parametrize("n, e, walks", [(12, 3, 25), (20, 4, 41)])
 def test_oracle_walks_on_one_row(count_walks, n, e, walks):
-    # every string of (n) has one node: the peel takes e_op's tries up to the
-    # residue n - 1 of the last node, one walk to end that string and one
-    # all-residue walk for each of the n - 1 later strings; the rebuild takes
-    # one walk per string
+    # every string of (n) has one node: the peel takes one all-residue walk
+    # of (n), which finds the good node at residue n - 1, the one walk of
+    # e_op's call at that residue, and one all-residue walk for each of the
+    # n - 1 later strings; the rebuild takes one walk per string
     counted = count_walks("_signed_nodes")
     assert mullineux_oracle(Partition([n]), e) == mullineux(Partition([n]), e)
-    assert len(counted) == walks == (n - 1) % e + 1 + 1 + (n - 1) + n
+    assert len(counted) == walks == 1 + 1 + (n - 1) + n
 
 
 class TestKnownTable:
@@ -194,26 +194,29 @@ class TestKnownTable:
 
     @pytest.mark.parametrize("n, e", [(12, 3), (20, 4)])
     def test_a_known_first_vertex_takes_no_all_residue_walk(self, count_walks, n, e):
-        # the string of (n) has one node, so its first peeled vertex is (n - 1):
-        # e_op's tries, one walk to end the string and one rebuild walk
+        # the string of (n) has one node, so its first peeled vertex is (n - 1),
+        # which is known: the all-residue walk of (n) itself, the walk of the
+        # one e_op call and one rebuild walk; the untabled peel walks every
+        # residue once more for each of the n - 1 later strings
         walks = count_walks("_signed_nodes")
         known = {(): Partition(), (n - 1,): mullineux_oracle(Partition([n - 1]), e)}
         walks.clear()
         tabled = mullineux_oracle(Partition([n]), e, known=known)
-        assert len(walks) == (n - 1) % e + 1 + 1 + 1
-        assert not [args for args in walks if len(args) == 2]
+        assert len(walks) == 1 + 1 + 1
+        assert [args[0] for args in walks if len(args) == 2] == [(n,)]
         walks.clear()
         assert mullineux_oracle(Partition([n]), e) == tabled
-        assert len(walks) == (n - 1) % e + 1 + 1 + (n - 1) + n
-        assert sum(len(args) == 2 for args in walks) == n - 1
+        assert len(walks) == 1 + 1 + (n - 1) + n
+        assert sum(len(args) == 2 for args in walks) == 1 + (n - 1)
 
-    def test_walking_up_in_size_takes_no_all_residue_walk(self, count_walks):
+    def test_walking_up_in_size_takes_one_all_residue_walk_per_call(self, count_walks):
+        # the walk of each input itself, which picks its first string
         walks = count_walks("_signed_nodes")
         known = {(): Partition()}
-        for la in all_up_to(10):
-            if la.is_e_regular(3):
-                mullineux_oracle(la, 3, known=known)
-        assert walks and not [args for args in walks if len(args) == 2]
+        inputs = [la for la in all_up_to(10) if la and la.is_e_regular(3)]
+        for la in inputs:
+            mullineux_oracle(la, 3, known=known)
+        assert [args[0] for args in walks if len(args) == 2] == [la.parts for la in inputs]
 
 
 class TestOracle:
