@@ -97,7 +97,7 @@ def e_core(la: Partition, e: int, n: int | None = None) -> Partition:
     """The partition left after sliding every bead fully up its runner."""
     if n is None:
         n = default_beads(la, e)
-    return from_runners([Partition()] * e, runner_counts(beta_numbers(la, n), e))
+    return from_runners([Partition._of(())] * e, runner_counts(beta_numbers(la, n), e))
 
 
 def e_quotient(la: Partition, e: int, n: int | None = None) -> list[Partition]:

@@ -13,8 +13,9 @@ nodes by that key and reduces every residue's signature in the same pass.
 The i-string kernel moves a whole string of a row list in place after one
 walk, checking only the shape of each moved row and the hooks of its row
 and column, and builds its image unchecked; e_op/f_op check their input
-in full and move one node.  build_graph grows the crystal one size layer
-at a time, one walk per vertex for every residue.
+in full and move one node.  Both checks test one cell per arm A_t, not
+every hook (partitions._row_avoids).  build_graph grows the crystal one
+size layer at a time, one walk per vertex for every residue.
 
 Crystals for any two prefixes are isomorphic via a chain of ladder
 regularisations at the Farey slopes of order n between them.  A chain runs
@@ -33,8 +34,7 @@ from typing import Iterator
 from .abacus import conjugate_display
 from .ladders import LadderParams, _hold_ends, _steps
 from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
-from .partitions import (Node, Partition, _bead_walk, beta_numbers, format_partition, from_beta_numbers,
-                         hooks_divisible_by)
+from .partitions import Node, Partition, _bead_walk, _row_avoids, beta_numbers, format_partition, from_beta_numbers
 
 
 def arm_plus(y, t: int) -> int:
@@ -191,11 +191,18 @@ def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, t
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
-    """True if la has no hook of length e*t with arm length exactly A_t."""
+    """True if la has no hook of length e*t with arm length exactly A_t.
+
+    One _row_avoids walk per row, which needs A_t never to fall and the leg
+    e*t - A_t - 1 to rise strictly.  Both hold: A_t = floor(y*t) with
+    0 <= y <= e - 1, and floor(a + y) - floor(a) <= ceil(y) for real a, so
+    A_{t+1} - A_t <= ceil(y) <= e - 1.  Hooks of la are no longer than
+    |la| <= n*e, so the n stored arms are all there are to test.
+    """
     if la.size > prefix.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {prefix.bound}")
-    arms = prefix.values
-    return all(arm != arms[t - 1] for t, arm, _ in hooks_divisible_by(la, prefix.e))
+    parts, e, arms = la.parts, prefix.e, prefix.values
+    return all(_row_avoids(parts, r, e, arms) for r in range(1, len(parts) + 1))
 
 
 def _place(parts: list[int], node: Node, grow: bool) -> None:
@@ -220,7 +227,9 @@ def _move_ok(parts: list[int], node: Node, grow: bool, prefix: ArmPrefix) -> boo
     lies between its neighbours, and is positive or past the end.  Moving
     the node (r, c) moves one bead of the bead set, and the only hooks it
     changes are those of the moved bead (the hooks of row r) and of the
-    gap it leaves (the hooks of column c above row r).
+    gap it leaves (the hooks of column c above row r).  Row r is walked by
+    _row_avoids, and column c, ending at row foot = r or r - 1, tests for
+    each t the one row foot - (e*t - A_t - 1) whose hook has that leg.
     """
     (r, c), e, arms, rows = node, prefix.e, prefix.values, len(parts)
     pr = parts[r - 1] if r <= rows else 0
@@ -228,26 +237,14 @@ def _move_ok(parts: list[int], node: Node, grow: bool, prefix: ArmPrefix) -> boo
         return False
     if r > 1 and parts[r - 2] < pr or pr < (parts[r] if r < rows else r == rows):
         return False
-    # row r: the columns in (parts[j], parts[j-1]] have leg j - r (j >= r, 0-based)
-    upper = pr
-    for j in range(r, rows + 1):
-        lower = parts[j] if j < rows else 0
-        if lower == upper:
-            continue
-        leg = j - r
-        arm = pr - upper
-        arm += -(arm + leg + 1) % e
-        while arm < pr - lower:
-            if arms[(arm + leg + 1) // e - 1] == arm:
-                return False
-            arm += e
-        upper = lower
-    # column c above row r, which ends at row r when (r, c) is a node of parts
-    foot = r if grow else r - 1
-    for row in range(1, r):
-        arm = parts[row - 1] - c
-        length = arm + foot - row + 1
-        if length % e == 0 and arms[length // e - 1] == arm:
+    if pr and not _row_avoids(parts, r, e, arms):  # pr is 0 only when the removal emptied the last row
+        return False
+    top = r + 1 if grow else r  # foot + 1
+    for arm in arms:
+        top -= e
+        if (row := top + arm) < 1:
+            break
+        if parts[row - 1] - c == arm:
             return False
     return True
 

@@ -18,7 +18,8 @@ restrictise_steps (the conjugated steps at the conjugate slope e - y).
 regularise_steps, the Mullineux loop and the crystal chains share one step
 loop, _steps, on one carried bead set: per move, one walk of the kernel
 partitions._bead_walk (_top_hook) finds the bead that _abacus_step moves in
-place.  The maps encode and decode once; the predicates read hooks_divisible_by.
+place.  The maps encode and decode once.  The predicates walk each row by
+partitions._row_avoids, whose legs (E - Y)*t or (E - Y)*t - 1 rise as Y < E.
 
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, groupby, pairwise
+from itertools import chain, count, groupby, pairwise
 from operator import sub
 from typing import Iterator
 
 from .abacus import conjugate_display
-from .partitions import (Node, Partition, _bead_walk, beta_numbers, enumerate_partitions, from_beta_numbers,
-                         hooks_divisible_by)
+from .partitions import (Node, Partition, _bead_walk, _row_avoids, beta_numbers, enumerate_partitions,
+                         from_beta_numbers, hooks_divisible_by)
 
 
 class LadderParams:
@@ -140,14 +141,14 @@ def class_key(la: Partition, params: LadderParams) -> tuple[int, ...]:
 
 def is_regular(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t - 1."""
-    ym = params.Y
-    return all(arm != ym * t - 1 for t, arm, _ in hooks_divisible_by(la, params.E))
+    parts, em, ym = la.parts, params.E, params.Y
+    return all(_row_avoids(parts, r, em, count(ym - 1, ym)) for r in range(1, len(parts) + 1))
 
 
 def is_restricted(la: Partition, params: LadderParams) -> bool:
     """True if la has no hook of length E*t with arm length Y*t."""
-    ym = params.Y
-    return all(arm != ym * t for t, arm, _ in hooks_divisible_by(la, params.E))
+    parts, em, ym = la.parts, params.E, params.Y
+    return all(_row_avoids(parts, r, em, count(ym, ym)) for r in range(1, len(parts) + 1))
 
 
 def bad_count(la: Partition, params: LadderParams) -> int:

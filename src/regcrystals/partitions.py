@@ -6,9 +6,10 @@ node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
 
 Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
-reads it for hook(), hooks(), classify_hooks, is_A_regular and the ladder
-predicates, and the regularisation loop on the bead set it carries from
-move to move; none of them builds a conjugate.
+reads it for hook(), hooks() and classify_hooks, and the regularisation
+loop on the bead set it carries from move to move; none of them builds a
+conjugate.  The regularity predicates test one column per arm A_t instead
+(_row_avoids).
 """
 
 from __future__ import annotations
@@ -233,6 +234,27 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
     n = len(parts)  # the bead b of row r has part = b - (n - r) gaps below it
     return [((b - g) // m, part - 1 - below, n - b + part) for b, part, gaps in _bead_walk(reversed(parts), m)
             for g, below in gaps]
+
+
+def _row_avoids(parts, r: int, m: int, arms: Iterable[int]) -> bool:
+    """True when no hook of row r <= len(parts) has length m*t and arm A_t,
+    for arms A_1, A_2, ... that never fall with legs m*t - A_t - 1 that rise.
+
+    For each t one column is tested, parts[r-1] - A_t, which must end at
+    exactly row r + m*t - A_t - 1; once A_t reaches the row's length or that
+    row passes the last, every later t is out too, so at most
+    len(parts) - r + 1 columns are tested, and none past the last arm.
+    """
+    pr, rows, end = parts[r - 1], len(parts), r - 1
+    for arm in arms:
+        end += m
+        foot = end - arm  # the hook's foot row, 1-indexed
+        if arm >= pr or foot > rows:
+            return True
+        c = pr - arm
+        if parts[foot - 1] >= c and (foot == rows or parts[foot] < c):
+            return False
+    return True
 
 
 def _hook(parts: tuple[int, ...], length: int, arm: int, r: int) -> Hook:

@@ -10,6 +10,9 @@ node order compares two nodes through the arm value A_t itself, the
 signed nodes of a signature are read off Partition's node lists and reduced
 apart from the walk that sorts them, the crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
+A-regularity and (E, Y)-regularity and restrictedness read every hook
+of length divisible by the modulus off the bead walk, where the library
+tests one cell per arm A_t,
 the ladder fingerprint keys each node by its own ladder_id call and is
 also read back off the integer class key block by block, the
 splitting report rebuilds every half for each u, the regularisation
@@ -35,7 +38,7 @@ from functools import lru_cache
 from itertools import count, product
 
 from regcrystals.abacus import from_runners
-from regcrystals.crystals import ArmPrefix, CrystalGraph, _move_ok, _place, arm_minus, e_op, f_op, is_A_regular
+from regcrystals.crystals import ArmPrefix, CrystalGraph, _place, arm_minus, e_op, f_op
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
@@ -201,12 +204,29 @@ def reduce_signature(signed) -> tuple[list, list]:
     return minus, plus
 
 
+def is_A_regular_by_hooks(la, prefix) -> bool:
+    """crystals.is_A_regular by the hook walk: no hook of length e*t, among
+    all those hooks_divisible_by lists, has arm A_t."""
+    arms = prefix.values
+    return all(arm != arms[t - 1] for t, arm, _ in hooks_divisible_by(la, prefix.e))
+
+
+def is_regular_by_hooks(la, params) -> bool:
+    """ladders.is_regular by the hook walk: no hook of length E*t has arm Y*t - 1."""
+    return all(arm != params.Y * t - 1 for t, arm, _ in hooks_divisible_by(la, params.E))
+
+
+def is_restricted_by_hooks(la, params) -> bool:
+    """ladders.is_restricted by the hook walk: no hook of length E*t has arm Y*t."""
+    return all(arm != params.Y * t for t, arm, _ in hooks_divisible_by(la, params.E))
+
+
 def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
     """crystals.build_graph breadth-first from the empty partition: one
     one-residue reference walk (signed_nodes_by_walk) and reduction per
     vertex and residue, one Partition per edge target, and each new vertex
-    checked by the move that first reached it; vertices and edges are sorted
-    at the end."""
+    checked in full by the hook walk; vertices and edges are sorted at the
+    end."""
     bound = prefix.bound if max_size is None else max_size
     vertices = [Partition()]
     reached = {vertices[0]}
@@ -222,7 +242,7 @@ def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
             _place(parts, node, True)
             mu = Partition(parts)
             if mu not in reached:
-                assert _move_ok(parts, node, True, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"
+                assert is_A_regular_by_hooks(mu, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"
                 reached.add(mu)
                 vertices.append(mu)
             edges.append((la, i, mu))
@@ -271,8 +291,8 @@ def chain_steps_by_step(la, chain):
     step loop kept across steps: every step regularises (or, on an inverse
     chain, restrictises) la at the slope of its prefix, moved or not, and
     checks the image A-regular for the prefix the step reaches by a walk of
-    its own."""
-    if not is_A_regular(la, chain.source):
+    its own, the hook walk."""
+    if not is_A_regular_by_hooks(la, chain.source):
         raise ValueError(f"{la.parts} is not regular for the chain source")
     upper, lower = (chain.target, chain.source) if chain.inverse else (chain.source, chain.target)
     prefixes = descending_prefixes(upper, lower)
@@ -283,7 +303,7 @@ def chain_steps_by_step(la, chain):
         op, checks = restrictise, [(params, p) for params, p, _ in reversed(steps)]
     for params, target in checks:
         la = op(la, params)
-        if not is_A_regular(la, target):
+        if not is_A_regular_by_hooks(la, target):
             raise ValueError(f"chain left the regular set at {params!r}")
         yield params, la
 

@@ -6,7 +6,7 @@ from itertools import product, takewhile
 import pytest
 
 from oracles import (add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, descending_prefixes,
-                     node_compare, random_partition, reduce_signature, signed_nodes_by_walk)
+                     is_A_regular_by_hooks, node_compare, random_partition, reduce_signature, signed_nodes_by_walk)
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import partitions as pt
@@ -294,20 +294,84 @@ class TestOperators:
 RECHECK_PREFIXES = verify._CRYSTAL_PREFIXES + (ArmPrefix(3, (1, 3, 5)), ArmPrefix(4, (2, 5, 7)))
 
 
-@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
-def test_one_move_recheck_equals_full_check(prefix):
-    # from every A-regular partition, every one-node move is judged by
-    # _move_ok as the full check judges it
+def arm_walks_equal_the_hook_walk(prefix, partitions):
+    """Check is_A_regular against the hook walk on each partition, and on
+    each A-regular one, _move_ok against the hook walk of every one-node
+    move within the bound; return the number of moves checked."""
     moves = 0
-    for la in all_up_to(prefix.bound):
-        if not cr.is_A_regular(la, prefix):
+    for la in partitions:
+        regular = is_A_regular_by_hooks(la, prefix)
+        assert cr.is_A_regular(la, prefix) == regular, (la, prefix)
+        if not regular:
             continue
         moved = [(la.remove_node(nd), nd, False) for nd in la.removable_nodes()]
         if la.size < prefix.bound:
             moved += [(add_node(la, nd), nd, True) for nd in la.addable_nodes()]
         for mu, nd, grow in moved:
-            assert cr._move_ok(list(mu.parts), nd, grow, prefix) == cr.is_A_regular(mu, prefix), (la, mu)
+            assert cr._move_ok(list(mu.parts), nd, grow, prefix) == is_A_regular_by_hooks(mu, prefix), (la, mu)
             moves += 1
+    return moves
+
+
+@pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
+def test_one_move_recheck_equals_full_check(prefix):
+    # from every A-regular partition, every one-node move is judged by
+    # _move_ok as the full hook walk judges it, and so is every partition
+    # by is_A_regular
+    assert arm_walks_equal_the_hook_walk(prefix, all_up_to(prefix.bound)) > 0
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_arm_walks_equal_the_hook_walk_on_every_slope_prefix(e):
+    # every prefix of a slope in [1, e - 1] whose bound first reaches 14
+    # (the slopes p/q with q <= 4 among them), on every partition of size
+    # at most 14 and each one-node move from the regular ones
+    for prefix in slope_prefixes(e, -(-14 // e)):
+        assert arm_walks_equal_the_hook_walk(prefix, all_up_to(14)) > 0
+
+
+def hook_partitions(size):
+    """The hooks (a, 1^(size - a)) for a = 1..size: one row, one column and
+    every hook between; each has a hook of length size at (1, 1)."""
+    return [Partition([a] + [1] * (size - a)) for a in range(1, size + 1)]
+
+
+@pytest.mark.parametrize("prefix", [ArmPrefix.from_slope(2, 1, 6, "-"), ArmPrefix.from_slope(2, 1, 6, "+"),
+                                    ArmPrefix(4, (0, 1, 2)), ArmPrefix.from_slope(3, Fraction(3, 2), 4, "+"),
+                                    ArmPrefix.from_slope(5, 4, 3, "+")], ids=repr)
+def test_arm_walks_reach_the_last_arm(prefix):
+    # at the bound, (A_n + 1, 1^(n*e - A_n - 1)) has a hook of length n*e
+    # with arm A_n at (1, 1), so the walks must test t = n; one row, one
+    # column and the other hooks of sizes bound and bound - 1 agree too,
+    # with each move from the regular ones, into the bound among them
+    bound, last_arm = prefix.bound, prefix.values[-1]
+    assert not cr.is_A_regular(Partition([last_arm + 1] + [1] * (bound - last_arm - 1)), prefix)
+    assert arm_walks_equal_the_hook_walk(prefix, hook_partitions(bound) + hook_partitions(bound - 1)) > 0
+
+
+def random_f_walk(rng, prefix, size):
+    """A seeded vertex of size size in the prefix's crystal: f_i from the
+    empty partition at a random residue with a cogood node, each step moved
+    by the string kernel (which checks it) and checked by the hook walk."""
+    parts = []
+    while sum(parts) < size:
+        i = rng.choice(sorted(i for i, (_, plus) in cr._signed_nodes(parts, prefix).items() if plus))
+        assert cr._move_string(parts, prefix, i, True, 1) == 1
+        assert is_A_regular_by_hooks(Partition(parts), prefix), parts
+    return Partition(parts)
+
+
+def test_arm_walks_equal_the_hook_walk_at_large_n():
+    # seeded n = 50..400, e = 2..8 and slopes p/q with q <= 4: a random
+    # partition, one row and one column of n, each regular or not, and a
+    # random crystal vertex with every move from it
+    rng = random.Random(20261019)
+    moves = 0
+    for k in range(15):
+        n, e, q = 50 + 25 * k, 2 + k % 7, 1 + k % 4
+        prefix = ArmPrefix.from_slope(e, Fraction(rng.randint(q, (e - 1) * q), q), n // e + 1, rng.choice("+-"))
+        shapes = [random_partition(rng, n), Partition([n]), Partition([1] * n), random_f_walk(rng, prefix, n)]
+        moves += arm_walks_equal_the_hook_walk(prefix, shapes)
     assert moves > 0
 
 
@@ -443,7 +507,7 @@ def test_a_passed_move_leaves_a_regular_partition(prefix):
                 parts = list(la.parts)
                 cr._place(parts, node, grow)
                 if cr._move_ok(parts, node, grow, prefix):
-                    assert cr.is_A_regular(Partition(parts), prefix), (la, node, grow)
+                    assert is_A_regular_by_hooks(Partition(parts), prefix), (la, node, grow)
                 else:
                     rejected += valueerror_text(Partition, parts) is not None
     assert rejected > 0
@@ -765,9 +829,10 @@ class TestOneWalkPerMove:
         assert moved > 100
 
     def test_walks_once_per_move(self, monkeypatch):
-        # one hook walk for the source check, one _top_hook walk per abacus
-        # move plus one that finds nothing, and one check walk per hold: of
-        # the source and after each round of moves at one slope
+        # one _top_hook walk per abacus move plus one that finds nothing, and
+        # one check walk per hold: of the source and after each round of
+        # moves at one slope; the source check walks the arm sequence, not
+        # the bead set
         walks, moved = [], []
         real_walk, real_steps = pt._bead_walk, cr._steps
         for module in (pt, ld, cr):
@@ -779,9 +844,9 @@ class TestOneWalkPerMove:
             moved.clear()
             steps = list(cr.chain_steps(la, chain))
             rounds = len(set(moved))
-            assert len(walks) == 1 + (len(moved) + 1) + (1 + rounds)
+            assert len(walks) == (len(moved) + 1) + (1 + rounds)
             counts.append((len(steps), moves(la, steps), rounds, len(moved), len(walks)))
-        assert counts == [(33, 4, 4, 7, 14), (33, 4, 4, 5, 12)]
+        assert counts == [(33, 4, 4, 7, 13), (33, 4, 4, 5, 11)]
 
     @pytest.mark.parametrize("op", ["regularise", "restrictise"])
     def test_a_step_that_does_not_move_fails_its_target_check(self, monkeypatch, op):

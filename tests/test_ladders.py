@@ -12,6 +12,8 @@ from oracles import (
     add_node,
     fingerprint_by_ladder_id,
     fingerprint_from_class_key,
+    is_regular_by_hooks,
+    is_restricted_by_hooks,
     largest_singular_position,
     node_route_hooks,
     random_partition,
@@ -269,6 +271,31 @@ class TestRegularityPredicates:
             conj = params.conjugate_params()
             for la in all_up_to(12):
                 assert ld.is_restricted(la, params) == ld.is_regular(la.conjugate(), conj)
+
+    @pytest.mark.parametrize("e", range(2, 9))
+    def test_equal_the_hook_walks(self, e):
+        # every slope p/q in [1, e - 1] with q <= 4, on every partition of
+        # size at most 14: one row, one column and e = 2 among them
+        slopes = {Fraction(p, q) for q in range(1, 5) for p in range(q, (e - 1) * q + 1)}
+        for params in map(LadderParams, [e] * len(slopes), sorted(slopes)):
+            for la in all_up_to(14):
+                assert ld.is_regular(la, params) == is_regular_by_hooks(la, params), (la, params)
+                assert ld.is_restricted(la, params) == is_restricted_by_hooks(la, params), (la, params)
+
+    def test_equal_the_hook_walks_at_large_n(self):
+        # seeded n = 50..400, e = 2..8 and slopes p/q with q <= 4: a random
+        # partition, its regularisation and restrictisation, one row and one column
+        rng = random.Random(20261019)
+        regular = restricted = 0
+        for k in range(15):
+            n, e, q = 50 + 25 * k, 2 + k % 7, 1 + k % 4
+            params = LadderParams(e, Fraction(rng.randint(q, (e - 1) * q), q))
+            la = random_partition(rng, n)
+            for mu in (la, ld.regularise(la, params), ld.restrictise(la, params), Partition([n]), Partition([1] * n)):
+                regular += (is_regular := is_regular_by_hooks(mu, params))
+                restricted += (is_restricted := is_restricted_by_hooks(mu, params))
+                assert (ld.is_regular(mu, params), ld.is_restricted(mu, params)) == (is_regular, is_restricted)
+        assert 15 <= regular < 75 and 15 <= restricted < 75
 
     def test_conjugate_hook_correspondence(self):
         # a hook of length L with arm a conjugates to one of length L with arm L-1-a

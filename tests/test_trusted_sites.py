@@ -8,6 +8,7 @@ import pytest
 
 from oracles import random_partition
 from regcrystals import crystals as cr
+from regcrystals.abacus import e_core, from_runners, runner_counts
 from regcrystals.ladders import LadderParams, regularise
 from regcrystals.mullineux import mullineux_oracle, peel_and_rebuild
 from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers
@@ -120,6 +121,20 @@ def test_sites_are_public_at_large_n():
                     public(image)
         public(mullineux_oracle(mu, e))
         public(mullineux_oracle(mu, e, "max"))
+
+
+def test_e_core_builds_no_checked_partition(monkeypatch):
+    # its empty quotient components are built unchecked: each call gives what
+    # the public empty partition gives, and no call runs the checking constructor
+    cores = [(la, e, e_core(la, e)) for la in all_up_to(EXHAUSTIVE_BOUND) for e in (2, 3, 4)]
+    for la, e, core in cores:
+        public(core)
+        assert core == from_runners([Partition()] * e, runner_counts(beta_numbers(la, len(la) + 2 * e), e))
+    checked = []
+    real = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__", lambda self, *a: checked.append(a) or real(self, *a))
+    assert [e_core(la, e) for la, e, _ in cores] == [core for _, _, core in cores]
+    assert checked == []
 
 
 @pytest.mark.parametrize("parts, message", [
