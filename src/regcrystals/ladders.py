@@ -186,26 +186,31 @@ def _abacus_step(occ: set[int], em: int, ym: int, b: int) -> int:
     b - em and t_1 < t_2 < ... the empty positions outside F after b.  With
     d minimal such that t_d < b_{d+1} or d = m, move each bead b_i down to
     b_i - em and each bead t_i - em up to t_i, for i = 1..d in turn.
+
+    Each class of F meets (b - em, b) only in an empty position, so b_1 = b,
+    and one walk up from b collects the b_i and t_i in order.  When it
+    reaches t_i with only b_1..b_i found, t_i < b_{i+1} (or i = m), and that
+    first such i is d: before it, b_{i+1} came first at every i.
     """
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
-    bs = sorted(p for p in occ if p > b - em and p % em in classes)
-    assert bs and bs[0] == b
-    m = len(bs)
-    ts: list[int] = []
-    p = b + 1
-    while len(ts) < m:
-        if p not in occ and p % em not in classes:
-            ts.append(p)
+    assert b in occ and b % em in classes
+    bs, ts = [b], []
+    p = b
+    while len(ts) < len(bs):
         p += 1
-    d = next(i for i in range(1, m + 1) if i == m or ts[i - 1] < bs[i])
-    for i in range(d):
-        assert bs[i] in occ and bs[i] - em not in occ
-        occ.remove(bs[i])
-        occ.add(bs[i] - em)
-        assert ts[i] - em in occ and ts[i] not in occ
-        occ.remove(ts[i] - em)
-        occ.add(ts[i])
-    return d
+        if p % em not in classes:
+            if p not in occ:
+                ts.append(p)
+        elif p in occ:
+            bs.append(p)
+    for bi, ti in zip(bs, ts):
+        assert bi in occ and bi - em not in occ
+        occ.remove(bi)
+        occ.add(bi - em)
+        assert ti - em in occ and ti not in occ
+        occ.remove(ti - em)
+        occ.add(ti)
+    return len(ts)
 
 
 def _steps(occ: set[int], e: int, p: int, q: int, descend: bool,

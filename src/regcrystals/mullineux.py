@@ -207,10 +207,16 @@ class LyleReport:
 
 def lyle_check(la: Partition, e: int) -> LyleReport:
     """Check that m_e(la^reg) dominates (la')^reg, with equality exactly when
-    every e-divisible hook of la is steep or shallow."""
+    every e-divisible hook of la is steep or shallow.  The report is
+    _lyle_report's on the three images computed here; verify's lyle suite
+    passes it the same images from its per-run tables."""
     reg = james_regularise(la, e)
-    image = mullineux(reg, e)
-    conj_reg = james_regularise(la.conjugate(), e)
+    return _lyle_report(la, e, reg, mullineux(reg, e), james_regularise(la.conjugate(), e))
+
+
+def _lyle_report(la: Partition, e: int, reg: Partition, image: Partition, conj_reg: Partition) -> LyleReport:
+    """The LyleReport of la given reg = la^reg, image = m_e(reg) and
+    conj_reg = (la')^reg, which the caller has computed."""
     return LyleReport(
         partition=la,
         e=e,

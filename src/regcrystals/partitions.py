@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from operator import ge, gt, sub
 from typing import NamedTuple
 
@@ -133,17 +133,20 @@ class Partition:
     def remove_rim_hook(self, corner: Node) -> "Partition":
         """Remove the rim hook corresponding to the hook at ``corner``.
 
-        On beta-numbers this is a single bead move: the bead for the
-        corner's row slides down by the hook length.
+        On beta-numbers this is a single bead move: the bead of row r, at
+        position lambda_r + n - r on n = len(self) beads, has lambda_r empty
+        positions below it, and the hook at (r, c) pairs it with the c-th
+        of them from the bottom (c - 1 of them lie below, as the arm
+        lambda_r - c counts those between).  The bead slides there.
         """
-        hk = self.hook(corner)
-        betas = beta_numbers(self, len(self.parts))
-        bead = sorted(betas, reverse=True)[corner[0] - 1]  # row r holds the r-th largest
-        target = bead - hk.length
-        if target < 0 or target in betas:
-            raise AssertionError("rim hook removal produced an invalid bead move")
-        betas.remove(bead)
-        betas.add(target)
+        if corner not in self:
+            raise ValueError(f"{corner} is not a node of {self.parts}")
+        r, c = corner
+        n = len(self.parts)
+        betas = beta_numbers(self, n)
+        betas.remove(self.parts[r - 1] + n - r)
+        gaps = (p for p in count() if p not in betas)
+        betas.add(next(islice(gaps, c - 1, None)))
         return from_beta_numbers(betas)
 
     def addable_nodes(self) -> list[Node]:

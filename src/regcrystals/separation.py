@@ -357,7 +357,7 @@ def _paget_partner(quot: list[Partition], counts: list[int]) -> Partition:
     of e give the same partner."""
     e = len(counts)
     sigma = _sigma(counts)
-    new_quot: list[Partition] = [Partition()] * e
+    new_quot: list[Partition] = [Partition._of(())] * e
     for k in range(2, e + 1):
         new_quot[sigma[k - 1]] = quot[sigma[k - 2]].conjugate()
     return _fit_runners(new_quot, counts)

@@ -22,20 +22,29 @@ property that reads it.  Each property still sees its instances in
 enumeration order: e or the ladder parameters outermost, then partitions
 in increasing size, so a reported counterexample is minimal only within
 the first e or parameter set that fails.
+
+A map that several instances apply to the same partition (regularise and
+restrictise in the ladder suite and the crystal commutation block,
+james_regularise and mullineux in the lyle and mullineux suites) is read
+through a per-run table, _images: a dict by part tuple that the suite call
+creates and drops, so each image is computed once per run and no image
+outlives the run.  A table reads its function when it is created, inside
+the run, so a wrapper or a fault installed on that function before the run
+sees every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, groupby, product
 from typing import Callable, Iterator
 
 from . import abacus as ab
 from . import crystals as cr
 from . import ladders as ld
-from .mullineux import _conjugate_image, lyle_check, mullineux as _mullineux, mullineux_oracle, peel_and_rebuild
+from .mullineux import (_conjugate_image, _lyle_report, james_regularise, mullineux as _mullineux, mullineux_oracle,
+                        peel_and_rebuild)
 from . import separation as sp
 from .partitions import Partition, beta_numbers, enumerate_partitions
 
@@ -69,6 +78,20 @@ class CheckResult:
 def _all_partitions(max_size: int):
     for n in range(max_size + 1):
         yield from enumerate_partitions(n)
+
+
+def _images(fn: Callable[..., Partition], *args) -> Callable[[Partition], Partition]:
+    """la -> fn(la, *args), computed once per part tuple of la: a per-run
+    table, made by the suite call that reads it and dropped with it."""
+    table: dict[tuple[int, ...], Partition] = {}
+
+    def image(la: Partition) -> Partition:
+        out = table.get(la.parts)
+        if out is None:
+            out = table[la.parts] = fn(la, *args)
+        return out
+
+    return image
 
 
 def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -145,7 +168,13 @@ _LADDER_PARAM_SET = (
 def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs the fixed parameters _LADDER_PARAM_SET; e_values is unused.  The
     node-pair loop reads each node's ladder_id, depth and residue, computed
-    once per parameter set."""
+    once per parameter set.
+
+    Each parameter set keeps one _images table of regularise and one of
+    restrictise, so every partition is regularised and restrictised once:
+    a class's rep and low are its first member's images, and the facts
+    regularise(low) == rep and restrictise(rep) == low are read once per
+    class from the tables, not once per member."""
     window = 12
     nodes = [(r, c) for r in range(1, window + 1) for c in range(1, window + 1)]
     for params in _LADDER_PARAM_SET:
@@ -159,6 +188,7 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 )
 
         conj_params = params.conjugate_params()
+        reg, res = _images(ld.regularise, params), _images(ld.restrictise, params)
         for n in range(max_size + 1):
             by_key: dict = {}
             for la in enumerate_partitions(n):
@@ -174,24 +204,19 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for key, cls in by_key.items():
                 regs = [la for la in cls if ld.is_regular(la, params)]
                 rests = [la for la in cls if ld.is_restricted(la, params)]
-                rep = ld.regularise(cls[0], params)
-                low = ld.restrictise(cls[0], params)
+                rep, low = reg(cls[0]), res(cls[0])
+                ends_ok = reg(low) == rep and res(rep) == low
                 of_class = lambda: f"class of {cls[0]} at {params!r}"
                 ok = regs == [rep] and all(rep.dominates(mu) for mu in cls)
                 yield "regularise_is_unique_class_maximum", ok, of_class
                 ok = rests == [low] and all(mu.dominates(low) for mu in cls)
                 yield "restrictise_is_unique_class_minimum", ok, of_class
                 for la in cls:
-                    reg = ld.regularise(la, params)
+                    la_reg = reg(la)
                     where = lambda: f"{la} at {params!r}"
-                    ok = ld.class_key(reg, params) == key
+                    ok = ld.class_key(la_reg, params) == key
                     yield "regularise_preserves_fingerprint", ok, where
-                    ok = (
-                        reg == rep
-                        and ld.restrictise(la, params) == low
-                        and ld.regularise(low, params) == rep
-                        and ld.restrictise(rep, params) == low
-                    )
+                    ok = la_reg == rep and res(la) == low and ends_ok
                     yield "regularise_restrictise_idempotent_inverse", ok, where
                 if params.y.denominator > 1:
                     counts = {ld.bad_count(la, params) for la in cls}
@@ -261,6 +286,8 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
         upper = cr.ArmPrefix.from_slope(e, y, n, "+")
         lower = cr.ArmPrefix.from_slope(e, y, n, "-")
         params = ld.LadderParams(e, y)
+        # the f_i images of one layer are vertices of the next: one table serves both
+        reg = _images(ld.regularise, params)
         for size in range(max_size + 1):
             upper_layer = [
                 la for la in enumerate_partitions(size) if cr.is_A_regular(la, upper)
@@ -268,7 +295,7 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
             lower_layer = {
                 la for la in enumerate_partitions(size) if cr.is_A_regular(la, lower)
             }
-            images = [ld.regularise(la, params) for la in upper_layer]
+            images = [reg(la) for la in upper_layer]
             ok = (
                 set(images) == lower_layer and len(set(images)) == len(images)
                 and all(ld.restrictise(mu, params) == la
@@ -280,7 +307,7 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     up_a = cr.f_op(la, upper, i)
                     up_b = cr.f_op(mu, lower, i)
                     ok = (up_a is None) == (up_b is None) and (
-                        up_a is None or ld.regularise(up_a, params) == up_b
+                        up_a is None or reg(up_a) == up_b
                     )
                     yield (
                         "regularisation_commutes_with_operators",
@@ -329,24 +356,24 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
     The oracle keeps one table of its images per (e, residue choice), and
     partitions come in increasing size, so each oracle call peels one
     string to a vertex already in the table and rebuilds one string.  The
-    algorithm's images are kept for this run only."""
-    # _mullineux is looked up at each call, so a wrapper installed on it sees them
-    mull = lru_cache(maxsize=None)(lambda parts, e: _mullineux(Partition(parts), e))
+    algorithm's images are kept in one _images table per e, for this run
+    only."""
+    mull = {e: _images(_mullineux, e) for e in {*e_values, 2}}
     for e in e_values:
         known_min, known_max = {(): Partition()}, {(): Partition()}
         for la in _all_partitions(max_size):
             where = lambda: f"{la} e={e}"
             if la.is_e_regular(e):
-                image, oracle = mull(la.parts, e), mullineux_oracle(la, e, known=known_min)
+                image, oracle = mull[e](la), mullineux_oracle(la, e, known=known_min)
                 yield "algorithm_equals_crystal_oracle", image == oracle, where
                 ok = image.size == la.size and image.is_e_regular(e)
                 yield "image_is_e_regular_of_same_size", ok, where
-                yield "involution", mull(image.parts, e) == la, where
+                yield "involution", mull[e](image) == la, where
                 if la.size <= 10:
                     ok = oracle == mullineux_oracle(la, e, "max", known=known_max)
                     yield "oracle_residue_choice_is_irrelevant", ok, where
             if la.size <= 14 and la.is_e_restricted(e):
-                image = mull(la.conjugate().parts, e)
+                image = mull[e](la.conjugate())
                 ok = image.e_content(e) == la.e_content(e)
                 yield "composite_preserves_content_on_restricted", ok, where
                 if la.size <= 12:
@@ -354,13 +381,20 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     for la in _all_partitions(max(max_size, 18)):
         if la.is_e_regular(2):
-            yield "identity_for_e_2", mull(la.parts, 2) == la, lambda: str(la)
+            yield "identity_for_e_2", mull[2](la) == la, lambda: str(la)
 
 
 def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:
+    """Runs each e of e_values on every partition la of size at most
+    max_size: the report of mullineux.lyle_check, built by its
+    _lyle_report from per-run _images tables of james_regularise and
+    mullineux for that e.  la and la' both run through the enumeration and
+    many la share la^reg, so each image is computed once per e."""
     for e in e_values:
+        reg, mull = _images(james_regularise, e), _images(_mullineux, e)
         for la in _all_partitions(max_size):
-            report = lyle_check(la, e)
+            la_reg = reg(la)
+            report = _lyle_report(la, e, la_reg, mull(la_reg), reg(la.conjugate()))
             where = lambda: f"{la} e={e}"
             yield "dominance_always_holds", report.dominates, where
             yield "equality_iff_all_hooks_steep_or_shallow", report.criterion_matches, where

@@ -9,14 +9,14 @@ from regcrystals.partitions import Partition
 
 @pytest.fixture
 def lyle_fails_at_2_1(monkeypatch):
-    """verify's Lyle check, reporting non-dominance for 2,1 and otherwise unchanged."""
-    real = verify.lyle_check
+    """verify's Lyle report, reporting non-dominance for 2,1 and otherwise unchanged."""
+    real = verify._lyle_report
 
-    def check(la, e):
-        report = real(la, e)
+    def report_of(la, e, *images):
+        report = real(la, e, *images)
         return replace(report, dominates=False) if la.parts == (2, 1) else report
 
-    monkeypatch.setattr(verify, "lyle_check", check)
+    monkeypatch.setattr(verify, "_lyle_report", report_of)
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ Everything here computes by a different route from the library code it
 checks: the partition counter uses the pentagonal-number recurrence, hook
 data is read off bead pairs of the display or scanned node by node through
 the conjugate (the node route the (t, arm, r) walk is compared with), a
-node is added by editing the parts list, column growth works through
-the conjugate, dominance is the raw prefix-sum comparison, the crystal
+node is added and a rim hook removed by editing the parts list, column
+growth works through the conjugate, dominance is the raw prefix-sum comparison, the crystal
 node order compares two nodes through the arm value A_t itself, the
 signed nodes of a signature are read off Partition's node lists and reduced
 apart from the walk that sorts them, the crystal walk takes one public operator per node where the library moves
@@ -18,7 +18,8 @@ also read back off the integer class key block by block, the
 splitting report rebuilds every half for each u, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
-decodes its partition, the arm-sequence axiom is tested pair by pair, the
+decodes its partition and finds its beads by a sorted scan of the bead
+set, the arm-sequence axiom is tested pair by pair, the
 crystal graph is searched breadth-first with one such reference walk per
 vertex and residue, a chain walks its prefixes one validated ArmPrefix per
 Farey slope, applies its regularisation or restrictisation at every step
@@ -129,6 +130,17 @@ def add_node(la: Partition, node) -> Partition:
     else:
         parts[r - 1] += 1
     return Partition(parts)
+
+
+def remove_rim_hook_by_rows(la: Partition, corner) -> Partition:
+    """The partition left when the rim hook of the hook at corner = (r, c)
+    is removed, row by row: with leg L, row s takes the old row s + 1 less
+    one node for r <= s < r + L, and row r + L keeps c - 1 nodes."""
+    r, c = corner
+    parts = list(la.parts)
+    leg = sum(1 for p in parts[r:] if p >= c)
+    rows = [parts[s] - 1 for s in range(r, r + leg)] + [c - 1]
+    return Partition([p for p in parts[:r - 1] + rows + parts[r + leg:] if p])
 
 
 def grow_columns_by_conjugate(la: Partition, m: int, e: int) -> Partition:
@@ -400,13 +412,11 @@ def largest_singular_position(la, em: int, ym: int) -> int | None:
     return max(singular, default=None)
 
 
-def abacus_move(la: Partition, em: int, ym: int, r: int) -> Partition:
-    """One regularisation move at integer parameters (em, ym) on la, from
-    the bead of row r, assuming the singular hooks of la at these parameters
-    all have t = 1: la's bead set is encoded, moved as ladders._abacus_step
-    describes and decoded."""
-    occ = beta_numbers(la, len(la))
-    b = la.parts[r - 1] + len(la) - r
+def abacus_step_by_scan(occ: set[int], em: int, ym: int, b: int) -> int:
+    """ladders._abacus_step, in place on occ, with the beads b_i read off a
+    sorted scan of every bead of occ above b - em in the class union F, and
+    the empty positions t_i collected until there are as many as beads, d
+    found afterwards among them."""
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
     bs = sorted(p for p in occ if p > b - em and p % em in classes)
     assert bs and bs[0] == b
@@ -425,6 +435,16 @@ def abacus_move(la: Partition, em: int, ym: int, r: int) -> Partition:
         assert ts[i] - em in occ and ts[i] not in occ
         occ.remove(ts[i] - em)
         occ.add(ts[i])
+    return d
+
+
+def abacus_move(la: Partition, em: int, ym: int, r: int) -> Partition:
+    """One regularisation move at integer parameters (em, ym) on la, from
+    the bead of row r, assuming the singular hooks of la at these parameters
+    all have t = 1: la's bead set is encoded, moved by abacus_step_by_scan
+    and decoded."""
+    occ = beta_numbers(la, len(la))
+    abacus_step_by_scan(occ, em, ym, la.parts[r - 1] + len(la) - r)
     kappa = from_beta_numbers(occ)
     assert kappa != la
     return kappa

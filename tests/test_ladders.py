@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    abacus_step_by_scan,
     add_node,
     fingerprint_by_ladder_id,
     fingerprint_from_class_key,
@@ -351,6 +352,31 @@ class TestRegularisationStep:
                         continue
                     a, t, bead = top
                     assert bead == largest_singular_position(la, e * t, a), (la, e, p, q)
+
+    def test_abacus_step_moves_as_the_scan_of_every_bead(self, monkeypatch):
+        # every move of the step loops on seeded n = 50..400 (regularise and
+        # restrictise at a random slope p/q with q <= 4, and mullineux),
+        # made on a copy by the sorted scan of the whole bead set
+        compared = []
+        real = ld._abacus_step
+
+        def both(occ, em, ym, b):
+            copy = set(occ)
+            d = real(occ, em, ym, b)
+            assert (abacus_step_by_scan(copy, em, ym, b), copy) == (d, occ), (em, ym, b)
+            compared.append(d)
+            return d
+
+        monkeypatch.setattr(ld, "_abacus_step", both)
+        rng = random.Random(2105063)
+        for k in range(15):
+            n, e, q = 50 + 25 * k, 2 + k % 5, 1 + k % 4
+            params = LadderParams(e, Fraction(rng.randint(q, (e - 1) * q), q))
+            la = random_partition(rng, n)
+            ld.regularise(la, params)
+            ld.restrictise(la, params)
+            mullineux(ld.regularise(la, LadderParams(e, 1)), e)
+        assert len(compared) > 200 and sum(d > 1 for d in compared) > 50
 
     def test_ascends_and_preserves_fingerprint(self):
         for params in (LadderParams(3, 2), LadderParams(4, 3), LadderParams(3, Fraction(4, 3))):

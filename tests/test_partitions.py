@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import add_node, dominates_by_prefix_sums, hook_data_by_beads, hooks_by_node_scan, partition_count
+from oracles import (add_node, dominates_by_prefix_sums, hook_data_by_beads, hooks_by_node_scan, partition_count,
+                     remove_rim_hook_by_rows)
 from regcrystals.mullineux import classify_hooks
 from regcrystals.partitions import (
     MAX_PARSE_SIZE,
@@ -197,6 +198,32 @@ class TestRimHooks:
         for la in all_up_to(12):
             for hk in la.hooks():
                 assert la.remove_rim_hook(hk.corner).size == la.size - hk.length
+
+    def test_bead_move_equals_the_row_route_at_every_corner(self):
+        corners = 0
+        for la in all_up_to(14):
+            for r, p in enumerate(la.parts, start=1):
+                for c in range(1, p + 1):
+                    assert la.remove_rim_hook((r, c)) == remove_rim_hook_by_rows(la, (r, c)), (la, r, c)
+                    corners += 1
+        assert corners == 5849
+
+    def test_walks_no_hook(self, monkeypatch):
+        la = P("4,4,4,3,1")
+        corners = [hk.corner for hk in la.hooks()]
+        expected = [remove_rim_hook_by_rows(la, nd) for nd in corners]
+
+        def refuse(*args):
+            raise AssertionError("hook walk")
+
+        monkeypatch.setattr("regcrystals.partitions._bead_walk", refuse)
+        assert [la.remove_rim_hook(nd) for nd in corners] == expected
+
+    @pytest.mark.parametrize("corner", [(1, 4), (2, 2), (4, 1), (0, 1), (1, 0)])
+    def test_non_node_rejected(self, corner):
+        with pytest.raises(ValueError) as exc:
+            P("3,1,1").remove_rim_hook(corner)
+        assert str(exc.value) == f"{corner} is not a node of (3, 1, 1)"
 
 
 class TestNodes:

@@ -8,9 +8,10 @@ import pytest
 
 from oracles import random_partition
 from regcrystals import crystals as cr
-from regcrystals.abacus import e_core, from_runners, runner_counts
+from regcrystals import separation as sp
+from regcrystals.abacus import _quotient, default_beads, e_core, from_runners, runner_counts
 from regcrystals.ladders import LadderParams, regularise
-from regcrystals.mullineux import mullineux_oracle, peel_and_rebuild
+from regcrystals.mullineux import _conjugate_image, mullineux_oracle, peel_and_rebuild
 from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers
 
 EXHAUSTIVE_BOUND = 14
@@ -134,6 +135,31 @@ def test_e_core_builds_no_checked_partition(monkeypatch):
     real = Partition.__init__
     monkeypatch.setattr(Partition, "__init__", lambda self, *a: checked.append(a) or real(self, *a))
     assert [e_core(la, e) for la, e, _ in cores] == [core for _, _, core in cores]
+    assert checked == []
+
+
+def test_paget_partner_builds_no_checked_partition(monkeypatch):
+    # its empty quotient components are built unchecked: on every e-restricted,
+    # e-quotient-separated la, the partner is a public partition, equal to
+    # la's Mullineux image (Paget's theorem) when it is quotient separated too
+    displays = []
+    for la in all_up_to(EXHAUSTIVE_BOUND):
+        for e in (2, 3, 4):
+            if la.is_e_restricted(e) and sp.is_quotient_separated(la, e):
+                occ = beta_numbers(la, default_beads(la, e))
+                displays.append((la, e, _quotient(occ, e), runner_counts(occ, e)))
+    theorem = 0
+    partners = [sp._paget_partner(quot, counts) for _, _, quot, counts in displays]
+    for (la, e, _, _), mu in zip(displays, partners):
+        public(mu)
+        if sp.is_quotient_separated(mu, e):
+            assert _conjugate_image(la, e) == mu, (la, e)
+            theorem += 1
+    assert theorem > 100
+    checked = []
+    real = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__", lambda self, *a: checked.append(a) or real(self, *a))
+    assert [sp._paget_partner(quot, counts) for _, _, quot, counts in displays] == partners
     assert checked == []
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracles import fingerprint_from_class_key, paget_instances_by_filter
@@ -5,6 +7,7 @@ from regcrystals import abacus as ab
 from regcrystals import ladders as ld
 from regcrystals import separation as sp
 from regcrystals import verify
+from regcrystals.mullineux import lyle_check
 from regcrystals.partitions import Partition
 from regcrystals.verify import iter_suites, run_suites
 
@@ -201,6 +204,90 @@ def test_mullineux_run_reads_no_image_of_an_earlier_run(monkeypatch):
     )
     lines = [r.line() for r in run_suites(["mullineux"], max_size=6, e_values=(3,))]
     assert "FAIL mullineux.algorithm_equals_crystal_oracle checked=8 counterexample: 3,1 e=3" in lines
+
+
+def test_lyle_run_reads_no_image_of_an_earlier_run(monkeypatch):
+    # a fault put in after one run shows in the next: no regularisation is kept
+    assert all(r.ok for r in run_suites(["lyle"], max_size=6, e_values=(3,)))
+    real = verify.james_regularise
+    monkeypatch.setattr(
+        verify, "james_regularise", lambda la, e: Partition([2, 2]) if la.parts == (2, 1, 1) else real(la, e)
+    )
+    # 2,1,1 is first regularised as the conjugate of 3,1
+    assert [r.line() for r in run_suites(["lyle"], max_size=6, e_values=(3,))] == [
+        "FAIL lyle.dominance_always_holds checked=9 counterexample: 3,1 e=3",
+        "FAIL lyle.equality_iff_all_hooks_steep_or_shallow checked=9 counterexample: 3,1 e=3",
+    ]
+
+
+def test_ladder_run_reads_no_image_of_an_earlier_run(monkeypatch):
+    # a fault put in after one run shows in the next: no restrictisation is kept
+    assert all(r.ok for r in run_suites(["ladder"], max_size=5))
+    real = ld.restrictise
+    monkeypatch.setattr(ld, "restrictise", lambda la, params: la if la.parts == (3,) else real(la, params))
+    failed = [r.line() for r in run_suites(["ladder"], max_size=5) if not r.ok]
+    assert failed == [
+        "FAIL ladder.restrictise_is_unique_class_minimum checked=5 counterexample: class of 3 at LadderParams(e=3, y=2)",
+        "FAIL ladder.regularise_restrictise_idempotent_inverse checked=6 counterexample: 2,1 at LadderParams(e=3, y=2)",
+    ]
+
+
+def counting(monkeypatch, owner, name, calls, bucket=None):
+    """Wrap owner.<name> to count its calls in calls, under bucket(*args)
+    or the name.  The maps that suites read through per-run tables are
+    computed once per distinct input of the run (per e or parameter set),
+    whatever the number of instances that read them."""
+    real = getattr(owner, name)
+
+    def count(*args):
+        key = bucket(*args) if bucket else name
+        calls[key] = calls.get(key, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, count)
+
+
+def test_lyle_computes_each_image_once_per_e(monkeypatch):
+    # 2,032 instances (508 partitions for each of 4 e): each regularisation
+    # of la and of la' once, and each Mullineux image of la^reg once
+    calls = {}
+    for name in ("james_regularise", "_mullineux", "_lyle_report"):
+        counting(monkeypatch, verify, name, calls)
+    assert all(r.ok for r in run_suites(["lyle"]))
+    assert calls == {"james_regularise": 2032, "_mullineux": 1094, "_lyle_report": 2032}
+
+
+def test_lyle_reports_equal_lyle_check(monkeypatch):
+    # every (la, e) at default bounds: the suite's report from its tables is
+    # the one lyle_check computes for la alone
+    reports = []
+    real = verify._lyle_report
+    monkeypatch.setattr(verify, "_lyle_report", lambda *args: reports.append(real(*args)) or reports[-1])
+    assert all(r.ok for r in run_suites(["lyle"]))
+    assert len(reports) == 2032
+    for report in reports:
+        assert report == lyle_check(report.partition, report.e), report
+
+
+def test_ladder_computes_each_image_once_per_parameter_set(monkeypatch):
+    # 695 partitions over the five parameter sets, each regularised and
+    # restrictised once, however many class members read its images
+    calls = {}
+    for name in ("regularise", "restrictise"):
+        counting(monkeypatch, ld, name, calls)
+    assert all(r.ok for r in run_suites(["ladder"]))
+    assert calls == {"regularise": 695, "restrictise": 695}
+
+
+def test_crystal_commutation_regularises_each_partition_once_per_slope(monkeypatch):
+    # the layers' images and the f_i images share one table per (e, y): 703
+    # regularisations where the instances read 1,586; the chain block's
+    # padding check regularises each of its 446 images once
+    sloped = {ld.LadderParams(4, 2), ld.LadderParams(3, Fraction(3, 2)), ld.LadderParams(4, Fraction(5, 3))}
+    calls = {}
+    counting(monkeypatch, ld, "regularise", calls, lambda la, params: "commutation" if params in sloped else "chain")
+    assert all(r.ok for r in run_suites(["crystal"]))
+    assert calls == {"commutation": 703, "chain": 446}
 
 
 def test_split_run_reads_no_pair_of_an_earlier_run(monkeypatch):
