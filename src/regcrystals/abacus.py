@@ -10,9 +10,10 @@ e passed alongside wherever it matters.  The bead set has one codec:
 partitions.beta_numbers encodes and partitions.from_beta_numbers decodes
 (encode and decode name them here).  The e-quotient reads each runner's
 positions directly, position p becoming p // e; the positions on a union of
-runners are renumbered by one pair, to_local and to_global, and
-from_runners is the one assembly of a display from per-runner bead counts
-and quotient components.
+runners are renumbered 0, 1, 2, ... by to_local (separation places its
+halves back through its own tables of those positions), and from_runners
+is the one assembly of a display from per-runner bead counts and quotient
+components.
 """
 
 from __future__ import annotations
@@ -189,17 +190,6 @@ def _to_local(positions: Iterable[int], e: int, res: Sequence[int]) -> set[int]:
     rank = {r: k for k, r in enumerate(res)}
     c = len(res)
     return {(p // e) * c + rank[p % e] for p in positions if p % e in rank}
-
-
-def to_global(local: Iterable[int], e: int, residues: Iterable[int]) -> set[int]:
-    """Inverse of to_local: the k-th position whose residue is in the set, for each k."""
-    return _to_global(local, e, _classes(e, residues))
-
-
-def _to_global(local: Iterable[int], e: int, res: Sequence[int]) -> set[int]:
-    """to_global for residues already sorted and checked, as _classes returns them."""
-    c = len(res)
-    return {(k // c) * e + res[k % c] for k in local}
 
 
 # The name under which the bench gives to_local a span.

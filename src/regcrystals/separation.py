@@ -16,7 +16,10 @@ places the pair on n beads, so nothing is kept between calls.
 The checks run on n-bead sets, decoded only where a Partition is read:
 _separated and _split take the set that is_separated and split encode,
 and verify_split runs the Mullineux loop on la's set and keeps la, mu and
-the image as sets, which its SplitReport decodes on read.
+the image as sets, which its SplitReport decodes on read.  A SplitContext
+keeps the first n positions of I and of Ibar in order (its places), so
+_combined_beads places a half's beads below its rows as one slice of them,
+and _separated reads the I-positions below the last Ibar bead as a prefix.
 
 Separation is monotone in u for fixed halves.  With u beads on I the
 first empty I-position is local I-position u - len(la_I), which rises with
@@ -33,13 +36,13 @@ quotient-separated description of the Mullineux map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .abacus import (
     _fit_runners,
     _quotient,
-    _to_global,
     _to_local,
     default_beads,
     encode,  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
@@ -53,15 +56,18 @@ from .partitions import Partition, beta_numbers, from_beta_numbers
 class SplitContext:
     """Runner split data: modulus e, residue set I and bead count n.  The
     number u of beads on I-positions is an argument of each function that
-    places two halves on the n beads.  runners holds the residues of I and
-    of its complement, each sorted: the runner lists that the unchecked
-    renumberings read, built once from the checked fields and left out of
-    repr, == and hashing."""
+    places two halves on the n beads.  Two derived fields are built once
+    from the checked fields and left out of repr, == and hashing: runners
+    holds the residues of I and of its complement, each sorted, and places
+    the first n global positions of I and of the complement, in order
+    (the k-th is k // c * e + runners[k % c]), which the placement and the
+    separation test read by index."""
 
     e: int
     residues: frozenset[int]
     n: int
     runners: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    places: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(int(i) for i in self.residues))
@@ -74,7 +80,11 @@ class SplitContext:
         if self.n <= 0 or self.n % self.e:
             raise ValueError(f"bead count {self.n} must be a positive multiple of {self.e}")
         bar = tuple(i for i in range(self.e) if i not in self.residues)
-        object.__setattr__(self, "runners", (tuple(sorted(self.residues)), bar))
+        runners = (tuple(sorted(self.residues)), bar)
+        object.__setattr__(self, "runners", runners)
+        object.__setattr__(self, "places", tuple(
+            tuple(k // len(res) * self.e + res[k % len(res)] for k in range(self.n)) for res in runners
+        ))
 
     @property
     def c(self) -> int:
@@ -102,10 +112,19 @@ def is_separated(la: Partition, ctx: SplitContext) -> bool:
 
 
 def _separated(occ: set[int], ctx: SplitContext) -> bool:
-    """is_separated on the n-bead set of the partition."""
+    """is_separated on the n-bead set of the partition: the beads are
+    walked down to the last complement bead last_bar, and the I-places
+    below it are a prefix of ctx.places[0].  If last_bar lies past every
+    stored I-place, the prefix asks for all n beads on I, which an n-bead
+    set holding a complement bead cannot have."""
     e, res = ctx.e, ctx.residues
-    last_bar = max((p for p in occ if p % e not in res), default=-1)
-    return all(p in occ for p in range(last_bar) if p % e in res)
+    for last_bar in sorted(occ, reverse=True):
+        if last_bar % e not in res:
+            break
+    else:
+        last_bar = -1
+    i_places = ctx.places[0]
+    return occ.issuperset(i_places[:bisect_left(i_places, last_bar)])
 
 
 def split(la: Partition, ctx: SplitContext) -> SplitResult:
@@ -129,12 +148,29 @@ def combine(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> Par
 
 
 def _combined_beads(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> set[int]:
-    """The n-bead set that combine decodes."""
+    """The n-bead set that combine decodes: beta on the u beads of I and
+    gamma on the n - u beads of the complement, each placed by _placed."""
     if not 0 <= u <= ctx.n:
         raise ValueError(f"u = {u} outside [0, {ctx.n}]")
-    res, res_bar = ctx.runners
-    occ = _to_global(beta_numbers(beta, u), ctx.e, res)
-    occ |= _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, res_bar)
+    occ = _placed(beta, u, ctx, 0)
+    occ |= _placed(gamma, ctx.n - u, ctx, 1)
+    return occ
+
+
+def _placed(half: Partition, b: int, ctx: SplitContext, side: int) -> set[int]:
+    """The global positions of half's b beta-numbers on side 0 (I) or 1
+    (the complement): the b - len(half) beads below its rows are the
+    first places of the side, read off ctx.places, and the bead of row r,
+    local position half_r + b - r, is renumbered on its own."""
+    rows = len(half.parts)
+    if b < rows:
+        raise ValueError(f"need at least {rows} beads, got {b}")
+    e, res = ctx.e, ctx.runners[side]
+    c = len(res)
+    occ = set(ctx.places[side][:b - rows])
+    for r, p in enumerate(half.parts, start=1):
+        k = p + b - r
+        occ.add(k // c * e + res[k % c])
     return occ
 
 
@@ -215,7 +251,7 @@ def _least_separated_u(
 ) -> int:
     """The least u in us at which combine(half_i, half_ibar, ctx, u) is
     I-separated, or us.stop: the first empty I-position against the last
-    occupied Ibar-position, each renumbered as _to_global does.  At u = n
+    occupied Ibar-position, each renumbered as _placed does.  At u = n
     there is no Ibar bead: local position -1 renumbers below 0."""
     e, c, cb, n = ctx.e, ctx.c, ctx.c_bar, ctx.n
     res, res_bar = ctx.runners

