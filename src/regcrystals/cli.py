@@ -317,11 +317,18 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = False
-    for results in per_suite:
-        for res in results:
-            print(res.line())
-            failed = failed or not res.ok
+    try:
+        for results in per_suite:
+            for res in results:
+                print(res.line())
+                failed = failed or not res.ok
+            sys.stdout.flush()
+    except Exception as exc:  # the failures the suite found before it raised, then main's error line
+        for res in getattr(exc, "suite_results", ()):
+            if res.failure is not None:
+                print(res.line())
         sys.stdout.flush()
+        raise
     return 1 if failed else 0
 
 

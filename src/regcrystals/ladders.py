@@ -9,7 +9,9 @@ class holds a unique (E, Y)-regular partition (its dominance maximum, the
 regularisation) and a unique (E, Y)-restricted one (the minimum, the
 restrictisation).  fingerprint counts la's nodes on each ladder; class_key
 is its integer form, a sorted tuple of one int per Y-column block of a row,
-and every class equality test here and in verify compares class_keys.
+and every class equality test here and in verify compares class_keys.  Its
+one kernel, _rows_key, reads row lengths from the top, so a bead set's key
+is read off partitions._bead_rows with no Partition built.
 
 Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
@@ -31,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, count, groupby, pairwise
 from operator import sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .abacus import conjugate_display
 from .partitions import (Node, Partition, _bead_walk, _row_avoids, beta_numbers, enumerate_partitions,
@@ -109,7 +111,7 @@ def fingerprint(la: Partition, params: LadderParams) -> Counter:
 def class_key(la: Partition, params: LadderParams) -> tuple[int, ...]:
     """An integer form of fingerprint: class_key(la) == class_key(mu) exactly
     when fingerprint(la) == fingerprint(mu), so it decides ladder-class
-    equality without building a Counter.
+    equality without building a Counter.  It is _rows_key of la's parts.
 
     With drop = E - Y, cut row r of part p into blocks of Y columns.  Block
     k covers fingerprint keys (R, 1), ..., (R, Y) of the ladder row
@@ -125,11 +127,20 @@ def class_key(la: Partition, params: LadderParams) -> tuple[int, ...]:
     fp(R, t) - fp(R, t + 1) counts the keys R*Y + t.  Either determines
     the other, so equal keys mean equal fingerprints and conversely.
     """
+    return _rows_key(la.parts, params)
+
+
+def _rows_key(rows: Iterable[int], params: LadderParams) -> tuple[int, ...]:
+    """The class_key kernel, on a partition's row lengths from the top: its
+    parts, or partitions._bead_rows of a bead set, whose zero rows end the
+    walk (a zero row adds no key)."""
     ym = params.Y
     step = (params.E - ym) * ym
     keys: list[int] = []
     ry = 0  # r*Y for row r
-    for row_len in la.parts:
+    for row_len in rows:
+        if not row_len:
+            break
         ry += ym
         top = ry + row_len // ym * step  # R*Y past the last full block
         keys.extend(range(ry, top, step))
@@ -195,14 +206,16 @@ def _abacus_step(occ: set[int], em: int, ym: int, b: int) -> int:
     classes = {p % em for p in range(b - em, b + 1) if p not in occ}
     assert b in occ and b % em in classes
     bs, ts = [b], []
-    p = b
-    while len(ts) < len(bs):
+    p, ahead = b, 1  # len(bs) - len(ts)
+    while ahead:
         p += 1
         if p % em not in classes:
             if p not in occ:
                 ts.append(p)
+                ahead -= 1
         elif p in occ:
             bs.append(p)
+            ahead += 1
     for bi, ti in zip(bs, ts):
         assert bi in occ and bi - em not in occ
         occ.remove(bi)

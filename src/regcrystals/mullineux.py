@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import sub
 from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _signed_nodes, e_op
 from .ladders import LadderParams, _hold_ends, _steps, regularise
-from .partitions import Hook, Partition, _sorted_hooks, beta_numbers, from_beta_numbers, hooks_divisible_by
+from .partitions import (Hook, Partition, _beads_restricted, _sorted_hooks, beta_numbers, from_beta_numbers,
+                         hooks_divisible_by)
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
@@ -41,12 +41,11 @@ def slopes(mu: Partition, e: int) -> set[Fraction]:
 
 def _loop(occ: set[int], e: int) -> Iterator[tuple[int, int]]:
     """The loop's moves on the bead set occ of mu = la', made in place;
-    ValueError unless mu is e-restricted, that is, la is e-regular: no two
-    consecutive beads, counting a bead at -1, lie more than e apart.  Beads
-    added at the bottom shift every hook alike, so every bead count of mu
-    gives the same moves; occ is decoded only for the error message."""
-    beads = sorted(occ)
-    if e < 1 or max(map(sub, beads, [-1, *beads]), default=1) > e:
+    ValueError unless mu is e-restricted, that is, la is e-regular, which
+    partitions._beads_restricted reads off occ.  Beads added at the bottom
+    shift every hook alike, so every bead count of mu gives the same moves;
+    occ is decoded only for the error message."""
+    if e < 1 or not _beads_restricted(occ, e):
         if e < 1:
             raise ValueError("e must be positive")
         if e == 1:

@@ -9,7 +9,9 @@ Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
 reads it for hook(), hooks() and classify_hooks, and the regularisation
 loop on the bead set it carries from move to move; none of them builds a
 conjugate.  The regularity predicates test one column per arm A_t instead
-(_row_avoids).
+(_row_avoids).  A bead set has one reader, _bead_rows: from_beta_numbers
+keeps its nonzero rows, and ladders._rows_key keys them with no Partition
+built.  _beads_restricted tests a bead set for restrictedness.
 """
 
 from __future__ import annotations
@@ -293,15 +295,31 @@ def beta_numbers(la: Partition, n: int) -> set[int]:
 
 
 def from_beta_numbers(positions: Iterable[int]) -> Partition:
-    """Partition decoded from a finite set of distinct beta-numbers.
+    """Partition decoded from a finite set of distinct beta-numbers: the
+    nonzero rows that _bead_rows reads off it."""
+    occ = positions if isinstance(positions, (set, frozenset)) else set(positions)
+    return Partition._of(tuple([p for p in _bead_rows(occ) if p]))
 
-    With beads at positions b_1 > ... > b_n, the partition is
-    lambda_r = b_r + r - n.
-    """
-    occ = sorted(positions if isinstance(positions, (set, frozenset)) else set(positions), reverse=True)
-    if occ and occ[-1] < 0:
+
+def _bead_rows(occ: Iterable[int]) -> Iterator[int]:
+    """The row lengths of the bead set occ from the top, one per bead: with
+    beads at b_1 > ... > b_n, row r has length b_r + r - n.  They fall
+    weakly, and each bead below the partition's rows reads as a zero row.
+    The one reader of a bead set: from_beta_numbers keeps the nonzero rows,
+    and ladders._rows_key stops at the first zero."""
+    beads = sorted(occ, reverse=True)
+    if beads and beads[-1] < 0:
         raise ValueError("beta-numbers must be non-negative")
-    return Partition._of(tuple([p for p in map(sub, occ, range(len(occ) - 1, -1, -1)) if p]))
+    return map(sub, beads, range(len(beads) - 1, -1, -1))
+
+
+def _beads_restricted(occ: Iterable[int], c: int) -> bool:
+    """True when no two consecutive beads of the bead set occ, counting a
+    bead at -1, lie more than c apart: b_r - b_(r+1) = la_r - la_(r+1) + 1,
+    so this is la.is_e_restricted(c) for the partition la of occ, on any
+    bead count (the beads below la's rows are one apart)."""
+    beads = sorted(occ)
+    return max(map(sub, beads, [-1, *beads]), default=1) <= c
 
 
 def parse_partition(text: str) -> Partition:

@@ -14,9 +14,10 @@ SplitPair, which the caller passes with a context to each function that
 places the pair on n beads, so nothing is kept between calls.
 
 The checks run on n-bead sets, decoded only where a Partition is read:
-_separated and _split take the set that is_separated and split encode,
-and verify_split runs the Mullineux loop on la's set and keeps la, mu and
-the image as sets, which its SplitReport decodes on read.  A SplitContext
+_separated and _split take the set that is_separated and split encode
+(_split gives the halves as local bead sets, which split decodes), and
+verify_split runs the Mullineux loop on la's set and keeps la, mu and the
+image as sets, which its SplitReport decodes on read.  A SplitContext
 keeps the first n positions of I and of Ibar in order (its places), so
 _combined_beads places a half's beads below its rows as one slice of them,
 and _separated reads the I-positions below the last Ibar bead as a prefix.
@@ -129,16 +130,18 @@ def _separated(occ: set[int], ctx: SplitContext) -> bool:
 
 def split(la: Partition, ctx: SplitContext) -> SplitResult:
     """Read off (la_I, la_Ibar, u) from the n-bead display: the display is
-    encoded and _split read off it."""
-    return _split(beta_numbers(la, ctx.n), ctx)
-
-
-def _split(occ: set[int], ctx: SplitContext) -> SplitResult:
-    """split on the n-bead set of the partition."""
-    res, res_bar = ctx.runners
-    local_i = _to_local(occ, ctx.e, res)
-    local_ibar = _to_local(occ, ctx.e, res_bar)
+    encoded, and the two local bead sets of _split are decoded, u being
+    the size of the first."""
+    local_i, local_ibar = _split(beta_numbers(la, ctx.n), ctx)
     return SplitResult(from_beta_numbers(local_i), from_beta_numbers(local_ibar), len(local_i))
+
+
+def _split(occ: set[int], ctx: SplitContext) -> tuple[set[int], set[int]]:
+    """The bead sets of la_I and la_Ibar on the n-bead set occ of the
+    partition: its beads on I and on the complement, each renumbered 0, 1,
+    2, ... in order.  Nothing is decoded."""
+    res, res_bar = ctx.runners
+    return _to_local(occ, ctx.e, res), _to_local(occ, ctx.e, res_bar)
 
 
 def combine(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> Partition:

@@ -46,7 +46,8 @@ from . import ladders as ld
 from .mullineux import (_conjugate_image, _lyle_report, james_regularise, mullineux as _mullineux, mullineux_oracle,
                         peel_and_rebuild)
 from . import separation as sp
-from .partitions import Partition, beta_numbers, enumerate_partitions
+from .partitions import (Partition, _bead_rows, _beads_restricted, beta_numbers, enumerate_partitions,
+                         from_beta_numbers)
 
 
 # What a suite yields: (property, ok, describe), one triple per instance;
@@ -417,7 +418,9 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     The two separated_*_iff_half_restricted properties encode each
     partition once per e, on the bead count that every residue set of that
-    e shares, and test and split that bead set for each I.
+    e shares, and test and split that bead set for each I; each half's
+    restrictedness is read off its local bead set by
+    partitions._beads_restricted, so no half is decoded.
 
     The halves of the splitting pair and of the box step depend on (alpha,
     beta, gamma) and c = |I| only, and _split_contexts yields the residue
@@ -426,12 +429,14 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     reads the u range off the halves' lengths, and separation_thresholds
     the least u at which la, and both la and mu, are I-separated.  Below
     the joint threshold an instance is yielded as skipped and nothing is
-    built; la alone is built from la's threshold on when the box step
-    reads it.  From the joint threshold on verify_split checks the
+    built; la's bead set alone is built from la's threshold on when the box
+    step reads it.  From the joint threshold on verify_split checks the
     theorem on bead sets, and a report that the hypothesis is not met there
-    fails the instance.  The box step decodes the report's la and compares
-    the ladders.class_key of the two partitions, the integer form of their
-    c-bar fingerprints."""
+    fails the instance.  The box step places xi's halves on the n beads and
+    takes nu's bead set from the report (or la's own below the joint
+    threshold); it compares their ladders.class_key, the integer form of
+    their c-bar fingerprints, read off the bead sets by ladders._rows_key,
+    and decodes nu only to print a failure."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)
@@ -448,15 +453,16 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for combo in combinations(range(e), k):
                 residues = frozenset(combo)
                 ctx = sp.SplitContext(e, residues, n)
-                params = ld.LadderParams(e, ctx.c_bar)
+                c, cb = ctx.c, ctx.c_bar
+                params = ld.LadderParams(e, cb)
                 for la, occ in displays:
                     if not sp._separated(occ, ctx):
                         continue
-                    halves = sp._split(occ, ctx)
+                    half_i, half_ibar = sp._split(occ, ctx)
                     where = lambda: f"{la} I={sorted(residues)} e={e}"
-                    ok = ld.is_regular(la, params) == halves.lambda_Ibar.is_e_restricted(ctx.c_bar)
+                    ok = ld.is_regular(la, params) == _beads_restricted(half_ibar, cb)
                     yield "separated_regular_iff_half_restricted", ok, where
-                    ok = la.is_e_restricted(e) == halves.lambda_I.is_e_restricted(ctx.c)
+                    ok = la.is_e_restricted(e) == _beads_restricted(half_i, c)
                     yield "separated_restricted_iff_half_restricted", ok, where
 
     piece_bound = max(1, max_size // 4)
@@ -488,7 +494,7 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                             yield "splitting_theorem", None, where
                             if u < u_la or box is None or not box_ok:
                                 continue
-                            nu = sp.combine(pair.lambda_I, pair.lambda_Ibar, ctx, u)
+                            nu = sp._combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
                         else:
                             report = sp.verify_split(pair, ctx, u)
                             if report.verdict == "hypothesis-not-met":
@@ -499,13 +505,13 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                                 yield "splitting_theorem", report.verdict == "holds", where
                             if box is None or not box_ok:
                                 continue
-                            nu = report.la
-                        xi = sp.combine(*box, ctx, u)
-                        box_ok = ld.class_key(xi, params) == ld.class_key(nu, params)
+                            nu = report.la_beads
+                        xi = sp._combined_beads(*box, ctx, u)
+                        box_ok = ld._rows_key(_bead_rows(xi), params) == ld._rows_key(_bead_rows(nu), params)
                         yield (
                             "box_step_preserves_cbar_fingerprint",
                             box_ok,
-                            lambda: f"nu={nu} I={sorted(ctx.residues)} e={e} u={u}",
+                            lambda: f"nu={from_beta_numbers(nu)} I={sorted(ctx.residues)} e={e} u={u}",
                         )
 
 
@@ -616,7 +622,8 @@ def iter_suites(
     """Check the names and moduli, then return an iterator that runs the named
     suites (or all of them) in table order and yields each suite's results,
     one per property, as that suite finishes.  A property counts its
-    instances up to its first failure.
+    instances up to its first failure.  An exception raised inside a suite
+    carries that suite's results so far as its suite_results.
 
     Raises ValueError at once for an unknown name, for e values given to a
     suite named explicitly that runs fixed moduli, or for e < 2 (or above
@@ -639,18 +646,24 @@ def iter_suites(
 
 
 def _run_suite(name: str, max_size: int | None, e_values) -> list[CheckResult]:
+    """The suite's results, one per property; on an exception inside the
+    suite, the results so far ride on it as suite_results."""
     suite, default_size, default_e, properties = _SUITES[name]
     by_name = {prop: CheckResult(name, prop) for prop in properties}
     size = default_size if max_size is None else max_size
-    for prop, ok, describe in suite(size, e_values or default_e):
-        res = by_name[prop]
-        if res.failure is None:
-            res.checked += 1
-            if not ok:
-                if ok is None:
-                    res.skipped += 1
-                else:
-                    res.failure = describe()
+    try:
+        for prop, ok, describe in suite(size, e_values or default_e):
+            res = by_name[prop]
+            if res.failure is None:
+                res.checked += 1
+                if not ok:
+                    if ok is None:
+                        res.skipped += 1
+                    else:
+                        res.failure = describe()
+    except Exception as exc:
+        exc.suite_results = list(by_name.values())
+        raise
     return list(by_name.values())
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
+from regcrystals import separation as sp
 from regcrystals import verify as vf
 from regcrystals.cli import (
     MAX_BEADS,
@@ -864,6 +865,39 @@ class TestVerify:
         assert [line.split()[1] for line in out.splitlines()] == [
             f"core.{name}" for name in vf._SUITES["core"][3]
         ]
+
+    def test_suite_that_raises_keeps_its_failures(self, capsys, monkeypatch):
+        # combine's bead sets one I-bead short: the round trip fails on its
+        # first instance, and the Mullineux loop later raises on a bead set
+        # that is not a display of an e-restricted partition
+        real = sp._combined_beads
+
+        def short(beta, gamma, ctx, u):
+            occ = real(beta, gamma, ctx, u)
+            if u > len(beta):
+                occ.discard(ctx.places[0][u - len(beta) - 1])
+            return occ
+
+        monkeypatch.setattr(sp, "_combined_beads", short)
+        code, out, err = run(capsys, "verify", "split", "--e", "4", "--max", "5")
+        assert code == 1 and err == "error: (1, 1, 1, 1, 1, 1) is not 4-regular\n"
+        lines = out.splitlines()
+        assert lines[0] == "FAIL split.split_combine_round_trip checked=1 counterexample: - I=[0] e=4"
+        assert all(line.startswith("FAIL split.") for line in lines), lines
+
+    def test_suite_error_keeps_results_on_the_exception(self, monkeypatch):
+        # run_suites still raises; the counts up to the error ride on it
+        def broken(max_size, e_values):
+            yield "adjointness", True, str
+            yield "adjointness", False, lambda: "here"
+            raise RuntimeError("crystal suite broke")
+
+        monkeypatch.setitem(vf._SUITES, "crystal", (broken,) + vf._SUITES["crystal"][1:])
+        with pytest.raises(RuntimeError) as info:
+            vf.run_suites(["crystal"])
+        first = info.value.suite_results[0]
+        assert (first.name, first.checked, first.failure) == ("adjointness", 2, "here")
+        assert [r.checked for r in info.value.suite_results[1:]] == [0] * 7
 
     def test_peel_without_a_good_node_exits_1(self, capsys, replace_walk):
         # a walk that finds no signed node at any residue

@@ -237,6 +237,18 @@ class TestClassKey:
                     expanded = fingerprint_from_class_key(ld.class_key(la, params), params)
                     assert expanded == ld.fingerprint(la, params), (la, params)
 
+    def test_bead_set_key_is_the_key_of_its_partition(self):
+        # on len(la) to len(la) + 2e beads: the zero rows of the beads below
+        # la's rows add no key
+        for e in range(2, 7):
+            for y in slope_grid(e):
+                params = LadderParams(e, y)
+                for la in all_up_to(12):
+                    for n in range(len(la), len(la) + 2 * e + 1):
+                        occ = beta_numbers(la, n)
+                        key = ld._rows_key(pt._bead_rows(occ), params)
+                        assert key == ld.class_key(pt.from_beta_numbers(occ), params), (la, n, params)
+
     def test_seeded_large_partitions(self):
         # the key expands to the fingerprint and is constant on la, its
         # regularisation and restrictisation; on one-node moves and random

@@ -11,7 +11,9 @@ from regcrystals.partitions import (
     MAX_PARSE_SIZE,
     Partition,
     PartitionParseError,
+    _bead_rows,
     _bead_walk,
+    _beads_restricted,
     beta_numbers,
     enumerate_partitions,
     format_partition,
@@ -268,6 +270,15 @@ class TestRegularRestricted:
         assert Partition().is_e_regular(1)
         assert not P("1").is_e_regular(1)
 
+    def test_bead_set_predicate_is_restrictedness(self):
+        # on len(la) to len(la) + 3 beads; the empty partition on no beads
+        # is the empty set
+        for la in all_up_to(14):
+            for n in range(len(la), len(la) + 4):
+                occ = beta_numbers(la, n)
+                for c in range(1, 7):
+                    assert _beads_restricted(occ, c) == la.is_e_restricted(c), (la, n, c)
+
 
 class TestEnumeration:
     def test_zero(self):
@@ -299,6 +310,12 @@ class TestBetaNumbers:
         assert beta_numbers(P("6,4,2,1,1"), 7) == {0, 1, 3, 4, 6, 9, 12}
         assert beta_numbers(Partition(), 3) == {0, 1, 2}
         assert beta_numbers(P("3,1"), 2) == {4, 1}
+
+    def test_rows_read_zero_for_the_beads_below(self):
+        assert list(_bead_rows({0, 1, 3, 4, 6, 9, 12})) == [6, 4, 2, 1, 1, 0, 0]
+        assert list(_bead_rows(set())) == []
+        with pytest.raises(ValueError, match="beta-numbers must be non-negative"):
+            _bead_rows({-1, 2})
 
     def test_encoder_needs_a_bead_per_row(self):
         with pytest.raises(ValueError, match="need at least 3 beads, got 2"):

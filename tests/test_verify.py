@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from oracles import fingerprint_from_class_key, paget_instances_by_filter
 from regcrystals import abacus as ab
 from regcrystals import ladders as ld
+from regcrystals import partitions
 from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.mullineux import lyle_check
@@ -140,28 +143,73 @@ def test_split_counts_at_e_5_max_8():
 
 
 def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
-    # the box step compares class_keys of (xi, nu), in that order, and never
-    # builds a fingerprint; each verdict is the fingerprint route's, and each
-    # key expands to its partition's fingerprint
+    # the box step compares the class_keys of the bead sets of (xi, nu), in
+    # that order, read off their rows by ladders._rows_key, and never builds
+    # a fingerprint or calls class_key on a partition; each verdict is the
+    # fingerprint route's, and each key expands to its partition's fingerprint
     keyed = []
-    real_key, real_fp = ld.class_key, ld.fingerprint
+    real_rows_key, real_key, real_fp = ld._rows_key, ld.class_key, ld.fingerprint
 
-    def recording(la, params):
-        keyed.append((la, params))
-        return real_key(la, params)
+    def recording(rows, params):
+        rows = list(rows)
+        key = real_rows_key(rows, params)
+        keyed.append((Partition([r for r in rows if r]), params, key))
+        return key
 
     def refused(la, params):
-        raise AssertionError("fingerprint called")
+        raise AssertionError("class_key or fingerprint called")
 
-    monkeypatch.setattr(ld, "class_key", recording)
+    monkeypatch.setattr(ld, "_rows_key", recording)
+    monkeypatch.setattr(ld, "class_key", refused)
     monkeypatch.setattr(ld, "fingerprint", refused)
     verdicts = [ok for name, ok, _ in verify.suite_split(8, (4,)) if name == "box_step_preserves_cbar_fingerprint"]
     monkeypatch.undo()
     assert len(keyed) == 2 * len(verdicts) == 2 * 947
-    for (xi, params), (nu, _), ok in zip(keyed[::2], keyed[1::2], verdicts):
+    for (xi, params, _), (nu, _, _), ok in zip(keyed[::2], keyed[1::2], verdicts):
         assert ok is (real_fp(xi, params) == real_fp(nu, params)), (xi, nu, params)
-        for la in (xi, nu):
-            assert fingerprint_from_class_key(real_key(la, params), params) == real_fp(la, params), (la, params)
+    for la, params, key in keyed:
+        assert key == real_key(la, params), (la, params)
+        assert fingerprint_from_class_key(key, params) == real_fp(la, params), (la, params)
+
+
+def test_box_step_failure_prints_nu(monkeypatch):
+    # a box step whose tau gains a node in its first row changes xi's size,
+    # so the first box step fails; nu is decoded for the message alone, in
+    # the parent's text
+    real = sp._box_halves
+
+    def grown(nu_i, nu_ibar, c, cb):
+        xi_i, tau = real(nu_i, nu_ibar, c, cb)
+        return xi_i, Partition([tau.part(1) + 1, *tau.parts[1:]])
+
+    monkeypatch.setattr(sp, "_box_halves", grown)
+    lines = [r.line() for r in run_suites(["split"], max_size=8, e_values=(4,))]
+    assert lines[-1] == (
+        "FAIL split.box_step_preserves_cbar_fingerprint checked=1 counterexample: nu=3,2 I=[0] e=4 u=4"
+    )
+    assert all(line.startswith("PASS") for line in lines[:-1]), lines
+
+
+def test_split_slice_decodes_only_in_the_round_trip(monkeypatch):
+    # at --e 4 --max 12 the bead sets decoded are split's two halves and
+    # combine's partition for each of split_combine_round_trip's 1,632
+    # instances, and the conjugate Mullineux images of split_pair's halves;
+    # the box step and the iff properties decode nothing (21,304 calls in
+    # all before they read bead sets)
+    callers = Counter()
+    real = partitions.from_beta_numbers
+
+    def counting(occ):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(occ)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("regcrystals") and getattr(module, "from_beta_numbers", None) is real:
+            monkeypatch.setattr(module, "from_beta_numbers", counting)
+    results = run_suites(["split"], max_size=12, e_values=(4,))
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert callers == {"split": 2 * 1632, "combine": 1632, "_conjugate_image": 168}
+    assert callers.total() == 5064
 
 
 def test_split_builds_each_pair_once_per_c(monkeypatch):
