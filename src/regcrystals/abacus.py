@@ -182,13 +182,13 @@ def to_local(positions: Iterable[int], e: int, residues: Iterable[int]) -> set[i
     whose residue is in the set, so the result is a display with one runner
     per kept residue class.
     """
-    return _to_local(positions, e, _classes(e, residues))
+    return _to_local(positions, e, {r: k for k, r in enumerate(_classes(e, residues))})
 
 
-def _to_local(positions: Iterable[int], e: int, res: Sequence[int]) -> set[int]:
-    """to_local for residues already sorted and checked, as _classes returns them."""
-    rank = {r: k for k, r in enumerate(res)}
-    c = len(res)
+def _to_local(positions: Iterable[int], e: int, rank: dict[int, int]) -> set[int]:
+    """to_local for the rank table of the kept residues: each one's index
+    among them, sorted and checked as _classes returns them."""
+    c = len(rank)
     return {(p // e) * c + rank[p % e] for p in positions if p % e in rank}
 
 

@@ -58,7 +58,8 @@ class ArmPrefix:
 
     The values alone fix the crystal: the operators read their node order
     off the slope, which __init__ derives from the values.  A prefix holds
-    nothing else; e_op/f_op keep no memo on it.
+    nothing else; e_op/f_op keep no memo on it.  _of is the trusted
+    constructor, for values and slope valid by construction.
     """
 
     __slots__ = {
@@ -107,6 +108,14 @@ class ArmPrefix:
         self.e = e
         self.values = vals
         self.slope = Fraction(num, den)
+
+    @classmethod
+    def _of(cls, e: int, values: tuple[int, ...], slope: Fraction) -> "ArmPrefix":
+        """The prefix of values with that slope, unchecked: for values valid
+        by construction, as in mullineux_oracle's A_t = t - 1 of slope (n - 1)/n."""
+        prefix = object.__new__(cls)
+        prefix.e, prefix.values, prefix.slope = e, values, slope
+        return prefix
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":

@@ -85,7 +85,10 @@ def mullineux_oracle(
 
     Peel la down to the empty partition by good-node removals, recording
     the residues, then rebuild from the empty partition by cogood
-    additions at the negated residues in reverse order.  The
+    additions at the negated residues in reverse order, both in the
+    crystal of the slope-1 '-' prefix A_t = t - 1 for t = 1..n, with
+    n = max(1, ceil(|la|/e)).  Its slope is (n - 1)/n, and it is built
+    trusted, as its values are valid by construction.  The
     ``residue_choice`` picks which good residue to peel when several exist
     ('min' or 'max'); the result is independent of the choice.  ``known``
     is peel_and_rebuild's table, kept by the caller for one (e,
@@ -100,7 +103,7 @@ def mullineux_oracle(
     if residue_choice not in ("min", "max"):
         raise ValueError("residue_choice must be 'min' or 'max'")
     n = max(1, -(-la.size // e))
-    prefix = ArmPrefix(e, range(n))  # A_t = t - 1: the slope-1 '-' arm sequence
+    prefix = ArmPrefix._of(e, tuple(range(n)), Fraction(n - 1, n))
     order = range(e) if residue_choice == "min" else range(e - 1, -1, -1)
     return peel_and_rebuild(la, prefix, prefix, order, -1, known=known)
 
@@ -215,7 +218,10 @@ def lyle_check(la: Partition, e: int) -> LyleReport:
 
 def _lyle_report(la: Partition, e: int, reg: Partition, image: Partition, conj_reg: Partition) -> LyleReport:
     """The LyleReport of la given reg = la^reg, image = m_e(reg) and
-    conj_reg = (la')^reg, which the caller has computed."""
+    conj_reg = (la')^reg, which the caller has computed.  Each e-divisible
+    hook is classified from its (t, arm) in hooks_divisible_by, with leg
+    e*t - 1 - arm; no Hook is built or sorted."""
+    hooks = ((arm, e * t - 1 - arm) for t, arm, _ in hooks_divisible_by(la, e))
     return LyleReport(
         partition=la,
         e=e,
@@ -224,5 +230,5 @@ def _lyle_report(la: Partition, e: int, reg: Partition, image: Partition, conj_r
         conjugate_regularised=conj_reg,
         dominates=image.dominates(conj_reg),
         equal=image == conj_reg,
-        all_steep_or_shallow=all(cls != "neither" for _, cls in classify_hooks(la, e)),
+        all_steep_or_shallow=all(hook_class(arm, leg, e) != "neither" for arm, leg in hooks),
     )

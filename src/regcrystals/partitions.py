@@ -6,12 +6,14 @@ node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
 
 Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
-reads it for hook(), hooks() and classify_hooks, and the regularisation
-loop on the bead set it carries from move to move; none of them builds a
-conjugate.  The regularity predicates test one column per arm A_t instead
-(_row_avoids).  A bead set has one reader, _bead_rows: from_beta_numbers
-keeps its nonzero rows, and ladders._rows_key keys them with no Partition
-built.  _beads_restricted tests a bead set for restrictedness.
+reads it for hook(), hooks(), classify_hooks and the Lyle report, and the
+regularisation loop on the bead set it carries from move to move; none of
+them builds a conjugate.  The regularity predicates test one column per
+arm A_t instead (_row_avoids).  A bead set has one reader, _bead_rows:
+from_beta_numbers keeps its nonzero rows, and ladders._rows_key keys them
+with no Partition built.  _beads_restricted tests a bead set for
+restrictedness.  _residue_counts is the e-content as a tuple, which
+e_content turns into a Counter.
 """
 
 from __future__ import annotations
@@ -181,14 +183,11 @@ class Partition:
         return Partition._of(tuple(ps))
 
     def e_content(self, e: int) -> Counter:
-        """Multiset of node residues (c - r) mod e."""
+        """Multiset of node residues (c - r) mod e: the nonzero counts of
+        _residue_counts."""
         if e < 2:
             raise ValueError("e must be at least 2")
-        cnt: Counter = Counter()
-        for r, row_len in enumerate(self.parts, start=1):
-            for c in range(1, row_len + 1):
-                cnt[(c - r) % e] += 1
-        return cnt
+        return Counter({i: k for i, k in enumerate(_residue_counts(self.parts, e)) if k})
 
     def is_e_regular(self, e: int) -> bool:
         """True if no e parts are equal (for e = 1: only the empty partition)."""
@@ -271,6 +270,17 @@ def _hook(parts: tuple[int, ...], length: int, arm: int, r: int) -> Hook:
 def _sorted_hooks(la: Partition, m: int) -> list[Hook]:
     """The hooks of la of length divisible by m, in row-major order."""
     return sorted(_hook(la.parts, m * t, arm, r) for t, arm, r in hooks_divisible_by(la, m))
+
+
+def _residue_counts(parts, e: int) -> tuple[int, ...]:
+    """The number of nodes of each residue (c - r) mod e = 0, ..., e - 1 of
+    the partition with those parts, so two partitions have equal e-content
+    exactly when their tuples are equal."""
+    counts = [0] * e
+    for r, p in enumerate(parts):  # the nodes of row r + 1 have contents -r, ..., p - 1 - r
+        for k in range(-r, p - r):
+            counts[k % e] += 1
+    return tuple(counts)
 
 
 def residue(node: Node, e: int) -> int:

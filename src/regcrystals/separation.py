@@ -57,18 +57,20 @@ from .partitions import Partition, beta_numbers, from_beta_numbers
 class SplitContext:
     """Runner split data: modulus e, residue set I and bead count n.  The
     number u of beads on I-positions is an argument of each function that
-    places two halves on the n beads.  Two derived fields are built once
+    places two halves on the n beads.  Three derived fields are built once
     from the checked fields and left out of repr, == and hashing: runners
-    holds the residues of I and of its complement, each sorted, and places
+    holds the residues of I and of its complement, each sorted, places
     the first n global positions of I and of the complement, in order
     (the k-th is k // c * e + runners[k % c]), which the placement and the
-    separation test read by index."""
+    separation test read by index, and ranks maps each residue of a side
+    to its index in runners, by which _split renumbers."""
 
     e: int
     residues: frozenset[int]
     n: int
     runners: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     places: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    ranks: tuple[dict[int, int], dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(int(i) for i in self.residues))
@@ -86,6 +88,7 @@ class SplitContext:
         object.__setattr__(self, "places", tuple(
             tuple(k // len(res) * self.e + res[k % len(res)] for k in range(self.n)) for res in runners
         ))
+        object.__setattr__(self, "ranks", tuple({r: k for k, r in enumerate(res)} for res in runners))
 
     @property
     def c(self) -> int:
@@ -139,9 +142,9 @@ def split(la: Partition, ctx: SplitContext) -> SplitResult:
 def _split(occ: set[int], ctx: SplitContext) -> tuple[set[int], set[int]]:
     """The bead sets of la_I and la_Ibar on the n-bead set occ of the
     partition: its beads on I and on the complement, each renumbered 0, 1,
-    2, ... in order.  Nothing is decoded."""
-    res, res_bar = ctx.runners
-    return _to_local(occ, ctx.e, res), _to_local(occ, ctx.e, res_bar)
+    2, ... in order by the context's rank tables.  Nothing is decoded."""
+    rank, rank_bar = ctx.ranks
+    return _to_local(occ, ctx.e, rank), _to_local(occ, ctx.e, rank_bar)
 
 
 def combine(beta: Partition, gamma: Partition, ctx: SplitContext, u: int) -> Partition:

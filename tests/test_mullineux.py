@@ -310,6 +310,15 @@ class TestLyle:
                 assert report.dominates
                 assert report.criterion_matches
 
+    def test_criterion_equals_the_classified_hooks(self):
+        # the report reads steep-or-shallow off (t, arm) with leg e*t - 1 - arm;
+        # the Hook route of classify_hooks gives the same verdict
+        for e in range(2, 7):
+            for la in all_up_to(14):
+                report = mx._lyle_report(la, e, la, la, la)
+                expected = all(cls != "neither" for _, cls in classify_hooks(la, e))
+                assert report.all_steep_or_shallow == expected, (la, e)
+
 
 class TestSharedLoop:
     """mullineux_steps runs the regularisation loop of ladders, one hook walk

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from regcrystals.partitions import (
     _bead_rows,
     _bead_walk,
     _beads_restricted,
+    _residue_counts,
     beta_numbers,
     enumerate_partitions,
     format_partition,
@@ -258,6 +260,25 @@ class TestResidues:
         # residues of (1,1), (1,2), (2,1) mod 2 are 0, 1, 1
         assert P("2,1").e_content(2) == Counter({0: 1, 1: 2})
         assert P("3").e_content(3) == Counter({0: 1, 1: 1, 2: 1})
+
+    def test_residue_counts_are_the_node_counts(self):
+        for e in range(2, 7):
+            for la in all_up_to(12):
+                by_node = Counter(residue((r, c), e) for r, p in enumerate(la.parts, 1) for c in range(1, p + 1))
+                assert _residue_counts(la.parts, e) == tuple(by_node[i] for i in range(e)), (la, e)
+                assert la.e_content(e) == by_node and 0 not in la.e_content(e).values(), (la, e)
+
+    def test_equal_residue_counts_iff_equal_content(self):
+        # the verify suites compare residue-count tuples in place of Counters
+        equal = 0
+        for e in range(2, 6):
+            for n in range(11):
+                same_size = list(enumerate_partitions(n))
+                for a, b in combinations(same_size, 2):
+                    same = _residue_counts(a.parts, e) == _residue_counts(b.parts, e)
+                    assert same == (a.e_content(e) == b.e_content(e)), (a, b, e)
+                    equal += same
+        assert equal > 0
 
 
 class TestRegularRestricted:

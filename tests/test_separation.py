@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -42,15 +42,18 @@ class TestContext:
         assert ctx.complement == frozenset({1, 3, 4})
 
     def test_runner_lists_are_built_once_and_not_compared(self):
-        # and so are the tables of places: the first n positions of I and of Ibar
+        # and so are the tables of places, the first n positions of I and of
+        # Ibar, and the rank tables by which _split renumbers
         ctx = SplitContext(5, {4, 1}, 15)
         assert ctx.runners == ((1, 4), (0, 2, 3))
         assert ctx.places == tuple(tuple(sorted(to_global(range(15), 5, res))) for res in ctx.runners)
         assert ctx.places[0][:5] == (1, 4, 6, 9, 11) and ctx.places[1][:4] == (0, 2, 3, 5)
+        assert ctx.ranks == ({1: 0, 4: 1}, {0: 0, 2: 1, 3: 2})
         assert repr(ctx) == "SplitContext(e=5, residues=frozenset({1, 4}), n=15)"
         other = SplitContext(5, frozenset({1, 4}), 15)
         object.__setattr__(other, "runners", ((), ()))
         object.__setattr__(other, "places", ((), ()))
+        object.__setattr__(other, "ranks", ((), ()))
         assert ctx == other and hash(ctx) == hash(other)
 
     def test_u_outside_the_bead_count_is_rejected(self):
@@ -198,6 +201,22 @@ class TestSplitCombine:
                 got = sp.split(la, ctx)
                 back = sp.combine(got.lambda_I, got.lambda_Ibar, ctx, got.u)
                 assert back == la
+
+    def test_split_renumbers_each_side_by_its_rank_table(self):
+        # the two local bead sets, taken back to global positions by the
+        # oracle's per-class renumbering, are the beads on I and on Ibar
+        for e in range(2, 7):
+            for k in range(1, e):
+                for residues in combinations(range(e), k):
+                    ctx = SplitContext(e, frozenset(residues), 3 * e)
+                    bar = set(range(e)) - set(residues)
+                    for la in all_up_to(10):
+                        if len(la) > ctx.n:
+                            continue
+                        occ = beta_numbers(la, ctx.n)
+                        local_i, local_ibar = sp._split(occ, ctx)
+                        assert to_global(local_i, e, residues) == {p for p in occ if p % e in residues}
+                        assert to_global(local_ibar, e, bar) == {p for p in occ if p % e in bar}
 
     def test_capacity_errors(self):
         ctx = SplitContext(4, frozenset({0}), 8)

@@ -1,9 +1,12 @@
 """Every call site of the trusted constructor Partition._of gives what the
 public, checking constructor gives for the same parts: exhaustively for
-|la| <= 14 and on seeded partitions with n = 50..400."""
+|la| <= 14 and on seeded partitions with n = 50..400.  The one site of
+ArmPrefix._of, the Mullineux oracle's prefix, is checked the same way."""
 
+import importlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,7 @@ from regcrystals.mullineux import _conjugate_image, mullineux_oracle, peel_and_r
 from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers
 
 EXHAUSTIVE_BOUND = 14
+mx = importlib.import_module("regcrystals.mullineux")
 
 
 def public(mu):
@@ -198,6 +202,36 @@ def test_catalogue_suite_sites_build_no_checked_partition(monkeypatch):
     assert len(trusted["suite_core"]) == 4352 and len(trusted["suite_paget"]) == 104
     assert all(mu == Partition() for mu in trusted["suite_paget"])
     assert checked == {"suite_core": [], "suite_paget": []}
+
+
+def test_oracle_prefix_is_the_public_one(monkeypatch):
+    # the trusted A_t = t - 1 prefix that mullineux_oracle hands the peel, for
+    # |la| in ((n - 1)e, ne], is the prefix both checking constructors give,
+    # in every field
+    built = []
+    monkeypatch.setattr(mx, "peel_and_rebuild", lambda la, src, dst, *args, **kw: built.append((src, dst)) or la)
+    for e in range(2, 9):
+        for n in range(1, 201):
+            for size in {n * e - e + 1, n * e}:
+                built.clear()
+                mullineux_oracle(Partition([size]), e)
+                [(trusted, dst)] = built
+                assert dst is trusted and type(trusted.slope) is Fraction
+                assert type(trusted.values) is tuple and all(type(v) is int for v in trusted.values)
+                for checked in (cr.ArmPrefix(e, range(n)), cr.ArmPrefix.from_slope(e, 1, n, "-")):
+                    assert (trusted.e, trusted.values, trusted.slope) == (checked.e, checked.values, checked.slope)
+                    assert trusted == checked and hash(trusted) == hash(checked), (e, n)
+
+
+def test_oracle_validates_no_prefix(monkeypatch):
+    # the mullineux suite's oracle calls build their prefix unchecked: every
+    # property passes and ArmPrefix.__init__ never runs
+    validated = []
+    real = cr.ArmPrefix.__init__
+    monkeypatch.setattr(cr.ArmPrefix, "__init__", lambda self, *a: validated.append(a) or real(self, *a))
+    results = verify.run_suites(["mullineux"])
+    assert results and all(r.ok for r in results)
+    assert validated == []
 
 
 @pytest.mark.parametrize("parts, message", [
