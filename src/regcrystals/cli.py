@@ -4,7 +4,8 @@ Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
 error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
 internal check or a --dot file that cannot be written, 2 bad flags (a
-verify --e outside a suite's range among them) or unparseable input.
+verify --e outside a suite's range among them) or unparseable input (a
+rational in exponent notation among them).
 abacus show and split take a --beads count because their output depends on
 it; paget does not, as its results are the same for every bead count.  The
 bead count, given or derived from --e (paget's too), and the runner count of
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -85,7 +87,14 @@ def _size_arg(text: str) -> int:
     return size
 
 
+# A decimal with an exponent, which Fraction would expand in full: "1e100000000"
+# builds a hundred-million-digit integer before any bound is checked.
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?[\d_]+\s*")
+
+
 def _fraction_arg(text: str) -> Fraction:
+    if _EXPONENT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

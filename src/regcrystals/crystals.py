@@ -37,29 +37,13 @@ from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py 
 from .partitions import Node, Partition, _bead_walk, _row_avoids, beta_numbers, format_partition, from_beta_numbers
 
 
-def arm_plus(y, t: int) -> int:
-    """floor(y*t), exactly."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    y = Fraction(y)
-    return (y.numerator * t) // y.denominator
-
-
-def arm_minus(y, t: int) -> int:
-    """ceil(y*t - 1), exactly."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    y = Fraction(y)
-    return -((-(y.numerator * t - y.denominator)) // y.denominator)
-
-
 class ArmPrefix:
     """The first n values of an arm sequence for modulus e.
 
     The values alone fix the crystal: the operators read their node order
     off the slope, which __init__ derives from the values.  A prefix holds
-    nothing else; e_op/f_op keep no memo on it.  _of is the trusted
-    constructor, for values and slope valid by construction.
+    nothing else.  _of is the trusted constructor, for values and slope
+    valid by construction.
     """
 
     __slots__ = {
@@ -119,14 +103,15 @@ class ArmPrefix:
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
-        """Prefix of the arm sequence floor(y*t) ('+') or ceil(y*t - 1) ('-')."""
+        """Prefix of the arm sequence floor(y*t) ('+') or ceil(y*t - 1) ('-'):
+        with y = p/q, the latter is ceil((p*t - q)/q) = floor((p*t - 1)/q)."""
         y = Fraction(y)
         if not 1 <= y <= e - 1:
             raise ValueError(f"slope {y} outside [1, {e - 1}]")
         if variant not in ("+", "-"):
             raise ValueError("variant must be '+' or '-'")
-        fn = arm_plus if variant == "+" else arm_minus
-        return cls(e, tuple(fn(y, t) for t in range(1, n + 1)))
+        p, q, drop = y.numerator, y.denominator, variant == "-"
+        return cls(e, tuple((p * t - drop) // q for t in range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -136,13 +121,6 @@ class ArmPrefix:
     def bound(self) -> int:
         """Largest partition size the prefix can handle: n*e."""
         return self.n * self.e
-
-    def arm(self, t: int) -> int:
-        if t == 0:
-            return 0
-        if not 1 <= t <= self.n:
-            raise ValueError(f"A_{t} lies beyond the stored prefix of length {self.n}")
-        return self.values[t - 1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ArmPrefix) and (self.e, self.values) == (

@@ -28,12 +28,11 @@ from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _signed_nodes, e_op
 from .ladders import LadderParams, _hold_ends, _steps, regularise
-from .partitions import (Hook, Partition, _beads_restricted, _sorted_hooks, beta_numbers, from_beta_numbers,
-                         hooks_divisible_by)
+from .partitions import Partition, _beads_restricted, beta_numbers, from_beta_numbers, hooks_divisible_by
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
-    """Slopes (arm + 1) / r over the hooks of mu of length r*e (not used by mullineux)."""
+    """Slopes (arm + 1) / r over the hooks of mu of length r*e."""
     if e < 2:
         raise ValueError("e must be at least 2")
     return {Fraction(arm + 1, t) for t, arm, _ in hooks_divisible_by(mu, e)}
@@ -182,13 +181,6 @@ def hook_class(arm: int, leg: int, e: int) -> str:
     return "neither"
 
 
-def classify_hooks(la: Partition, e: int) -> list[tuple[Hook, str]]:
-    """Steep/shallow classification of every hook of length divisible by e."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    return [(h, hook_class(h.arm, h.leg, e)) for h in _sorted_hooks(la, e)]
-
-
 @dataclass(frozen=True)
 class LyleReport:
     """Comparison of the Mullineux image of la^reg with (la')^reg."""
@@ -220,7 +212,7 @@ def _lyle_report(la: Partition, e: int, reg: Partition, image: Partition, conj_r
     """The LyleReport of la given reg = la^reg, image = m_e(reg) and
     conj_reg = (la')^reg, which the caller has computed.  Each e-divisible
     hook is classified from its (t, arm) in hooks_divisible_by, with leg
-    e*t - 1 - arm; no Hook is built or sorted."""
+    e*t - 1 - arm."""
     hooks = ((arm, e * t - 1 - arm) for t, arm, _ in hooks_divisible_by(la, e))
     return LyleReport(
         partition=la,

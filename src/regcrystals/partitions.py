@@ -6,20 +6,18 @@ node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
 
 Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
-reads it for hook(), hooks(), classify_hooks and the Lyle report, and the
-regularisation loop on the bead set it carries from move to move; none of
-them builds a conjugate.  The regularity predicates test one column per
-arm A_t instead (_row_avoids).  A bead set has one reader, _bead_rows:
-from_beta_numbers keeps its nonzero rows, and ladders._rows_key keys them
-with no Partition built.  _beads_restricted tests a bead set for
-restrictedness.  _residue_counts is the e-content as a tuple, which
-e_content turns into a Counter.
+reads it for hooks() and the Lyle report, and the regularisation loop on
+the bead set it carries from move to move; none of them builds a
+conjugate.  The regularity predicates test one column per arm A_t instead
+(_row_avoids).  A bead set has one reader, _bead_rows: from_beta_numbers
+keeps its nonzero rows, and ladders._rows_key keys them with no Partition
+built.  _beads_restricted tests a bead set for restrictedness.  The
+e-content is a tuple of e residue counts (e_content).
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, count, islice
 from operator import ge, gt, sub
@@ -121,18 +119,15 @@ class Partition:
         # map stops at the shorter, where one side's sum is the full size
         return all(map(ge, accumulate(self.parts), accumulate(other.parts)))
 
-    def hook(self, corner: Node) -> Hook:
-        """The hook with the given corner node, picked out of the walk."""
-        if corner not in self:
-            raise ValueError(f"{corner} is not a node of {self.parts}")
-        r, c = corner
-        arm = self.parts[r - 1] - c
-        length = next(t for t, a, row in hooks_divisible_by(self, 1) if row == r and a == arm)
-        return _hook(self.parts, length, arm, r)
-
     def hooks(self) -> list[Hook]:
-        """All hooks, one per node, in row-major order: the walk at m = 1."""
-        return _sorted_hooks(self, 1)
+        """All hooks, one per node, in row-major order: the walk at m = 1,
+        whose t is the hook length."""
+        parts = self.parts
+        hooks = []
+        for length, arm, r in hooks_divisible_by(self, 1):
+            c, leg = parts[r - 1] - arm, length - 1 - arm
+            hooks.append(Hook((r, c), length, arm, leg, (r, parts[r - 1]), (r + leg, c)))
+        return sorted(hooks)
 
     def remove_rim_hook(self, corner: Node) -> "Partition":
         """Remove the rim hook corresponding to the hook at ``corner``.
@@ -182,12 +177,17 @@ class Partition:
             ps.pop()
         return Partition._of(tuple(ps))
 
-    def e_content(self, e: int) -> Counter:
-        """Multiset of node residues (c - r) mod e: the nonzero counts of
-        _residue_counts."""
+    def e_content(self, e: int) -> tuple[int, ...]:
+        """The number of nodes of each residue (c - r) mod e = 0, ..., e - 1,
+        so two partitions have equal e-content exactly when their tuples are
+        equal."""
         if e < 2:
             raise ValueError("e must be at least 2")
-        return Counter({i: k for i, k in enumerate(_residue_counts(self.parts, e)) if k})
+        counts = [0] * e
+        for r, p in enumerate(self.parts):  # the nodes of row r + 1 have contents -r, ..., p - 1 - r
+            for k in range(-r, p - r):
+                counts[k % e] += 1
+        return tuple(counts)
 
     def is_e_regular(self, e: int) -> bool:
         """True if no e parts are equal (for e = 1: only the empty partition)."""
@@ -259,28 +259,6 @@ def _row_avoids(parts, r: int, m: int, arms: Iterable[int]) -> bool:
         if parts[foot - 1] >= c and (foot == rows or parts[foot] < c):
             return False
     return True
-
-
-def _hook(parts: tuple[int, ...], length: int, arm: int, r: int) -> Hook:
-    """The Hook of row r with the given length and arm."""
-    c, leg = parts[r - 1] - arm, length - 1 - arm
-    return Hook((r, c), length, arm, leg, (r, parts[r - 1]), (r + leg, c))
-
-
-def _sorted_hooks(la: Partition, m: int) -> list[Hook]:
-    """The hooks of la of length divisible by m, in row-major order."""
-    return sorted(_hook(la.parts, m * t, arm, r) for t, arm, r in hooks_divisible_by(la, m))
-
-
-def _residue_counts(parts, e: int) -> tuple[int, ...]:
-    """The number of nodes of each residue (c - r) mod e = 0, ..., e - 1 of
-    the partition with those parts, so two partitions have equal e-content
-    exactly when their tuples are equal."""
-    counts = [0] * e
-    for r, p in enumerate(parts):  # the nodes of row r + 1 have contents -r, ..., p - 1 - r
-        for k in range(-r, p - r):
-            counts[k % e] += 1
-    return tuple(counts)
 
 
 def residue(node: Node, e: int) -> int:

@@ -5,8 +5,8 @@ cbar = e - c, and an n-bead display (e | n).  Reading only the I-positions
 (in order, renumbered from 0) gives a c-runner display for a partition
 la_I, and likewise la_Ibar on the complement.  A partition is I-separated
 when its first empty I-position comes after its last occupied
-Ibar-position.  A SplitContext holds (e, I, n); combine, build_split_pair
-and verify_split take the number u of beads on I-positions as an argument.
+Ibar-position.  A SplitContext holds (e, I, n); combine and verify_split
+take the number u of beads on I-positions as an argument.
 
 The four halves of the splitting theorem's pair (la, mu) depend on its
 pieces (alpha, beta, gamma) and c only: split_pair builds them as one
@@ -97,10 +97,6 @@ class SplitContext:
     @property
     def c_bar(self) -> int:
         return self.e - len(self.residues)
-
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(self.e)) - self.residues
 
 
 class SplitResult(NamedTuple):
@@ -227,14 +223,8 @@ def split_pair(alpha: Partition, beta: Partition, gamma: Partition, c: int, c_ba
     )
 
 
-def build_split_pair(pair: SplitPair, ctx: SplitContext, u: int) -> tuple[Partition, Partition]:
-    """The pair (la, mu) of the splitting theorem, with u beads on the
-    I-positions of ctx.n; pair must be split_pair(..., ctx.c, ctx.c_bar)."""
-    return combine(pair.lambda_I, pair.lambda_Ibar, ctx, u), combine(pair.mu_I, pair.mu_Ibar, ctx, u)
-
-
 def split_u_range(pair: SplitPair, ctx: SplitContext) -> range:
-    """The u for which build_split_pair can place both pairs of halves on
+    """The u for which verify_split can place both pairs of halves on
     ctx.n beads: from max(len(la_I), len(mu_I)) to
     n - max(len(la_Ibar), len(mu_Ibar)).  Within it the u at which la (or
     mu) is I-separated form a suffix: see the module docstring."""
@@ -299,10 +289,10 @@ def verify_split(pair: SplitPair, ctx: SplitContext, u: int) -> SplitReport:
     """Check one instance: when both la and mu are I-separated, assert that
     m_e(la') = mu; otherwise report that the hypothesis is not met.
 
-    la and mu are those of build_split_pair, kept as bead sets: each u only
-    places the pair's halves on the n beads, separation is read off those
-    sets, and the Mullineux loop runs on a copy of la's set, whose result
-    is compared with mu's.  Nothing is decoded.
+    la and mu are the pair's halves combined with u beads on I, kept as
+    bead sets: each u only places the halves on the n beads, separation is
+    read off those sets, and the Mullineux loop runs on a copy of la's
+    set, whose result is compared with mu's.  Nothing is decoded.
     """
     la_occ = _combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
     mu_occ = _combined_beads(pair.mu_I, pair.mu_Ibar, ctx, u)

@@ -46,8 +46,8 @@ from . import ladders as ld
 from .mullineux import (_conjugate_image, _lyle_report, james_regularise, mullineux as _mullineux, mullineux_oracle,
                         peel_and_rebuild)
 from . import separation as sp
-from .partitions import (Partition, _bead_rows, _beads_restricted, _residue_counts, beta_numbers,
-                         enumerate_partitions, from_beta_numbers)
+from .partitions import (Partition, _bead_rows, _beads_restricted, beta_numbers, enumerate_partitions,
+                         from_beta_numbers)
 
 
 # What a suite yields: (property, ok, describe), one triple per instance;
@@ -146,7 +146,7 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
             if n <= 12:
                 beads = max((len(la.parts) for la in from_n), default=0) + e
                 profiles = [ab.runner_counts(ab.encode(la, beads, e), e) for la in from_n]
-                contents = [_residue_counts(la.parts, e) for la in from_n]
+                contents = [la.e_content(e) for la in from_n]
                 for i in range(len(from_n)):
                     for j in range(i + 1, len(from_n)):
                         if contents[i] == contents[j]:
@@ -269,7 +269,8 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 added = next(
                     nd for nd in mu.removable_nodes() if nd not in la and mu.remove_node(nd) == la
                 )
-                ok = (added[1] - added[0]) % prefix.e == i
+                grown = [b - a for a, b in zip(la.e_content(3), mu.e_content(3))]
+                ok = (added[1] - added[0]) % 3 == i and grown == [int(j == i) for j in range(3)]
                 yield "edge_labels_match_added_residue", ok, lambda: f"{la} -{i}-> {mu}"
 
         layers = {}
@@ -375,7 +376,7 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     yield "oracle_residue_choice_is_irrelevant", ok, where
             if la.size <= 14 and la.is_e_restricted(e):
                 image = mull[e](la.conjugate())
-                ok = _residue_counts(image.parts, e) == _residue_counts(la.parts, e)
+                ok = image.e_content(e) == la.e_content(e)
                 yield "composite_preserves_content_on_restricted", ok, where
                 if la.size <= 12:
                     yield "image_shares_e_core", ab.e_core(image, e) == ab.e_core(la, e), where
@@ -467,7 +468,6 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
 
     piece_bound = max(1, max_size // 4)
     pieces = list(_all_partitions(piece_bound))
-    box_ok = True  # once the box step fails it is not computed again
     for e in (e for e in e_values if e >= 3):
         for c, contexts in groupby(_split_contexts(e, piece_bound), key=lambda ctx: ctx.c):
             cb = e - c
@@ -492,7 +492,7 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     for u in sp.split_u_range(pair, ctx):
                         if u < u_both:
                             yield "splitting_theorem", None, where
-                            if u < u_la or box is None or not box_ok:
+                            if u < u_la or box is None:
                                 continue
                             nu = sp._combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
                         else:
@@ -503,14 +503,14 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                                 )
                             else:
                                 yield "splitting_theorem", report.verdict == "holds", where
-                            if box is None or not box_ok:
+                            if box is None:
                                 continue
                             nu = report.la_beads
                         xi = sp._combined_beads(*box, ctx, u)
-                        box_ok = ld._rows_key(_bead_rows(xi), params) == ld._rows_key(_bead_rows(nu), params)
+                        ok = ld._rows_key(_bead_rows(xi), params) == ld._rows_key(_bead_rows(nu), params)
                         yield (
                             "box_step_preserves_cbar_fingerprint",
-                            box_ok,
+                            ok,
                             lambda: f"nu={from_beta_numbers(nu)} I={sorted(ctx.residues)} e={e} u={u}",
                         )
 
@@ -519,9 +519,9 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
     """Runs each e of e_values on quotients whose components have size at
     most b = max(1, min(2, max_size // 4)), with b + 3 + d_i beads on runner
     i for each d in [-2, 2]^e summing to 0.  Only quotient-separated tuples
-    are built, and only those with e-restricted bead sets are decoded (as
-    positions 0..e-1 hold beads, no two consecutive beads are over e apart)
-    and given the partner that _paget_partner builds from the tuple itself."""
+    are built, and only those with e-restricted bead sets are decoded (read
+    off the bead set by partitions._beads_restricted) and given the partner
+    that _paget_partner builds from the tuple itself."""
     quotient_bound = max(1, min(2, max_size // 4))
     components = [p for s in range(quotient_bound + 1) for p in enumerate_partitions(s)]
     for e in e_values:
@@ -531,8 +531,8 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
             counts = [quotient_bound + 3 + d for d in deltas]
             core = ab.from_runners([Partition._of(())] * e, counts)
             for quot in sp.separated_quotients([components] * e, counts):
-                beads = sorted(ab._runner_beads(quot, counts))
-                if any(b - a > e for a, b in zip(beads, beads[1:])):
+                beads = ab._runner_beads(quot, counts)
+                if not _beads_restricted(beads, e):
                     continue
                 la = ab.decode(beads)
                 mu = sp._paget_partner(quot, counts)

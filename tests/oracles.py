@@ -39,9 +39,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
+from math import ceil
 
 from regcrystals.abacus import _classes, from_runners
-from regcrystals.crystals import ArmPrefix, CrystalGraph, _place, arm_minus, e_op, f_op
+from regcrystals.crystals import ArmPrefix, CrystalGraph, _place, e_op, f_op
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
@@ -165,7 +166,8 @@ def node_compare(prefix, a, b) -> int:
         raise ValueError(f"nodes {a} and {b} differ in residue mod {prefix.e}")
     if diff < 0:
         return -node_compare(prefix, b, a)
-    return -1 if c - d <= prefix.arm(diff // prefix.e) else 1
+    t = diff // prefix.e
+    return -1 if c - d <= (prefix.values[t - 1] if t else 0) else 1
 
 
 def arm_axioms_hold(e: int, values) -> bool:
@@ -282,9 +284,9 @@ def peel_and_rebuild_by_operators(la, src, dst, order, sign):
 
 
 def descending_prefixes(a, b):
-    """The prefixes from a down to b, each the arm_minus prefix of the last
-    one's slope, each built and validated as an ArmPrefix: the Farey walk of
-    order n as a walk of prefixes.
+    """The prefixes from a down to b, each the prefix ceil(y*t - 1) of the
+    last one's slope y, each built and validated as an ArmPrefix: the Farey
+    walk of order n as a walk of prefixes.
 
     A valid prefix of length n is fixed by its slope (A_t = floor(y*t)), and
     its values rise with the slope, so b is reached when the slopes agree and
@@ -292,7 +294,7 @@ def descending_prefixes(a, b):
     """
     prefixes = [a]
     while (y := prefixes[-1].slope) != b.slope:
-        nxt = ArmPrefix(a.e, [arm_minus(y, t) for t in range(1, a.n + 1)])
+        nxt = ArmPrefix(a.e, [ceil(y * t - 1) for t in range(1, a.n + 1)])
         if nxt.slope < b.slope:
             raise AssertionError("chain step descended past the target prefix")
         prefixes.append(nxt)
@@ -370,7 +372,8 @@ def combined_beads_by_renumbering(beta, gamma, ctx, u) -> set[int]:
     beads of the complement, each half encoded and renumbered bead by bead
     through _to_global."""
     on_i = _to_global(beta_numbers(beta, u), ctx.e, sorted(ctx.residues))
-    return on_i | _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, sorted(ctx.complement))
+    bar = [i for i in range(ctx.e) if i not in ctx.residues]
+    return on_i | _to_global(beta_numbers(gamma, ctx.n - u), ctx.e, bar)
 
 
 def split_report_oracle(alpha, beta, gamma, ctx, u) -> tuple:

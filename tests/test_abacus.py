@@ -99,7 +99,7 @@ class TestRunnerProfile:
                 beads = e * ((max(len(la.parts) for la in layer) + e) // e)
                 groups = {}
                 for la in layer:
-                    key = frozenset(la.e_content(e).items())
+                    key = la.e_content(e)
                     groups.setdefault(key, []).append(
                         tuple(ab.runner_counts(ab.encode(la, beads, e), e))
                     )

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -138,6 +139,36 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {reason}: zero denominator\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["reg", "--e", "3", "--y", "1e100000000", "1"], "--y: bad rational '1e100000000'"),
+        (["reg", "--e", "3", "--y", "1e10000000", "1"], "--y: bad rational '1e10000000'"),
+        (["restrict", "--e", "3", "--y", "2.5E+3", "1"], "--y: bad rational '2.5E+3'"),
+        (["crystal", "--e", "3", "--slope", "1e100000000+"], "--slope: bad rational '1e100000000'"),
+    ],
+    ids=["reg", "reg-shorter", "restrict", "crystal"],
+)
+def test_exponent_notation_is_a_usage_error_before_any_expansion(capsys, argv, reason):
+    # Fraction would expand the exponent in full: 1e10000000 took 9 s
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {reason}: exponent notation is not accepted\n")
+
+
+def test_signed_and_decimal_rationals_stay_accepted(capsys):
+    for y in ("1.5", "+1.5", "3/2", " 1.50 "):
+        assert run(capsys, "reg", "--e", "3", "--y", y, "--json", "2,1") == run(
+            capsys, "reg", "--e", "3", "--y", "3/2", "--json", "2,1")
+    code, out, err = run(capsys, "reg", "--e", "3", "--y", "-1.5", "2,1")
+    assert code == 1 and out == "" and "error" in err
 
 
 class TestLadderClass:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product, takewhile
+from math import floor
 
 import pytest
 
@@ -23,19 +24,24 @@ def all_up_to(n):
         yield from enumerate_partitions(s)
 
 
+def arms(y, n, variant):
+    """The values of the slope-y prefix of length n at e = 4."""
+    return list(ArmPrefix.from_slope(4, y, n, variant).values)
+
+
 class TestArmValues:
     def test_integer_slope(self):
-        assert [cr.arm_plus(2, t) for t in range(1, 5)] == [2, 4, 6, 8]
-        assert [cr.arm_minus(2, t) for t in range(1, 5)] == [1, 3, 5, 7]
-        assert [cr.arm_minus(1, t) for t in range(1, 6)] == [0, 1, 2, 3, 4]
+        assert arms(2, 4, "+") == [2, 4, 6, 8]
+        assert arms(2, 4, "-") == [1, 3, 5, 7]
+        assert arms(1, 5, "-") == [0, 1, 2, 3, 4]
 
     def test_figure_slopes(self):
-        assert [cr.arm_plus(Fraction(7, 4), t) for t in range(1, 5)] == [1, 3, 5, 7]
-        assert [cr.arm_minus(Fraction(7, 4), t) for t in range(1, 5)] == [1, 3, 5, 6]
-        assert [cr.arm_plus(Fraction(5, 3), t) for t in range(1, 5)] == [1, 3, 5, 6]
-        assert [cr.arm_minus(Fraction(5, 3), t) for t in range(1, 5)] == [1, 3, 4, 6]
-        assert [cr.arm_plus(Fraction(3, 2), t) for t in range(1, 5)] == [1, 3, 4, 6]
-        assert [cr.arm_minus(Fraction(3, 2), t) for t in range(1, 5)] == [1, 2, 4, 5]
+        assert arms(Fraction(7, 4), 4, "+") == [1, 3, 5, 7]
+        assert arms(Fraction(7, 4), 4, "-") == [1, 3, 5, 6]
+        assert arms(Fraction(5, 3), 4, "+") == [1, 3, 5, 6]
+        assert arms(Fraction(5, 3), 4, "-") == [1, 3, 4, 6]
+        assert arms(Fraction(3, 2), 4, "+") == [1, 3, 4, 6]
+        assert arms(Fraction(3, 2), 4, "-") == [1, 2, 4, 5]
 
 
 class TestArmPrefix:
@@ -50,13 +56,6 @@ class TestArmPrefix:
     def test_from_slope_matches_values(self):
         assert ArmPrefix.from_slope(4, 2, 4, "+").values == (2, 4, 6, 8)
         assert ArmPrefix.from_slope(4, Fraction(3, 2), 4, "-").values == (1, 2, 4, 5)
-
-    def test_arm_zero(self):
-        assert ArmPrefix(4, (2, 4)).arm(0) == 0
-
-    def test_prefix_exceeded(self):
-        with pytest.raises(ValueError):
-            ArmPrefix(4, (2, 4)).arm(3)
 
 
 TABLE_PREFIXES = {
@@ -116,7 +115,7 @@ def test_every_valid_prefix_has_a_slope(e):
         for vals in prefixes:
             prefix = ArmPrefix(e, vals)
             assert prefix.slope == max(Fraction(v, t) for t, v in enumerate(vals, start=1))
-            assert tuple(cr.arm_plus(prefix.slope, t) for t in range(1, n + 1)) == vals
+            assert tuple(floor(prefix.slope * t) for t in range(1, n + 1)) == vals
 
 
 def valueerror_text(fn, *args):
@@ -206,7 +205,7 @@ def test_derived_order_matches_comparator_sort_at_large_n():
             for variant in "+-":
                 for n in range(50, 201, 30):
                     prefix = ArmPrefix.from_slope(e, y, -(-n // e), variant)
-                    floors = tuple(cr.arm_plus(prefix.slope, t) for t in range(1, prefix.n + 1))
+                    floors = tuple(floor(prefix.slope * t) for t in range(1, prefix.n + 1))
                     assert prefix.values == floors
                     la = random_partition(rng, rng.randint(n, prefix.bound))
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))

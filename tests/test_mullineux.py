@@ -17,7 +17,6 @@ from regcrystals.crystals import ArmPrefix, apply_chain, is_A_regular, iso_chain
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import (
     _conjugate_image,
-    classify_hooks,
     hook_class,
     james_regularise,
     lyle_check,
@@ -27,7 +26,8 @@ from regcrystals.mullineux import (
     peel_and_rebuild,
     slopes,
 )
-from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers, parse_partition
+from regcrystals.partitions import (Partition, beta_numbers, enumerate_partitions, from_beta_numbers, hooks_divisible_by,
+                                   parse_partition)
 
 P = parse_partition
 mx = importlib.import_module("regcrystals.mullineux")
@@ -267,27 +267,22 @@ class TestHookClassification:
         assert hook_class(2, 3, 4) == "neither"
 
     def test_diagram_examples(self):
-        [(hk, cls)] = classify_hooks(P("1,1,1"), 3)
-        assert (hk.length, cls) == (3, "steep")
-        [(hk, cls)] = classify_hooks(P("3"), 3)
-        assert (hk.length, cls) == (3, "shallow")
-        classes = dict()
-        for hk, cls in classify_hooks(P("4,2,1,1,1"), 4):
-            classes[hk.corner] = (hk.length, cls)
-        assert classes[(1, 1)] == (8, "neither")
+        def classes(la, e):
+            return {h.corner: (h.length, hook_class(h.arm, h.leg, e)) for h in la.hooks() if h.length % e == 0}
 
-    def test_only_divisible_lengths(self):
-        for la in all_up_to(9):
-            for hk, _ in classify_hooks(la, 3):
-                assert hk.length % 3 == 0
+        assert classes(P("1,1,1"), 3) == {(1, 1): (3, "steep")}
+        assert classes(P("3"), 3) == {(1, 1): (3, "shallow")}
+        assert classes(P("4,2,1,1,1"), 4)[(1, 1)] == (8, "neither")
+        assert not mx._lyle_report(P("4,2,1,1,1"), 4, *[Partition()] * 3).all_steep_or_shallow
 
     def test_equals_the_node_scan(self):
+        # the Lyle report's (t, arm) with leg e*t - 1 - arm are the node
+        # scan's e-divisible hooks
         for e in range(2, 6):
             for la in all_up_to(12):
-                expected = [
-                    (h, hook_class(h.arm, h.leg, e)) for h in hooks_by_node_scan(la) if h.length % e == 0
-                ]
-                assert classify_hooks(la, e) == expected, (la, e)
+                expected = sorted((h.length, h.arm, h.leg) for h in hooks_by_node_scan(la) if h.length % e == 0)
+                walked = sorted((e * t, arm, e * t - 1 - arm) for t, arm, _ in hooks_divisible_by(la, e))
+                assert walked == expected, (la, e)
 
 
 class TestLyle:
@@ -312,11 +307,12 @@ class TestLyle:
 
     def test_criterion_equals_the_classified_hooks(self):
         # the report reads steep-or-shallow off (t, arm) with leg e*t - 1 - arm;
-        # the Hook route of classify_hooks gives the same verdict
+        # the node scan's hooks, each arm and leg read off the diagram, give the same verdict
         for e in range(2, 7):
             for la in all_up_to(14):
                 report = mx._lyle_report(la, e, la, la, la)
-                expected = all(cls != "neither" for _, cls in classify_hooks(la, e))
+                hooks = [h for h in hooks_by_node_scan(la) if h.length % e == 0]
+                expected = all(hook_class(h.arm, h.leg, e) != "neither" for h in hooks)
                 assert report.all_steep_or_shallow == expected, (la, e)
 
 

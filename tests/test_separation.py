@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from oracles import (
+    combined_beads_by_renumbering,
     quotient_separated_by_beads,
     separated_by_scan,
     split_report_oracle,
@@ -14,7 +15,7 @@ from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.ladders import LadderParams, fingerprint
 from regcrystals.mullineux import _conjugate_image, mullineux
-from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, parse_partition
+from regcrystals.partitions import Partition, beta_numbers, enumerate_partitions, from_beta_numbers, parse_partition
 from regcrystals.separation import SplitContext
 
 P = parse_partition
@@ -39,7 +40,6 @@ class TestContext:
     def test_counts(self):
         ctx = SplitContext(5, frozenset({0, 2}), 10)
         assert ctx.c == 2 and ctx.c_bar == 3
-        assert ctx.complement == frozenset({1, 3, 4})
 
     def test_runner_lists_are_built_once_and_not_compared(self):
         # and so are the tables of places, the first n positions of I and of
@@ -63,9 +63,8 @@ class TestContext:
             message = rf"^u = {u} outside \[0, 15\]$"
             with pytest.raises(ValueError, match=message):
                 sp.combine(Partition(), Partition(), ctx, u)
-            for build in (sp.build_split_pair, sp.verify_split):
-                with pytest.raises(ValueError, match=message):
-                    build(sp.split_pair(*pieces, ctx.c, ctx.c_bar), ctx, u)
+            with pytest.raises(ValueError, match=message):
+                sp.verify_split(sp.split_pair(*pieces, ctx.c, ctx.c_bar), ctx, u)
 
 
 class TestSeparated:
@@ -119,7 +118,7 @@ class TestPlacesTable:
         halves = list(all_up_to(5))
         checked = raised = 0
         for ctx in proper_contexts(lambda e: e * -(-6 // e)):
-            sides = (ctx.residues, ctx.complement)
+            sides = (ctx.residues, set(range(ctx.e)) - ctx.residues)
             ref = {(half, b, side): outcome(lambda: to_global(beta_numbers(half, b), ctx.e, sides[side]))
                    for half in halves for b in range(ctx.n + 1) for side in (0, 1)}
             for u in range(ctx.n + 1):
@@ -167,7 +166,7 @@ class TestPlacesTable:
             all_on_i = to_global(range(ctx.n), ctx.e, ctx.residues)  # no complement bead
             assert sp._separated(all_on_i, ctx) and separated_by_scan(all_on_i, ctx)
             # the last complement bead lies past every stored I-place
-            far = set(range(ctx.n - 1)) | {ctx.e * (ctx.n + 1) + min(ctx.complement)}
+            far = set(range(ctx.n - 1)) | {ctx.e * (ctx.n + 1) + min(set(range(ctx.e)) - ctx.residues)}
             assert not sp._separated(far, ctx) and not separated_by_scan(far, ctx)
 
 
@@ -243,16 +242,23 @@ class TestBoxOperations:
                     assert sp.box_col(alpha, beta, c).size == beta.size + c * alpha.size
 
 
+def placed(pair, ctx, u):
+    """The splitting pair (la, mu) of the pair's halves with u beads on I,
+    each half placed by the oracle's bead-by-bead renumbering."""
+    return tuple(from_beta_numbers(combined_beads_by_renumbering(*halves, ctx, u))
+                 for halves in (pair[:2], pair[2:]))
+
+
 class TestSplitPair:
     CTX5 = SplitContext(5, frozenset({1, 4}), 15)
 
     def test_first_example(self):
-        la, mu = sp.build_split_pair(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
-        assert la == P("15,11,9,7^3,6,4^3,2,1")
-        assert mu == P("17,16,14,10,9,5,2^2,1^2")
+        rep = sp.verify_split(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
+        assert rep.la == P("15,11,9,7^3,6,4^3,2,1")
+        assert rep.mu == P("17,16,14,10,9,5,2^2,1^2")
 
     def test_first_example_halves(self):
-        la, mu = sp.build_split_pair(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
+        la, mu = placed(sp.split_pair(P("2^2,1"), P("2,1^2"), P("1^3"), 2, 3), self.CTX5, 10)
         halves_la = sp.split(la, self.CTX5)
         halves_mu = sp.split(mu, self.CTX5)
         assert halves_la.lambda_I == P("2,1^2") and halves_la.lambda_Ibar == P("7^2,4")
@@ -261,8 +267,8 @@ class TestSplitPair:
 
     def test_counterexample_pair(self):
         ctx = SplitContext(6, frozenset({0, 3, 5}), 12)
-        la, mu = sp.build_split_pair(sp.split_pair(Partition(), Partition(), P("2,2"), 3, 3), ctx, 7)
-        assert la == P("2^5") and mu == P("5,2^2,1")
+        rep = sp.verify_split(sp.split_pair(Partition(), Partition(), P("2,2"), 3, 3), ctx, 7)
+        assert rep.la == P("2^5") and rep.mu == P("5,2^2,1")
 
     def test_restriction_preconditions(self):
         with pytest.raises(ValueError):
@@ -338,7 +344,6 @@ class TestHalvesOncePerTriple:
                             )
                             assert fields == split_report_oracle(alpha, beta, gamma, ctx0, u), (
                                 alpha, beta, gamma, ctx0, u)
-                            assert (report.la, report.mu) == sp.build_split_pair(pair, ctx0, u)
                             checked += 1
                             met += report.verdict != "hypothesis-not-met"
         assert checked > met > 0
@@ -350,7 +355,7 @@ class TestHalvesOncePerTriple:
         assert 10 in u_range
         for u in (u_range.start - 1, u_range.stop):
             with pytest.raises(ValueError, match="need at least"):
-                sp.build_split_pair(pair, ctx0, u)
+                sp.verify_split(pair, ctx0, u)
 
     def test_unrestricted_pieces_are_rejected_every_time(self):
         for _ in range(2):  # nothing is kept between calls
@@ -368,7 +373,7 @@ class TestBeadRoute:
         held = 0
         for u in range(u_both, sp.split_u_range(pair, ctx).stop):
             report = sp.verify_split(pair, ctx, u)
-            la, mu = sp.build_split_pair(pair, ctx, u)
+            la, mu = placed(pair, ctx, u)
             where = (pair, ctx, u)
             assert (report.la, report.mu) == (la, mu), where
             assert report.mullineux_image == _conjugate_image(la, ctx.e), where
@@ -459,7 +464,7 @@ class TestSeparationThresholds:
             pair = sp.split_pair(alpha, beta, gamma, ctx0.c, ctx0.c_bar)
             u_la, u_both = sp.separation_thresholds(pair, ctx0)
             for u in sp.split_u_range(pair, ctx0):
-                la, mu = sp.build_split_pair(pair, ctx0, u)
+                la, mu = placed(pair, ctx0, u)
                 la_sep, mu_sep = sp.is_separated(la, ctx0), sp.is_separated(mu, ctx0)
                 where = (alpha, beta, gamma, ctx0, u, u_la, u_both)
                 assert (u >= u_la) == la_sep, where
