@@ -12,15 +12,17 @@ bead count, given or derived from --e (paget's too), and the runner count of
 abacus show may not exceed MAX_BEADS: a larger one exits 1 before any bead
 is placed.  crystal's size bound, given as --max-size or defaulted (3e for
 --slope, the prefix bound for --arm), may not exceed MAX_GRAPH_SIZE: a
-larger one exits 1 before any slope prefix or graph is built.  chain's
-prefix bound n*e may not exceed MAX_CHAIN_BOUND: a larger one exits 1
-before the chain is built.  ladder-class's --bound may not exceed
-MAX_LADDER_CLASS_BOUND: a larger one exits 1 before any partition is
-enumerated.  verify's --e may not exceed MAX_BEADS, as every suite places at
-least e beads per partition, and its --max may not exceed MAX_VERIFY_SIZE:
-a larger one exits 1 before any suite runs.  verify split and verify paget
-are exponential in e and take e up to MAX_SPLIT_E and MAX_PAGET_E: a larger
---e is outside the suite's range and exits 2 before any suite runs.
+larger one exits 1 before any slope prefix or graph is built, and an --arm
+list longer than MAX_GRAPH_SIZE values exits 1 before it is checked.
+chain's prefix bound n*e, read off the longer list, may not exceed
+MAX_CHAIN_BOUND: a larger one exits 1 before either prefix is checked.
+ladder-class's --bound may not exceed MAX_LADDER_CLASS_BOUND: a larger one
+exits 1 before any partition is enumerated.  verify's --e may not exceed
+MAX_BEADS, as every suite places at least e beads per partition, and its
+--max may not exceed MAX_VERIFY_SIZE: a larger one exits 1 before any suite
+runs.  verify split and verify paget are exponential in e and take e up to
+MAX_SPLIT_E and MAX_PAGET_E: a larger --e is outside the suite's range and
+exits 2 before any suite runs.
 verify prints each suite's lines as that suite finishes.  reg, restrict and
 mull with both --json and --trace add a "steps" list to the JSON, one item
 per line that the text trace prints after its start line.
@@ -57,7 +59,7 @@ MAX_GRAPH_SIZE = 30
 MAX_CHAIN_BOUND = 300
 
 # Largest ladder-class --bound accepted: the class is found by comparing the
-# ladders.class_key of all p(|la|) partitions of |la|, which at 40 are 37,338,
+# ladders.fingerprint of all p(|la|) partitions of |la|, which at 40 are 37,338,
 # in about 0.4 s on a shared 2-core box.
 MAX_LADDER_CLASS_BOUND = 40
 
@@ -111,18 +113,15 @@ def _slope_arg(text: str) -> tuple[Fraction, str]:
     return _fraction_arg(text), variant
 
 
-def _residues_arg(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad residue list {text!r}: {exc}") from None
-
-
-def _arm_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad arm prefix {text!r}: {exc}") from None
+def _ints_arg(what: str):
+    """An argparse type reading comma-separated integers as a tuple; its
+    error names the list as what."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(tok) for tok in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from None
+    return parse
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -201,6 +200,7 @@ def _cmd_crystal(args) -> int:
     if (args.arm is None) == (args.slope is None):
         raise ValueError("give exactly one of --arm and --slope")
     if args.arm is not None:
+        _within("arm prefix length", len(args.arm), MAX_GRAPH_SIZE)  # no hook within the cap reads A_t past t = cap / 2
         prefix = cr.ArmPrefix(args.e, args.arm)
         size = args.max_size if args.max_size is not None else prefix.bound
         _within("size bound", size, MAX_GRAPH_SIZE)
@@ -223,9 +223,9 @@ def _cmd_crystal(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    _within("prefix bound", max(len(args.src), len(args.dst)) * args.e, MAX_CHAIN_BOUND)
     src = cr.ArmPrefix(args.e, args.src)
     dst = cr.ArmPrefix(args.e, args.dst)
-    _within("prefix bound", max(src.bound, dst.bound), MAX_CHAIN_BOUND)
     chain = cr.iso_chain(src, dst)
     pairs = [params.pair() for params in chain.steps]
     lines = ["chain: " + (" ".join(f"({E},{Y})" for E, Y in pairs) or "(none)")]
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crystal", help="export a finite crystal graph as DOT")
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--arm", type=_arm_arg, default=None, help="arm prefix a1,a2,...")
+    p.add_argument("--arm", type=_ints_arg("arm prefix"), default=None, help="arm prefix a1,a2,...")
     p.add_argument("--slope", type=_slope_arg, default=None, help="slope P/Q with optional +/-")
     p.add_argument("--max-size", type=_size_arg, default=None, help="largest partition size")
     p.add_argument("--dot", default=None, metavar="FILE", help="write DOT here ('-' = stdout)")
@@ -395,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="regularisation chain between two arm prefixes")
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--from", dest="src", type=_arm_arg, required=True)
-    p.add_argument("--to", dest="dst", type=_arm_arg, required=True)
+    p.add_argument("--from", dest="src", type=_ints_arg("arm prefix"), required=True)
+    p.add_argument("--to", dest="dst", type=_ints_arg("arm prefix"), required=True)
     p.add_argument("partition", type=_partition_arg, nargs="?", default=None)
     add_json(p)
     p.set_defaults(func=_cmd_chain)
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="runner split of a partition")
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--I", dest="residues", type=_residues_arg, required=True, help="residues, e.g. 0,2")
+    p.add_argument("--I", dest="residues", type=_ints_arg("residue list"), required=True, help="residues, e.g. 0,2")
     p.add_argument("--beads", type=int, default=None)
     p.add_argument("partition", type=_partition_arg)
     add_json(p)

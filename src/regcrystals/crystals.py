@@ -25,7 +25,7 @@ the singular slopes, and checks its images by one hook walk per hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
@@ -37,38 +37,33 @@ from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py 
 from .partitions import Node, Partition, _bead_walk, _row_avoids, beta_numbers, format_partition, from_beta_numbers
 
 
+@dataclass(frozen=True, slots=True)
 class ArmPrefix:
-    """The first n values of an arm sequence for modulus e.
+    """The first n values (A_1, ..., A_n) of an arm sequence for modulus e.
 
     The values alone fix the crystal: the operators read their node order
-    off the slope, which __init__ derives from the values.  A prefix holds
-    nothing else.  _of is the trusted constructor, for values and slope
-    valid by construction.
+    off the slope y = max A_t / t, which __post_init__ derives from the
+    values, and A_t = floor(y*t) for every t.  A prefix holds nothing else.
+    _of is the trusted constructor, for values and slope valid by
+    construction.
+
+    s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
+    induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
+    Conversely, if A_t = floor(y*t) for every t, then A_{t+u} - A_t - A_u
+    = floor(y*t + y*u) - floor(y*t) - floor(y*u) lies in {0, 1}, as
+    floor(a + b) - floor(a) - floor(b) does for any reals a, b.  So values
+    within their bounds satisfy the axiom exactly when they equal
+    floor(y*t) for this y, and __post_init__ tests that in O(n); the O(n^2)
+    pair loop runs only on rejected values, to name the first failing pair.
     """
-
-    __slots__ = {
-        "e": "The modulus.",
-        "values": "(A_1, ..., A_n).",
-        "slope": """y = max A_t / t, set once from the values; A_t = floor(y*t) for every t.
-
-        s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
-        induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
-        Conversely, if A_t = floor(y*t) for every t, then A_{t+u} - A_t - A_u
-        = floor(y*t + y*u) - floor(y*t) - floor(y*u) lies in {0, 1}, as
-        floor(a + b) - floor(a) - floor(b) does for any reals a, b.  So values
-        within their bounds satisfy the axiom exactly when they equal
-        floor(y*t) for this y, and __init__ tests that in O(n); the O(n^2)
-        pair loop runs only on rejected values, to name the first failing pair.
-        """,
-    }
 
     e: int
     values: tuple[int, ...]
-    slope: Fraction
+    slope: Fraction = field(init=False, repr=False, compare=False)
 
-    def __init__(self, e: int, values):
-        e = int(e)
-        vals = tuple(int(v) for v in values)
+    def __post_init__(self):
+        e = int(self.e)
+        vals = tuple(int(v) for v in self.values)
         if e < 2:
             raise ValueError("e must be at least 2")
         if not vals:
@@ -89,25 +84,23 @@ class ArmPrefix:
                         raise ValueError(
                             f"A_{t + u} - A_{t} - A_{u} = {gap} violates the arm-sequence axiom"
                         )
-        self.e = e
-        self.values = vals
-        self.slope = Fraction(num, den)
+        for name, value in (("e", e), ("values", vals), ("slope", Fraction(num, den))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _of(cls, e: int, values: tuple[int, ...], slope: Fraction) -> "ArmPrefix":
         """The prefix of values with that slope, unchecked: for values valid
         by construction, as in mullineux_oracle's A_t = t - 1 of slope (n - 1)/n."""
         prefix = object.__new__(cls)
-        prefix.e, prefix.values, prefix.slope = e, values, slope
+        for name, value in (("e", e), ("values", values), ("slope", slope)):
+            object.__setattr__(prefix, name, value)
         return prefix
 
     @classmethod
     def from_slope(cls, e: int, y, n: int, variant: str = "+") -> "ArmPrefix":
         """Prefix of the arm sequence floor(y*t) ('+') or ceil(y*t - 1) ('-'):
         with y = p/q, the latter is ceil((p*t - q)/q) = floor((p*t - 1)/q)."""
-        y = Fraction(y)
-        if not 1 <= y <= e - 1:
-            raise ValueError(f"slope {y} outside [1, {e - 1}]")
+        y = LadderParams(e, y).y
         if variant not in ("+", "-"):
             raise ValueError("variant must be '+' or '-'")
         p, q, drop = y.numerator, y.denominator, variant == "-"
@@ -121,18 +114,6 @@ class ArmPrefix:
     def bound(self) -> int:
         """Largest partition size the prefix can handle: n*e."""
         return self.n * self.e
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArmPrefix) and (self.e, self.values) == (
-            other.e,
-            other.values,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.values))
-
-    def __repr__(self) -> str:
-        return f"ArmPrefix(e={self.e}, values={self.values})"
 
 
 def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, tuple[list[Node], list[Node]]]:

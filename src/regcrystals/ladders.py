@@ -7,11 +7,12 @@ Y*r + (E - Y)*c and the residue mod e.  Two partitions are equivalent when
 every ladder meets them in the same number of nodes, and each equivalence
 class holds a unique (E, Y)-regular partition (its dominance maximum, the
 regularisation) and a unique (E, Y)-restricted one (the minimum, the
-restrictisation).  fingerprint counts la's nodes on each ladder; class_key
-is its integer form, a sorted tuple of one int per Y-column block of a row,
-and every class equality test here and in verify compares class_keys.  Its
-one kernel, _rows_key, reads row lengths from the top, so a bead set's key
-is read off partitions._bead_rows with no Partition built.
+restrictisation).  fingerprint is the class key: a sorted tuple of one int
+per Y-column block of a row, which determines la's node count on every
+ladder and is determined by it, and every class equality test here and in
+verify compares fingerprints.  Its one kernel, _rows_key, reads row lengths
+from the top, so a bead set's key is read off partitions._bead_rows with no
+Partition built.
 
 Each map is the last item of its step generator: regularise of
 regularise_steps (one partition per abacus move), restrictise of
@@ -29,7 +30,7 @@ floating point.
 
 from __future__ import annotations
 
-from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, groupby, pairwise
 from operator import sub
@@ -40,27 +41,24 @@ from .partitions import (Node, Partition, _bead_walk, _row_avoids, beta_numbers,
                          from_beta_numbers, hooks_divisible_by)
 
 
+@dataclass(frozen=True, slots=True)
 class LadderParams:
     """Ladder parameters for modulus e and exact rational slope y."""
 
-    __slots__ = ("e", "y", "E", "Y")
-
     e: int
     y: Fraction
-    E: int
-    Y: int
+    E: int = field(init=False, repr=False, compare=False)
+    Y: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, e: int, y):
-        e = int(e)
-        y = y if type(y) is Fraction else Fraction(y)
+    def __post_init__(self):
+        e = int(self.e)
+        y = self.y if type(self.y) is Fraction else Fraction(self.y)
         if e < 2:
             raise ValueError("e must be at least 2")
         if not y.denominator <= y.numerator <= (e - 1) * y.denominator:
             raise ValueError(f"slope {y} outside [1, {e - 1}]")
-        self.e = e
-        self.y = y
-        self.E = e * y.denominator
-        self.Y = y.numerator
+        for name, value in (("e", e), ("y", y), ("E", e * y.denominator), ("Y", y.numerator)):
+            object.__setattr__(self, name, value)
 
     def pair(self) -> tuple[int, int]:
         return (self.E, self.Y)
@@ -68,12 +66,6 @@ class LadderParams:
     def conjugate_params(self) -> "LadderParams":
         """Parameters for the conjugate slope e - y."""
         return LadderParams(self.e, self.e - self.y)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LadderParams) and (self.e, self.y) == (other.e, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.y))
 
     def __repr__(self) -> str:
         return f"LadderParams(e={self.e}, y={self.y})"
@@ -93,45 +85,30 @@ def depth(node: Node, params: LadderParams) -> int:
     return params.Y * r + (params.E - params.Y) * c
 
 
-def fingerprint(la: Partition, params: LadderParams) -> Counter:
-    """Node count of la in each ladder, keyed by canonical representative.
-
-    The key of node (r, c) is ladder_id((r, c), params), computed inline:
-    k = (c - 1) // Y ladder steps back lead to (r + k*(E - Y), c - k*Y),
-    written below with j = c - 1.
-    """
-    ym, drop = params.Y, params.E - params.Y
-    return Counter(
-        (r + j // ym * drop, j % ym + 1)
-        for r, row_len in enumerate(la.parts, start=1)
-        for j in range(row_len)
-    )
-
-
-def class_key(la: Partition, params: LadderParams) -> tuple[int, ...]:
-    """An integer form of fingerprint: class_key(la) == class_key(mu) exactly
-    when fingerprint(la) == fingerprint(mu), so it decides ladder-class
-    equality without building a Counter.  It is _rows_key of la's parts.
+def fingerprint(la: Partition, params: LadderParams) -> tuple[int, ...]:
+    """The ladder-class key of la: fingerprint(la) == fingerprint(mu) exactly
+    when every ladder meets la and mu in the same number of nodes.  It is
+    _rows_key of la's parts.
 
     With drop = E - Y, cut row r of part p into blocks of Y columns.  Block
-    k covers fingerprint keys (R, 1), ..., (R, Y) of the ladder row
-    R = r + k*drop when it is full, and (R, 1), ..., (R, rem) when it is
-    the last, partial block of rem = p % Y > 0 columns.  A full block gives
-    the integer R*Y and a partial one R*Y + rem; with 0 <= rem < Y these
-    are distinct for distinct (R, rem).  The key is the sorted list of
-    these integers over all blocks.
+    k covers the ladders (R, 1), ..., (R, Y), keyed by ladder_id, of the
+    ladder row R = r + k*drop when it is full, and (R, 1), ..., (R, rem)
+    when it is the last, partial block of rem = p % Y > 0 columns.  A full
+    block gives the integer R*Y and a partial one R*Y + rem; with
+    0 <= rem < Y these are distinct for distinct (R, rem).  The key is the
+    sorted list of these integers over all blocks.
 
-    It is a bijection with the fingerprint fp: a full block at R adds one to
-    every fp(R, s) and a partial block of rem columns one to fp(R, s) for
-    s <= rem, so fp(R, Y) counts the keys R*Y and, for 1 <= t < Y,
-    fp(R, t) - fp(R, t + 1) counts the keys R*Y + t.  Either determines
-    the other, so equal keys mean equal fingerprints and conversely.
+    It is a bijection with the node counts fp per ladder: a full block at R
+    adds one to every fp(R, s) and a partial block of rem columns one to
+    fp(R, s) for s <= rem, so fp(R, Y) counts the keys R*Y and, for
+    1 <= t < Y, fp(R, t) - fp(R, t + 1) counts the keys R*Y + t.  Either
+    determines the other, so equal keys mean equal counts and conversely.
     """
     return _rows_key(la.parts, params)
 
 
 def _rows_key(rows: Iterable[int], params: LadderParams) -> tuple[int, ...]:
-    """The class_key kernel, on a partition's row lengths from the top: its
+    """The fingerprint kernel, on a partition's row lengths from the top: its
     parts, or partitions._bead_rows of a bead set, whose zero rows end the
     walk (a zero row adds no key)."""
     ym = params.Y
@@ -304,8 +281,8 @@ def restrictise(la: Partition, params: LadderParams) -> Partition:
 
 def ladder_class(la: Partition, params: LadderParams, bound: int = 14) -> list[Partition]:
     """Brute-force ladder class of la: all equal-size partitions with the
-    same class_key (so the same fingerprint), most dominant first."""
+    same fingerprint, most dominant first."""
     if la.size > bound:
         raise ValueError(f"|la| = {la.size} exceeds the oracle bound {bound}")
-    target = class_key(la, params)
-    return [mu for mu in enumerate_partitions(la.size) if class_key(mu, params) == target]
+    target = fingerprint(la, params)
+    return [mu for mu in enumerate_partitions(la.size) if fingerprint(mu, params) == target]

@@ -193,12 +193,12 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
         for n in range(max_size + 1):
             by_key: dict = {}
             for la in enumerate_partitions(n):
-                key = ld.class_key(la, params)
+                key = ld.fingerprint(la, params)
                 by_key.setdefault(key, []).append(la)
                 where = lambda: f"{la} at {params!r}"
                 if not ld.is_regular(la, params):
                     kappa = ld.regularise_step(la, params)
-                    ok = kappa.dominates(la) and kappa != la and ld.class_key(kappa, params) == key
+                    ok = kappa.dominates(la) and kappa != la and ld.fingerprint(kappa, params) == key
                     yield "step_ascends_and_preserves_fingerprint", ok, where
                 ok = ld.is_restricted(la, params) == ld.is_regular(la.conjugate(), conj_params)
                 yield "restricted_iff_conjugate_regular_for_conjugate_slope", ok, where
@@ -215,7 +215,7 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 for la in cls:
                     la_reg = reg(la)
                     where = lambda: f"{la} at {params!r}"
-                    ok = ld.class_key(la_reg, params) == key
+                    ok = ld.fingerprint(la_reg, params) == key
                     yield "regularise_preserves_fingerprint", ok, where
                     ok = la_reg == rep and res(la) == low and ends_ok
                     yield "regularise_restrictise_idempotent_inverse", ok, where
@@ -435,9 +435,9 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
     theorem on bead sets, and a report that the hypothesis is not met there
     fails the instance.  The box step places xi's halves on the n beads and
     takes nu's bead set from the report (or la's own below the joint
-    threshold); it compares their ladders.class_key, the integer form of
-    their c-bar fingerprints, read off the bead sets by ladders._rows_key,
-    and decodes nu only to print a failure."""
+    threshold); it compares their c-bar ladders.fingerprint, read off the
+    bead sets by its kernel ladders._rows_key, and decodes nu only to print
+    a failure."""
     for e in (4, 5):
         for residues in (frozenset({0}), frozenset({0, 2}), frozenset(range(1, e))):
             n = e * ((min(max_size, 14) + e) // e + 1)

@@ -13,8 +13,8 @@ whole strings, each operator checking the partition it is given in full,
 A-regularity and (E, Y)-regularity and restrictedness read every hook
 of length divisible by the modulus off the bead walk, where the library
 tests one cell per arm A_t,
-the ladder fingerprint keys each node by its own ladder_id call and is
-also read back off the integer class key block by block, the
+the node count per ladder keys each node by its own ladder_id call and is
+also read back off ladders.fingerprint's integer key block by block, the
 splitting report rebuilds every half for each u, places it by
 renumbering each bead on its own and tests separation by a scan of
 every bead, with no table of places, the regularisation
@@ -340,8 +340,8 @@ def random_partition(rng, n):
 
 
 def fingerprint_from_class_key(key, params) -> Counter:
-    """The fingerprint a class_key stands for: key k covers the ladders
-    (k // Y, s) for s = 1..(k % Y or Y)."""
+    """The node count per ladder that an integer class key (ladders.fingerprint)
+    stands for: key k covers the ladders (k // Y, s) for s = 1..(k % Y or Y)."""
     ym = params.Y
     return Counter((k // ym, s) for k in key for s in range(1, (k % ym or ym) + 1))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -352,6 +353,41 @@ class TestChain:
         code, out, err = run(capsys, "chain", "--e", "4", "--from", src, "--to", dst, "2,1")
         assert (code, err) == (0, "") and out.startswith("chain: ")
         assert out.splitlines()[0].count("(") == 3473
+
+
+def late_failing_arm_list():
+    """21,000 values at e = 3, floor(y*t) with A_16500 one too low, so the
+    arm-sequence pair scan first fails at A_16500 - A_3001 - A_13499, after
+    about 58 million pairs; about 116,000 bytes as one argument."""
+    y = 1 + Fraction(273, 3001) + Fraction(3, 10**8)
+    values = [y.numerator * t // y.denominator for t in range(1, 21_001)]
+    values[16_499] -= 1
+    return ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["crystal", "--e", "3", "--arm"], f"error: arm prefix length 21000 exceeds the limit {MAX_GRAPH_SIZE}\n"),
+    (["chain", "--e", "3", "--to", "1", "--from"], f"error: prefix bound 63000 exceeds the limit {MAX_CHAIN_BOUND}\n"),
+], ids=["crystal", "chain"])
+def test_long_arm_list_is_refused_by_its_length_before_the_pair_scan(capsys, argv, err):
+    arms = late_failing_arm_list()
+    start = time.perf_counter()
+    code, out, got = run(capsys, *argv, arms)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, got) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["split", "--e", "4", "--I", "0,x", "3,1"],
+     "argument --I: bad residue list '0,x': invalid literal for int() with base 10: 'x'"),
+    (["chain", "--e", "3", "--from", "1,,2", "--to", "1,2,3"],
+     "argument --from: bad arm prefix '1,,2': invalid literal for int() with base 10: ''"),
+], ids=["residues", "arms"])
+def test_bad_integer_list_is_a_usage_error_naming_the_list(capsys, argv, err):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {err}\n")
 
 
 class TestSinglePath:

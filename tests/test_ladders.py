@@ -41,7 +41,7 @@ def all_up_to(n):
 def classes_of_size(n, params):
     groups = {}
     for la in enumerate_partitions(n):
-        key = frozenset(ld.fingerprint(la, params).items())
+        key = frozenset(fingerprint_by_ladder_id(la, params).items())
         groups.setdefault(key, []).append(la)
     return list(groups.values())
 
@@ -183,17 +183,20 @@ class TestFingerprint:
         assert not ld.fingerprint(Partition(), LadderParams(3, 2))
 
     def test_total_count(self):
+        params = LadderParams(4, 3)
         for la in all_up_to(10):
-            assert sum(ld.fingerprint(la, LadderParams(4, 3)).values()) == la.size
+            assert sum(fingerprint_from_class_key(ld.fingerprint(la, params), params).values()) == la.size
 
     @pytest.mark.parametrize("e", [3, 4, 5])
     def test_keys_are_ladder_ids(self, e):
+        # the key, read back block by block, counts la's nodes on each ladder
         slopes = [Fraction(p, q) for q in (1, 2, 3) for p in range(q, (e - 1) * q + 1)]
         assert any(y.denominator > 1 for y in slopes)
         for y in sorted(set(slopes)):
             params = LadderParams(e, y)
             for la in all_up_to(12):
-                assert ld.fingerprint(la, params) == fingerprint_by_ladder_id(la, params), (la, y)
+                expanded = fingerprint_from_class_key(ld.fingerprint(la, params), params)
+                assert expanded == fingerprint_by_ladder_id(la, params), (la, y)
 
 
 def slope_grid(e):
@@ -211,8 +214,9 @@ def move_one_node(rng, la):
 
 
 class TestClassKey:
-    """class_key against fingerprint: equal keys exactly when equal
-    fingerprints, and the key expands back to the fingerprint."""
+    """fingerprint, the integer class key, against the oracle's node count
+    per ladder: equal keys exactly when equal counts, and the key expands
+    back to the counts."""
 
     def test_equality_is_fingerprint_equality_on_equal_size_pairs(self):
         # up to n = 11: a partial-block key one too high first merges two
@@ -222,7 +226,8 @@ class TestClassKey:
             for y in slope_grid(e):
                 params = LadderParams(e, y)
                 for n in range(12):
-                    both = [(ld.class_key(la, params), ld.fingerprint(la, params)) for la in enumerate_partitions(n)]
+                    both = [(ld.fingerprint(la, params), fingerprint_by_ladder_id(la, params))
+                            for la in enumerate_partitions(n)]
                     for (k1, f1), (k2, f2) in combinations(both, 2):
                         assert (k1 == k2) == (f1 == f2), (k1, k2, params)
                         pairs += 1
@@ -234,8 +239,8 @@ class TestClassKey:
             for y in slope_grid(e):
                 params = LadderParams(e, y)
                 for la in all_up_to(12):
-                    expanded = fingerprint_from_class_key(ld.class_key(la, params), params)
-                    assert expanded == ld.fingerprint(la, params), (la, params)
+                    expanded = fingerprint_from_class_key(ld.fingerprint(la, params), params)
+                    assert expanded == fingerprint_by_ladder_id(la, params), (la, params)
 
     def test_bead_set_key_is_the_key_of_its_partition(self):
         # on len(la) to len(la) + 2e beads: the zero rows of the beads below
@@ -247,26 +252,26 @@ class TestClassKey:
                     for n in range(len(la), len(la) + 2 * e + 1):
                         occ = beta_numbers(la, n)
                         key = ld._rows_key(pt._bead_rows(occ), params)
-                        assert key == ld.class_key(pt.from_beta_numbers(occ), params), (la, n, params)
+                        assert key == ld.fingerprint(pt.from_beta_numbers(occ), params), (la, n, params)
 
     def test_seeded_large_partitions(self):
-        # the key expands to the fingerprint and is constant on la, its
+        # the key expands to the oracle's counts and is constant on la, its
         # regularisation and restrictisation; on one-node moves and random
-        # same-size pairs its equality agrees with fingerprint's
+        # same-size pairs its equality agrees with the oracle's
         rng = random.Random(20261019)
         moved_apart = 0
         for n in range(50, 401, 25):
             for e in (3, 4, 5, 6):
                 params = LadderParams(e, rng.choice((Fraction(3, 2), Fraction(5, 3), Fraction(e - 1))))
                 la = random_partition(rng, n)
-                key = ld.class_key(la, params)
-                assert fingerprint_from_class_key(key, params) == ld.fingerprint(la, params)
-                assert ld.class_key(ld.regularise(la, params), params) == key
-                assert ld.class_key(ld.restrictise(la, params), params) == key
-                fp = ld.fingerprint(la, params)
+                key, fp = ld.fingerprint(la, params), fingerprint_by_ladder_id(la, params)
+                assert fingerprint_from_class_key(key, params) == fp
+                assert ld.fingerprint(ld.regularise(la, params), params) == key
+                assert ld.fingerprint(ld.restrictise(la, params), params) == key
                 for mu in (move_one_node(rng, la), move_one_node(rng, la), random_partition(rng, n)):
-                    assert (ld.class_key(mu, params) == key) == (ld.fingerprint(mu, params) == fp), (la, mu, params)
-                    moved_apart += ld.fingerprint(mu, params) != fp
+                    same = fingerprint_by_ladder_id(mu, params) == fp
+                    assert (ld.fingerprint(mu, params) == key) == same, (la, mu, params)
+                    moved_apart += not same
         assert moved_apart > 100
 
 

@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    fingerprint_by_ladder_id,
     hooks_by_node_scan,
     mullineux_steps_by_rounds,
     peel_and_rebuild_by_operators,
+    random_partition,
     regularise_steps_by_scale,
     restrictise_steps_by_scale,
 )
 from regcrystals import abacus as ab
 from regcrystals import ladders as ld
 from regcrystals.crystals import ArmPrefix, apply_chain, is_A_regular, iso_chain
-from regcrystals.ladders import LadderParams, fingerprint
+from regcrystals.ladders import LadderParams
 from regcrystals.mullineux import (
     _conjugate_image,
     hook_class,
@@ -107,10 +109,7 @@ class TestMullineux:
 
 def random_regular_partition(rng, n, e):
     """A seeded e-regular partition of n: random row lengths, then e-regularised."""
-    rows = rng.randint(1, 2 * int(n ** 0.5))
-    cuts = sorted(rng.sample(range(1, n), rows - 1))
-    parts = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
-    return james_regularise(Partition(parts), e)
+    return james_regularise(random_partition(rng, n), e)
 
 
 def large_inputs():
@@ -252,7 +251,7 @@ class TestJamesRegularise:
         for n in range(9):
             groups = {}
             for la in enumerate_partitions(n):
-                groups.setdefault(frozenset(fingerprint(la, params).items()), []).append(la)
+                groups.setdefault(frozenset(fingerprint_by_ladder_id(la, params).items()), []).append(la)
             for cls in groups.values():
                 top = james_regularise(cls[0], 3)
                 assert all(james_regularise(la, 3) == top for la in cls)

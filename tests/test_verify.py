@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fingerprint_from_class_key, paget_instances_by_filter
+from oracles import fingerprint_by_ladder_id, fingerprint_from_class_key, paget_instances_by_filter
 from regcrystals import abacus as ab
 from regcrystals import ladders as ld
 from regcrystals import partitions
@@ -143,12 +143,13 @@ def test_split_counts_at_e_5_max_8():
 
 
 def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
-    # the box step compares the class_keys of the bead sets of (xi, nu), in
-    # that order, read off their rows by ladders._rows_key, and never builds
-    # a fingerprint or calls class_key on a partition; each verdict is the
-    # fingerprint route's, and each key expands to its partition's fingerprint
+    # the box step compares the fingerprints of the bead sets of (xi, nu),
+    # in that order, read off their rows by the kernel ladders._rows_key,
+    # and never calls fingerprint on a partition; each verdict is the
+    # oracle's node count per ladder's, and each key is its partition's
+    # fingerprint and expands to that count
     keyed = []
-    real_rows_key, real_key, real_fp = ld._rows_key, ld.class_key, ld.fingerprint
+    real_rows_key, real_fp = ld._rows_key, ld.fingerprint
 
     def recording(rows, params):
         rows = list(rows)
@@ -157,19 +158,18 @@ def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
         return key
 
     def refused(la, params):
-        raise AssertionError("class_key or fingerprint called")
+        raise AssertionError("fingerprint called")
 
     monkeypatch.setattr(ld, "_rows_key", recording)
-    monkeypatch.setattr(ld, "class_key", refused)
     monkeypatch.setattr(ld, "fingerprint", refused)
     verdicts = [ok for name, ok, _ in verify.suite_split(8, (4,)) if name == "box_step_preserves_cbar_fingerprint"]
     monkeypatch.undo()
     assert len(keyed) == 2 * len(verdicts) == 2 * 947
     for (xi, params, _), (nu, _, _), ok in zip(keyed[::2], keyed[1::2], verdicts):
-        assert ok is (real_fp(xi, params) == real_fp(nu, params)), (xi, nu, params)
+        assert ok is (fingerprint_by_ladder_id(xi, params) == fingerprint_by_ladder_id(nu, params)), (xi, nu, params)
     for la, params, key in keyed:
-        assert key == real_key(la, params), (la, params)
-        assert fingerprint_from_class_key(key, params) == real_fp(la, params), (la, params)
+        assert key == real_fp(la, params), (la, params)
+        assert fingerprint_from_class_key(key, params) == fingerprint_by_ladder_id(la, params), (la, params)
 
 
 def test_box_step_failure_prints_nu(monkeypatch):
