@@ -3,9 +3,10 @@
 Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
 error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
-internal check or a --dot file that cannot be written, 2 bad flags (a
-verify --e outside a suite's range among them) or unparseable input (a
-rational in exponent notation among them).
+internal check, an internal fault inside a verify suite or a --dot file
+that cannot be written, 2 bad flags (a verify --e outside a suite's range
+among them) or unparseable input (a rational in exponent notation among
+them).
 abacus show and split take a --beads count because their output depends on
 it; paget does not, as its results are the same for every bead count.  The
 bead count, given or derived from --e (paget's too), and the runner count of
@@ -70,6 +71,13 @@ MAX_LADDER_CLASS_BOUND = 40
 # largest 43,245 long at e = 6 and 53,010 at e = 7, with a peak RSS of about
 # 53 MB and 64 MB when built alone (Python 3.11).
 MAX_VERIFY_SIZE = 30
+
+# The exceptions main reports as one "error: ..." line and exit 1.
+# AssertionError: the crystal peel found no good node (peel_and_rebuild);
+# RuntimeError: an operator left the A-regular set (build_graph);
+# OSError: the crystal --dot file cannot be written.  verify reports any
+# other exception raised inside a suite as an internal fault of that suite.
+_REPORTED = (ValueError, AssertionError, RuntimeError, OSError)
 
 
 def _partition_arg(text: str) -> Partition:
@@ -332,12 +340,18 @@ def _cmd_verify(args) -> int:
                 print(res.line())
                 failed = failed or not res.ok
             sys.stdout.flush()
-    except Exception as exc:  # the failures the suite found before it raised, then main's error line
-        for res in getattr(exc, "suite_results", ()):
+    except Exception as exc:  # the failures the suite found before it raised, then an error line
+        results = getattr(exc, "suite_results", ())
+        for res in results:
             if res.failure is not None:
                 print(res.line())
         sys.stdout.flush()
-        raise
+        if isinstance(exc, _REPORTED):
+            raise
+        # any other exception is a fault of the package: name its suite, not a traceback
+        suite = results[0].suite if results else args.suite
+        print(f"error: internal fault in suite {suite}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 1 if failed else 0
 
 
@@ -435,10 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError, RuntimeError, OSError) as exc:
-        # AssertionError: the crystal peel found no good node (peel_and_rebuild);
-        # RuntimeError: an operator left the A-regular set (build_graph);
-        # OSError: the crystal --dot file cannot be written
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

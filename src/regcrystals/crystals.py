@@ -34,7 +34,7 @@ from typing import Iterator
 from .abacus import conjugate_display
 from .ladders import LadderParams, _hold_ends, _steps
 from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
-from .partitions import Node, Partition, _bead_walk, _row_avoids, beta_numbers, format_partition, from_beta_numbers
+from .partitions import Node, Partition, _bead_hooks, _row_avoids, beta_numbers, format_partition, from_beta_numbers
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,39 +123,69 @@ def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, t
     plus[0].  Residue i alone (always a key), or every residue with a
     signed node when i is None.
 
-    One walk down the rows finds the nodes: row r ends in a removable node
-    when the row below is shorter, and has an addable node after its end
-    when the row above is longer.  A node (r, c) sorts by its key
+    One walk down the rows finds the nodes: where row r + 1 is shorter
+    than row r (or absent), row r ends in a removable node and row r + 1
+    has an addable one after its end.  A node (r, c) sorts by its key
     (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e), and its
     residue is -(r - c) mod e; one pass down the sorted nodes reduces
-    every residue at once.
+    every residue at once.  Each case (every residue, or i alone) has its
+    own walk and pass over flat (key, r - c, r, c, grow) tuples, and a
+    '-' node's (r, c) is built only when it survives.
     """
     e, y = prefix.e, prefix.slope
     wr = y.numerator
     wc = e * y.denominator - wr
     keyed = []
-    above = None
-    for r, (p, below) in enumerate(zip(parts, (*parts[1:], 0)), start=1):
-        if below < p and (i is None or (p - r) % e == i):
-            keyed.append((wr * r + wc * p, r - p, (r, p), False))
-        if above != p and (i is None or (p + 1 - r) % e == i):
-            keyed.append((wr * r + wc * (p + 1), r - p - 1, (r, p + 1), True))
-        above = p
-    r = len(parts) + 1
-    if i is None or (1 - r) % e == i:
-        keyed.append((wr * r + wc, r - 1, (r, 1), True))
+    push = keyed.append
+    above = r = 0  # row r and its length
+    if i is None:
+        for p in parts:
+            if above != p:
+                if r:
+                    push((wr * r + wc * above, r - above, r, above, False))
+                push((wr * (r + 1) + wc * (p + 1), r - p, r + 1, p + 1, True))
+                above = p
+            r += 1
+        if r:
+            push((wr * r + wc * above, r - above, r, above, False))
+        r += 1
+        push((wr * r + wc, r - 1, r, 1, True))
+        keyed.sort(reverse=True)
+        signed = {}
+        sigs = [None] * e  # signed by r - c mod e
+        for _, d, r, c, grow in keyed:
+            if (sig := sigs[d % e]) is None:
+                sig = sigs[d % e] = signed[-d % e] = ([], [])
+            if grow:
+                sig[1].append((r, c))
+            elif sig[1]:
+                sig[1].pop()
+            else:
+                sig[0].append((r, c))
+        return signed
+    for p in parts:
+        if above != p:
+            if r and (above - r) % e == i:
+                push((wr * r + wc * above, r - above, r, above, False))
+            if (p - r) % e == i:
+                push((wr * (r + 1) + wc * (p + 1), r - p, r + 1, p + 1, True))
+            above = p
+        r += 1
+    if r and (above - r) % e == i:
+        push((wr * r + wc * above, r - above, r, above, False))
+    r += 1
+    if (1 - r) % e == i:
+        push((wr * r + wc, r - 1, r, 1, True))
     keyed.sort(reverse=True)
-    signed = {} if i is None else {i: ([], [])}
-    for _, d, node, grow in keyed:
-        if (sig := signed.get(-d % e)) is None:
-            sig = signed[-d % e] = ([], [])
+    minus, plus = [], []
+    for _, _, r, c, grow in keyed:
         if grow:
-            sig[1].append(node)
-        elif sig[1]:
-            sig[1].pop()
+            plus.append((r, c))
+        elif plus:
+            plus.pop()
         else:
-            sig[0].append(node)
-    return signed
+            minus.append((r, c))
+    return {i: (minus, plus)}
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
@@ -397,9 +427,8 @@ def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[i
     start, end = start.as_integer_ratio(), end.as_integer_ratio()
     hooked = occ and e <= max(occ)  # else no hook has length e or more and nothing moves
     for (hp, hq), (lp, lq) in _hold_ends(_steps(occ, e, *start, True, end), start, end):
-        hooks = _bead_walk(map(sub, sorted(occ), range(len(occ))), e) if hooked else ()
-        arms = (((b - g) // e, part - 1 - below) for b, part, run in hooks for g, below in run)
-        if any(arm * hq < hp * t and (arm + 1) * lq > lp * t for t, arm in arms):
+        hooks = _bead_hooks(map(sub, sorted(occ), range(len(occ))), e) if hooked else ()
+        if any(arm * hq < hp * t and (arm + 1) * lq > lp * t for t, arm, _, _ in hooks):
             low, high = Fraction(lp, lq), Fraction(hp, hq)
             at = f"[{e - high}, {e - low})" if chain.inverse else f"[{low}, {high})"
             raise ValueError(f"chain left the regular set at a slope in {at}")

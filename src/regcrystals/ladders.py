@@ -19,10 +19,11 @@ regularise_steps (one partition per abacus move), restrictise of
 restrictise_steps (the conjugated steps at the conjugate slope e - y).
 
 regularise_steps, the Mullineux loop and the crystal chains share one step
-loop, _steps, on one carried bead set: per move, one walk of the kernel
-partitions._bead_walk (_top_hook) finds the bead that _abacus_step moves in
-place.  The maps encode and decode once.  The predicates walk each row by
-partitions._row_avoids, whose legs (E - Y)*t or (E - Y)*t - 1 rise as Y < E.
+loop, _steps, on one carried bead set: per move, one pass down the sorted
+beads (_top_hook), keeping only the best hook, finds the bead that
+_abacus_step moves in place.  The maps encode and decode once.  The
+predicates walk each row by partitions._row_avoids, whose legs (E - Y)*t
+or (E - Y)*t - 1 rise as Y < E.
 
 All slope arithmetic is exact via fractions.Fraction; nothing here touches
 floating point.
@@ -33,11 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, groupby, pairwise
-from operator import sub
 from typing import Iterable, Iterator
 
 from .abacus import conjugate_display
-from .partitions import (Node, Partition, _bead_walk, _row_avoids, beta_numbers, enumerate_partitions,
+from .partitions import (Node, Partition, _row_avoids, beta_numbers, enumerate_partitions,
                          from_beta_numbers, hooks_divisible_by)
 
 
@@ -149,17 +149,42 @@ def bad_count(la: Partition, params: LadderParams) -> int:
 
 
 def _top_hook(occ: set[int], e: int, p: int, q: int) -> tuple[int, int, int] | None:
-    """(arm + 1, t, b) of the longest hook of length e*t of the bead set occ,
-    with bead b, whose slope (arm + 1)/t is the largest in [1, p/q] (the
-    last walked of ties), or None; one walk, keeping the best so far.
+    """(arm + 1, t, b) of the top hook of length e*t of the bead set occ,
+    with bead b, or None: the largest slope (arm + 1)/t in [1, p/q], then
+    the largest t, then the highest bead.
     With a = arm + 1, a/t = Y/q' in lowest terms exactly when the hook is
-    singular at (E, Y) = (e*q', Y) scaled by a/Y: the move is at (e*t, a)."""
+    singular at (E, Y) = (e*q', Y) scaled by a/Y: the move is at (e*t, a).
+
+    One pass down the sorted beads keeps only the best hook so far.  Each
+    bead is filed under its runner of the e-runner abacus as (b // e,
+    gaps below b), and each gap g meets the beads filed above it on its
+    runner: a hook of length e*t whose a is the bead's gap count less g's.
+    Gaps come highest first, so the first of a tie is the highest bead.
+    The pass stops at the first bead with no gap below it, so the beads of
+    the full bottom of the display are never visited."""
     best_a, best_t, best_b = 0, 1, 0
-    for b, part, gaps in _bead_walk(map(sub, sorted(occ), range(len(occ))), e):
-        for g, below in gaps:
-            t, a = (b - g) // e, part - below  # slope a/t in [1, p/q], then by slope and length
-            if a * q <= p * t and (x := a * best_t) >= (y := best_a * t) and t <= a and (x > y or t >= best_t):
-                best_a, best_t, best_b = a, t, b
+    beads = sorted(occ, reverse=True)
+    beads.append(-1)  # below the lowest bead: the gaps under it are walked too
+    runners: list[list[tuple[int, int]] | None] = [None] * e
+    k = len(occ)  # the beads below the gaps walked next
+    g = beads[0] - 1
+    for b in beads:
+        while g > b:
+            if run := runners[g % e]:
+                gq, below = g // e, g - k
+                for bq, part in run:
+                    t, a = bq - gq, part - below  # slope a/t in [1, p/q], then by slope and length
+                    if t <= a and a * q <= p * t and ((x := a * best_t) > (y := best_a * t) or x == y and t > best_t):
+                        best_a, best_t, best_b = a, t, g + e * t
+            g -= 1
+        k -= 1
+        if b == k:  # b and every bead below it have no gap below
+            break
+        if run := runners[b % e]:
+            run.append((b // e, b - k))
+        else:
+            runners[b % e] = [(b // e, b - k)]
+        g = b - 1
     return (best_a, best_t, best_b) if best_a else None
 
 

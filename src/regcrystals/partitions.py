@@ -5,14 +5,16 @@ trailing zeros dropped.  Young diagrams follow the English convention: the
 node ``(r, c)`` sits in row ``r`` (growing downward) and column ``c``, both
 indexed from 1.
 
-Hook data has one source, the bead walk _bead_walk.  hooks_divisible_by
-reads it for hooks() and the Lyle report, and the regularisation loop on
-the bead set it carries from move to move; none of them builds a
-conjugate.  The regularity predicates test one column per arm A_t instead
-(_row_avoids).  A bead set has one reader, _bead_rows: from_beta_numbers
-keeps its nonzero rows, and ladders._rows_key keys them with no Partition
-built.  _beads_restricted tests a bead set for restrictedness.  The
-e-content is a tuple of e residue counts (e_content).
+Hook data comes from one pass over a display, _bead_hooks, which lists
+the hooks of length divisible by m as flat tuples.  hooks() reads it at
+m = 1, hooks_divisible_by for the Lyle report and the ladder counts, and
+crystals._holds on the bead set a chain carries; none of them builds a
+conjugate.  The regularisation loop keeps only its best hook, in its own
+pass (ladders._top_hook).  The regularity predicates test one column per
+arm A_t instead (_row_avoids).  A bead set has one reader, _bead_rows:
+from_beta_numbers keeps its nonzero rows, and ladders._rows_key keys them
+with no Partition built.  _beads_restricted tests a bead set for
+restrictedness.  The e-content is a tuple of e residue counts (e_content).
 """
 
 from __future__ import annotations
@@ -120,13 +122,14 @@ class Partition:
         return all(map(ge, accumulate(self.parts), accumulate(other.parts)))
 
     def hooks(self) -> list[Hook]:
-        """All hooks, one per node, in row-major order: the walk at m = 1,
-        whose t is the hook length."""
-        parts = self.parts
+        """All hooks, one per node, in row-major order: _bead_hooks at
+        m = 1, whose t is the hook length."""
+        parts, n = self.parts, len(self.parts)
         hooks = []
-        for length, arm, r in hooks_divisible_by(self, 1):
-            c, leg = parts[r - 1] - arm, length - 1 - arm
-            hooks.append(Hook((r, c), length, arm, leg, (r, parts[r - 1]), (r + leg, c)))
+        for length, arm, b, part in _bead_hooks(reversed(parts), 1):
+            r = n - b + part
+            c, leg = part - arm, length - 1 - arm
+            hooks.append(Hook((r, c), length, arm, leg, (r, part), (r + leg, c)))
         return sorted(hooks)
 
     def remove_rim_hook(self, corner: Node) -> "Partition":
@@ -202,23 +205,28 @@ class Partition:
         return all(a - b < e for a, b in zip(self.parts, self.parts[1:] + (0,)))
 
 
-def _bead_walk(parts: Iterable[int], m: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """(b, part, gaps) for each bead of a display from the bottom up, given
-    the gap counts below the beads in that order (zeros allowed): b is the
-    bead's position, part its gap count and gaps the walk's own list of
-    (g, gaps below g) for the gaps g < b on b's runner of the m-runner
-    abacus, read before the next bead.  A bead with no such gap heads no
-    hook of length divisible by m and is passed over."""
+def _bead_hooks(parts: Iterable[int], m: int) -> list[tuple[int, int, int, int]]:
+    """(t, arm, b, part) for every hook of length m*t of a display, given
+    the gap counts below its beads from the bottom up (zeros allowed): b is
+    the bead over the hook's gap g, part the bead's gap count and arm the
+    gaps strictly between.  b and g share a runner of the m-runner abacus,
+    so one pass up the positions files each gap under its runner with its
+    own gap count, and pairs each bead with the gaps filed there before it:
+    bead by bead from the bottom, each bead's gaps upward."""
     runners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    pos = gaps = 0
+    hooks = []
+    pos = gaps = 0  # the next position, and the gaps below it
     for part in parts:
         while gaps < part:
             runners[pos % m].append((pos, gaps))
             pos += 1
             gaps += 1
         if run := runners[pos % m]:
-            yield pos, part, run
+            edge = part - 1
+            for g, below in run:
+                hooks.append(((pos - g) // m, edge - below, pos, part))
         pos += 1
+    return hooks
 
 
 def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
@@ -227,8 +235,8 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
     On the bead set of la, a hook is a bead over a gap below it:
     its length is their distance and its arm the number of gaps strictly
     between.  A hook of length m*t pairs a bead with a gap on the same
-    runner of the m-runner abacus, so _bead_walk visits at most |la|/m
-    hooks and never builds the conjugate.  No walk starts when m exceeds
+    runner of the m-runner abacus, so _bead_hooks lists at most |la|/m
+    hooks and never builds the conjugate.  No pass starts when m exceeds
     the largest hook length la_1 + len(la) - 1 (the empty partition has no
     hooks).
     """
@@ -236,8 +244,7 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
     if not parts or m > parts[0] + len(parts) - 1:
         return []
     n = len(parts)  # the bead b of row r has part = b - (n - r) gaps below it
-    return [((b - g) // m, part - 1 - below, n - b + part) for b, part, gaps in _bead_walk(reversed(parts), m)
-            for g, below in gaps]
+    return [(t, arm, n - b + part) for t, arm, b, part in _bead_hooks(reversed(parts), m)]
 
 
 def _row_avoids(parts, r: int, m: int, arms: Iterable[int]) -> bool:

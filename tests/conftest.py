@@ -1,10 +1,39 @@
 import importlib
+import signal
+import threading
 from dataclasses import replace
 
 import pytest
 
 from regcrystals import crystals, verify
 from regcrystals.partitions import Partition
+
+
+# Wall-clock seconds a test may run before it fails.  The slowest test takes
+# about 4 s; a kernel fault that never ends a step loop would otherwise hang
+# the run while its memory grows.
+TEST_DEADLINE_S = 120
+
+
+@pytest.fixture(autouse=True)
+def deadline(request):
+    """Fail the test, naming its node id, once it has run TEST_DEADLINE_S
+    seconds.  It arms a real-time interval timer, so it runs only where
+    SIGALRM exists and only on the main thread, which receives the signal."""
+    if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past its {TEST_DEADLINE_S} s deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -448,6 +448,20 @@ def largest_singular_position(la, em: int, ym: int) -> int | None:
     return max(singular, default=None)
 
 
+def top_hook_by_hooks(occ, e: int, p: int, q: int) -> tuple[int, int, int] | None:
+    """ladders._top_hook by its documented rule, over the hooks of the
+    decoded partition: of the hooks of length e*t with slope (arm + 1)/t in
+    [1, p/q], the largest slope, then the largest t, then the highest bead
+    la_r + n - r on the n = len(occ) beads; (arm + 1, t, bead) or None."""
+    la, n = from_beta_numbers(occ), len(occ)
+    hooks = [(Fraction(arm + 1, t), t, la.part(r) + n - r, arm + 1) for t, arm, r in hooks_divisible_by(la, e)]
+    fits = [hook for hook in hooks if 1 <= hook[0] <= Fraction(p, q)]
+    if not fits:
+        return None
+    _, t, bead, a = max(fits)
+    return a, t, bead
+
+
 def abacus_step_by_scan(occ: set[int], em: int, ym: int, b: int) -> int:
     """ladders._abacus_step, in place on occ, with the beads b_i read off a
     sorted scan of every bead of occ above b - em in the class union F, and

@@ -966,6 +966,34 @@ class TestVerify:
         assert (first.name, first.checked, first.failure) == ("adjointness", 2, "here")
         assert [r.checked for r in info.value.suite_results[1:]] == [0] * 7
 
+    def test_internal_fault_names_its_suite_and_exits_1(self, capsys, monkeypatch):
+        # an exception that main does not report, raised inside a suite, is
+        # reported as a fault of that suite, with no traceback
+        def broken(la, params):
+            raise IndexError("tuple index out of range")
+
+        monkeypatch.setattr(ld, "is_restricted", broken)
+        code, out, err = run(capsys, "verify", "ladder", "--max", "4")
+        assert code == 1 and out == ""
+        assert err == "error: internal fault in suite ladder: IndexError: tuple index out of range\n"
+        assert "Traceback" not in err
+
+    def test_internal_fault_keeps_the_failures_found_before_it(self, capsys, monkeypatch, lyle_fails_at_2_1):
+        real = vf._lyle_report
+        calls = []
+
+        def faulty(*args):
+            calls.append(args)
+            if len(calls) > 20:
+                raise KeyError("lyle")
+            return real(*args)
+
+        monkeypatch.setattr(vf, "_lyle_report", faulty)
+        code, out, err = run(capsys, "verify", "lyle", "--e", "3", "--max", "6")
+        assert code == 1
+        assert out == "FAIL lyle.dominance_always_holds checked=6 counterexample: 2,1 e=3\n"
+        assert err == "error: internal fault in suite lyle: KeyError: 'lyle'\n"
+
     def test_peel_without_a_good_node_exits_1(self, capsys, replace_walk):
         # a walk that finds no signed node at any residue
         replace_walk(lambda real, parts, prefix, i: {} if i is None else {i: ([], [])})

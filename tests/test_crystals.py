@@ -833,9 +833,9 @@ class TestOneWalkPerMove:
         # moves at one slope; the source check walks the arm sequence, not
         # the bead set
         walks, moved = [], []
-        real_walk, real_steps = pt._bead_walk, cr._steps
-        for module in (pt, ld, cr):
-            monkeypatch.setattr(module, "_bead_walk", lambda *a: walks.append(a) or real_walk(*a))
+        real_top, real_hooks, real_steps = ld._top_hook, pt._bead_hooks, cr._steps
+        monkeypatch.setattr(ld, "_top_hook", lambda *a: walks.append(a) or real_top(*a))
+        monkeypatch.setattr(cr, "_bead_hooks", lambda *a: walks.append(a) or real_hooks(*a))
         monkeypatch.setattr(cr, "_steps", lambda *a: (moved.append(m) or m for m in real_steps(*a)))
         counts = []
         for chain, la in long_chains():

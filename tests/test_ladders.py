@@ -20,6 +20,7 @@ from oracles import (
     random_partition,
     regularise_steps_by_scale,
     restrictise_steps_by_scale,
+    top_hook_by_hooks,
 )
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
@@ -370,6 +371,22 @@ class TestRegularisationStep:
                     a, t, bead = top
                     assert bead == largest_singular_position(la, e * t, a), (la, e, p, q)
 
+    def test_top_hook_equals_the_pick_from_every_hook(self):
+        # on len(la) beads and on three more, at the top slope e - 1, at 1,
+        # and at 3/2 and 5/3 where they are slopes for e
+        compared = found = 0
+        for e in range(2, 7):
+            ceilings = [(e - 1, 1), (1, 1)] + [(p, q) for p, q in ((3, 2), (5, 3)) if p <= (e - 1) * q]
+            for la in all_up_to(12):
+                for n in (len(la), len(la) + 3):
+                    occ = beta_numbers(la, n)
+                    for p, q in ceilings:
+                        top = ld._top_hook(occ, e, p, q)
+                        assert top == top_hook_by_hooks(occ, e, p, q), (la, n, e, p, q)
+                        compared += 1
+                        found += top is not None
+        assert compared == 272 * 2 * (2 + 4 * 4) and 0 < found < compared
+
     def test_abacus_step_moves_as_the_scan_of_every_bead(self, monkeypatch):
         # every move of the step loops on seeded n = 50..400 (regularise and
         # restrictise at a random slope p/q with q <= 4, and mullineux),
@@ -419,12 +436,13 @@ class TestOperationCounts:
                 return real(*args)
             return wrapper
 
-        for name, key in (("beta_numbers", "encode"), ("from_beta_numbers", "decode"), ("_bead_walk", "walk")):
+        for name, key in (("beta_numbers", "encode"), ("from_beta_numbers", "decode")):
             real = getattr(pt, name)
             fake = counting(key, real)
             for module in (pt, ld, mx):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, fake)
+        monkeypatch.setattr(ld, "_top_hook", counting("walk", ld._top_hook))
         monkeypatch.setattr(Partition, "conjugate", counting("conjugate", Partition.conjugate))
         return seen
 

@@ -11,7 +11,7 @@ from regcrystals.partitions import (
     Partition,
     PartitionParseError,
     _bead_rows,
-    _bead_walk,
+    _bead_hooks,
     _beads_restricted,
     beta_numbers,
     enumerate_partitions,
@@ -149,18 +149,15 @@ class TestHooks:
         for la in all_up_to(12):
             beads = sorted(beta_numbers(la, len(la)))
             for m in range(1, 6):
-                walk = [(b, part, list(gaps)) for b, part, gaps in _bead_walk(reversed(la.parts), m)]
+                walk = _bead_hooks(reversed(la.parts), m)
                 expected = []
                 for i, b in enumerate(beads):
-                    gaps = [(g, g - sum(c < g for c in beads)) for g in range(b % m, b, m) if g not in beads]
-                    if gaps:
-                        expected.append((b, b - i, gaps))
+                    for g in range(b % m, b, m):
+                        if g not in beads:
+                            below = g - sum(c < g for c in beads)
+                            expected.append(((b - g) // m, b - i - 1 - below, b, b - i))
                 assert walk == expected, (la, m)
-                hooks = []
-                for b, part, gaps in walk:
-                    for g, below in gaps:
-                        arm = part - 1 - below
-                        hooks.append((b - g, arm, b - g - 1 - arm))
+                hooks = [(m * t, arm, m * t - 1 - arm) for t, arm, _, _ in walk]
                 assert sorted(hooks) == [h for h in hook_data_by_beads(la) if h[0] % m == 0], (la, m)
 
     def test_walk_equals_the_node_scan(self):
@@ -212,7 +209,7 @@ class TestRimHooks:
         def refuse(*args):
             raise AssertionError("hook walk")
 
-        monkeypatch.setattr("regcrystals.partitions._bead_walk", refuse)
+        monkeypatch.setattr("regcrystals.partitions._bead_hooks", refuse)
         assert [la.remove_rim_hook(nd) for nd in corners] == expected
 
     @pytest.mark.parametrize("corner", [(1, 4), (2, 2), (4, 1), (0, 1), (1, 0)])
