@@ -11,7 +11,7 @@ signed nodes of a signature are read off Partition's node lists and reduced
 apart from the walk that sorts them, the crystal walk takes one public operator per node where the library moves
 whole strings, each operator checking the partition it is given in full,
 A-regularity and (E, Y)-regularity and restrictedness read every hook
-of length divisible by the modulus off the bead walk, where the library
+of length divisible by the modulus off hooks_divisible_by, where the library
 tests one cell per arm A_t,
 the node count per ladder keys each node by its own ladder_id call and is
 also read back off ladders.fingerprint's integer key block by block, the
