@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .partitions import Partition, beta_numbers, from_beta_numbers
+from .partitions import Partition, _brief, beta_numbers, from_beta_numbers
 
 
 def check_runners(e: int) -> None:
@@ -128,7 +128,7 @@ def from_core_and_quotient(core: Partition, quotient: list[Partition], e: int) -
     if len(quotient) != e:
         raise ValueError(f"need {e} quotient components, got {len(quotient)}")
     if e_core(core, e) != core:
-        raise ValueError(f"{core.parts} is not an {e}-core")
+        raise ValueError(f"{_brief(core.parts)} is not an {e}-core")
     return _fit_runners(quotient, runner_counts(beta_numbers(core, default_beads(core, e)), e))
 
 

@@ -8,14 +8,15 @@ cogood i-node read off from the reduced i-signature in the A-dependent
 node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
-the ladder depth first.  One row walk, _signed_nodes, sorts the signed
-nodes by that key and reduces every residue's signature in the same pass.
-The i-string kernel moves a whole string of a row list in place after one
-walk, checking only the shape of each moved row and the hooks of its row
-and column, and builds its image unchecked; e_op/f_op check their input
-in full and move one node.  Both checks test one cell per arm A_t, not
-every hook (partitions._row_avoids).  build_graph grows the crystal one
-size layer at a time, one walk per vertex for every residue.
+the ladder depth first, by the integer weights (Y, E - Y) a prefix keeps.
+One row walk, _signed_nodes, sorts the signed nodes by that key, reduces
+every residue's signature in the same pass and names each node by its
+row, which it ends or is added to.  build_graph, one size layer at a time,
+takes each residue's first '+' row, and the peel the '-' rows of its
+first residue.  One kernel, _move, places and checks each node, in place:
+only the shape of its row and the hooks of its row and column, one cell
+per arm A_t (partitions._row_avoids), so the moves build their images
+unchecked; e_op/f_op check their input in full.
 
 Crystals for any two prefixes are isomorphic via a chain of ladder
 regularisations at the Farey slopes of order n between them.  A chain runs
@@ -34,7 +35,7 @@ from typing import Iterator
 from .abacus import conjugate_display
 from .ladders import LadderParams, _hold_ends, _steps
 from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
-from .partitions import Node, Partition, _bead_hooks, _row_avoids, beta_numbers, format_partition, from_beta_numbers
+from .partitions import Partition, _bead_hooks, _brief, _row_avoids, beta_numbers, format_partition, from_beta_numbers
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,10 +43,10 @@ class ArmPrefix:
     """The first n values (A_1, ..., A_n) of an arm sequence for modulus e.
 
     The values alone fix the crystal: the operators read their node order
-    off the slope y = max A_t / t, which __post_init__ derives from the
-    values, and A_t = floor(y*t) for every t.  A prefix holds nothing else.
-    _of is the trusted constructor, for values and slope valid by
-    construction.
+    off the slope y = max A_t / t = Y / (E/e), which __post_init__ derives
+    from the values with its integer weights (Y, E - Y), which a walk reads,
+    and A_t = floor(y*t) for every t.  A prefix holds nothing else.  _of is
+    the trusted constructor, for values and slope valid by construction.
 
     s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
     induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
@@ -60,6 +61,7 @@ class ArmPrefix:
     e: int
     values: tuple[int, ...]
     slope: Fraction = field(init=False, repr=False, compare=False)
+    weights: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = int(self.e)
@@ -84,7 +86,8 @@ class ArmPrefix:
                         raise ValueError(
                             f"A_{t + u} - A_{t} - A_{u} = {gap} violates the arm-sequence axiom"
                         )
-        for name, value in (("e", e), ("values", vals), ("slope", Fraction(num, den))):
+        weights = (num, e * den - num)
+        for name, value in (("e", e), ("values", vals), ("slope", Fraction(num, den)), ("weights", weights)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -92,7 +95,8 @@ class ArmPrefix:
         """The prefix of values with that slope, unchecked: for values valid
         by construction, as in mullineux_oracle's A_t = t - 1 of slope (n - 1)/n."""
         prefix = object.__new__(cls)
-        for name, value in (("e", e), ("values", values), ("slope", slope)):
+        weights = (slope.numerator, e * slope.denominator - slope.numerator)
+        for name, value in (("e", e), ("values", values), ("slope", slope), ("weights", weights)):
             object.__setattr__(prefix, name, value)
         return prefix
 
@@ -116,25 +120,25 @@ class ArmPrefix:
         return self.n * self.e
 
 
-def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, tuple[list[Node], list[Node]]]:
-    """residue -> (minus, plus), the reduced signature of parts: the
-    removable ('-') and addable ('+') nodes, in order, that survive deleting
-    adjacent '+-' pairs, so the good node is minus[-1] and the cogood one
-    plus[0].  Residue i alone (always a key), or every residue with a
-    signed node when i is None.
+def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, tuple[list[int], list[int]]]:
+    """residue -> (minus, plus), the reduced signature of parts by rows:
+    the rows ended by a removable ('-') node and those with an addable
+    ('+') one past their end, in order, that survive deleting adjacent
+    '+-' pairs, so the good node ends row minus[-1] and the cogood one is
+    added to row plus[0].  Residue i alone (always a key), or every
+    residue with a signed node when i is None.
 
     One walk down the rows finds the nodes: where row r + 1 is shorter
     than row r (or absent), row r ends in a removable node and row r + 1
     has an addable one after its end.  A node (r, c) sorts by its key
-    (Y*r + (E - Y)*c, r - c) for the prefix slope y = Y / (E/e), and its
-    residue is -(r - c) mod e; one pass down the sorted nodes reduces
-    every residue at once.  Each case (every residue, or i alone) has its
-    own walk and pass over flat (key, r - c, r, c, grow) tuples, and a
-    '-' node's (r, c) is built only when it survives.
+    (Y*r + (E - Y)*c, r - c) for the prefix weights (Y, E - Y), which at
+    equal depth orders r as r - c, so one pass down the flat tuples
+    (depth, r, (c - r) mod e, grow) reduces every residue at once, with a
+    stack per residue that occurs.  Residue i alone has its own walk and
+    pass, over that residue's nodes.
     """
-    e, y = prefix.e, prefix.slope
-    wr = y.numerator
-    wc = e * y.denominator - wr
+    e = prefix.e
+    wr, wc = prefix.weights
     keyed = []
     push = keyed.append
     above = r = 0  # row r and its length
@@ -142,49 +146,46 @@ def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, t
         for p in parts:
             if above != p:
                 if r:
-                    push((wr * r + wc * above, r - above, r, above, False))
-                push((wr * (r + 1) + wc * (p + 1), r - p, r + 1, p + 1, True))
+                    push((wr * r + wc * above, r, (above - r) % e, False))
+                push((wr * (r + 1) + wc * (p + 1), r + 1, (p - r) % e, True))
                 above = p
             r += 1
         if r:
-            push((wr * r + wc * above, r - above, r, above, False))
-        r += 1
-        push((wr * r + wc, r - 1, r, 1, True))
+            push((wr * r + wc * above, r, (above - r) % e, False))
+        push((wr * (r + 1) + wc, r + 1, -r % e, True))
         keyed.sort(reverse=True)
         signed = {}
-        sigs = [None] * e  # signed by r - c mod e
-        for _, d, r, c, grow in keyed:
-            if (sig := sigs[d % e]) is None:
-                sig = sigs[d % e] = signed[-d % e] = ([], [])
+        for _, r, res, grow in keyed:
+            if (sig := signed.get(res)) is None:
+                sig = signed[res] = ([], [])
             if grow:
-                sig[1].append((r, c))
+                sig[1].append(r)
             elif sig[1]:
                 sig[1].pop()
             else:
-                sig[0].append((r, c))
+                sig[0].append(r)
         return signed
     for p in parts:
         if above != p:
             if r and (above - r) % e == i:
-                push((wr * r + wc * above, r - above, r, above, False))
+                push((wr * r + wc * above, r, False))
             if (p - r) % e == i:
-                push((wr * (r + 1) + wc * (p + 1), r - p, r + 1, p + 1, True))
+                push((wr * (r + 1) + wc * (p + 1), r + 1, True))
             above = p
         r += 1
     if r and (above - r) % e == i:
-        push((wr * r + wc * above, r - above, r, above, False))
-    r += 1
-    if (1 - r) % e == i:
-        push((wr * r + wc, r - 1, r, 1, True))
+        push((wr * r + wc * above, r, False))
+    if -r % e == i:
+        push((wr * (r + 1) + wc, r + 1, True))
     keyed.sort(reverse=True)
     minus, plus = [], []
-    for _, _, r, c, grow in keyed:
+    for _, r, grow in keyed:
         if grow:
-            plus.append((r, c))
+            plus.append(r)
         elif plus:
             plus.pop()
         else:
-            minus.append((r, c))
+            minus.append(r)
     return {i: (minus, plus)}
 
 
@@ -203,59 +204,47 @@ def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:
     return all(_row_avoids(parts, r, e, arms) for r in range(1, len(parts) + 1))
 
 
-def _place(parts: list[int], node: Node, grow: bool) -> None:
-    """Add (grow) or remove the addable or removable node of parts, in
-    place; a removal below the last row changes nothing."""
-    r = node[0]
-    if r <= len(parts):
-        parts[r - 1] += 1 if grow else -1
-        if not parts[-1]:  # a removable node in column 1 ends the last row
-            parts.pop()
-    elif grow:
-        parts.append(1)
+def _not_regular(parts, prefix: ArmPrefix) -> ValueError:
+    """The error of a partition, or of a move's result, outside the crystal."""
+    return ValueError(f"{_brief(parts)} is not regular for {prefix!r}")
 
 
-def _move_ok(parts: list[int], node: Node, grow: bool, prefix: ArmPrefix) -> bool:
-    """True if parts, just moved by _place from an A-regular partition by
-    adding (grow) or removing node, is again an A-regular partition, so
-    the crystal moves may build it unchecked.
+def _move(parts: list[int], prefix: ArmPrefix, rows, grow: bool) -> int:
+    """Add (grow) or remove the node at the end of each of the rows of
+    parts, in place and in turn, checking each move as it is made, and
+    return how many moved; ValueError, naming parts as the failing move
+    left them, if a move fails its check.  A move that passes leaves an
+    A-regular partition, so the crystal moves may build it unchecked.
 
-    Only row r moved: node was there to move, and parts is a partition,
-    exactly when row r now ends at column c (added) or c - 1 (removed),
-    lies between its neighbours, and is positive or past the end.  Moving
-    the node (r, c) moves one bead of the bead set, and the only hooks it
+    The node (r, c) was there to move, and parts is again a partition,
+    exactly when row r is a row (one past the last, if added), lies between
+    its neighbours after the move, and is positive unless it was the last.
+    Moving the node moves one bead of the bead set, and the only hooks it
     changes are those of the moved bead (the hooks of row r) and of the
     gap it leaves (the hooks of column c above row r).  Row r is walked by
     _row_avoids, and column c, ending at row foot = r or r - 1, tests for
     each t the one row foot - (e*t - A_t - 1) whose hook has that leg.
     """
-    (r, c), e, arms, rows = node, prefix.e, prefix.values, len(parts)
-    pr = parts[r - 1] if r <= rows else 0
-    if pr != (c if grow else c - 1) or r > rows + 1:
-        return False
-    if r > 1 and parts[r - 2] < pr or pr < (parts[r] if r < rows else r == rows):
-        return False
-    if pr and not _row_avoids(parts, r, e, arms):  # pr is 0 only when the removal emptied the last row
-        return False
-    top = r + 1 if grow else r  # foot + 1
-    for arm in arms:
-        top -= e
-        if (row := top + arm) < 1:
-            break
-        if parts[row - 1] - c == arm:
-            return False
-    return True
-
-
-def _move(parts: list[int], prefix: ArmPrefix, nodes, grow: bool) -> int:
-    """Add (grow) or remove the nodes of parts in place, in turn, checking
-    each move as it is made, and return how many moved; ValueError if a
-    move fails its check."""
-    for node in nodes:
-        _place(parts, node, grow)
-        if not _move_ok(parts, node, grow, prefix):
-            raise ValueError(f"{tuple(parts)} is not regular for {prefix!r}")
-    return len(nodes)
+    e, arms = prefix.e, prefix.values
+    for r in rows:
+        if r > (last := len(parts)) + grow:  # no node to move at the end of row r
+            raise _not_regular(parts, prefix)
+        if r > last:
+            parts.append(0)
+        c = parts[r - 1] + grow  # the node's column
+        pr = parts[r - 1] = c if grow else c - 1
+        if not parts[-1]:  # a removal emptied the last row
+            parts.pop()
+        if r > 1 and parts[r - 2] < pr or r < len(parts) and pr < parts[r] or pr and not _row_avoids(parts, r, e, arms):
+            raise _not_regular(parts, prefix)
+        top = r + grow  # foot + 1
+        for arm in arms:
+            top -= e
+            if (row := top + arm) < 1:
+                break
+            if parts[row - 1] - c == arm:
+                raise _not_regular(parts, prefix)
+    return len(rows)
 
 
 def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int | None = None) -> int:
@@ -274,7 +263,7 @@ def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int
 def _image(la: Partition, prefix: ArmPrefix, i: int, grow: bool) -> Partition | None:
     """f_op (grow) or e_op past the bound check: la checked in full."""
     if not is_A_regular(la, prefix):
-        raise ValueError(f"{la.parts} is not regular for {prefix!r}")
+        raise _not_regular(la.parts, prefix)
     parts = list(la.parts)
     return Partition._of(tuple(parts)) if _move_string(parts, prefix, i, grow, 1) else None
 
@@ -307,10 +296,10 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
     a layer are keyed by their part tuples and walked in sorted order, so the
     vertices and the edges (by source, then residue) come out sorted.  One
     all-residue _signed_nodes walk per vertex below the bound gives each
-    residue's reduced signature; its first '+' is that residue's cogood
-    node, and each one gives an edge to the vertex with it added.  Each
-    vertex is checked once, shape and hooks, by the move check from the
-    first vertex that reaches it, and then built unchecked."""
+    residue's reduced signature; its first '+' row gives an edge to the
+    vertex with that cogood node added, whose key is sliced from this one's.
+    A new vertex is checked once, shape and hooks, by _move on a copy of
+    the first vertex that reaches it, and then built unchecked."""
     bound = prefix.bound if max_size is None else max_size
     if bound < 0:
         raise ValueError(f"max_size {bound} is negative")
@@ -329,14 +318,16 @@ def build_graph(prefix: ArmPrefix, max_size: int | None = None) -> CrystalGraph:
             for i, (_, plus) in sorted(_signed_nodes(key, prefix).items()):
                 if not plus:
                     continue
-                parts, node = list(key), plus[0]
-                _place(parts, node, True)
-                mu = layer.get(tuple(parts))
-                if mu is None:
-                    mu = Partition._of(tuple(parts))
-                    if not _move_ok(parts, node, True, prefix):
-                        raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}")
-                    layer[mu.parts] = mu
+                r = plus[0]
+                child = key[:r - 1] + (key[r - 1] + 1,) + key[r:] if r <= len(key) else key + (1,)
+                if (mu := layer.get(child)) is None:
+                    parts = list(key)
+                    try:
+                        _move(parts, prefix, (r,), True)
+                    except ValueError:
+                        mu = Partition._of(tuple(parts))
+                        raise RuntimeError(f"operator left the A-regular set: {la} -{i}-> {mu}") from None
+                    mu = layer[child] = Partition._of(child)
                 edges.append((la, i, mu))
     return CrystalGraph(prefix, bound, tuple(vertices), tuple(edges))
 
@@ -417,7 +408,7 @@ def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[i
     """
     source, target, e = chain.source, chain.target, chain.source.e
     if not is_A_regular(la, source):
-        raise ValueError(f"{la.parts} is not regular for the chain source")
+        raise ValueError(f"{_brief(la.parts)} is not regular for the chain source")
     occ = beta_numbers(la, len(la))
     if chain.inverse:
         occ = conjugate_display(occ, 1, la.part(1) + len(la))

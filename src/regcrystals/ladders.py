@@ -37,7 +37,7 @@ from itertools import chain, count, groupby, pairwise
 from typing import Iterable, Iterator
 
 from .abacus import conjugate_display
-from .partitions import (Node, Partition, _row_avoids, beta_numbers, enumerate_partitions,
+from .partitions import (Node, Partition, _brief, _row_avoids, beta_numbers, enumerate_partitions,
                          from_beta_numbers, hooks_divisible_by)
 
 
@@ -274,7 +274,7 @@ def regularise_step(la: Partition, params: LadderParams) -> Partition:
     """
     kappa = next(regularise_steps(la, params), None)
     if kappa is None:
-        raise ValueError(f"{la.parts} is already ({params.E},{params.Y})-regular")
+        raise ValueError(f"{_brief(la.parts)} is already ({params.E},{params.Y})-regular")
     return kappa
 
 

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .crystals import ArmPrefix, _move, _move_string, _signed_nodes, e_op
 from .ladders import LadderParams, _hold_ends, _steps, regularise
-from .partitions import Partition, _beads_restricted, beta_numbers, from_beta_numbers, hooks_divisible_by
+from .partitions import Partition, _beads_restricted, _brief, beta_numbers, from_beta_numbers, hooks_divisible_by
 
 
 def slopes(mu: Partition, e: int) -> set[Fraction]:
@@ -49,7 +49,7 @@ def _loop(occ: set[int], e: int) -> Iterator[tuple[int, int]]:
             raise ValueError("e must be positive")
         if e == 1:
             raise ValueError("only the empty partition is 1-regular")
-        raise ValueError(f"{from_beta_numbers(occ).conjugate().parts} is not {e}-regular")
+        raise ValueError(f"{_brief(from_beta_numbers(occ).conjugate().parts)} is not {e}-regular")
     return _steps(occ, e, e - 1, 1, True)
 
 
@@ -98,7 +98,7 @@ def mullineux_oracle(
             raise ValueError("only the empty partition is 1-regular")
         return la
     if not la.is_e_regular(e):
-        raise ValueError(f"{la.parts} is not {e}-regular")
+        raise ValueError(f"{_brief(la.parts)} is not {e}-regular")
     if residue_choice not in ("min", "max"):
         raise ValueError("residue_choice must be 'min' or 'max'")
     n = max(1, -(-la.size // e))
@@ -145,20 +145,20 @@ def peel_and_rebuild(
     # e_op checks la in full, so a singular la raises even if no residue has a good node
     mu = e_op(la, src, next(iter(order)) if i is None else i)
     if i is None or mu is None:
-        raise AssertionError(f"no good node on {la.parts}")
+        raise AssertionError(f"no good node on {_brief(la.parts)}")
     parts = list(mu.parts)
     runs = [(i, 1 + _move(parts, src, signed[i][0][-2::-1], False))]
     while (vertex := tuple(parts)) not in known:
         signed = _signed_nodes(parts, src)
         i = next((i for i in order if i in signed and signed[i][0]), None)
         if i is None:
-            raise AssertionError(f"no good node on {vertex}")
+            raise AssertionError(f"no good node on {_brief(vertex)}")
         runs.append((i, _move(parts, src, signed[i][0][::-1], False)))
     parts = list(known[vertex].parts)
     for i, count in reversed(runs):
         i = sign * i % src.e
         if _move_string(parts, dst, i, True, count) < count:
-            raise AssertionError(f"no cogood {i}-node on {tuple(parts)}")
+            raise AssertionError(f"no cogood {i}-node on {_brief(parts)}")
     image = known[la.parts] = Partition._of(tuple(parts))
     return image
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, groupby, islice
 from operator import ge, gt, sub
 from typing import NamedTuple
 
@@ -70,7 +70,7 @@ class Partition:
     @classmethod
     def _of(cls, parts: tuple[int, ...]) -> "Partition":
         """The partition of parts, unchecked: for tuples valid by construction,
-        as in conjugate, remove_node and the moves crystals._move_ok passed."""
+        as in conjugate, remove_node and the moves crystals._move passed."""
         la = object.__new__(cls)
         la.parts, la.size = parts, sum(parts)
         return la
@@ -142,7 +142,7 @@ class Partition:
         lambda_r - c counts those between).  The bead slides there.
         """
         if corner not in self:
-            raise ValueError(f"{corner} is not a node of {self.parts}")
+            raise ValueError(f"{corner} is not a node of {_brief(self.parts)}")
         r, c = corner
         n = len(self.parts)
         betas = beta_numbers(self, n)
@@ -173,7 +173,7 @@ class Partition:
     def remove_node(self, node: Node) -> "Partition":
         r, c = node
         if node not in self.removable_nodes():
-            raise ValueError(f"{node} is not a removable node of {self.parts}")
+            raise ValueError(f"{node} is not a removable node of {_brief(self.parts)}")
         ps = list(self.parts)
         ps[r - 1] -= 1
         if ps[-1] == 0:
@@ -342,6 +342,15 @@ def parse_partition(text: str) -> Partition:
 def format_partition(la: Partition) -> str:
     """Comma-separated parts, "-" for the empty partition."""
     return ",".join(str(p) for p in la.parts) if la.parts else "-"
+
+
+def _brief(parts) -> str:
+    """The name of a partition in a message: the CLI's comma form with ^
+    runs, which parse_partition reads, "-" if empty; past 200 characters,
+    the runs that end by then, ",..." and the counts of parts and nodes."""
+    text = ",".join(f"{p}^{k}" if (k := len(list(run))) > 1 else str(p) for p, run in groupby(parts)) or "-"
+    cut = text.rfind(",", 0, 201)
+    return text if len(text) <= 200 else f"{text[:cut]},... ({len(parts)} parts, size {sum(parts)})"
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

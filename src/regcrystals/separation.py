@@ -50,7 +50,7 @@ from .abacus import (
     runner_counts,
 )
 from .mullineux import _conjugate_image, _loop
-from .partitions import Partition, beta_numbers, from_beta_numbers
+from .partitions import Partition, _brief, beta_numbers, from_beta_numbers
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,9 @@ def split_pair(alpha: Partition, beta: Partition, gamma: Partition, c: int, c_ba
     cbar-restricted (forced empty when c or cbar is 1).
     """
     if not beta.is_e_restricted(c):
-        raise ValueError(f"beta = {beta.parts} is not {c}-restricted")
+        raise ValueError(f"beta = {_brief(beta.parts)} is not {c}-restricted")
     if not gamma.is_e_restricted(c_bar):
-        raise ValueError(f"gamma = {gamma.parts} is not {c_bar}-restricted")
+        raise ValueError(f"gamma = {_brief(gamma.parts)} is not {c_bar}-restricted")
     return SplitPair(
         beta,
         box_row(alpha, gamma, c_bar),
@@ -316,7 +316,7 @@ def _box_halves(nu_i: Partition, nu_ibar: Partition, c: int, cb: int) -> tuple[P
         None,
     )
     if s is None:
-        raise ValueError(f"{nu_ibar.parts} is already {cb}-restricted")
+        raise ValueError(f"{_brief(nu_ibar.parts)} is already {cb}-restricted")
     reduced = [p - cb if r < s else p for r, p in enumerate(nu_ibar.parts)]
     return box_col(Partition([s]), nu_i, c), Partition(p for p in reduced if p > 0)
 
@@ -373,11 +373,11 @@ def paget_mu(la: Partition, e: int) -> Partition:
     partition: _paget_partner of the quotient and runner counts of la's
     bead set, encoded once.  No bead count is taken, as none matters."""
     if not la.is_e_restricted(e):
-        raise ValueError(f"{la.parts} is not {e}-restricted")
+        raise ValueError(f"{_brief(la.parts)} is not {e}-restricted")
     occ = beta_numbers(la, default_beads(la, e))
     quot, counts = _quotient(occ, e), runner_counts(occ, e)
     if not separated_quotients([[q] for q in quot], counts):
-        raise ValueError(f"{la.parts} is not {e}-quotient separated")
+        raise ValueError(f"{_brief(la.parts)} is not {e}-quotient separated")
     return _paget_partner(quot, counts)
 
 

@@ -104,15 +104,16 @@ def count_walks(replace_kernel):
 def replace_walk(replace_kernel):
     """replace_walk(fake) sets crystals._signed_nodes, wherever it is held,
     to a walk that returns fake(real, parts, prefix, i).  Each result must
-    have the real walk's shape, residue -> (good list, cogood list) with i
-    a key when given, or the call fails at once: a fake left behind by a
-    change of that shape cannot send a peel astray."""
+    have the real walk's shape, residue -> (good rows, cogood rows), lists
+    of row numbers, with i a key when given, or the call fails at once: a
+    fake left behind by a change of that shape cannot send a peel astray."""
 
     def install(fake):
         def walk(parts, prefix, i=None):
             signed = fake(real, parts, prefix, i)
             assert type(signed) is dict and (i is None or i in signed), signed
-            assert all(type(sig) is tuple and len(sig) == 2 and all(type(nodes) is list for nodes in sig)
+            assert all(type(sig) is tuple and len(sig) == 2
+                       and all(type(rows) is list and all(type(r) is int for r in rows) for rows in sig)
                        for sig in signed.values()), signed
             return signed
 

@@ -42,7 +42,7 @@ from itertools import count, product
 from math import ceil
 
 from regcrystals.abacus import _classes, from_runners
-from regcrystals.crystals import ArmPrefix, CrystalGraph, _place, e_op, f_op
+from regcrystals.crystals import ArmPrefix, CrystalGraph, e_op, f_op
 from regcrystals.ladders import LadderParams, hooks_divisible_by, ladder_id, regularise, restrictise
 from regcrystals.mullineux import mullineux, slopes
 from regcrystals.partitions import Hook, Partition, beta_numbers, enumerate_partitions, from_beta_numbers
@@ -205,6 +205,12 @@ def signed_nodes_by_walk(parts, prefix, i=None) -> dict:
     return signed
 
 
+def by_rows(signed) -> list:
+    """The (row, sign) pairs of (node, sign) pairs: crystals._signed_nodes
+    names a node by its row, which with the sign fixes it."""
+    return [(node[0], sign) for node, sign in signed]
+
+
 def reduce_signature(signed) -> tuple[list, list]:
     """The items of the '-' and of the '+' signs, in order, that survive
     deleting adjacent '+-' pairs to a fixpoint from the (item, sign) pairs."""
@@ -253,8 +259,11 @@ def build_graph_by_search(prefix, max_size=None) -> CrystalGraph:
             plus = reduce_signature(signed_nodes_by_walk(la.parts, prefix, i).get(i, ()))[1]
             if not plus:
                 continue
-            parts, node = list(la.parts), plus[0]
-            _place(parts, node, True)
+            parts, (r, _) = list(la.parts), plus[0]
+            if r <= len(parts):
+                parts[r - 1] += 1
+            else:
+                parts.append(1)
             mu = Partition(parts)
             if mu not in reached:
                 assert is_A_regular_by_hooks(mu, prefix), f"operator left the A-regular set: {la} -{i}-> {mu}"

@@ -276,16 +276,18 @@ class TestCrystal:
 
 
     def test_operator_leaving_the_regular_set_exits_1(self, capsys, monkeypatch):
-        # every addition to the empty partition gives 1,1,1, which has a
-        # 3-hook of arm A_1 = 0; the first edge the search takes is from it
-        real = cr._place
+        # every addition to the empty partition is moved as the addition of
+        # row 3 to 1,1, which gives 1,1,1, with a 3-hook of arm A_1 = 0; the
+        # first edge the search takes is from it
+        real = cr._move
 
-        def faulty(parts, node, grow):
+        def faulty(parts, prefix, rows, grow):
             if parts:
-                return real(parts, node, grow)
-            parts[:] = [1, 1, 1]
+                return real(parts, prefix, rows, grow)
+            parts[:] = [1, 1]
+            return real(parts, prefix, [3], grow)
 
-        monkeypatch.setattr(cr, "_place", faulty)
+        monkeypatch.setattr(cr, "_move", faulty)
         code, out, err = run(capsys, "crystal", "--e", "3", "--arm", "0,1")
         assert code == 1 and out == ""
         assert err == "error: operator left the A-regular set: - -0-> 1,1,1\n"
@@ -327,7 +329,7 @@ class TestChain:
     def test_partition_outside_the_source_crystal_fails(self, capsys, e, dst, la):
         code, out, err = run(capsys, "chain", "--e", e, "--from", "2,4,6", "--to", dst, la)
         assert (code, out) == (1, "")
-        assert err == f"error: {parse_partition(la).parts} is not regular for the chain source\n"
+        assert err == f"error: {la} is not regular for the chain source\n"
 
 
     @staticmethod
@@ -759,6 +761,23 @@ class TestMull:
         assert info.value.code == 2
 
 
+class TestBoundedErrorLines:
+    # a partition in an error line is named with ^ runs and a bounded length
+    @pytest.mark.parametrize("argv, err", [
+        (["mull", "--e", "3", "1^100000"], "error: 1^100000 is not 3-regular\n"),
+        (["paget", "--e", "3", "50000,1^50000"], "error: 50000,1^50000 is not 3-restricted\n"),
+    ], ids=["mull", "paget"])
+    def test_long_partition_keeps_its_exit_code_with_a_short_line(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
+
+    def test_many_runs_are_cut(self, capsys):
+        # 257 runs of three equal parts, 257^3,...,1^3, are 1,540 characters
+        la = ",".join(f"{p}^3" for p in range(257, 0, -1))
+        code, out, err = run(capsys, "mull", "--e", "3", la)
+        assert (code, out) == (1, "") and len(err) < 300
+        assert err.startswith("error: 257^3,256^3,") and err.endswith(",... (771 parts, size 99459) is not 3-regular\n")
+
+
 class TestSplit:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "split", "--e", "5", "--I", "0,2", "--beads", "10", "5,3^2,2,1")
@@ -947,7 +966,7 @@ class TestVerify:
 
         monkeypatch.setattr(sp, "_combined_beads", short)
         code, out, err = run(capsys, "verify", "split", "--e", "4", "--max", "5")
-        assert code == 1 and err == "error: (1, 1, 1, 1, 1, 1) is not 4-regular\n"
+        assert code == 1 and err == "error: 1^6 is not 4-regular\n"
         lines = out.splitlines()
         assert lines[0] == "FAIL split.split_combine_round_trip checked=1 counterexample: - I=[0] e=4"
         assert all(line.startswith("FAIL split.") for line in lines), lines
@@ -999,7 +1018,7 @@ class TestVerify:
         replace_walk(lambda real, parts, prefix, i: {} if i is None else {i: ([], [])})
         code, out, err = run(capsys, "verify", "mullineux", "--e", "3", "--max", "2")
         assert code == 1 and out == ""
-        assert err == "error: no good node on (1,)\n"
+        assert err == "error: no good node on 1\n"
 
     def test_failing_property_exits_1(self, capsys, lyle_fails_at_2_1):
         code, out, _ = run(capsys, "verify", "lyle", "--e", "3", "--max", "4")

@@ -6,8 +6,9 @@ from math import floor
 
 import pytest
 
-from oracles import (add_node, arm_axioms_hold, build_graph_by_search, chain_steps_by_step, descending_prefixes,
-                     is_A_regular_by_hooks, node_compare, random_partition, reduce_signature, signed_nodes_by_walk)
+from oracles import (add_node, arm_axioms_hold, build_graph_by_search, by_rows, chain_steps_by_step,
+                     descending_prefixes, is_A_regular_by_hooks, node_compare, random_partition, reduce_signature,
+                     signed_nodes_by_walk)
 from regcrystals import crystals as cr
 from regcrystals import ladders as ld
 from regcrystals import partitions as pt
@@ -188,7 +189,7 @@ def test_key_sort_matches_comparator_sort_on_slope_prefixes(variant):
                     assert list(reduced) == [i]
                     assert every.get(i, ([], [])) == reduced[i], (la, i)
                     pairs = signed_nodes_by_walk(la.parts, prefix, i).get(i, [])
-                    assert reduced[i] == reduce_signature(pairs), (la, i)
+                    assert reduced[i] == reduce_signature(by_rows(pairs)), (la, i)
                     by_compare = cmp_to_key(lambda x, z: node_compare(prefix, x[0], z[0]))
                     assert pairs == sorted(pairs, key=by_compare, reverse=True)
                     assert sorted(nd for nd, _ in pairs) == sorted(
@@ -212,17 +213,18 @@ def test_derived_order_matches_comparator_sort_at_large_n():
                     for i in range(e):
                         pairs = signed_nodes_by_walk(la.parts, prefix, i).get(i, [])
                         assert pairs == sorted(pairs, key=by_compare, reverse=True), (la, i)
-                        assert cr._signed_nodes(la.parts, prefix, i)[i] == reduce_signature(pairs), (la, i)
+                        assert cr._signed_nodes(la.parts, prefix, i)[i] == reduce_signature(by_rows(pairs)), (la, i)
 
 
 class TestSignatures:
     def test_table_signatures(self):
-        # the 0-signature of 5,2,1,1 and the nodes its reduction keeps
+        # the 0-signature of 5,2,1,1 and the rows of the nodes its reduction
+        # keeps: (1, 5), (2, 2) and (5, 1) at A_1 = 0, (2, 2) at 2, (1, 5) at 3
         la = P("5,2,1,1")
         expected = {
-            0: ("--+", ([(1, 5), (2, 2)], [(5, 1)])),
-            2: ("+--", ([(2, 2)], [])),
-            3: ("+--", ([(1, 5)], [])),
+            0: ("--+", ([1, 2], [5])),
+            2: ("+--", ([2], [])),
+            3: ("+--", ([1], [])),
         }
         for a1, prefix in TABLE_PREFIXES.items():
             signed = signed_nodes_by_walk(la.parts, prefix, 0)[0]
@@ -293,10 +295,22 @@ class TestOperators:
 RECHECK_PREFIXES = verify._CRYSTAL_PREFIXES + (ArmPrefix(3, (1, 3, 5)), ArmPrefix(4, (2, 5, 7)))
 
 
+def move_passes(parts, prefix, row, grow):
+    """True if _move moves the node at the end of the row of parts (the one
+    just past it, if grow) in place and passes its check; False if it
+    raises its ValueError, leaving parts as the failed move made them."""
+    try:
+        return cr._move(parts, prefix, [row], grow) == 1
+    except ValueError as error:
+        assert str(error).endswith(f" is not regular for {prefix!r}"), error
+        return False
+
+
 def arm_walks_equal_the_hook_walk(prefix, partitions):
     """Check is_A_regular against the hook walk on each partition, and on
-    each A-regular one, _move_ok against the hook walk of every one-node
-    move within the bound; return the number of moves checked."""
+    each A-regular one, _move against the hook walk of every one-node
+    move within the bound, which it makes in place; return the number of
+    moves checked."""
     moves = 0
     for la in partitions:
         regular = is_A_regular_by_hooks(la, prefix)
@@ -307,7 +321,9 @@ def arm_walks_equal_the_hook_walk(prefix, partitions):
         if la.size < prefix.bound:
             moved += [(add_node(la, nd), nd, True) for nd in la.addable_nodes()]
         for mu, nd, grow in moved:
-            assert cr._move_ok(list(mu.parts), nd, grow, prefix) == is_A_regular_by_hooks(mu, prefix), (la, mu)
+            parts = list(la.parts)
+            assert move_passes(parts, prefix, nd[0], grow) == is_A_regular_by_hooks(mu, prefix), (la, mu)
+            assert tuple(parts) == mu.parts, (la, mu)
             moves += 1
     return moves
 
@@ -315,7 +331,7 @@ def arm_walks_equal_the_hook_walk(prefix, partitions):
 @pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
 def test_one_move_recheck_equals_full_check(prefix):
     # from every A-regular partition, every one-node move is judged by
-    # _move_ok as the full hook walk judges it, and so is every partition
+    # _move as the full hook walk judges it, and so is every partition
     # by is_A_regular
     assert arm_walks_equal_the_hook_walk(prefix, all_up_to(prefix.bound)) > 0
 
@@ -402,14 +418,14 @@ def test_string_kernel_equals_the_operators(prefix):
 
 
 def report_a_wrong_node_of_3_2_2(replace_walk):
-    """Make the walk report (1, 3) as the one good node of 3,2,2 at every
-    residue it is asked for; removing it leaves 2,2,2, which is not
-    3-regular."""
+    """Make the walk report the end (1, 3) of row 1 as the one good node of
+    3,2,2 at every residue it is asked for; removing it leaves 2,2,2, which
+    is not 3-regular."""
 
     def faulty(real, parts, prefix, i):
         if list(parts) != [3, 2, 2]:
             return real(parts, prefix, i)
-        return {r: ([(1, 3)], []) for r in (range(prefix.e) if i is None else [i])}
+        return {r: ([1], []) for r in (range(prefix.e) if i is None else [i])}
 
     replace_walk(faulty)
 
@@ -418,7 +434,7 @@ def test_peel_raises_when_a_move_fails_its_check(replace_walk):
     # the wrong node is removed at the first removal, e_op's
     report_a_wrong_node_of_3_2_2(replace_walk)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
-    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
+    with pytest.raises(ValueError, match=r"^2\^3 is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,2"), prefix, prefix, range(3), -1)
 
 
@@ -427,20 +443,20 @@ def test_peel_run_raises_when_a_move_fails_its_check(replace_walk):
     # of that run reports the wrong node
     report_a_wrong_node_of_3_2_2(replace_walk)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
-    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
+    with pytest.raises(ValueError, match=r"^2\^3 is not regular for ArmPrefix"):
         peel_and_rebuild(P("4,2,2,1"), prefix, prefix, range(3), -1)
 
 
 def report_a_misplaced_node_of_3_2_2(replace_walk, grow):
     """Make the walk report, at every residue it is asked for, a node of
-    3,2,2 that is not there to move: (3, 3) as the one cogood node if grow,
-    which is not addable and leaves 3,2,3, else (2, 2) as the one good node,
-    which is not removable and leaves 3,1,2."""
+    3,2,2 that is not there to move: row 3's as the one cogood node if grow,
+    (3, 3), which is not addable and leaves 3,2,3, else row 2's as the one
+    good node, (2, 2), which is not removable and leaves 3,1,2."""
 
     def faulty(real, parts, prefix, i):
         if list(parts) != [3, 2, 2]:
             return real(parts, prefix, i)
-        signature = ([], [(3, 3)]) if grow else ([(2, 2)], [])
+        signature = ([], [3]) if grow else ([2], [])
         return {r: signature for r in (range(prefix.e) if i is None else [i])}
 
     replace_walk(faulty)
@@ -454,7 +470,7 @@ SHAPE_PREFIX = ArmPrefix.from_slope(3, 1, 3, "-")
 # a ValueError), and f_op and the rebuild through the hook check; the peel's
 # later string carried 3,1,2 on and raised only in its rebuild ("no cogood
 # 1-node on (3, 1, 1)").  Now the move check's shape test rejects each move.
-REMOVED, ADDED = r"^\(3, 1, 2\) is not regular for ArmPrefix", r"^\(3, 2, 3\) is not regular for ArmPrefix"
+REMOVED, ADDED = r"^3,1,2 is not regular for ArmPrefix", r"^3,2,3 is not regular for ArmPrefix"
 SHAPE_FAULTS = {
     "e_op": (False, ValueError, REMOVED, lambda: cr.e_op(P("3,2,2"), SHAPE_PREFIX, 0)),
     "peel_first_removal": (False, ValueError, REMOVED,
@@ -493,46 +509,46 @@ def test_peel_rejects_a_singular_partition(prefix):
 
 @pytest.mark.parametrize("prefix", RECHECK_PREFIXES, ids=repr)
 def test_a_passed_move_leaves_a_regular_partition(prefix):
-    # from every A-regular partition, _place at every node of a box around
-    # it, either way: whatever _move_ok passes, the public constructor
-    # accepts and the full check finds regular, so the crystal moves may
-    # build it unchecked; and some misplaced moves are rejected by the shape
+    # from every A-regular partition, _move at every row to two past the
+    # last, either way: whatever it passes, the public constructor accepts
+    # and the full check finds regular, so the crystal moves may build it
+    # unchecked; and some misplaced moves are rejected by the shape
     rejected = 0
     for la in all_up_to(prefix.bound - 1):
         if not cr.is_A_regular(la, prefix):
             continue
-        for node in product(range(1, len(la) + 3), range(1, la.part(1) + 3)):
-            for grow in (True, False):
-                parts = list(la.parts)
-                cr._place(parts, node, grow)
-                if cr._move_ok(parts, node, grow, prefix):
-                    assert is_A_regular_by_hooks(Partition(parts), prefix), (la, node, grow)
-                else:
-                    rejected += valueerror_text(Partition, parts) is not None
+        for row, grow in product(range(1, len(la) + 3), (True, False)):
+            parts = list(la.parts)
+            if move_passes(parts, prefix, row, grow):
+                assert is_A_regular_by_hooks(Partition(parts), prefix), (la, row, grow)
+            else:
+                rejected += valueerror_text(Partition, parts) is not None
     assert rejected > 0
 
 
-def test_rebuild_checks_its_last_image(monkeypatch):
+def test_rebuild_checks_its_last_image(replace_kernel):
     # a placement whose last addition leaves 2,2,2 (the rebuild of 3,2,1
-    # ends with a string of one node): no operator follows it, so only the
-    # check of that move itself can catch it
-    real = cr._place
+    # ends with a string of one node): that addition is moved as row 3's on
+    # 2,2,1, and no operator follows it, so only the check of that move
+    # itself can catch it
 
-    def faulty(parts, node, grow):
-        real(parts, node, grow)
-        if grow and sum(parts) == 6:
-            parts[:] = [2, 2, 2]
+    def faulty(parts, prefix, rows, grow):
+        for r in rows:
+            if grow and sum(parts) == 5:
+                parts[:], r = [2, 2, 1], 3
+            real(parts, prefix, [r], grow)
+        return len(rows)
 
-    monkeypatch.setattr(cr, "_place", faulty)
+    real = replace_kernel("_move", faulty)
     prefix = ArmPrefix.from_slope(3, 1, 2, "-")
-    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not regular for ArmPrefix"):
+    with pytest.raises(ValueError, match=r"^2\^3 is not regular for ArmPrefix"):
         peel_and_rebuild(P("3,2,1"), prefix, prefix, range(3), -1)
 
 
 def test_rebuild_without_enough_cogood_nodes_raises():
     # sign 0 sends both runs of 1,1 to residue 0, and 1 has no addable 0-node
     prefix = ArmPrefix.from_slope(3, 1, 2, "-")
-    with pytest.raises(AssertionError, match=r"^no cogood 0-node on \(1,\)$"):
+    with pytest.raises(AssertionError, match=r"^no cogood 0-node on 1$"):
         peel_and_rebuild(P("1,1"), prefix, prefix, range(3), 0)
 
 
@@ -542,9 +558,16 @@ def test_walk_rejects_a_partition_beyond_the_target_bound():
         peel_and_rebuild(P("4,3"), src, dst, range(3), -1)
 
 
-def test_operator_images_pass_the_move_check(monkeypatch):
-    # e_op and f_op raise rather than return an image outside the crystal
-    monkeypatch.setattr(cr, "_move_ok", lambda parts, node, grow, prefix: False)
+def test_operator_images_pass_the_move_check(replace_kernel):
+    # e_op and f_op raise rather than return an image outside the crystal:
+    # here every move makes its placement and fails its check
+
+    def failing(parts, prefix, rows, grow):
+        for r in rows:
+            real(parts, prefix, [r], grow)
+        raise ValueError(f"{parts} is not regular for {prefix!r}")
+
+    real = replace_kernel("_move", failing)
     prefix = ArmPrefix.from_slope(3, 1, 3, "-")
     for op, i in ((cr.e_op, 2), (cr.f_op, 0)):
         with pytest.raises(ValueError, match="not regular for"):
@@ -894,3 +917,45 @@ class TestOneWalkPerMove:
             cr.apply_chain(P("5,4,3,2,1^4"), chain)
         assert len(built) == 33
         assert cr.iso_chain(*chain_ends(3, 10)).steps == chain.steps
+
+
+def diagram_node_counts(parts, e, i):
+    """The addable and the removable i-nodes of parts, (c - r) mod e = i,
+    counted on the diagram: row r + 1 takes a node where row r is longer or
+    r = 0, and ends in a removable one where it is longer than row r + 2."""
+    rows = [*parts, 0]
+    addable = sum((rows[r] - r) % e == i for r in range(len(rows)) if r == 0 or rows[r - 1] > rows[r])
+    removable = sum((rows[r] - r - 1) % e == i for r in range(len(parts)) if rows[r] > rows[r + 1])
+    return addable, removable
+
+
+def string_length(step, la, i):
+    """How many times step, a dict (vertex, i) -> vertex, applies from la."""
+    k = 0
+    while (la := step.get((la, i))) is not None:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_string_lengths_differ_by_the_node_counts(e):
+    # phi_i - epsilon_i = (addable i-nodes) - (removable i-nodes) on every
+    # vertex of the crystals of slopes 1, 3/2 and e - 1, both variants, to
+    # bound 12 or more, with phi_i and epsilon_i read off the graph's edges and
+    # the nodes counted on the diagram, which shares no code with the
+    # reduction; phi_i is seen whole where the addable i-nodes fit the bound
+    instances = 0
+    for y in sorted(y for y in {Fraction(1), Fraction(3, 2), Fraction(e - 1)} if y <= e - 1):
+        for variant in "+-":
+            graph = cr.build_graph(ArmPrefix.from_slope(e, y, -(-12 // e), variant))
+            up = {(la, i): mu for la, i, mu in graph.edges}
+            down = {(mu, i): la for la, i, mu in graph.edges}
+            assert len(up) == len(down) == len(graph.edges)
+            for la in graph.vertices:
+                for i in range(e):
+                    addable, removable = diagram_node_counts(la.parts, e, i)
+                    if la.size + addable <= graph.bound:
+                        phi, eps = string_length(up, la, i), string_length(down, la, i)
+                        assert phi - eps == addable - removable, (la, i, graph.arm)
+                        instances += 1
+    assert instances == {2: 198, 3: 1952, 4: 3617, 5: 12972}[e]

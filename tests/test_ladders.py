@@ -554,3 +554,37 @@ class TestLadderClass:
                     for la in cls:
                         assert ld.regularise(la, params) == top
                         assert ld.restrictise(la, params) == bottom
+
+
+def glaisher_counts(E, size):
+    """The number of E-regular partitions of n = 0..size, the coefficients of
+    prod_{k >= 1} (1 - q^(E*k)) / (1 - q^k) = prod_{E does not divide k}
+    1 / (1 - q^k): no part repeated E times, or no part divisible by E
+    (Glaisher).  Written out here, so it shares no code with the package."""
+    series = [1] + [0] * size
+    for k in range(1, size + 1):
+        if k % E:
+            for s in range(k, size + 1):
+                series[s] += series[s - k]
+    return series
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_ladder_counts_are_glaisher_counts(e):
+    # for every slope p/q with q <= 4 and every n <= 14, the ladder classes
+    # (distinct fingerprints), the (E, Y)-regular partitions and the
+    # (E, Y)-restricted ones of n each number the E-regular partitions of n,
+    # E = e*q: each class holds one of each, and the classes are counted
+    # whole, so a key that merges or splits classes fails here
+    slopes = sorted({Fraction(p, q) for q in range(1, 5) for p in range(q, (e - 1) * q + 1)})
+    triples = 0
+    for y in slopes:
+        params = LadderParams(e, y)
+        counts = glaisher_counts(params.E, 14)
+        for n in range(15):
+            partitions = list(enumerate_partitions(n))
+            assert len({ld.fingerprint(la, params) for la in partitions}) == counts[n], (y, n)
+            assert sum(ld.is_regular(la, params) for la in partitions) == counts[n], (y, n)
+            assert sum(ld.is_restricted(la, params) for la in partitions) == counts[n], (y, n)
+            triples += 1
+    assert triples == 15 * {2: 1, 3: 7, 4: 13, 5: 19}[e]

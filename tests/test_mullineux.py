@@ -382,9 +382,9 @@ class TestSharedLoop:
     @pytest.mark.parametrize(
         "mu, e, message",
         [
-            ("3", 3, r"^\(1, 1, 1\) is not 3-regular$"),
-            ("4,1", 2, r"^\(2, 1, 1, 1\) is not 2-regular$"),
-            ("5,5,1", 4, r"^\(3, 2, 2, 2, 2\) is not 4-regular$"),
+            ("3", 3, r"^1\^3 is not 3-regular$"),
+            ("4,1", 2, r"^2,1\^3 is not 2-regular$"),
+            ("5,5,1", 4, r"^3,2\^4 is not 4-regular$"),
             ("1", 1, r"^only the empty partition is 1-regular$"),
             ("-", 0, r"^e must be positive$"),
         ],

@@ -13,6 +13,7 @@ from regcrystals.partitions import (
     _bead_rows,
     _bead_hooks,
     _beads_restricted,
+    _brief,
     beta_numbers,
     enumerate_partitions,
     format_partition,
@@ -84,6 +85,27 @@ class TestParseFormat:
     @given(partitions)
     def test_round_trip(self, la):
         assert parse_partition(format_partition(la)) == la
+
+    @settings(max_examples=200, derandomize=True)
+    @given(partitions)
+    def test_brief_name_round_trip(self, la):
+        # a message names a partition as parse_partition reads it, with ^ runs
+        assert parse_partition(_brief(la.parts)) == la
+        assert _brief(list(la.parts)) == _brief(la.parts)
+
+    def test_brief_name(self):
+        assert _brief(()) == "-"
+        assert _brief((3, 3, 2, 1, 1, 1)) == "3^2,2,1^3"
+        assert _brief((1,) * 100000) == "1^100000"
+
+    def test_brief_name_is_bounded(self):
+        # past the cap, the runs that fit and the counts of parts and nodes
+        parts = tuple(range(50000, 0, -1))
+        name = _brief(parts)
+        assert len(name) < 260 and name.startswith("50000,49999,")
+        assert name.endswith(",... (50000 parts, size 1250025000)")
+        head = name[: name.index(",...")].split(",")
+        assert head == [str(p) for p in parts[: len(head)]]
 
 
 class TestConjugate:
@@ -216,7 +238,7 @@ class TestRimHooks:
     def test_non_node_rejected(self, corner):
         with pytest.raises(ValueError) as exc:
             P("3,1,1").remove_rim_hook(corner)
-        assert str(exc.value) == f"{corner} is not a node of (3, 1, 1)"
+        assert str(exc.value) == f"{corner} is not a node of 3,1^2"
 
 
 class TestNodes:

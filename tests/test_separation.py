@@ -359,7 +359,7 @@ class TestHalvesOncePerTriple:
 
     def test_unrestricted_pieces_are_rejected_every_time(self):
         for _ in range(2):  # nothing is kept between calls
-            with pytest.raises(ValueError, match=r"^beta = \(3,\) is not 2-restricted$"):
+            with pytest.raises(ValueError, match=r"^beta = 3 is not 2-restricted$"):
                 sp.split_pair(P("1"), P("3"), P("1"), 2, 3)
 
 
