@@ -356,12 +356,15 @@ class Chain:
     """A regularisation chain from the arm prefix source to target.  Each
     prefix is the '+' prefix of its slope, so the ends fix the chain: it
     regularises at every slope of order n from the larger end's down to just
-    above the smaller's; with ``inverse`` set, source is the smaller end,
-    and the steps apply in reverse order as restrictisations."""
+    above the smaller's; an inverse chain, whose source is the smaller end,
+    applies the steps in reverse order as restrictisations."""
 
     source: ArmPrefix
     target: ArmPrefix
-    inverse: bool = False
+
+    @cached_property
+    def inverse(self) -> bool:
+        return self.source.slope < self.target.slope
 
     @cached_property
     def steps(self) -> tuple[LadderParams, ...]:
@@ -377,14 +380,12 @@ class Chain:
 
 def iso_chain(a: ArmPrefix, b: ArmPrefix) -> Chain:
     """The regularisation chain realising the crystal isomorphism a -> b:
-    forward when a >= b value by value, inverse when a <= b."""
+    forward when slope a >= slope b, else inverse.  Each value is
+    floor(slope*t), so two prefixes of one (e, n) are always comparable
+    value by value, in the order of their slopes."""
     if a.e != b.e or a.n != b.n:
         raise ValueError("arm prefixes must share e and length")
-    if all(x >= y for x, y in zip(a.values, b.values)):
-        return Chain(a, b)
-    if all(x <= y for x, y in zip(a.values, b.values)):
-        return Chain(a, b, inverse=True)
-    raise ValueError("arm prefixes are not comparable")
+    return Chain(a, b)
 
 
 def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[int]]]:

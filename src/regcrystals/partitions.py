@@ -61,9 +61,9 @@ class Partition:
         if ps and (ps[-1] <= 0 or not all(map(ge, ps, ps[1:]))):
             for i, p in enumerate(ps):  # the first bad index names the fault
                 if p <= 0:
-                    raise ValueError(f"parts must be positive, got {ps}")
+                    raise ValueError(f"parts must be positive, got {_brief(ps)}")
                 if i and ps[i - 1] < p:
-                    raise ValueError(f"parts must be weakly decreasing, got {ps}")
+                    raise ValueError(f"parts must be weakly decreasing, got {_brief(ps)}")
         self.parts = ps
         self.size = sum(ps)
 

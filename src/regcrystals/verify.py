@@ -1,19 +1,21 @@
 """Exhaustive desk-scale verification suites.
 
 Each suite is a generator of instances: it walks a family of properties
-over bounded enumerations and yields one ``(property, ok, describe)``
-triple per instance, where ``describe`` is called only for a property's
-first failure; ``ok`` is None for an instance whose hypothesis is not met,
-which counts as checked and as skipped and tests nothing.  The ``_SUITES``
+over bounded enumerations and yields one ``(property, verdict)`` pair per
+instance.  The verdict is True when the instance holds, None when its
+hypothesis is not met (it counts as checked and as skipped and tests
+nothing) and otherwise the counterexample's text, written ``ok or f"..."``
+so that the text is built only for a failing instance.  The ``_SUITES``
 table gives each suite its default size bound, its default moduli and its
 properties in report order, and ``iter_suites`` drives every suite through
 that table, yielding each suite's results as it finishes.  A suite with
 default moduli takes any e >= 2, up to MAX_SPLIT_E for split and
 MAX_PAGET_E for paget, checked before any suite runs; the others run fixed
-moduli and reject e when named.  It reports one result per property: the number of instances
-checked (and of those skipped, when any were) and the first
-counterexample found, if any.  A property that checked nothing, or only
-skipped instances, is reported as VACUOUS and counts as a failure.
+moduli and reject e when named.  It reports one result per property: the
+number of instances checked (and of those skipped, when any were) and the
+first verdict that is neither True nor None, if any.  A property that
+checked nothing, or only skipped instances, is reported as VACUOUS and
+counts as a failure.
 
 A suite walks each (modulus or parameter set, partition) pair once,
 builds what that pair needs once (the conjugate, the core and quotient,
@@ -50,9 +52,9 @@ from .partitions import (Partition, _bead_rows, _beads_restricted, beta_numbers,
                          from_beta_numbers)
 
 
-# What a suite yields: (property, ok, describe), one triple per instance;
-# ok is None when the instance's hypothesis is not met.
-Instances = Iterator[tuple[str, bool | None, Callable[[], str]]]
+# What a suite yields: (property, verdict), one pair per instance; the
+# verdict is True, None when the hypothesis is not met, or the failure's text.
+Instances = Iterator[tuple[str, bool | str | None]]
 
 
 @dataclass
@@ -100,19 +102,19 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
         from_n = list(enumerate_partitions(n))
         conjugates = [la.conjugate() for la in from_n]
         for la, conj in zip(from_n, conjugates):
-            yield "conjugate_involution", conj.conjugate() == la, lambda: str(la)
+            yield "conjugate_involution", conj.conjugate() == la or str(la)
             for nd in la.removable_nodes():
                 smaller = la.remove_node(nd)
                 ok = smaller.size == la.size - 1 and nd in smaller.addable_nodes()
-                yield "node_removal_inverts_addition", ok, lambda: f"{la} node {nd}"
+                yield "node_removal_inverts_addition", ok or f"{la} node {nd}"
             for hook in la.hooks():
                 ok = la.remove_rim_hook(hook.corner).size == la.size - hook.length
-                yield "rim_hook_removal_size_drop", ok, lambda: f"{la} corner {hook.corner}"
+                yield "rim_hook_removal_size_drop", ok or f"{la} corner {hook.corner}"
         if n <= 15:
             for la, la_conj in zip(from_n, conjugates):
                 for mu, mu_conj in zip(from_n, conjugates):
                     ok = la.dominates(mu) == mu_conj.dominates(la_conj)
-                    yield "dominance_reversed_by_conjugation", ok, lambda: f"{la} vs {mu}"
+                    yield "dominance_reversed_by_conjugation", ok or f"{la} vs {mu}"
 
     for e in e_values:
         for n in range(max_size + 1):
@@ -120,21 +122,21 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for la in from_n:
                 conj, n0 = la.conjugate(), ab.default_beads(la, e)
                 core, quot = ab.e_core(la, e, n0), ab.e_quotient(la, e, n0)
-                where = lambda: f"{la} e={e}"
                 ok = la.is_e_regular(e) == conj.is_e_restricted(e)
-                yield "regular_iff_conjugate_restricted", ok, where
+                yield "regular_iff_conjugate_restricted", ok or f"{la} e={e}"
                 for beads in (len(la.parts), len(la.parts) + 1, n0):
                     ok = ab.decode(ab.encode(la, beads, e)) == la
-                    yield "abacus_round_trip", ok, lambda: f"{la} n={beads} e={e}"
+                    yield "abacus_round_trip", ok or f"{la} n={beads} e={e}"
                 occupied = ab.encode(la, n0, e)
                 m = ((max(occupied, default=0) + e + 1) // e) * e
                 ok = ab.decode(ab.conjugate_display(occupied, e, m)) == conj
-                yield "conjugate_display_matches_conjugate", ok, lambda: f"{la} e={e} m={m}"
+                yield "conjugate_display_matches_conjugate", ok or f"{la} e={e} m={m}"
                 ok = core == ab.e_core(la, e, n0 + e) and quot == ab.e_quotient(la, e, n0 + e)
-                yield "core_quotient_bead_invariance", ok, where
+                yield "core_quotient_bead_invariance", ok or f"{la} e={e}"
                 ok = la.size == core.size + e * sum(q.size for q in quot)
-                yield "core_quotient_size_identity", ok, where
-                yield "core_quotient_rebuild", ab.from_core_and_quotient(core, quot, e) == la, where
+                yield "core_quotient_size_identity", ok or f"{la} e={e}"
+                ok = ab.from_core_and_quotient(core, quot, e) == la
+                yield "core_quotient_rebuild", ok or f"{la} e={e}"
                 if n <= 12:
                     for m in range(4):
                         via_beads = ab.grow_first_columns(la, m, e)
@@ -142,7 +144,7 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
                             tuple(conj.part(r) + e for r in range(1, m + 1)) + conj.parts[m:]
                         )
                         ok = via_beads == taller.conjugate()
-                        yield "grow_columns_two_routes_agree", ok, lambda: f"{la} m={m} e={e}"
+                        yield "grow_columns_two_routes_agree", ok or f"{la} m={m} e={e}"
             if n <= 12:
                 beads = max((len(la.parts) for la in from_n), default=0) + e
                 profiles = [ab.runner_counts(ab.encode(la, beads, e), e) for la in from_n]
@@ -150,11 +152,8 @@ def suite_core(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 for i in range(len(from_n)):
                     for j in range(i + 1, len(from_n)):
                         if contents[i] == contents[j]:
-                            yield (
-                                "equal_content_equal_runner_profile",
-                                profiles[i] == profiles[j],
-                                lambda: f"{from_n[i]} vs {from_n[j]} e={e}",
-                            )
+                            ok = profiles[i] == profiles[j]
+                            yield "equal_content_equal_runner_profile", ok or f"{from_n[i]} vs {from_n[j]} e={e}"
 
 
 _LADDER_PARAM_SET = (
@@ -182,11 +181,8 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
         data = [(a, ld.ladder_id(a, params), (ld.depth(a, params), (a[1] - a[0]) % params.e)) for a in nodes]
         for a, ladder_a, depth_res_a in data:
             for b, ladder_b, depth_res_b in data:
-                yield (
-                    "depth_and_residue_classify_ladders",
-                    (ladder_a == ladder_b) == (depth_res_a == depth_res_b),
-                    lambda: f"{a} {b} {params!r}",
-                )
+                ok = (ladder_a == ladder_b) == (depth_res_a == depth_res_b)
+                yield "depth_and_residue_classify_ladders", ok or f"{a} {b} {params!r}"
 
         conj_params = params.conjugate_params()
         reg, res = _images(ld.regularise, params), _images(ld.restrictise, params)
@@ -195,33 +191,30 @@ def suite_ladder(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for la in enumerate_partitions(n):
                 key = ld.fingerprint(la, params)
                 by_key.setdefault(key, []).append(la)
-                where = lambda: f"{la} at {params!r}"
                 if not ld.is_regular(la, params):
                     kappa = ld.regularise_step(la, params)
                     ok = kappa.dominates(la) and kappa != la and ld.fingerprint(kappa, params) == key
-                    yield "step_ascends_and_preserves_fingerprint", ok, where
+                    yield "step_ascends_and_preserves_fingerprint", ok or f"{la} at {params!r}"
                 ok = ld.is_restricted(la, params) == ld.is_regular(la.conjugate(), conj_params)
-                yield "restricted_iff_conjugate_regular_for_conjugate_slope", ok, where
+                yield "restricted_iff_conjugate_regular_for_conjugate_slope", ok or f"{la} at {params!r}"
             for key, cls in by_key.items():
                 regs = [la for la in cls if ld.is_regular(la, params)]
                 rests = [la for la in cls if ld.is_restricted(la, params)]
                 rep, low = reg(cls[0]), res(cls[0])
                 ends_ok = reg(low) == rep and res(rep) == low
-                of_class = lambda: f"class of {cls[0]} at {params!r}"
                 ok = regs == [rep] and all(rep.dominates(mu) for mu in cls)
-                yield "regularise_is_unique_class_maximum", ok, of_class
+                yield "regularise_is_unique_class_maximum", ok or f"class of {cls[0]} at {params!r}"
                 ok = rests == [low] and all(mu.dominates(low) for mu in cls)
-                yield "restrictise_is_unique_class_minimum", ok, of_class
+                yield "restrictise_is_unique_class_minimum", ok or f"class of {cls[0]} at {params!r}"
                 for la in cls:
                     la_reg = reg(la)
-                    where = lambda: f"{la} at {params!r}"
                     ok = ld.fingerprint(la_reg, params) == key
-                    yield "regularise_preserves_fingerprint", ok, where
+                    yield "regularise_preserves_fingerprint", ok or f"{la} at {params!r}"
                     ok = la_reg == rep and res(la) == low and ends_ok
-                    yield "regularise_restrictise_idempotent_inverse", ok, where
+                    yield "regularise_restrictise_idempotent_inverse", ok or f"{la} at {params!r}"
                 if params.y.denominator > 1:
-                    counts = {ld.bad_count(la, params) for la in cls}
-                    yield "bad_count_constant_on_classes", len(counts) == 1, of_class
+                    ok = len({ld.bad_count(la, params) for la in cls}) == 1
+                    yield "bad_count_constant_on_classes", ok or f"class of {cls[0]} at {params!r}"
 
 
 _CRYSTAL_PREFIXES = (
@@ -245,24 +238,19 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for i in range(prefix.e):
                 down = cr.e_op(la, prefix, i)
                 if down is not None:
-                    where = lambda: f"e_{i} {la} {prefix!r}"
-                    yield "closure_under_operators", down in regular_set, where
-                    yield "adjointness", cr.f_op(down, prefix, i) == la, where
+                    yield "closure_under_operators", down in regular_set or f"e_{i} {la} {prefix!r}"
+                    yield "adjointness", cr.f_op(down, prefix, i) == la or f"e_{i} {la} {prefix!r}"
                 if la.size + 1 <= bound:
                     up = cr.f_op(la, prefix, i)
                     if up is not None:
-                        where = lambda: f"f_{i} {la} {prefix!r}"
-                        yield "closure_under_operators", up in regular_set, where
-                        yield "adjointness", cr.e_op(up, prefix, i) == la, where
+                        yield "closure_under_operators", up in regular_set or f"f_{i} {la} {prefix!r}"
+                        yield "adjointness", cr.e_op(up, prefix, i) == la or f"f_{i} {la} {prefix!r}"
 
         # build_graph searches from the empty partition, so that is the unique source
         # exactly when the search reaches every A-regular partition found above.
         graph = cr.build_graph(prefix, bound)
-        yield (
-            "empty_is_unique_source",
-            set(graph.vertices) == regular_set,
-            lambda: f"{prefix!r}: {len(graph.vertices)} reached of {len(regular_set)}",
-        )
+        ok = set(graph.vertices) == regular_set
+        yield "empty_is_unique_source", ok or f"{prefix!r}: {len(graph.vertices)} reached of {len(regular_set)}"
 
         if prefix.e == 3:
             for la, i, mu in graph.edges:
@@ -271,17 +259,13 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 )
                 grown = [b - a for a, b in zip(la.e_content(3), mu.e_content(3))]
                 ok = (added[1] - added[0]) % 3 == i and grown == [int(j == i) for j in range(3)]
-                yield "edge_labels_match_added_residue", ok, lambda: f"{la} -{i}-> {mu}"
+                yield "edge_labels_match_added_residue", ok or f"{la} -{i}-> {mu}"
 
         layers = {}
         for v in graph.vertices:
             layers[v.size] = layers.get(v.size, 0) + 1
         base = first_layers.setdefault(prefix.e, layers)
-        yield (
-            "layer_counts_agree_between_prefixes",
-            layers == base,
-            lambda: f"e={prefix.e}: {layers} != {base}",
-        )
+        yield "layer_counts_agree_between_prefixes", layers == base or f"e={prefix.e}: {layers} != {base}"
 
     for e, y in ((4, Fraction(2)), (3, Fraction(3, 2)), (4, Fraction(5, 3))):
         n = -(-(max_size + 1) // e)
@@ -303,19 +287,13 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 and all(ld.restrictise(mu, params) == la
                         for la, mu in zip(upper_layer, images))
             )
-            yield "regularisation_bijects_regular_sets", ok, lambda: f"e={e} y={y} size {size}"
+            yield "regularisation_bijects_regular_sets", ok or f"e={e} y={y} size {size}"
             for la, mu in zip(upper_layer, images):
                 for i in range(e):
                     up_a = cr.f_op(la, upper, i)
                     up_b = cr.f_op(mu, lower, i)
-                    ok = (up_a is None) == (up_b is None) and (
-                        up_a is None or reg(up_a) == up_b
-                    )
-                    yield (
-                        "regularisation_commutes_with_operators",
-                        ok,
-                        lambda: f"f_{i} on {la} at e={e} y={y}",
-                    )
+                    ok = (up_a is None) == (up_b is None) and (up_a is None or reg(up_a) == up_b)
+                    yield "regularisation_commutes_with_operators", ok or f"f_{i} on {la} at e={e} y={y}"
 
     for e, top, bottom in (
         (3, (2, 4, 6), (0, 1, 2)),
@@ -341,11 +319,7 @@ def suite_crystal(max_size: int, e_values: tuple[int, ...]) -> Instances:
                 and ld.regularise(image, pad) == image
                 and peel_and_rebuild(la, a, b, range(e), 1, known=known) == image
             )
-            yield (
-                "chain_factorisations_induce_same_map",
-                ok,
-                lambda: f"{la} chain {top}->{bottom} e={e}",
-            )
+            yield "chain_factorisations_induce_same_map", ok or f"{la} chain {top}->{bottom} e={e}"
 
 
 def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -364,26 +338,25 @@ def suite_mullineux(max_size: int, e_values: tuple[int, ...]) -> Instances:
     for e in e_values:
         known_min, known_max = {(): Partition()}, {(): Partition()}
         for la in _all_partitions(max_size):
-            where = lambda: f"{la} e={e}"
             if la.is_e_regular(e):
                 image, oracle = mull[e](la), mullineux_oracle(la, e, known=known_min)
-                yield "algorithm_equals_crystal_oracle", image == oracle, where
+                yield "algorithm_equals_crystal_oracle", image == oracle or f"{la} e={e}"
                 ok = image.size == la.size and image.is_e_regular(e)
-                yield "image_is_e_regular_of_same_size", ok, where
-                yield "involution", mull[e](image) == la, where
+                yield "image_is_e_regular_of_same_size", ok or f"{la} e={e}"
+                yield "involution", mull[e](image) == la or f"{la} e={e}"
                 if la.size <= 10:
                     ok = oracle == mullineux_oracle(la, e, "max", known=known_max)
-                    yield "oracle_residue_choice_is_irrelevant", ok, where
+                    yield "oracle_residue_choice_is_irrelevant", ok or f"{la} e={e}"
             if la.size <= 14 and la.is_e_restricted(e):
                 image = mull[e](la.conjugate())
                 ok = image.e_content(e) == la.e_content(e)
-                yield "composite_preserves_content_on_restricted", ok, where
+                yield "composite_preserves_content_on_restricted", ok or f"{la} e={e}"
                 if la.size <= 12:
-                    yield "image_shares_e_core", ab.e_core(image, e) == ab.e_core(la, e), where
+                    yield "image_shares_e_core", ab.e_core(image, e) == ab.e_core(la, e) or f"{la} e={e}"
 
     for la in _all_partitions(max(max_size, 18)):
         if la.is_e_regular(2):
-            yield "identity_for_e_2", mull[2](la) == la, lambda: str(la)
+            yield "identity_for_e_2", mull[2](la) == la or str(la)
 
 
 def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:
@@ -397,9 +370,8 @@ def suite_lyle(max_size: int, e_values: tuple[int, ...]) -> Instances:
         for la in _all_partitions(max_size):
             la_reg = reg(la)
             report = _lyle_report(la, e, la_reg, mull(la_reg), reg(la.conjugate()))
-            where = lambda: f"{la} e={e}"
-            yield "dominance_always_holds", report.dominates, where
-            yield "equality_iff_all_hooks_steep_or_shallow", report.criterion_matches, where
+            yield "dominance_always_holds", report.dominates or f"{la} e={e}"
+            yield "equality_iff_all_hooks_steep_or_shallow", report.criterion_matches or f"{la} e={e}"
 
 
 def _split_contexts(e: int, piece_bound: int):
@@ -445,7 +417,7 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for la in _all_partitions(min(max_size, 14)):
                 res = sp.split(la, ctx)
                 ok = sp.combine(res.lambda_I, res.lambda_Ibar, ctx, res.u) == la
-                yield "split_combine_round_trip", ok, lambda: f"{la} I={sorted(residues)} e={e}"
+                yield "split_combine_round_trip", ok or f"{la} I={sorted(residues)} e={e}"
 
     for e in (4, 5):
         n = e * ((max_size + e) // e + 1)
@@ -460,11 +432,10 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     if not sp._separated(occ, ctx):
                         continue
                     half_i, half_ibar = sp._split(occ, ctx)
-                    where = lambda: f"{la} I={sorted(residues)} e={e}"
                     ok = ld.is_regular(la, params) == _beads_restricted(half_ibar, cb)
-                    yield "separated_regular_iff_half_restricted", ok, where
+                    yield "separated_regular_iff_half_restricted", ok or f"{la} I={sorted(residues)} e={e}"
                     ok = la.is_e_restricted(e) == _beads_restricted(half_i, c)
-                    yield "separated_restricted_iff_half_restricted", ok, where
+                    yield "separated_restricted_iff_half_restricted", ok or f"{la} I={sorted(residues)} e={e}"
 
     piece_bound = max(1, max_size // 4)
     pieces = list(_all_partitions(piece_bound))
@@ -485,33 +456,26 @@ def suite_split(max_size: int, e_values: tuple[int, ...]) -> Instances:
             for ctx in contexts:
                 for alpha, beta, gamma, pair, box in instances:
                     u_la, u_both = sp.separation_thresholds(pair, ctx)
-                    where = lambda: (
-                        f"alpha={alpha} beta={beta} gamma={gamma} "
-                        f"I={sorted(ctx.residues)} e={e} n={ctx.n} u={u}"
-                    )
                     for u in sp.split_u_range(pair, ctx):
                         if u < u_both:
-                            yield "splitting_theorem", None, where
+                            yield "splitting_theorem", None
                             if u < u_la or box is None:
                                 continue
                             nu = sp._combined_beads(pair.lambda_I, pair.lambda_Ibar, ctx, u)
                         else:
                             report = sp.verify_split(pair, ctx, u)
-                            if report.verdict == "hypothesis-not-met":
-                                yield "splitting_theorem", False, lambda: (
-                                    f"{where()} not separated at or above u = {u_both}"
-                                )
-                            else:
-                                yield "splitting_theorem", report.verdict == "holds", where
+                            unmet = report.verdict == "hypothesis-not-met"
+                            yield "splitting_theorem", report.verdict == "holds" or (
+                                f"alpha={alpha} beta={beta} gamma={gamma} I={sorted(ctx.residues)} e={e} n={ctx.n} "
+                                f"u={u}{f' not separated at or above u = {u_both}' if unmet else ''}"
+                            )
                             if box is None:
                                 continue
                             nu = report.la_beads
                         xi = sp._combined_beads(*box, ctx, u)
                         ok = ld._rows_key(_bead_rows(xi), params) == ld._rows_key(_bead_rows(nu), params)
-                        yield (
-                            "box_step_preserves_cbar_fingerprint",
-                            ok,
-                            lambda: f"nu={from_beta_numbers(nu)} I={sorted(ctx.residues)} e={e} u={u}",
+                        yield "box_step_preserves_cbar_fingerprint", ok or (
+                            f"nu={from_beta_numbers(nu)} I={sorted(ctx.residues)} e={e} u={u}"
                         )
 
 
@@ -536,11 +500,10 @@ def suite_paget(max_size: int, e_values: tuple[int, ...]) -> Instances:
                     continue
                 la = ab.decode(beads)
                 mu = sp._paget_partner(quot, counts)
-                where = lambda: f"{la} e={e}"
-                yield "partner_shares_core", ab.e_core(mu, e) == core, where
+                yield "partner_shares_core", ab.e_core(mu, e) == core or f"{la} e={e}"
                 if sp.is_quotient_separated(mu, e):
                     ok = _conjugate_image(la, e) == mu
-                    yield "theorem_on_quotient_separated_partitions", ok, where
+                    yield "theorem_on_quotient_separated_partitions", ok or f"{la} e={e}"
 
 
 # name -> (suite, default max_size, default e values, properties in report
@@ -652,15 +615,15 @@ def _run_suite(name: str, max_size: int | None, e_values) -> list[CheckResult]:
     by_name = {prop: CheckResult(name, prop) for prop in properties}
     size = default_size if max_size is None else max_size
     try:
-        for prop, ok, describe in suite(size, e_values or default_e):
+        for prop, verdict in suite(size, e_values or default_e):
             res = by_name[prop]
             if res.failure is None:
                 res.checked += 1
-                if not ok:
-                    if ok is None:
+                if verdict is not True:
+                    if verdict is None:
                         res.skipped += 1
                     else:
-                        res.failure = describe()
+                        res.failure = verdict
     except Exception as exc:
         exc.suite_results = list(by_name.values())
         raise

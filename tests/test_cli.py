@@ -777,6 +777,15 @@ class TestBoundedErrorLines:
         assert (code, out) == (1, "") and len(err) < 300
         assert err.startswith("error: 257^3,256^3,") and err.endswith(",... (771 parts, size 99459) is not 3-regular\n")
 
+    def test_rejected_parts_are_named_briefly(self, capsys):
+        # the constructor's error names the parts as _brief does: 150,131
+        # bytes of stderr when it printed the tuple
+        with pytest.raises(SystemExit) as info:
+            main(["conj", "1,2^49999"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and len(err) < 300
+        assert err.endswith("error: argument partition: parts must be weakly decreasing, got 1,2^49999\n")
+
 
 class TestSplit:
     def test_listing(self, capsys):
@@ -974,8 +983,8 @@ class TestVerify:
     def test_suite_error_keeps_results_on_the_exception(self, monkeypatch):
         # run_suites still raises; the counts up to the error ride on it
         def broken(max_size, e_values):
-            yield "adjointness", True, str
-            yield "adjointness", False, lambda: "here"
+            yield "adjointness", True
+            yield "adjointness", "here"
             raise RuntimeError("crystal suite broke")
 
         monkeypatch.setitem(vf._SUITES, "crystal", (broken,) + vf._SUITES["crystal"][1:])

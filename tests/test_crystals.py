@@ -732,6 +732,23 @@ class TestChains:
         assert first == P("5,4,2,1^5")
         assert cr.apply_chain(la, chain) == P("6,4,2,1^4")
 
+    def test_prefixes_are_ordered_by_slope(self):
+        # every pair of valid prefixes of one (e, n), e = 2..5 and n <= 5, is
+        # comparable value by value, in slope order, which picks the direction
+        pairs = 0
+        for e in range(2, 6):
+            grown = [()]  # the valid prefixes of length n, grown by one value at a time
+            for n in range(1, 6):
+                grown = [vals + (v,) for vals in grown for v in range(n - 1, (e - 1) * n + 1)
+                         if valueerror_text(arm_axioms_hold, e, vals + (v,)) is None]
+                prefixes = [ArmPrefix(e, vals) for vals in grown]
+                for a, b in product(prefixes, repeat=2):
+                    above = all(x >= y for x, y in zip(a.values, b.values))
+                    assert above or all(x <= y for x, y in zip(a.values, b.values)), (a, b)
+                    assert above == (a.slope >= b.slope) == (not cr.iso_chain(a, b).inverse), (a, b)
+                    pairs += 1
+        assert pairs == 2830
+
     def test_inverse_chain_roundtrip(self):
         a = ArmPrefix(4, (2, 4, 6, 8))
         b = ArmPrefix(4, (1, 2, 4, 5))

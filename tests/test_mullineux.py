@@ -107,6 +107,31 @@ class TestMullineux:
                     assert ab.e_core(image, e) == ab.e_core(la, e)
 
 
+def distinct_part_counts(allowed, max_n):
+    """Coefficients of prod over k <= max_n with allowed(k) of (1 + q^k):
+    the partitions of each n <= max_n into distinct allowed parts."""
+    coeffs = [1] + [0] * max_n
+    for k in range(1, max_n + 1):
+        if allowed(k):
+            for n in range(max_n, k - 1, -1):
+                coeffs[n] += coeffs[n - k]
+    return coeffs
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 8])
+def test_fixed_points_are_counted_by_distinct_parts(e):
+    # the e-regular fixed points of the Mullineux map of each size number
+    # the partitions into distinct parts that are odd and prime to e (odd e:
+    # Andrews-Olsson, J. reine angew. Math. 1991, for odd prime e) or that
+    # are odd or divisible by e (even e), a count that shares no code with
+    # the map
+    max_n = 20
+    allowed = (lambda k: k % 2 and k % e) if e % 2 else (lambda k: k % 2 or k % e == 0)
+    fixed = [sum(la.is_e_regular(e) and mullineux(la, e) == la for la in enumerate_partitions(n))
+             for n in range(max_n + 1)]
+    assert fixed == distinct_part_counts(allowed, max_n)
+
+
 def random_regular_partition(rng, n, e):
     """A seeded e-regular partition of n: random row lengths, then e-regularised."""
     return james_regularise(random_partition(rng, n), e)

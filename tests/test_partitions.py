@@ -54,7 +54,8 @@ class TestConstruction:
     def test_first_bad_index_names_the_fault(self, parts, fault):
         with pytest.raises(ValueError) as exc:
             Partition(parts)
-        assert str(exc.value) == f"parts must be {fault}, got {parts}"
+        # the parts are named as the CLI writes them, as in 2,-1,-3
+        assert str(exc.value) == f"parts must be {fault}, got {','.join(map(str, parts))}"
 
     def test_size_cached(self):
         assert P("9,3^3,2").size == 20

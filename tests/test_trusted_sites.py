@@ -235,11 +235,11 @@ def test_oracle_validates_no_prefix(monkeypatch):
 
 
 @pytest.mark.parametrize("parts, message", [
-    ([1, 2], "parts must be weakly decreasing, got (1, 2)"),
-    ((3, 1, 2), "parts must be weakly decreasing, got (3, 1, 2)"),
-    ([3, 0], "parts must be positive, got (3, 0)"),
-    ([0], "parts must be positive, got (0,)"),
-    ([-1], "parts must be positive, got (-1,)"),
+    ([1, 2], "parts must be weakly decreasing, got 1,2"),
+    ((3, 1, 2), "parts must be weakly decreasing, got 3,1,2"),
+    ([3, 0], "parts must be positive, got 3,0"),
+    ([0], "parts must be positive, got 0"),
+    ([-1], "parts must be positive, got -1"),
 ])
 def test_public_constructor_still_rejects(parts, message):
     with pytest.raises(ValueError) as exc:

@@ -90,6 +90,18 @@ def test_suite_passes_at_a_small_bound(suite, max_size, e_values, counts):
     assert {r.name: r.checked for r in results} == counts
 
 
+@pytest.mark.parametrize(
+    "suite, max_size, e_values, counts", CASES, ids=[f"{case[0]}-{case[1]}" for case in CASES]
+)
+def test_suite_yields_plain_verdicts(suite, max_size, e_values, counts):
+    # each instance is a (property, verdict) pair of plain data: a property
+    # of the suite's table and True, None or the counterexample's text
+    run, _, default_e, properties = verify._SUITES[suite]
+    for prop, verdict in run(max_size, e_values or default_e):
+        assert prop in properties, prop
+        assert verdict is True or verdict is None or type(verdict) is str, (prop, verdict)
+
+
 # Instance counts of the split suite at --max 5: a change in what the suite
 # checks moves them.  The first three properties run e = 4 and 5 whatever
 # the e values are.
@@ -162,7 +174,7 @@ def test_box_step_decides_by_class_key_as_fingerprint_does(monkeypatch):
 
     monkeypatch.setattr(ld, "_rows_key", recording)
     monkeypatch.setattr(ld, "fingerprint", refused)
-    verdicts = [ok for name, ok, _ in verify.suite_split(8, (4,)) if name == "box_step_preserves_cbar_fingerprint"]
+    verdicts = [v is True for name, v in verify.suite_split(8, (4,)) if name == "box_step_preserves_cbar_fingerprint"]
     monkeypatch.undo()
     assert len(keyed) == 2 * len(verdicts) == 2 * 947
     for (xi, params, _), (nu, _, _), ok in zip(keyed[::2], keyed[1::2], verdicts):
@@ -412,10 +424,10 @@ def test_paget_at_default_bounds_decodes_only_what_it_tests(monkeypatch):
 
 def test_skipped_instances_are_counted_and_never_pass_alone(monkeypatch):
     def suite(max_size, e_values):
-        yield from (("met", None, str), ("met", True, str), ("met", None, str))
-        yield from (("unmet", None, str), ("unmet", None, str))
-        yield from (("failed", None, str), ("failed", False, lambda: "here"), ("failed", None, str))
-        yield "plain", True, str
+        yield from (("met", None), ("met", True), ("met", None))
+        yield from (("unmet", None), ("unmet", None))
+        yield from (("failed", None), ("failed", "here"), ("failed", None))
+        yield "plain", True
 
     properties = ("met", "unmet", "failed", "plain", "none")
     monkeypatch.setitem(verify._SUITES, "core", (suite, 1, (2,), properties))
