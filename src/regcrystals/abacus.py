@@ -53,6 +53,7 @@ def conjugate_display(occupied: set[int], e: int, m: int) -> set[int]:
     Decodes to the conjugate of decode(occupied).  Requires m to be a
     multiple of the runner count e and larger than every occupied position.
     """
+    check_runners(e)
     if m % e:
         raise ValueError(f"m = {m} is not a multiple of e = {e}")
     if occupied and m <= max(occupied):
@@ -62,6 +63,7 @@ def conjugate_display(occupied: set[int], e: int, m: int) -> set[int]:
 
 def runner_counts(positions: Iterable[int], e: int) -> list[int]:
     """Bead count on each runner 0..e-1 of a position set."""
+    check_runners(e)
     counts = [0] * e
     for p in positions:
         counts[p % e] += 1
@@ -148,6 +150,7 @@ def grow_first_columns(la: Partition, m: int, e: int) -> Partition:
     first m empty positions t, taken in increasing order; the display is
     sized so every such move is valid.
     """
+    check_runners(e)
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
@@ -199,6 +202,7 @@ restrict_to_classes = to_local
 def render(occupied: set[int], e: int) -> str:
     """Text grid of the bead set on e runners, with runner headers: 'b' marks
     a bead, '.' a gap."""
+    check_runners(e)
     width = len(str(e - 1))
     rows = (max(occupied) // e + 1) if occupied else 1
     lines = [" ".join(str(i).rjust(width) for i in range(e))]

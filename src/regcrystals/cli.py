@@ -69,7 +69,9 @@ MAX_LADDER_CLASS_BOUND = 40
 # walk every triple of the 45 pieces of size up to 30 // 4, so their work is
 # cubic in the pieces; the suite holds one list of triples per c = |I|, the
 # largest 43,245 long at e = 6 and 53,010 at e = 7, with a peak RSS of about
-# 53 MB and 64 MB when built alone (Python 3.11).
+# 53 MB and 64 MB when built alone (Python 3.11).  The slowest runs inside
+# the caps are long: on a shared 2-core box `verify core --max 30` takes about
+# 19 s, and `verify split --e 7 --max 30` was still running after 10 minutes.
 MAX_VERIFY_SIZE = 30
 
 # The exceptions main reports as one "error: ..." line and exit 1.
@@ -439,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(vf.SUITES) + ["all"])
     p.add_argument("--e", type=int, default=None, help="restrict to one modulus")
-    p.add_argument("--max", type=_size_arg, default=None, help="size bound for the enumerations")
+    p.add_argument("--max", type=_size_arg, default=None,
+                   help=f"size bound for the enumerations, at most {MAX_VERIFY_SIZE}; at the cap core"
+                   " takes about 19 s and split --e 7 over 10 minutes")
     p.set_defaults(func=_cmd_verify)
 
     return parser

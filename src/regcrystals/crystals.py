@@ -9,14 +9,14 @@ node order.  That order comes from the values alone: every prefix is the
 start of the arm sequence floor(y*t) of its slope y = max A_t / t =
 Y / (E/e), and two i-nodes compare as their keys (Y*r + (E - Y)*c, r - c),
 the ladder depth first, by the integer weights (Y, E - Y) a prefix keeps.
-One row walk, _signed_nodes, sorts the signed nodes by that key, reduces
-every residue's signature in the same pass and names each node by its
-row, which it ends or is added to.  build_graph, one size layer at a time,
-takes each residue's first '+' row, and the peel the '-' rows of its
-first residue.  One kernel, _move, places and checks each node, in place:
-only the shape of its row and the hooks of its row and column, one cell
-per arm A_t (partitions._row_avoids), so the moves build their images
-unchecked; e_op/f_op check their input in full.
+One row walk, _signed_nodes, sorts the signed nodes of every residue, or
+of one, by residue and that key, reduces their signatures in one pass and
+names each node by its row, which it ends or is added to.  build_graph,
+one size layer at a time, takes each residue's first '+' row, and the
+peel the '-' rows of its first residue.  One kernel, _move, places and
+checks each node, in place: only the shape of its row and the hooks of its
+row and column, one cell per arm A_t (partitions._row_avoids), so the
+moves build their images unchecked; e_op/f_op check their input in full.
 
 Crystals for any two prefixes are isomorphic via a chain of ladder
 regularisations at the Farey slopes of order n between them.  A chain runs
@@ -128,65 +128,46 @@ def _signed_nodes(parts, prefix: ArmPrefix, i: int | None = None) -> dict[int, t
     added to row plus[0].  Residue i alone (always a key), or every
     residue with a signed node when i is None.
 
-    One walk down the rows finds the nodes: where row r + 1 is shorter
-    than row r (or absent), row r ends in a removable node and row r + 1
-    has an addable one after its end.  A node (r, c) sorts by its key
-    (Y*r + (E - Y)*c, r - c) for the prefix weights (Y, E - Y), which at
-    equal depth orders r as r - c, so one pass down the flat tuples
-    (depth, r, (c - r) mod e, grow) reduces every residue at once, with a
-    stack per residue that occurs.  Residue i alone has its own walk and
-    pass, over that residue's nodes.
+    One walk down the rows finds the nodes, residue i's alone when i is
+    given: where row r + 1 is shorter than row r (or absent), row r ends in
+    a removable node and row r + 1 has an addable one after its end.  A
+    node (r, c) sorts by its key (Y*r + (E - Y)*c, r - c) for the prefix
+    weights (Y, E - Y), which at equal depth orders r as r - c, so the flat
+    tuples ((c - r) mod e, depth, r, grow), sorted, list each residue's
+    nodes together and in order, and one pass reduces them, with a stack
+    per residue that occurs.
     """
     e = prefix.e
     wr, wc = prefix.weights
     keyed = []
     push = keyed.append
     above = r = 0  # row r and its length
-    if i is None:
-        for p in parts:
-            if above != p:
-                if r:
-                    push((wr * r + wc * above, r, (above - r) % e, False))
-                push((wr * (r + 1) + wc * (p + 1), r + 1, (p - r) % e, True))
-                above = p
-            r += 1
-        if r:
-            push((wr * r + wc * above, r, (above - r) % e, False))
-        push((wr * (r + 1) + wc, r + 1, -r % e, True))
-        keyed.sort(reverse=True)
-        signed = {}
-        for _, r, res, grow in keyed:
-            if (sig := signed.get(res)) is None:
-                sig = signed[res] = ([], [])
-            if grow:
-                sig[1].append(r)
-            elif sig[1]:
-                sig[1].pop()
-            else:
-                sig[0].append(r)
-        return signed
     for p in parts:
         if above != p:
-            if r and (above - r) % e == i:
-                push((wr * r + wc * above, r, False))
-            if (p - r) % e == i:
-                push((wr * (r + 1) + wc * (p + 1), r + 1, True))
+            if r and (i is None or (above - r) % e == i):
+                push(((above - r) % e, wr * r + wc * above, r, False))
+            if i is None or (p - r) % e == i:
+                push(((p - r) % e, wr * (r + 1) + wc * (p + 1), r + 1, True))
             above = p
         r += 1
-    if r and (above - r) % e == i:
-        push((wr * r + wc * above, r, False))
-    if -r % e == i:
-        push((wr * (r + 1) + wc, r + 1, True))
+    if r and (i is None or (above - r) % e == i):
+        push(((above - r) % e, wr * r + wc * above, r, False))
+    if i is None or -r % e == i:
+        push((-r % e, wr * (r + 1) + wc, r + 1, True))
     keyed.sort(reverse=True)
-    minus, plus = [], []
-    for _, r, grow in keyed:
+    last, minus, plus = i, [], []  # a query for residue i fills these
+    signed = {} if i is None else {i: (minus, plus)}
+    for res, _, r, grow in keyed:
+        if res != last:
+            last = res
+            minus, plus = signed[res] = ([], [])
         if grow:
             plus.append(r)
         elif plus:
             plus.pop()
         else:
             minus.append(r)
-    return {i: (minus, plus)}
+    return signed
 
 
 def is_A_regular(la: Partition, prefix: ArmPrefix) -> bool:

@@ -238,8 +238,10 @@ def hooks_divisible_by(la: Partition, m: int) -> list[tuple[int, int, int]]:
     runner of the m-runner abacus, so _bead_hooks lists at most |la|/m
     hooks and never builds the conjugate.  No pass starts when m exceeds
     the largest hook length la_1 + len(la) - 1 (the empty partition has no
-    hooks).
+    hooks).  m must be positive.
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     parts = la.parts
     if not parts or m > parts[0] + len(parts) - 1:
         return []

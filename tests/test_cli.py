@@ -891,6 +891,73 @@ class TestVerifyLimits:
         assert calls == [((["core"],), kwargs)]
 
 
+HUGE = str(10**9)
+# argv, exit code, most stderr bytes, most KiB that tracemalloc sees at peak:
+# the hostile inputs each get a short message and an exit code, with no
+# suite run and no allocation that grows with a number on the command line
+HOSTILE = {
+    "abacus_e_0": (["abacus", "show", "--e", "0", "2,1"], 1, 64, 512),
+    "split_e_0": (["split", "--e", "0", "--I", "0", "2,1"], 1, 64, 512),
+    "paget_e_0": (["paget", "--e", "0", "2,1"], 1, 64, 512),
+    "crystal_e_0": (["crystal", "--e", "0", "--slope", "1-"], 1, 64, 512),
+    "crystal_negative_size": (["crystal", "--e", "3", "--arm", "0,1", "--max-size", "-1"], 2, 300, 512),
+    "abacus_beads_1e8": (["abacus", "show", "--e", "4", "--beads", "100000000", "3,2"], 1, 64, 512),
+    "split_beads_1e8": (["split", "--e", "4", "--I", "0", "--beads", "100000000", "3,2"], 1, 64, 512),
+    "reg_y_exponent": (["reg", "--e", "3", "--y", "1e100000000", "1"], 2, 300, 512),
+    "crystal_slope_exponent": (["crystal", "--e", "3", "--slope", "1e100000000+"], 2, 300, 512),
+    "mull_1e5_nodes": (["mull", "--e", "3", "1^100000"], 1, 64, 8192),
+    "conj_unsorted_1e5": (["conj", "1,2^49999"], 2, 300, 4096),
+    "crystal_long_arm": (["crystal", "--e", "3", "--arm", ",".join(map(str, range(MAX_GRAPH_SIZE + 1)))],
+                         1, 64, 512),
+    "abacus_huge_e": (["abacus", "show", "--e", HUGE, "2,1"], 1, 64, 512),
+    "split_huge_e": (["split", "--e", HUGE, "--I", "0", "2,1"], 1, 64, 512),
+    "paget_huge_e": (["paget", "--e", HUGE, "2,1"], 1, 64, 512),
+    "crystal_huge_e": (["crystal", "--e", HUGE, "--slope", "1"], 1, 64, 512),
+    "chain_huge_e": (["chain", "--e", HUGE, "--from", "0", "--to", "0"], 1, 64, 512),
+    "mull_huge_e": (["mull", "--e", HUGE, "5,3,1"], 0, 0, 512),
+    "reg_huge_e": (["reg", "--e", HUGE, "--y", "1", "5,3,1"], 0, 0, 512),
+    "reg_huge_y": (["reg", "--e", "3", "--y", "9" * 40 + "/7", "2,1"], 1, 128, 512),
+    "reg_tiny_y": (["reg", "--e", "3", "--y", "1/" + "9" * 40, "2,1"], 1, 128, 512),
+    "crystal_long_slope": (["crystal", "--e", "3", "--slope", f"{10**39 + 1}/{10**39}"], 0, 0, 512),
+    "conj_1e5_nodes": (["conj", "1^100000"], 0, 0, 16384),
+    "conj_over_parse_limit": (["conj", "1^100001"], 2, 300, 512),
+    "paget_1e5_nodes": (["paget", "--e", "3", "50000,1^50000"], 1, 64, 16384),
+    "ladder_class_over_bound": (["ladder-class", "--e", "3", "--y", "1", "--bound", "41", "2,1"], 1, 64, 512),
+    "split_residue_not_int": (["split", "--e", "4", "--I", "0,x", "3,1"], 2, 300, 512),
+    "split_residue_too_big": (["split", "--e", "4", "--I", "9", "3,1"], 1, 64, 512),
+    "split_residue_negative": (["split", "--e", "4", "--I", "-1", "3,1"], 1, 64, 512),
+    "split_beads_negative": (["split", "--e", "4", "--I", "0", "--beads", "-1", "3,2"], 1, 64, 512),
+    "split_beads_too_few": (["split", "--e", "4", "--I", "0", "--beads", "1", "3,2"], 1, 64, 512),
+    "abacus_beads_negative": (["abacus", "show", "--e", "4", "--beads", "-5", "3,2"], 1, 64, 512),
+    "verify_max_over_cap": (["verify", "core", "--max", str(MAX_VERIFY_SIZE + 1)], 1, 64, 512),
+    "verify_max_negative": (["verify", "all", "--max", "-1"], 2, 300, 512),
+    "verify_e_over_cap": (["verify", "core", "--e", str(MAX_BEADS + 1)], 1, 64, 512),
+    "verify_split_e_over_range": (["verify", "split", "--e", "8"], 2, 64, 512),
+    "verify_paget_e_over_range": (["verify", "paget", "--e", "6"], 2, 64, 512),
+    "verify_core_e_negative": (["verify", "core", "--e", "-1", "--max", "3"], 2, 64, 512),
+    "verify_ladder_takes_no_e": (["verify", "ladder", "--e", "-1", "--max", "3"], 2, 64, 512),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_input_exits_with_a_short_message(capsys, monkeypatch, case):
+    argv, code, err_bytes, peak_kib = HOSTILE[case]
+    monkeypatch.setattr(vf, "_run_suite", lambda *args: pytest.fail("a suite ran"))
+    tracemalloc.start()
+    try:
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert len(err.encode()) <= err_bytes and (code == 0) == (err == ""), err
+    assert peak <= peak_kib * 1024
+
+
 class TestVerify:
     def test_quick_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "lyle", "--e", "3", "--max", "6")

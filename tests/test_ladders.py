@@ -1,8 +1,10 @@
 import importlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -575,9 +577,13 @@ def test_ladder_counts_are_glaisher_counts(e):
     # (distinct fingerprints), the (E, Y)-regular partitions and the
     # (E, Y)-restricted ones of n each number the E-regular partitions of n,
     # E = e*q: each class holds one of each, and the classes are counted
-    # whole, so a key that merges or splits classes fails here
+    # whole, so a key that merges or splits classes fails here.  The
+    # arm-prefix crystal of each slope and variant is isomorphic to the
+    # e-regular one, so its layer n holds as many vertices as there are
+    # e-regular partitions of n
     slopes = sorted({Fraction(p, q) for q in range(1, 5) for p in range(q, (e - 1) * q + 1)})
-    triples = 0
+    regular = glaisher_counts(e, 14)
+    triples = layers = 0
     for y in slopes:
         params = LadderParams(e, y)
         counts = glaisher_counts(params.E, 14)
@@ -587,4 +593,10 @@ def test_ladder_counts_are_glaisher_counts(e):
             assert sum(ld.is_regular(la, params) for la in partitions) == counts[n], (y, n)
             assert sum(ld.is_restricted(la, params) for la in partitions) == counts[n], (y, n)
             triples += 1
+        for v in "+-":
+            graph = cr.build_graph(cr.ArmPrefix.from_slope(e, y, ceil(14 / e), v), 14)
+            sizes = Counter(la.size for la in graph.vertices)
+            assert [sizes[n] for n in range(15)] == regular, (y, v)
+            layers += 15
     assert triples == 15 * {2: 1, 3: 7, 4: 13, 5: 19}[e]
+    assert layers == 2 * triples

@@ -413,6 +413,7 @@ class TestSharedLoop:
             ("1", 1, r"^only the empty partition is 1-regular$"),
             ("-", 0, r"^e must be positive$"),
         ],
+        ids=["e3", "e2", "e4", "e1", "e0"],
     )
     def test_unrestricted_bead_set_raises_the_loop_message(self, mu, e, message):
         # on any bead count, before any bead moves; the partition route says the same

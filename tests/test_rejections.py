@@ -11,10 +11,11 @@ from regcrystals import separation as sp
 from regcrystals import verify
 from regcrystals.cli import main
 from regcrystals.mullineux import mullineux_oracle, slopes
-from regcrystals.partitions import Partition, enumerate_partitions, residue
+from regcrystals.partitions import Partition, enumerate_partitions, hooks_divisible_by, residue
 
 P = Partition
 PREFIX = cr.ArmPrefix.from_slope(3, 1, 2, "-")  # bound 6
+NO_RUNNER = "an abacus needs at least one runner"
 
 REJECTIONS = {
     "oracle_e_1": (lambda: mullineux_oracle(P([1]), 1), ValueError, "only the empty partition is 1-regular"),
@@ -42,6 +43,13 @@ REJECTIONS = {
     "split_pair_gamma": (lambda: sp.split_pair(P(), P(), P([2]), 2, 2), ValueError,
                          "gamma = 2 is not 2-restricted"),
     "unknown_suite": (lambda: verify.iter_suites(["nope"]), ValueError, "unknown suite(s): ['nope']"),
+    "conjugate_display_e_0": (lambda: ab.conjugate_display({1}, 0, 2), ValueError, NO_RUNNER),
+    "runner_counts_e_0": (lambda: ab.runner_counts({1}, 0), ValueError, NO_RUNNER),
+    "render_e_0": (lambda: ab.render({1}, 0), ValueError, NO_RUNNER),
+    "render_e_negative": (lambda: ab.render({1}, -1), ValueError, NO_RUNNER),
+    "grow_e_0": (lambda: ab.grow_first_columns(P([2, 1]), 1, 0), ValueError, NO_RUNNER),
+    "hooks_m_0": (lambda: hooks_divisible_by(P([2, 1]), 0), ValueError, "m must be positive"),
+    "hooks_m_negative": (lambda: hooks_divisible_by(P([2, 1]), -1), ValueError, "m must be positive"),
 }
 
 

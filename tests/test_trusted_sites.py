@@ -240,7 +240,7 @@ def test_oracle_validates_no_prefix(monkeypatch):
     ([3, 0], "parts must be positive, got 3,0"),
     ([0], "parts must be positive, got 0"),
     ([-1], "parts must be positive, got -1"),
-])
+], ids=["rising_list", "rising_tuple", "zero_last", "zero_only", "negative"])
 def test_public_constructor_still_rejects(parts, message):
     with pytest.raises(ValueError) as exc:
         Partition(parts)
