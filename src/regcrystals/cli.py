@@ -18,12 +18,14 @@ list longer than MAX_GRAPH_SIZE values exits 1 before it is checked.
 chain's prefix bound n*e, read off the longer list, may not exceed
 MAX_CHAIN_BOUND: a larger one exits 1 before either prefix is checked.
 ladder-class's --bound may not exceed MAX_LADDER_CLASS_BOUND: a larger one
-exits 1 before any partition is enumerated.  verify's --e may not exceed
-MAX_BEADS, as every suite places at least e beads per partition, and its
---max may not exceed MAX_VERIFY_SIZE: a larger one exits 1 before any suite
-runs.  verify split and verify paget are exponential in e and take e up to
-MAX_SPLIT_E and MAX_PAGET_E: a larger --e is outside the suite's range and
-exits 2 before any suite runs.
+exits 1 before any partition is enumerated.  verify's --max may not exceed
+MAX_VERIFY_SIZE, and its --e not MAX_VERIFY_SIZE + 1: every suite places at
+least e beads per partition, and from that modulus on no partition within
+the size cap has a hook of length e, so each is an e-core, e-regular and
+e-restricted, and its Mullineux image is its conjugate.  A larger value exits
+1 before any suite runs.  verify split and verify paget are exponential in e
+and take e up to MAX_SPLIT_E and MAX_PAGET_E: a larger --e is outside the
+suite's range and exits 2 before any suite runs.
 verify prints each suite's lines as that suite finishes.  reg, restrict and
 mull with both --json and --trace add a "steps" list to the JSON, one item
 per line that the text trace prints after its start line.
@@ -326,7 +328,7 @@ def _cmd_paget(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.e is not None:
-        _within("modulus", args.e, MAX_BEADS)
+        _within("modulus", args.e, MAX_VERIFY_SIZE + 1)  # from there on e is longer than every hook
     if args.max is not None:
         _within("size bound", args.max, MAX_VERIFY_SIZE)
     e_values = (args.e,) if args.e is not None else None
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(vf.SUITES) + ["all"])
-    p.add_argument("--e", type=int, default=None, help="restrict to one modulus")
+    p.add_argument("--e", type=int, default=None, help=f"restrict to one modulus, at most {MAX_VERIFY_SIZE + 1}")
     p.add_argument("--max", type=_size_arg, default=None,
                    help=f"size bound for the enumerations, at most {MAX_VERIFY_SIZE}; at the cap core"
                    " takes about 19 s and split --e 7 over 10 minutes")

@@ -20,8 +20,9 @@ moves build their images unchecked; e_op/f_op check their input in full.
 
 Crystals for any two prefixes are isomorphic via a chain of ladder
 regularisations at the Farey slopes of order n between them.  A chain runs
-as mullineux does, on ladders._steps with one bead set that moves only at
-the singular slopes, and checks its images by one hook walk per hold.
+ladders._steps as mullineux does, on one bead set that moves only at the
+singular slopes, stops reading the loop at its target's slope and checks
+its images by one hook walk per hold.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from operator import sub
 from typing import Iterator
 
@@ -228,10 +230,10 @@ def _move(parts: list[int], prefix: ArmPrefix, rows, grow: bool) -> int:
     return len(rows)
 
 
-def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int | None = None) -> int:
+def _move_string(parts: list[int], prefix: ArmPrefix, i: int, grow: bool, k: int) -> int:
     """Move up to k i-nodes of parts in place after one walk, and return how
     many moved: the cogood nodes in turn (f_i applied k times) if grow, else
-    the good ones, last first (e_i applied k times); k None moves them all.
+    the good ones, last first (e_i applied k times).
 
     Moving an i-node changes no other i-node's sign, so the reduced
     signature -^a +^b just loses its last '-' to its '+'s (or its first '+'
@@ -374,9 +376,9 @@ def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[i
     the step loop ends, once checked: the steps at loop slopes above lo not
     yet passed map la to occ (to la' on an inverse chain).  A forward chain
     regularises at the singular slopes in (slope target, slope source]: the
-    loop down to the strict floor slope target.  An inverse chain
-    restrictises at them ascending: the loop on the conjugate display at
-    slopes e - y, down to e - slope target inclusive.
+    loop until its slope falls to the target's, whose move is not made.  An
+    inverse chain restrictises at them ascending: the loop on the conjugate
+    display at slopes e - y, down to e - slope target inclusive.
 
     A hook (t, arm) of length e*t breaks the prefix of slope z exactly when
     arm/t <= z < (arm + 1)/t.  A hold keeps the bead set from the moves at
@@ -399,7 +401,8 @@ def _holds(la: Partition, chain: Chain) -> Iterator[tuple[tuple[int, int], set[i
         start, end = source.slope, target.slope
     start, end = start.as_integer_ratio(), end.as_integer_ratio()
     hooked = occ and e <= max(occ)  # else no hook has length e or more and nothing moves
-    for (hp, hq), (lp, lq) in _hold_ends(_steps(occ, e, *start, True, end), start, end):
+    moves = takewhile(lambda slope: slope[0] * end[1] > end[0] * slope[1], _steps(occ, e, *start, True))
+    for (hp, hq), (lp, lq) in _hold_ends(moves, start, end):
         hooks = _bead_hooks(map(sub, sorted(occ), range(len(occ))), e) if hooked else ()
         if any(arm * hq < hp * t and (arm + 1) * lq > lp * t for t, arm, _, _ in hooks):
             low, high = Fraction(lp, lq), Fraction(hp, hq)

@@ -228,22 +228,19 @@ def _abacus_step(occ: set[int], em: int, ym: int, b: int) -> int:
     return len(ts)
 
 
-def _steps(occ: set[int], e: int, p: int, q: int, descend: bool,
-           floor: tuple[int, int] | None = None) -> Iterator[tuple[int, int]]:
+def _steps(occ: set[int], e: int, p: int, q: int, descend: bool) -> Iterator[tuple[int, int]]:
     """Regularise the bead set occ in place at slope p/q, yielding (p, q) before each move.
 
     Each step scales (E, Y) by the largest t for which a singular hook
     occurs, then performs the single move at the scaled parameters; it gives
     a strictly more dominant partition in the same ladder class.  Once occ
     is p/q-regular the loop ends, or with descend set goes on at the top
-    slope a/t of _top_hook, which p/q then holds unreduced, until a/t is at
-    or below the strict floor slope fp/fq, when one is given."""
+    slope a/t of _top_hook, which p/q then holds unreduced.  Each move comes
+    after its yield, so a reader that stops there leaves that move unmade."""
     if not occ or e > max(occ):  # no hook is longer than the last bead: no walk of e runners
         return
     while (top := _top_hook(occ, e, p, q)) is not None:
         a, t, b = top
-        if floor and a * floor[1] <= floor[0] * t:
-            return
         if a * q < p * t:
             if not descend:
                 return

@@ -118,15 +118,15 @@ def peel_and_rebuild(
     the run (i, count) is recorded.  The rebuild adds, last run first, count
     cogood nodes in dst at the residue sign*i mod e (f applied count times).
     The crystal is connected from the empty partition, so every path to it
-    gives the same image.  One loop picks each peeled string off one walk of
-    every residue.  The one e_op call, which checks la in full, removes the
-    first node; every other node moves in place as its walk listed it, and
-    a move that fails its check (shape and hooks) raises ValueError.  Each
+    gives the same image.  One e_op call checks la in full; then one loop
+    takes every string alike: one walk of every residue, the first residue
+    in order with a good node, and one move of its rows in place, as the
+    walk listed them, each checked (shape and hooks), else ValueError.  Each
     rebuilt string takes one walk of its residue.
 
     ``known`` maps part tuples to the images that this same (src, dst,
     order, sign) gave them, and defaults to {(): Partition()}.  The peel
-    stops after the first string that ends at a vertex in the table and
+    stops at the first vertex in the table, la itself included, and
     rebuilds from that vertex's image; la's image is then recorded in the
     table.  A caller that walks the vertices in increasing size finds
     e_i^max la in the table, so each instance peels and rebuilds one string.
@@ -137,23 +137,17 @@ def peel_and_rebuild(
         known = {(): Partition()}
     if la.size > dst.bound:
         raise ValueError(f"|la| = {la.size} exceeds the crystal bound {dst.bound}")
-    parts, runs, vertex = None, [], la.parts
-    while parts is None or (vertex := tuple(parts)) not in known:
+    # checks la in full; ROADMAP item 23 makes it is_A_regular once bench/ counts no e_op calls
+    e_op(la, src, next(iter(order)))
+    parts, runs = list(la.parts), []
+    while (vertex := tuple(parts)) not in known:
         signed = _signed_nodes(vertex, src)
         for i in order:
             if i in signed and signed[i][0]:
                 break
-        else:  # e_op checks la in full, so a singular la raises even if no residue has a good node
-            if parts is None:
-                e_op(la, src, next(iter(order)))
-            raise AssertionError(f"no good node on {_brief(vertex)}")
-        if parts is None:
-            if (mu := e_op(la, src, i)) is None:
-                raise AssertionError(f"no good node on {_brief(vertex)}")
-            parts = list(mu.parts)
-            runs.append((i, 1 + _move(parts, src, signed[i][0][-2::-1], False)))
         else:
-            runs.append((i, _move(parts, src, signed[i][0][::-1], False)))
+            raise AssertionError(f"no good node on {_brief(vertex)}")
+        runs.append((i, _move(parts, src, signed[i][0][::-1], False)))
     parts = list(known[vertex].parts)
     for i, count in reversed(runs):
         i = sign * i % src.e

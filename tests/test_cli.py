@@ -867,9 +867,11 @@ class TestPaget:
 
 class TestVerifyLimits:
     # every suite places at least e beads per partition, and enumerates every
-    # partition of size up to --max
+    # partition of size up to --max; past e = --max + 1 no such partition has
+    # a hook of length e, so a larger modulus shows nothing new
     OVER = [("--max", MAX_VERIFY_SIZE + 1, "size bound", MAX_VERIFY_SIZE),
-            ("--e", MAX_BEADS + 1, "modulus", MAX_BEADS)]
+            ("--e", MAX_VERIFY_SIZE + 2, "modulus", MAX_VERIFY_SIZE + 1),
+            ("--e", MAX_BEADS + 1, "modulus", MAX_VERIFY_SIZE + 1)]
 
     @pytest.mark.parametrize("flag, value, what, limit", OVER, ids=[f"{f} {v}" for f, v, *_ in OVER])
     def test_over_the_limit_exits_1(self, capsys, monkeypatch, flag, value, what, limit):
@@ -881,7 +883,7 @@ class TestVerifyLimits:
     @pytest.mark.parametrize(
         "flag, value, kwargs",
         [("--max", MAX_VERIFY_SIZE, {"max_size": MAX_VERIFY_SIZE, "e_values": None}),
-         ("--e", MAX_BEADS, {"max_size": None, "e_values": (MAX_BEADS,)})],
+         ("--e", MAX_VERIFY_SIZE + 1, {"max_size": None, "e_values": (MAX_VERIFY_SIZE + 1,)})],
         ids=["--max", "--e"],
     )
     def test_at_the_limit_reaches_the_suites(self, capsys, monkeypatch, flag, value, kwargs):
@@ -932,6 +934,7 @@ HOSTILE = {
     "verify_max_over_cap": (["verify", "core", "--max", str(MAX_VERIFY_SIZE + 1)], 1, 64, 512),
     "verify_max_negative": (["verify", "all", "--max", "-1"], 2, 300, 512),
     "verify_e_over_cap": (["verify", "core", "--e", str(MAX_BEADS + 1)], 1, 64, 512),
+    "verify_e_just_over_cap": (["verify", "core", "--e", str(MAX_VERIFY_SIZE + 2)], 1, 64, 512),
     "verify_split_e_over_range": (["verify", "split", "--e", "8"], 2, 64, 512),
     "verify_paget_e_over_range": (["verify", "paget", "--e", "6"], 2, 64, 512),
     "verify_core_e_negative": (["verify", "core", "--e", "-1", "--max", "3"], 2, 64, 512),

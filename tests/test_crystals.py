@@ -402,7 +402,7 @@ def test_string_kernel_equals_the_operators(prefix):
         for i in range(prefix.e):
             minus, plus = cr._signed_nodes(la.parts, prefix, i)[i]
             parts, mu = list(la.parts), la
-            assert cr._move_string(parts, prefix, i, False) == len(minus)
+            assert cr._move_string(parts, prefix, i, False, len(minus)) == len(minus)
             while (nu := cr.e_op(mu, prefix, i)) is not None:
                 mu = nu
             assert tuple(parts) == mu.parts, (la, i)

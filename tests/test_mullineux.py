@@ -182,10 +182,11 @@ def test_walk_equals_the_operator_walk_at_large_n(count_walks):
 
 @pytest.mark.parametrize("n, e, walks", [(12, 3, 25), (20, 4, 41)])
 def test_oracle_walks_on_one_row(count_walks, n, e, walks):
-    # every string of (n) has one node: the peel takes one all-residue walk
-    # of (n), which finds the good node at residue n - 1, the one walk of
-    # e_op's call at that residue, and one all-residue walk for each of the
-    # n - 1 later strings; the rebuild takes one walk per string
+    # every string of (n) has one node: the peel takes the one walk of
+    # e_op's check at the first residue of order, one all-residue walk of
+    # (n), which finds the good node at residue n - 1, and one all-residue
+    # walk for each of the n - 1 later strings; the rebuild takes one walk
+    # per string
     counted = count_walks("_signed_nodes")
     assert mullineux_oracle(Partition([n]), e) == mullineux(Partition([n]), e)
     assert len(counted) == walks == 1 + 1 + (n - 1) + n
@@ -232,6 +233,28 @@ class TestKnownTable:
         assert mullineux_oracle(Partition([n]), e) == tabled
         assert len(walks) == 1 + 1 + (n - 1) + n
         assert sum(len(args) == 2 for args in walks) == 1 + (n - 1)
+
+    @pytest.mark.parametrize("choice, first", [("min", 0), ("max", 2)])
+    def test_a_known_input_takes_only_the_check_walk(self, count_walks, choice, first):
+        # la itself in the table: e_op's check walks la once, at the first
+        # residue of order, and the peel neither walks nor moves; the entry is
+        # returned as the table holds it, a planted one too
+        la, e = P("5,3,1"), 3
+        image = mullineux(la, e)
+        walks = count_walks("_signed_nodes")
+        assert mullineux_oracle(la, e, choice, known={(): Partition(), la.parts: image}) == image
+        assert [(tuple(args[0]), args[2:]) for args in walks] == [(la.parts, (first,))]
+        assert mullineux_oracle(la, e, choice, known={(): Partition(), la.parts: P("9")}) == P("9")
+
+    def test_a_singular_input_in_the_table_still_raises(self):
+        # the one check comes before the table is read
+        la, e = P("1,1,1"), 3
+        prefix = ArmPrefix(e, (0,))
+        known = {(): Partition(), la.parts: Partition()}
+        with pytest.raises(ValueError, match=r"^1\^3 is not regular for ArmPrefix"):
+            peel_and_rebuild(la, prefix, prefix, range(e), -1, known=known)
+        with pytest.raises(ValueError, match=r"^1\^3 is not 3-regular$"):
+            mullineux_oracle(la, e, known=known)
 
     def test_walking_up_in_size_takes_one_all_residue_walk_per_call(self, count_walks):
         # the walk of each input itself, which picks its first string

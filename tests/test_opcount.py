@@ -15,14 +15,16 @@ SLICES = {
     # and a kernel it must reach
     "split": ((["split"], 6, (4,)), {"separation", "ladders", "abacus"}, "verify.suite_split", "ladders._top_hook"),
     "crystal": ((["crystal"], 6), {"crystals"}, "verify.suite_crystal", "crystals._signed_nodes"),
+    "mullineux": ((["mullineux"], 6, (3,)), {"mullineux", "crystals"}, "verify.suite_mullineux",
+                  "mullineux.peel_and_rebuild"),
 }
 
 
 @pytest.mark.parametrize("case", SLICES)
 def test_two_runs_of_a_slice_give_equal_counts(case):
-    # `verify split --e 4 --max 6` or `verify crystal --max 6`, twice in one
-    # process: the same opcode and call counts per function, every one in a
-    # package module
+    # `verify split --e 4 --max 6`, `verify crystal --max 6` or `verify
+    # mullineux --e 3 --max 6`, twice in one process: the same opcode and
+    # call counts per function, every one in a package module
     args, layers, suite, kernel = SLICES[case]
     runs = [opcount.count_events(verify.run_suites, *args) for _ in range(2)]
     (first, opcodes, calls), (second, *counts) = runs
