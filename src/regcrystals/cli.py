@@ -4,9 +4,9 @@ Subcommands: conj, abacus, reg, restrict, ladder-class, crystal, chain,
 mull, split, paget, verify.  Results go to stdout (plain text or --json),
 error text to stderr.  Exit codes: 0 success, 1 domain error, a failed
 internal check, an internal fault inside a verify suite or a --dot file
-that cannot be written, 2 bad flags (a verify --e outside a suite's range
-among them) or unparseable input (a rational in exponent notation among
-them).
+that cannot be written, 2 bad flags (a verify --e outside a suite's range,
+of any size, among them) or unparseable input (a rational in exponent
+notation among them).
 abacus show and split take a --beads count because their output depends on
 it; paget does not, as its results are the same for every bead count.  The
 bead count, given or derived from --e (paget's too), and the runner count of
@@ -24,8 +24,10 @@ least e beads per partition, and from that modulus on no partition within
 the size cap has a hook of length e, so each is an e-core, e-regular and
 e-restricted, and its Mullineux image is its conjugate.  A larger value exits
 1 before any suite runs.  verify split and verify paget are exponential in e
-and take e up to MAX_SPLIT_E and MAX_PAGET_E: a larger --e is outside the
-suite's range and exits 2 before any suite runs.
+and take e up to MAX_SPLIT_E and MAX_PAGET_E, and ladder and crystal take no
+--e.  The suite's range is checked before the caps, so an --e outside it
+exits 2 before any suite runs however large it is, and only an --e that the
+suite accepts can meet the modulus cap.
 verify prints each suite's lines as that suite finishes.  reg, restrict and
 mull with both --json and --trace add a "steps" list to the JSON, one item
 per line that the text trace prints after its start line.
@@ -327,16 +329,16 @@ def _cmd_paget(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.e is not None:
-        _within("modulus", args.e, MAX_VERIFY_SIZE + 1)  # from there on e is longer than every hook
-    if args.max is not None:
-        _within("size bound", args.max, MAX_VERIFY_SIZE)
     e_values = (args.e,) if args.e is not None else None
-    try:
+    try:  # checks the suite and its moduli, and starts no suite
         per_suite = vf.iter_suites([args.suite], max_size=args.max, e_values=e_values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.e is not None:
+        _within("modulus", args.e, MAX_VERIFY_SIZE + 1)  # from there on e is longer than every hook
+    if args.max is not None:
+        _within("size bound", args.max, MAX_VERIFY_SIZE)
     failed = False
     try:
         for results in per_suite:

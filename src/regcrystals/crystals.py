@@ -27,28 +27,28 @@ its images by one hook walk per hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import takewhile
 from operator import sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .abacus import conjugate_display
 from .ladders import LadderParams, _hold_ends, _steps
 from .ladders import regularise  # noqa: F401  unused here; bench/test_bench.py checks that the tracer wraps it here
-from .partitions import Partition, _bead_hooks, _brief, _row_avoids, beta_numbers, format_partition, from_beta_numbers
+from .partitions import (Partition, _bead_hooks, _brief, _Frozen, _row_avoids, beta_numbers, format_partition,
+                         from_beta_numbers)
 
 
-@dataclass(frozen=True, slots=True)
-class ArmPrefix:
+class ArmPrefix(_Frozen):
     """The first n values (A_1, ..., A_n) of an arm sequence for modulus e.
 
     The values alone fix the crystal: the operators read their node order
-    off the slope y = max A_t / t = Y / (E/e), which __post_init__ derives
-    from the values with its integer weights (Y, E - Y), which a walk reads,
-    and A_t = floor(y*t) for every t.  A prefix holds nothing else.  _of is
-    the trusted constructor, for values and slope valid by construction.
+    off the slope y = max A_t / t = Y / (E/e), which __init__ derives from
+    the values with its integer weights (Y, E - Y), which a walk reads, and
+    A_t = floor(y*t) for every t.  A prefix holds nothing else: == and the
+    repr read e and the values alone.  _of is the trusted constructor, for
+    values and slope valid by construction.
 
     s*A_t < t*(A_s + 1) for all s, t <= n follows from the two axioms by
     induction on s + t, as in Euclid's algorithm, so A_t <= y*t < A_t + 1.
@@ -56,18 +56,20 @@ class ArmPrefix:
     = floor(y*t + y*u) - floor(y*t) - floor(y*u) lies in {0, 1}, as
     floor(a + b) - floor(a) - floor(b) does for any reals a, b.  So values
     within their bounds satisfy the axiom exactly when they equal
-    floor(y*t) for this y, and __post_init__ tests that in O(n); the O(n^2)
+    floor(y*t) for this y, and __init__ tests that in O(n); the O(n^2)
     pair loop runs only on rejected values, to name the first failing pair.
     """
 
+    __slots__ = ("e", "values", "slope", "weights")
+
     e: int
     values: tuple[int, ...]
-    slope: Fraction = field(init=False, repr=False, compare=False)
-    weights: tuple[int, int] = field(init=False, repr=False, compare=False)
+    slope: Fraction
+    weights: tuple[int, int]
 
-    def __post_init__(self):
-        e = int(self.e)
-        vals = tuple(int(v) for v in self.values)
+    def __init__(self, e: int, values):
+        e = int(e)
+        vals = tuple(int(v) for v in values)
         if e < 2:
             raise ValueError("e must be at least 2")
         if not vals:
@@ -91,6 +93,12 @@ class ArmPrefix:
         weights = (num, e * den - num)
         for name, value in (("e", e), ("values", vals), ("slope", Fraction(num, den)), ("weights", weights)):
             object.__setattr__(self, name, value)
+
+    def _args(self) -> tuple[int, tuple[int, ...]]:
+        return (self.e, self.values)
+
+    def __repr__(self) -> str:
+        return f"ArmPrefix(e={self.e!r}, values={self.values!r})"
 
     @classmethod
     def _of(cls, e: int, values: tuple[int, ...], slope: Fraction) -> "ArmPrefix":
@@ -263,8 +271,7 @@ def f_op(la: Partition, prefix: ArmPrefix, i: int) -> Partition | None:
     return _image(la, prefix, i, True)
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """The finite crystal on A-regular partitions of size at most the bound."""
 
     arm: ArmPrefix
@@ -334,16 +341,27 @@ def _farey_predecessor(y: Fraction, n: int) -> Fraction:
     return Fraction((p * s - 1) // q, s)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """A regularisation chain from the arm prefix source to target.  Each
     prefix is the '+' prefix of its slope, so the ends fix the chain: it
     regularises at every slope of order n from the larger end's down to just
     above the smaller's; an inverse chain, whose source is the smaller end,
-    applies the steps in reverse order as restrictisations."""
+    applies the steps in reverse order as restrictisations.  The ends are
+    all that == and the repr read; inverse and steps are cached on first
+    read."""
 
     source: ArmPrefix
     target: ArmPrefix
+
+    def __init__(self, source: ArmPrefix, target: ArmPrefix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+
+    def _args(self) -> tuple[ArmPrefix, ArmPrefix]:
+        return (self.source, self.target)
+
+    def __repr__(self) -> str:
+        return f"Chain(source={self.source!r}, target={self.target!r})"
 
     @cached_property
     def inverse(self) -> bool:

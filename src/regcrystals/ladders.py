@@ -31,34 +31,38 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, groupby, pairwise
 from typing import Iterable, Iterator
 
 from .abacus import conjugate_display
-from .partitions import (Node, Partition, _brief, _row_avoids, beta_numbers, enumerate_partitions,
+from .partitions import (Node, Partition, _brief, _Frozen, _row_avoids, beta_numbers, enumerate_partitions,
                          from_beta_numbers, hooks_divisible_by)
 
 
-@dataclass(frozen=True, slots=True)
-class LadderParams:
-    """Ladder parameters for modulus e and exact rational slope y."""
+class LadderParams(_Frozen):
+    """Ladder parameters for modulus e and exact rational slope y, with the
+    scaled pair (E, Y) derived from them, which == and the repr leave out."""
+
+    __slots__ = ("e", "y", "E", "Y")
 
     e: int
     y: Fraction
-    E: int = field(init=False, repr=False, compare=False)
-    Y: int = field(init=False, repr=False, compare=False)
+    E: int
+    Y: int
 
-    def __post_init__(self):
-        e = int(self.e)
-        y = self.y if type(self.y) is Fraction else Fraction(self.y)
+    def __init__(self, e: int, y):
+        e = int(e)
+        y = y if type(y) is Fraction else Fraction(y)
         if e < 2:
             raise ValueError("e must be at least 2")
         if not y.denominator <= y.numerator <= (e - 1) * y.denominator:
             raise ValueError(f"slope {y} outside [1, {e - 1}]")
         for name, value in (("e", e), ("y", y), ("E", e * y.denominator), ("Y", y.numerator)):
             object.__setattr__(self, name, value)
+
+    def _args(self) -> tuple[int, Fraction]:
+        return (self.e, self.y)
 
     def pair(self) -> tuple[int, int]:
         return (self.E, self.Y)

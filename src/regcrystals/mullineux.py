@@ -21,10 +21,9 @@ m(e_i la) = e_{-i} m(la) (Kleshchev) the images equal the untabled ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .crystals import ArmPrefix, _move, _move_string, _signed_nodes, e_op
 from .ladders import LadderParams, _hold_ends, _steps, regularise
@@ -175,8 +174,7 @@ def hook_class(arm: int, leg: int, e: int) -> str:
     return "neither"
 
 
-@dataclass(frozen=True)
-class LyleReport:
+class LyleReport(NamedTuple):
     """Comparison of the Mullineux image of la^reg with (la')^reg."""
 
     partition: Partition

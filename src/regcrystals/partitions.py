@@ -47,6 +47,33 @@ class Hook(NamedTuple):
     foot: Node
 
 
+class _Frozen:
+    """Base of the immutable value types (ladders.LadderParams,
+    crystals.ArmPrefix and Chain, separation.SplitContext), written out so
+    that an import compiles no generated code.  Each __init__ sets every
+    field through object.__setattr__, derived ones too; after that no field
+    can be assigned or deleted.  _args, the constructor arguments as stored,
+    is what == compares, hash hashes and copy and pickle rebuild from, so
+    the derived fields stay out of all three."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._args() == other._args() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
 class Partition:
     """Immutable weakly decreasing sequence of positive integers; the
     constructor checks its input in full, and _of is the trusted one."""

@@ -38,7 +38,6 @@ quotient-separated description of the Mullineux map.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .abacus import (
@@ -50,30 +49,33 @@ from .abacus import (
     runner_counts,
 )
 from .mullineux import _conjugate_image, _loop
-from .partitions import Partition, _brief, beta_numbers, from_beta_numbers
+from .partitions import Partition, _brief, _Frozen, beta_numbers, from_beta_numbers
 
 
-@dataclass(frozen=True)
-class SplitContext:
+class SplitContext(_Frozen):
     """Runner split data: modulus e, residue set I and bead count n.  The
     number u of beads on I-positions is an argument of each function that
-    places two halves on the n beads.  Three derived fields are built once
-    from the checked fields and left out of repr, == and hashing: runners
-    holds the residues of I and of its complement, each sorted, places
-    the first n global positions of I and of the complement, in order
-    (the k-th is k // c * e + runners[k % c]), which the placement and the
-    separation test read by index, and ranks maps each residue of a side
+    places two halves on the n beads.  __init__ checks the three fields and
+    builds three more from them once, which == and the repr leave out:
+    runners holds the residues of I and of its complement, each sorted,
+    places the first n global positions of I and of the complement, in
+    order (the k-th is k // c * e + runners[k % c]), which the placement and
+    the separation test read by index, and ranks maps each residue of a side
     to its index in runners, by which _split renumbers."""
+
+    __slots__ = ("e", "residues", "n", "runners", "places", "ranks")
 
     e: int
     residues: frozenset[int]
     n: int
-    runners: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    places: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    ranks: tuple[dict[int, int], dict[int, int]] = field(init=False, repr=False, compare=False)
+    runners: tuple[tuple[int, ...], tuple[int, ...]]
+    places: tuple[tuple[int, ...], tuple[int, ...]]
+    ranks: tuple[dict[int, int], dict[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "residues", frozenset(int(i) for i in self.residues))
+    def __init__(self, e: int, residues, n: int):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "residues", frozenset(int(i) for i in residues))
+        object.__setattr__(self, "n", n)
         if self.e < 2:
             raise ValueError("e must be at least 2")
         if not self.residues or any(i < 0 or i >= self.e for i in self.residues):
@@ -89,6 +91,12 @@ class SplitContext:
             tuple(k // len(res) * self.e + res[k % len(res)] for k in range(self.n)) for res in runners
         ))
         object.__setattr__(self, "ranks", tuple({r: k for k, r in enumerate(res)} for res in runners))
+
+    def _args(self) -> tuple[int, frozenset[int], int]:
+        return (self.e, self.residues, self.n)
+
+    def __repr__(self) -> str:
+        return f"SplitContext(e={self.e!r}, residues={self.residues!r}, n={self.n!r})"
 
     @property
     def c(self) -> int:
@@ -259,8 +267,7 @@ def _least_separated_u(
     return us.stop
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """Outcome of one splitting-theorem instance, on the n-bead sets of la,
     mu and the Mullineux image m_e(la'); la, mu and mullineux_image decode
     them on each read.  The sets belong to the report: do not change them."""

@@ -37,7 +37,6 @@ sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from typing import Callable, Iterator
@@ -57,13 +56,24 @@ from .partitions import (Partition, _bead_rows, _beads_restricted, beta_numbers,
 Instances = Iterator[tuple[str, bool | str | None]]
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    checked: int = 0
-    failure: str | None = None
-    skipped: int = 0  # of the checked instances, those whose hypothesis was not met
+    """One property's result in a suite run: the instances checked, of those
+    the skipped ones (whose hypothesis was not met), and the first failure's
+    text, if any."""
+
+    __slots__ = ("suite", "name", "checked", "failure", "skipped")
+
+    def __init__(self, suite: str, name: str, checked: int = 0, failure: str | None = None, skipped: int = 0):
+        self.suite, self.name, self.checked, self.failure, self.skipped = suite, name, checked, failure, skipped
+
+    def _args(self) -> tuple[str, str, int, str | None, int]:
+        return (self.suite, self.name, self.checked, self.failure, self.skipped)
+
+    def __eq__(self, other: object) -> bool:  # a mutable record: no hash
+        return self._args() == other._args() if type(other) is CheckResult else NotImplemented
+
+    def __repr__(self) -> str:
+        return "CheckResult(suite={!r}, name={!r}, checked={!r}, failure={!r}, skipped={!r})".format(*self._args())
 
     @property
     def ok(self) -> bool:

@@ -1,7 +1,6 @@
 import importlib
 import signal
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -43,7 +42,7 @@ def lyle_fails_at_2_1(monkeypatch):
 
     def report_of(la, e, *images):
         report = real(la, e, *images)
-        return replace(report, dominates=False) if la.parts == (2, 1) else report
+        return report._replace(dominates=False) if la.parts == (2, 1) else report
 
     monkeypatch.setattr(verify, "_lyle_report", report_of)
 

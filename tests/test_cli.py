@@ -58,6 +58,18 @@ def test_module_entry_point_runs_the_cli(capsys):
     assert done.returncode == 0 and done.stdout == "2,1,1\n"
 
 
+def test_import_loads_no_dataclasses():
+    # each CLI call pays the import: the value types are written out, so a
+    # fresh interpreter neither loads dataclasses nor compiles generated code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cr.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import regcrystals, regcrystals.verify, regcrystals.cli; "
+            "print(regcrystals.__file__); print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [os.path.join(src, "regcrystals", "__init__.py"), "False"]
+
+
 class TestAbacus:
     def test_show(self, capsys):
         code, out, _ = run(capsys, "abacus", "show", "--e", "5", "--beads", "7", "6,4,2,1,1")
@@ -875,7 +887,8 @@ class TestVerifyLimits:
 
     @pytest.mark.parametrize("flag, value, what, limit", OVER, ids=[f"{f} {v}" for f, v, *_ in OVER])
     def test_over_the_limit_exits_1(self, capsys, monkeypatch, flag, value, what, limit):
-        monkeypatch.setattr(vf, "iter_suites", lambda *args, **kwargs: pytest.fail("suites ran"))
+        for name, (_, *rest) in list(vf._SUITES.items()):
+            monkeypatch.setitem(vf._SUITES, name, (lambda *args: pytest.fail("a suite ran"), *rest))
         code, out, err = run(capsys, "verify", "core", flag, str(value))
         assert code == 1 and out == ""
         assert err == f"error: {what} {value} exceeds the limit {limit}\n"
@@ -939,6 +952,11 @@ HOSTILE = {
     "verify_paget_e_over_range": (["verify", "paget", "--e", "6"], 2, 64, 512),
     "verify_core_e_negative": (["verify", "core", "--e", "-1", "--max", "3"], 2, 64, 512),
     "verify_ladder_takes_no_e": (["verify", "ladder", "--e", "-1", "--max", "3"], 2, 64, 512),
+    # past the modulus cap a suite's own range still decides: exit 2, as at --e 8
+    "verify_split_e_over_cap": (["verify", "split", "--e", str(MAX_VERIFY_SIZE + 2)], 2, 64, 512),
+    "verify_paget_e_over_cap": (["verify", "paget", "--e", str(MAX_VERIFY_SIZE + 2)], 2, 64, 512),
+    "verify_ladder_e_over_cap": (["verify", "ladder", "--e", str(MAX_VERIFY_SIZE + 2)], 2, 64, 512),
+    "verify_all_e_over_cap": (["verify", "all", "--e", str(MAX_VERIFY_SIZE + 2)], 2, 64, 512),
 }
 
 
@@ -1002,7 +1020,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, e, named, bound",
         [("split", "8", "split", 7), ("paget", "6", "paget", 5),
-         ("all", "6", "paget", 5), ("all", "8", "split", 7)],
+         ("all", "6", "paget", 5), ("all", "8", "split", 7),
+         ("split", "32", "split", 7), ("paget", "32", "paget", 5), ("all", "32", "split", 7)],
     )
     def test_modulus_above_the_suite_range_exits_2(self, capsys, monkeypatch, suite, e, named, bound):
         # split and paget are exponential in e; the check comes before any suite runs
@@ -1012,7 +1031,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: suite {named} runs e <= {bound}, got e = {e}\n"
 
-    @pytest.mark.parametrize("suite, e", [("ladder", "-1"), ("crystal", "3")])
+    @pytest.mark.parametrize("suite, e", [("ladder", "-1"), ("crystal", "3"), ("ladder", "32")])
     def test_e_for_a_fixed_moduli_suite_exits_2(self, capsys, suite, e):
         code, out, err = run(capsys, "verify", suite, "--e", e, "--max", "3")
         assert code == 2 and out == ""

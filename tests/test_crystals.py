@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -57,6 +58,18 @@ class TestArmPrefix:
     def test_from_slope_matches_values(self):
         assert ArmPrefix.from_slope(4, 2, 4, "+").values == (2, 4, 6, 8)
         assert ArmPrefix.from_slope(4, Fraction(3, 2), 4, "-").values == (1, 2, 4, 5)
+
+    def test_frozen_and_compared_on_e_and_values(self):
+        # the slope and weights are derived once and left out of ==, hashing and the repr
+        prefix = ArmPrefix(4, [1, 3, 5])
+        assert repr(prefix) == "ArmPrefix(e=4, values=(1, 3, 5))"
+        with pytest.raises(AttributeError, match="^cannot assign to field 'values'$"):
+            prefix.values = (0,)
+        other = ArmPrefix(4, (1, 3, 5))
+        object.__setattr__(other, "slope", Fraction(0))
+        object.__setattr__(other, "weights", (0, 0))
+        assert prefix == other and hash(prefix) == hash(other) and repr(other) == repr(prefix)
+        assert prefix != ArmPrefix(5, (1, 3, 5)) and pickle.loads(pickle.dumps(prefix)).weights == (5, 7)
 
 
 TABLE_PREFIXES = {
@@ -718,6 +731,17 @@ class TestChains:
     def test_recomputed_chain(self):
         chain = iso_chain(ArmPrefix(3, (2, 4, 6)), ArmPrefix(3, (0, 1, 2)))
         assert [p.pair() for p in chain.steps] == [(3, 2), (9, 5), (6, 3), (9, 4), (3, 1)]
+
+    def test_frozen_and_compared_on_its_ends(self):
+        # inverse and steps are cached on first read and left out of ==, hashing and the repr
+        a, b = ArmPrefix(3, (1, 2)), ArmPrefix(3, (0, 1))
+        chain, other = cr.iso_chain(a, b), cr.iso_chain(a, b)
+        assert repr(chain) == "Chain(source=ArmPrefix(e=3, values=(1, 2)), target=ArmPrefix(e=3, values=(0, 1)))"
+        with pytest.raises(AttributeError, match="^cannot assign to field 'source'$"):
+            chain.source = b
+        assert chain.steps == (ld.LadderParams(3, 1),) and "steps" not in vars(other)
+        assert chain == other and hash(chain) == hash(other) and repr(other) == repr(chain)
+        assert chain != cr.iso_chain(b, a) and pickle.loads(pickle.dumps(chain)) == chain
 
     def test_identity_chain(self):
         a = ArmPrefix(3, (1, 2))

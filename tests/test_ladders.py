@@ -1,4 +1,5 @@
 import importlib
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -82,6 +83,20 @@ class TestParams:
     def test_conjugate_params(self):
         assert LadderParams(3, 2).conjugate_params() == LadderParams(3, 1)
         assert LadderParams(4, Fraction(5, 3)).conjugate_params() == LadderParams(4, Fraction(7, 3))
+
+    def test_frozen_and_compared_on_e_and_y(self):
+        # (E, Y) is derived once and left out of ==, hashing and the repr
+        params = LadderParams(4, Fraction(5, 3))
+        assert repr(params) == "LadderParams(e=4, y=5/3)"
+        with pytest.raises(AttributeError, match="^cannot assign to field 'y'$"):
+            params.y = Fraction(2)
+        with pytest.raises(AttributeError, match="^cannot delete field 'E'$"):
+            del params.E
+        other = LadderParams(4, "5/3")
+        object.__setattr__(other, "E", 0)
+        object.__setattr__(other, "Y", 0)
+        assert params == other and hash(params) == hash(other) and repr(other) == repr(params)
+        assert params != LadderParams(4, Fraction(7, 3)) and pickle.loads(pickle.dumps(params)).pair() == (12, 5)
 
 
 class TestLadderGeometry:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, product
 
@@ -50,11 +51,14 @@ class TestContext:
         assert ctx.places[0][:5] == (1, 4, 6, 9, 11) and ctx.places[1][:4] == (0, 2, 3, 5)
         assert ctx.ranks == ({1: 0, 4: 1}, {0: 0, 2: 1, 3: 2})
         assert repr(ctx) == "SplitContext(e=5, residues=frozenset({1, 4}), n=15)"
+        with pytest.raises(AttributeError, match="^cannot assign to field 'n'$"):
+            ctx.n = 10
         other = SplitContext(5, frozenset({1, 4}), 15)
         object.__setattr__(other, "runners", ((), ()))
         object.__setattr__(other, "places", ((), ()))
         object.__setattr__(other, "ranks", ((), ()))
-        assert ctx == other and hash(ctx) == hash(other)
+        assert ctx == other and hash(ctx) == hash(other) and repr(other) == repr(ctx)
+        assert ctx != SplitContext(5, {1, 4}, 20) and pickle.loads(pickle.dumps(ctx)).places == ctx.places
 
     def test_u_outside_the_bead_count_is_rejected(self):
         ctx = SplitContext(5, frozenset({1, 4}), 15)
